@@ -68,8 +68,17 @@ def save_checkpoint(model: DialogScorer, path, extra_config: dict | None = None)
             f.write(chunk)
 
 
+def _field(mapping: dict, key: str, kind: type, where: str = "manifest"):
+    value = mapping.get(key)
+    if not isinstance(value, kind):
+        raise LoadError(f"checkpoint {where} key {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
 def load_checkpoint(path) -> tuple[DialogScorer, dict]:
-    """Rebuild the model from a checkpoint; returns (model, extra_config)."""
+    """Rebuild the model from a checkpoint; returns (model, extra_config).
+
+    Every malformed manifest or payload raises ``LoadError``."""
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -85,21 +94,26 @@ def load_checkpoint(path) -> tuple[DialogScorer, dict]:
             manifest = json.loads(mbytes.decode("utf-8"))
         except ValueError as exc:
             raise LoadError(f"checkpoint manifest is not valid JSON: {exc}") from exc
-        if manifest.get("format_version") != FORMAT_VERSION:
-            raise LoadError(f"unsupported checkpoint version {manifest.get('format_version')!r}")
+        version = manifest.get("format_version") if isinstance(manifest, dict) else None
+        if version != FORMAT_VERSION:
+            raise LoadError(f"unsupported checkpoint version {version!r}")
         payload = f.read()
 
-    cfg = manifest["model"]
-    vocab = Vocabulary(manifest["vocab"])
-    model = DialogScorer(
-        ModelDims(**cfg["dims"]),
-        vocab,
-        task=cfg["task"],
-        variant=cfg["variant"],
-        mlp_depth=cfg["mlp_depth"],
-        shared_embeddings=cfg["shared_embeddings"],
-        init_seed=cfg["init_seed"],
-    )
+    cfg = _field(manifest, "model", dict)
+    try:
+        model = DialogScorer(
+            ModelDims(**_field(cfg, "dims", dict, "model config")),
+            Vocabulary(_field(manifest, "vocab", list)),
+            task=cfg["task"],
+            variant=cfg["variant"],
+            mlp_depth=cfg["mlp_depth"],
+            shared_embeddings=cfg["shared_embeddings"],
+            init_seed=cfg["init_seed"],
+        )
+    except KeyError as exc:
+        raise LoadError(f"checkpoint model config is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise LoadError(f"checkpoint model config is invalid: {exc}") from exc
     params = model.parameters()
     buffers = model.buffers()
     targets = {}
@@ -111,28 +125,40 @@ def load_checkpoint(path) -> tuple[DialogScorer, dict]:
         targets[(name, "buffer")] = buf
 
     seen = set()
-    for entry in manifest["entries"]:
-        key = (entry["name"], entry["role"])
+    for i, entry in enumerate(_field(manifest, "entries", list)):
+        try:
+            key = (str(entry["name"]), str(entry["role"]))
+            shape = tuple(int(n) for n in entry["shape"])
+            start = int(entry["offset"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LoadError(f"checkpoint entry {i} is malformed: {exc!r}") from exc
+        name, role = key
         if key not in targets:
-            raise LoadError(f"checkpoint entry {entry['name']} ({entry['role']}) "
+            raise LoadError(f"checkpoint entry {name} ({role}) "
                             "does not exist in the configured model")
         arr = targets[key]
-        shape = tuple(entry["shape"])
         if shape != arr.shape:
             raise LoadError(
-                f"parameter {entry['name']}: checkpoint shape {list(shape)} does not "
+                f"parameter {name}: checkpoint shape {list(shape)} does not "
                 f"match model shape {list(arr.shape)}")
-        start = entry["offset"]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-        chunk = payload[start : start + nbytes]
+        nbytes = arr.size * 8
+        chunk = memoryview(payload)[start : start + nbytes]  # no copy
         if len(chunk) != nbytes:
-            raise LoadError(f"parameter {entry['name']}: payload truncated")
-        arr[...] = np.frombuffer(chunk, dtype="<f8").reshape(shape)
+            raise LoadError(f"parameter {name}: payload truncated")
+        values = np.frombuffer(chunk, dtype="<f8")
+        if not np.isfinite(values).all():
+            raise LoadError(f"parameter {name} ({role}): non-finite value in checkpoint")
+        arr[...] = values.reshape(shape)
         seen.add(key)
     missing = sorted(set(targets) - seen)
     if missing:
         name, role = missing[0]
         raise LoadError(f"checkpoint is missing parameter {name} ({role})")
+    step_counts = _field(manifest, "step_counts", dict)
     for name, p in params.items():
-        p.step_count = int(manifest["step_counts"][name])
+        try:
+            p.step_count = int(step_counts[name])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LoadError(f"checkpoint step count of parameter {name} is missing "
+                            "or invalid") from exc
     return model, manifest.get("extra", {})

@@ -69,27 +69,22 @@ class ModelDims:
         return cls(**overrides)
 
 
-@dataclass
-class EncodedContext:
-    """Everything of a round except the option embedding, ready for fusion."""
+class TextPath:
+    """Embedding lookup -> LSTM over one token sequence; the final hidden
+    state is the sequence embedding."""
 
-    variant: str
-    query_vec: np.ndarray
-    image_vec: np.ndarray | None = None
-    caption_vec: np.ndarray | None = None
-    history_vec: np.ndarray | None = None
+    def __init__(self, embed: nn.Embedding, lstm: nn.LstmEncoder):
+        self.embed = embed
+        self.lstm = lstm
 
-    def blocks(self) -> list[np.ndarray]:
-        out = [self.query_vec]
-        if self.variant in ("qi", "qih"):
-            if self.image_vec is None:
-                raise ValueError(f"variant {self.variant} requires an image vector")
-            out.append(self.image_vec)
-        if self.variant == "qih":
-            if self.caption_vec is None or self.history_vec is None:
-                raise ValueError("variant qih requires caption and history vectors")
-            out.extend([self.caption_vec, self.history_vec])
-        return out
+    def encode(self, ids):
+        emb, ecache = self.embed.lookup(ids)
+        vec, lcache = self.lstm.encode(emb)
+        return vec, (ecache, lcache)
+
+    def backward(self, cache, dvec) -> None:
+        ecache, lcache = cache
+        self.embed.backward(ecache, self.lstm.backward(lcache, dvec))
 
 
 class EncoderBank:
@@ -114,35 +109,25 @@ class EncoderBank:
         self.stop_id = vocab.stop_id
         self.empty_id = vocab.empty_id
 
-        E, V = dims.embed_dim, self.vocab_size
-        if shared_embeddings:
-            shared = nn.Embedding(E, V, rng, name="embed.shared")
-            self.embed_query = self.embed_option = shared
-            self.embed_caption = self.embed_history_q = self.embed_history_a = shared
-        else:
-            self.embed_query = nn.Embedding(E, V, rng, name="embed.query")
-            self.embed_option = nn.Embedding(E, V, rng, name="embed.option")
-            if variant == "qih":
-                self.embed_caption = nn.Embedding(E, V, rng, name="embed.caption")
-                self.embed_history_q = nn.Embedding(E, V, rng, name="embed.history_q")
-                self.embed_history_a = nn.Embedding(E, V, rng, name="embed.history_a")
-            else:
-                self.embed_caption = self.embed_history_q = self.embed_history_a = None
-
-        self.lstm_query = nn.LstmEncoder(E, dims.query_hidden, rng, name="lstm.query")
-        self.lstm_option = nn.LstmEncoder(E, dims.option_hidden, rng, name="lstm.option")
+        names = ["query", "option"]
         if variant == "qih":
-            self.lstm_caption = nn.LstmEncoder(E, dims.caption_hidden, rng, name="lstm.caption")
-            self.lstm_history_q = nn.LstmEncoder(E, dims.history_q_hidden, rng,
-                                                 name="lstm.history_q")
-            self.lstm_history_a = nn.LstmEncoder(E, dims.history_a_hidden, rng,
-                                                 name="lstm.history_a")
+            names += ["caption", "history_q", "history_a"]
+        E, V = dims.embed_dim, self.vocab_size
+        # all tables are drawn before any LSTM, in path order
+        if shared_embeddings:
+            tables = [nn.Embedding(E, V, rng, name="embed.shared")] * len(names)
+        else:
+            tables = [nn.Embedding(E, V, rng, name=f"embed.{n}") for n in names]
+        self.paths = {
+            n: TextPath(table, nn.LstmEncoder(E, getattr(dims, f"{n}_hidden"), rng,
+                                              name=f"lstm.{n}"))
+            for n, table in zip(names, tables)
+        }
+        if variant == "qih":
             self.pair_combine = nn.Linear(dims.history_q_hidden + dims.history_a_hidden,
                                           dims.history_pair_dim, rng, name="history.combine")
             self.pair_bn = nn.BatchNorm1d(dims.history_pair_dim, name="history.bn")
         else:
-            self.lstm_caption = None
-            self.lstm_history_q = self.lstm_history_a = None
             self.pair_combine = None
             self.pair_bn = None
 
@@ -164,32 +149,13 @@ class EncoderBank:
             seq = list(question_ids) + list(answer_ids)
         if not seq:
             raise ValueError("empty query")
-        emb, ecache = self.embed_query.lookup(seq)
-        vec, lcache = self.lstm_query.encode(emb)
-        return vec, (ecache, lcache)
-
-    def backward_query(self, cache, dvec) -> None:
-        ecache, lcache = cache
-        demb = self.lstm_query.backward(lcache, dvec)
-        self.embed_query.backward(ecache, demb)
+        return self.paths["query"].encode(seq)
 
     def encode_option(self, option_ids):
-        emb, ecache = self.embed_option.lookup(option_ids)
-        vec, lcache = self.lstm_option.encode(emb)
-        return vec, (ecache, lcache)
-
-    def backward_option(self, cache, dvec) -> None:
-        ecache, lcache = cache
-        self.embed_option.backward(ecache, self.lstm_option.backward(lcache, dvec))
+        return self.paths["option"].encode(option_ids)
 
     def encode_caption(self, caption_ids):
-        emb, ecache = self.embed_caption.lookup(caption_ids)
-        vec, lcache = self.lstm_caption.encode(emb)
-        return vec, (ecache, lcache)
-
-    def backward_caption(self, cache, dvec) -> None:
-        ecache, lcache = cache
-        self.embed_caption.backward(ecache, self.lstm_caption.backward(lcache, dvec))
+        return self.paths["caption"].encode(caption_ids)
 
     # -- history -----------------------------------------------------------
 
@@ -200,21 +166,24 @@ class EncoderBank:
     def encode_pair_pre(self, question_ids, answer_ids):
         """Concatenated question/answer hidden states of one history round,
         before the pair-combine layer."""
-        qe, qec = self.embed_history_q.lookup(question_ids)
-        qv, qlc = self.lstm_history_q.encode(qe)
-        ae, aec = self.embed_history_a.lookup(answer_ids)
-        av, alc = self.lstm_history_a.encode(ae)
-        return np.concatenate([qv, av]), (qec, qlc, aec, alc)
-
-    def backward_pair_pre(self, cache, dpre) -> None:
-        qec, qlc, aec, alc = cache
-        dq = dpre[: self.dims.history_q_hidden]
-        da = dpre[self.dims.history_q_hidden :]
-        self.embed_history_q.backward(qec, self.lstm_history_q.backward(qlc, dq))
-        self.embed_history_a.backward(aec, self.lstm_history_a.backward(alc, da))
+        qv, qcache = self.paths["history_q"].encode(question_ids)
+        av, acache = self.paths["history_a"].encode(answer_ids)
+        return np.concatenate([qv, av]), (qcache, acache)
 
     def combine_pairs(self, rows: np.ndarray, train: bool, update_running: bool = True):
-        """Pair-combine FC -> batch norm -> ReLU over a batch of pair rows."""
+        """Pair-combine FC -> batch norm -> ReLU over a batch of pair rows.
+
+        Eval mode runs each row through its own 1-row products, so a row's
+        output depends on that row alone (see model.py), and returns no cache.
+        """
+        if not train:
+            out = np.empty((len(rows), self.dims.history_pair_dim))
+            for i in range(len(rows)):
+                out[i : i + 1] = self._combine(rows[i : i + 1], False)[0]
+            return out, None
+        return self._combine(rows, True, update_running)
+
+    def _combine(self, rows, train, update_running=True):
         lin, lin_cache = self.pair_combine.forward(rows)
         normed, bn_cache = self.pair_bn.forward(lin, train=train, update_running=update_running)
         out, relu_cache = nn.relu(normed)
@@ -224,74 +193,63 @@ class EncoderBank:
         lin_cache, bn_cache, relu_cache = cache
         dnormed = nn.relu_backward(relu_cache, dout)
         dlin = self.pair_bn.backward(bn_cache, dnormed)
-        return self.pair_combine.backward(dlin, lin_cache)
+        return self.pair_combine.backward(lin_cache, dlin)
 
-    def encode_history(self, rounds_before, train: bool = False,
-                       update_running: bool = True):
-        """Slot-aligned history block of length (T-1) * pair_dim.
+    def encode_histories(self, histories, train: bool, update_running: bool = True):
+        """Slot-aligned history blocks [B, (T-1) * pair_dim] of B examples.
 
-        ``rounds_before`` is the chronological list of (question_ids,
-        answer_ids) pairs already exchanged; missing slots get the empty-pair
-        encoding, computed once and reused."""
+        ``histories[e]`` is the chronological list of (question_ids,
+        answer_ids) pairs already exchanged before example e's query. Missing
+        slots share one encoding of the empty pair, computed once per call.
+        Train mode batch-norms the B * (T-1) slot rows jointly.
+        """
         slots = self.dims.history_slots
-        if len(rounds_before) > slots:
-            raise ValueError(f"history holds {len(rounds_before)} rounds, model fits {slots}")
-        pre_rows = np.empty((slots, self.dims.history_q_hidden + self.dims.history_a_hidden))
-        pair_caches = []
-        for k, (q_ids, a_ids) in enumerate(rounds_before):
-            pre_rows[k], cache = self.encode_pair_pre(q_ids, a_ids)
-            pair_caches.append(cache)
-        n_pad = slots - len(rounds_before)
-        empty_cache = None
-        if n_pad:
-            empty_pre, empty_cache = self.encode_pair_pre(*self.empty_pair())
-            pre_rows[len(rounds_before) :] = empty_pre
-        if train:
-            combined, comb_cache = self.combine_pairs(pre_rows, train=True,
-                                                      update_running=update_running)
-        else:
-            # row-at-a-time in eval: each slot's encoding is independent of the
-            # others, and all padded slots share one bitwise-identical vector
-            combined = np.empty((slots, self.dims.history_pair_dim))
-            comb_cache = None
-            for k in range(len(rounds_before)):
-                row, _ = self.combine_pairs(pre_rows[k : k + 1], train=False)
-                combined[k] = row[0]
-            if n_pad:
-                pad_row, _ = self.combine_pairs(
-                    pre_rows[len(rounds_before) : len(rounds_before) + 1], train=False)
-                combined[len(rounds_before) :] = pad_row[0]
-        vec = combined.reshape(-1)
-        return vec, (pair_caches, empty_cache, comb_cache, len(rounds_before))
+        pre_rows = np.empty((len(histories) * slots,
+                             self.dims.history_q_hidden + self.dims.history_a_hidden))
+        pair_caches = []  # (row index, cache) of real rounds
+        padded = np.zeros(len(pre_rows), dtype=bool)
+        empty_pre = empty_cache = None
+        for e, rounds in enumerate(histories):
+            if len(rounds) > slots:
+                raise ValueError(f"history holds {len(rounds)} rounds, model fits {slots}")
+            base = e * slots
+            for k, (q_ids, a_ids) in enumerate(rounds):
+                pre_rows[base + k], cache = self.encode_pair_pre(q_ids, a_ids)
+                pair_caches.append((base + k, cache))
+            if len(rounds) < slots:
+                if empty_pre is None:
+                    empty_pre, empty_cache = self.encode_pair_pre(*self.empty_pair())
+                pre_rows[base + len(rounds) : base + slots] = empty_pre
+                padded[base + len(rounds) : base + slots] = True
+        combined, comb_cache = self.combine_pairs(pre_rows, train, update_running)
+        blocks = combined.reshape(len(histories), self.dims.history_len)
+        return blocks, (pair_caches, empty_cache, padded, comb_cache)
 
-    def backward_history(self, cache, dvec) -> None:
-        """Backward for a train-mode encode_history call."""
-        pair_caches, empty_cache, comb_cache, n_real = cache
+    def backward_histories(self, cache, dblocks: np.ndarray) -> None:
+        """Backward for a train-mode encode_histories call."""
+        pair_caches, empty_cache, padded, comb_cache = cache
         if comb_cache is None:
             raise RuntimeError("history backward requires a train-mode forward")
-        dcombined = dvec.reshape(self.dims.history_slots, self.dims.history_pair_dim)
-        dpre = self.backward_combine_pairs(comb_cache, dcombined)
-        for k, pc in enumerate(pair_caches):
-            self.backward_pair_pre(pc, dpre[k])
+        dpre = self.backward_combine_pairs(
+            comb_cache, dblocks.reshape(-1, self.dims.history_pair_dim))
+        grads = [(c, dpre[row]) for row, c in pair_caches]
         if empty_cache is not None:
             # all padded slots share one forward pass; their grads sum
-            self.backward_pair_pre(empty_cache, dpre[n_real:].sum(axis=0))
+            grads.append((empty_cache, dpre[padded].sum(axis=0)))
+        split = self.dims.history_q_hidden
+        for (qcache, acache), d in grads:
+            self.paths["history_q"].backward(qcache, d[:split])
+            self.paths["history_a"].backward(acache, d[split:])
 
     # -- registry ----------------------------------------------------------
 
     def parameters(self) -> dict[str, nn.Parameter]:
         out: dict[str, nn.Parameter] = {}
-        embeds = [self.embed_query, self.embed_option, self.embed_caption,
-                  self.embed_history_q, self.embed_history_a]
-        for table in embeds:
-            if table is not None and table.weight.name not in out:
-                out[table.weight.name] = table.weight
-        lstms = [self.lstm_query, self.lstm_option, self.lstm_caption,
-                 self.lstm_history_q, self.lstm_history_a]
-        for enc in lstms:
-            if enc is not None:
-                out[enc.weight.name] = enc.weight
-                out[enc.bias.name] = enc.bias
+        for path in self.paths.values():
+            out.setdefault(path.embed.weight.name, path.embed.weight)
+        for path in self.paths.values():
+            out[path.lstm.weight.name] = path.lstm.weight
+            out[path.lstm.bias.name] = path.lstm.bias
         if self.pair_combine is not None:
             out[self.pair_combine.weight.name] = self.pair_combine.weight
             out[self.pair_combine.bias.name] = self.pair_combine.bias

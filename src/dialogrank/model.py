@@ -1,10 +1,24 @@
 """End-to-end ranking model: encoder bank feeding the fusion scorer.
 
-The training step works on a minibatch of round examples at once because the
-batch-norm batches are defined across the whole step: the pair-combine norm
-sees every history slot row of the minibatch, and the MLP norms see every
-(context, option) row. Evaluation scores rows one at a time against running
-statistics, so eval scores are independent of batch composition.
+One forward pass, ``DialogScorer.batch_forward``, serves training and
+evaluation; ``score_example`` is ``batch_forward([ex], train=False)``. It
+encodes each example's query, caption and options, lays out the history
+slots through ``EncoderBank.encode_histories``, writes the fused rows
+(query | image | caption | history | option) and scores them with the MLP.
+
+Train mode batch-norms across the whole step: the pair-combine norm sees
+every history slot row of the minibatch, and the MLP norms see every
+(context, option) row. Eval mode uses the running statistics and pushes each
+row through its own 1-row products, in the pair-combine layer and in the
+MLP, so a candidate's score does not depend on which candidates are scored
+with it. Batching rows would not give that: on OpenBLAS 0.3.31 (Haswell
+kernels, numpy 2.4.6, 2 CPUs) the rows of ``X @ W.T`` change in their last
+bits with the row count M of ``X`` even for M >= 2. Compared with the first
+M rows of the M=100 product on Gaussian data, ``[M, 1600] @ [1600, 1]`` (the
+MLP output layer) differs at 71 of M = 2..99, ``[M, 256] @ [256, 128]`` (the
+pair-combine layer) at every M <= 8 and ``[M, 64] @ [64, 32]`` at every
+M <= 33. Only the paper-size first MLP layer ``[M, 6400] @ [6400, 3200]``
+was row-stable at every M >= 2 tried.
 """
 
 from __future__ import annotations
@@ -14,8 +28,8 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import nn
-from .encoders import EncoderBank, EncodedContext, ModelDims, TASKS, VARIANTS
-from .scorer import FusionMlp, ScoredOptions, score_options
+from .encoders import EncoderBank, ModelDims, TASKS, VARIANTS
+from .scorer import FusionMlp, ScoredOptions
 from .text import DialogDataset, ImageFeatureStore, Vocabulary
 
 
@@ -148,137 +162,86 @@ class DialogScorer:
         for p in self.parameters().values():
             p.zero_grad()
 
-    # -- evaluation ----------------------------------------------------------
+    # -- forward and backward ------------------------------------------------
 
     def _check_example(self, ex: RoundExample) -> None:
         if not ex.option_ids:
             raise ValueError("example has no options")
         if self.task == "visdial-q" and ex.query_answer_ids is None:
             raise ValueError("follow-up task example is missing the query answer part")
-        if self.variant in ("qi", "qih") and ex.image_vec is None:
-            raise ValueError(f"variant {self.variant} example is missing image features")
+        if self.variant in ("qi", "qih"):
+            if ex.image_vec is None:
+                raise ValueError(f"variant {self.variant} example is missing image features")
+            if np.shape(ex.image_vec) != (self.dims.image_dim,):
+                raise ValueError(f"image features of shape {np.shape(ex.image_vec)} do not "
+                                 f"match the model's image_dim {self.dims.image_dim}")
         if self.variant == "qih" and ex.caption_ids is None:
             raise ValueError("variant qih example is missing the caption")
 
-    def encode_context(self, ex: RoundExample) -> EncodedContext:
-        """Eval-mode context block for one example."""
-        self._check_example(ex)
-        query_vec, _ = self.bank.encode_query(ex.question_ids, ex.query_answer_ids)
-        caption_vec = history_vec = None
-        if self.variant == "qih":
-            caption_vec, _ = self.bank.encode_caption(ex.caption_ids)
-            history_vec, _ = self.bank.encode_history(ex.history, train=False)
-        return EncodedContext(
-            variant=self.variant,
-            query_vec=query_vec,
-            image_vec=ex.image_vec,
-            caption_vec=caption_vec,
-            history_vec=history_vec,
-        )
-
     def score_example(self, ex: RoundExample) -> ScoredOptions:
         """Eval-mode scoring of one round's candidate set."""
-        ctx = self.encode_context(ex)
-        vecs = np.empty((len(ex.option_ids), self.dims.option_hidden))
-        for i, ids in enumerate(ex.option_ids):
-            vecs[i], _ = self.bank.encode_option(ids)
-        scored, _ = score_options(self.mlp, ctx, vecs, train=False)
-        return scored
+        scores, _ = self.batch_forward([ex], train=False)
+        return ScoredOptions.from_scores(scores[0])
 
-    # -- training ------------------------------------------------------------
-
-    def batch_forward(self, batch: list[RoundExample], update_running: bool = True):
-        """Train-mode forward over a minibatch; returns per-example scores and
-        the cache bundle for batch_backward."""
+    def batch_forward(self, batch: list[RoundExample], train: bool = True,
+                      update_running: bool = True):
+        """Forward over a minibatch; returns per-example scores and the cache
+        bundle for batch_backward. Eval mode (``train=False``) keeps no
+        caches, so its bundle cannot be passed to batch_backward."""
         if not batch:
             raise ValueError("empty batch")
         for ex in batch:
             self._check_example(ex)
-        dims = self.dims
         counts = [len(ex.option_ids) for ex in batch]
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        n_rows = int(offsets[-1])
 
-        q_caches, cap_caches, opt_caches = [], [], []
-        rows = np.empty((n_rows, self.mlp.input_dim))
+        caches = []  # per example in train mode: query, caption and option caches
+        rows = np.empty((int(offsets[-1]), self.mlp.input_dim))
         for e, ex in enumerate(batch):
             block = rows[offsets[e] : offsets[e + 1]]
-            q_vec, qc = self.bank.encode_query(ex.question_ids, ex.query_answer_ids)
-            q_caches.append(qc)
-            block[:, self._q_cols] = q_vec
+            block[:, self._q_cols], q_cache = self.bank.encode_query(
+                ex.question_ids, ex.query_answer_ids)
             if self._img_cols is not None:
                 block[:, self._img_cols] = ex.image_vec
-            if self.variant == "qih":
-                cap_vec, cc = self.bank.encode_caption(ex.caption_ids)
-                cap_caches.append(cc)
-                block[:, self._cap_cols] = cap_vec
+            cap_cache = None
+            if self._cap_cols is not None:
+                block[:, self._cap_cols], cap_cache = self.bank.encode_caption(ex.caption_ids)
+            opt_caches = []
             for k, ids in enumerate(ex.option_ids):
-                opt_vec, oc = self.bank.encode_option(ids)
-                opt_caches.append(oc)
-                block[k, self._opt_cols] = opt_vec
+                block[k, self._opt_cols], cache = self.bank.encode_option(ids)
+                if train:
+                    opt_caches.append(cache)
+            if train:
+                caches.append((q_cache, cap_cache, opt_caches))
 
-        hist_bundle = None
-        if self.variant == "qih":
-            slots = dims.history_slots
-            pre_dim = dims.history_q_hidden + dims.history_a_hidden
-            pair_rows = np.empty((len(batch) * slots, pre_dim))
-            pair_caches = []  # (row index, cache) for real rounds
-            padded = np.zeros(len(batch) * slots, dtype=bool)
-            empty_cache = None
-            empty_pre = None
-            for e, ex in enumerate(batch):
-                base = e * slots
-                if len(ex.history) > slots:
-                    raise ValueError(
-                        f"history holds {len(ex.history)} rounds, model fits {slots}")
-                for k, (q_ids, a_ids) in enumerate(ex.history):
-                    pair_rows[base + k], pc = self.bank.encode_pair_pre(q_ids, a_ids)
-                    pair_caches.append((base + k, pc))
-                if len(ex.history) < slots:
-                    if empty_pre is None:
-                        empty_pre, empty_cache = self.bank.encode_pair_pre(
-                            *self.bank.empty_pair())
-                    pair_rows[base + len(ex.history) :] = empty_pre
-                    padded[base + len(ex.history) : base + slots] = True
-            combined, comb_cache = self.bank.combine_pairs(
-                pair_rows, train=True, update_running=update_running)
-            hist_vecs = combined.reshape(len(batch), dims.history_len)
+        hist_cache = None
+        if self._hist_cols is not None:
+            hist, hist_cache = self.bank.encode_histories(
+                [ex.history for ex in batch], train, update_running)
             for e in range(len(batch)):
-                rows[offsets[e] : offsets[e + 1], self._hist_cols] = hist_vecs[e]
-            hist_bundle = (pair_caches, empty_cache, padded, comb_cache)
+                rows[offsets[e] : offsets[e + 1], self._hist_cols] = hist[e]
 
-        flat_scores, mlp_cache = self.mlp.score_rows(
-            rows, train=True, update_running=update_running)
+        flat_scores, mlp_cache = self.mlp.score_rows(rows, train, update_running)
         scores = [flat_scores[offsets[e] : offsets[e + 1]] for e in range(len(batch))]
-        bundle = (batch, offsets, q_caches, cap_caches, opt_caches, hist_bundle, mlp_cache)
-        return scores, bundle
+        return scores, (offsets, caches, hist_cache, mlp_cache)
 
     def batch_backward(self, bundle, dscores: list[np.ndarray]) -> None:
-        batch, offsets, q_caches, cap_caches, opt_caches, hist_bundle, mlp_cache = bundle
-        flat = np.concatenate(dscores)
-        drows = self.mlp.backward_rows(mlp_cache, flat)
-        dhist_rows = None
-        if self.variant == "qih":
-            dhist_rows = np.empty((len(batch), self.dims.history_len))
-        opt_i = 0
-        for e, ex in enumerate(batch):
+        offsets, caches, hist_cache, mlp_cache = bundle
+        if mlp_cache is None:
+            raise RuntimeError("batch_backward requires a train-mode batch_forward")
+        drows = self.mlp.backward_rows(mlp_cache, np.concatenate(dscores))
+        paths = self.bank.paths
+        for e, (q_cache, cap_cache, opt_caches) in enumerate(caches):
             block = drows[offsets[e] : offsets[e + 1]]
-            self.bank.backward_query(q_caches[e], block[:, self._q_cols].sum(axis=0))
-            if self.variant == "qih":
-                self.bank.backward_caption(cap_caches[e], block[:, self._cap_cols].sum(axis=0))
-                dhist_rows[e] = block[:, self._hist_cols].sum(axis=0)
-            for k in range(len(ex.option_ids)):
-                self.bank.backward_option(opt_caches[opt_i], block[k, self._opt_cols])
-                opt_i += 1
-        if self.variant == "qih":
-            pair_caches, empty_cache, padded, comb_cache = hist_bundle
-            dcombined = dhist_rows.reshape(-1, self.dims.history_pair_dim)
-            dpair_rows = self.bank.backward_combine_pairs(comb_cache, dcombined)
-            for row_i, pc in pair_caches:
-                self.bank.backward_pair_pre(pc, dpair_rows[row_i])
-            if empty_cache is not None:
-                # every padded slot shares one forward pass, so their grads sum
-                self.bank.backward_pair_pre(empty_cache, dpair_rows[padded].sum(axis=0))
+            paths["query"].backward(q_cache, block[:, self._q_cols].sum(axis=0))
+            if cap_cache is not None:
+                paths["caption"].backward(cap_cache, block[:, self._cap_cols].sum(axis=0))
+            for k, cache in enumerate(opt_caches):
+                paths["option"].backward(cache, block[k, self._opt_cols])
+        if hist_cache is not None:
+            dhist = np.stack([drows[offsets[e] : offsets[e + 1], self._hist_cols].sum(axis=0)
+                              for e in range(len(caches))])
+            self.bank.backward_histories(hist_cache, dhist)
 
     def batch_loss(self, batch: list[RoundExample], want_grads: bool = True,
                    update_running: bool = True) -> float:

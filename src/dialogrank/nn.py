@@ -116,7 +116,7 @@ class Linear:
         y = x @ self.weight.value.T + self.bias.value
         return y, x
 
-    def backward(self, dy: np.ndarray, cache=None) -> np.ndarray:
+    def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         if cache is None:
             raise RuntimeError(
                 f"{self.weight.name}: backward called before forward (no cache)")

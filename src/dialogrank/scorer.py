@@ -5,6 +5,15 @@ embedding are concatenated into a single row and pushed through an MLP whose
 hidden layers are linear -> batch norm -> ReLU and whose final layer is a
 plain linear map to one scalar (normalizing the scalar would destroy the
 ordering information between candidates).
+
+Train mode norms over all rows of a call jointly. Eval mode norms with the
+running statistics and pushes each row through its own 1-row products: a
+row of a BLAS product ``X @ W.T`` is not bitwise independent of the row
+count M of ``X``, even for M >= 2 (on OpenBLAS 0.3.31 with Haswell kernels
+the ``[M, 1600] @ [1600, 1]`` output-layer product differs from the first M
+rows of the M=100 one at 71 of M = 2..99; model.py has the other shapes).
+Running rows one at a time makes a candidate's eval score independent of
+which candidates are scored alongside it, whatever the BLAS does.
 """
 
 from __future__ import annotations
@@ -14,14 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .encoders import EncodedContext
 
 
 @dataclass
 class ScoredOptions:
     scores: np.ndarray
-    probabilities: np.ndarray
-    predicted_index: int
 
     @classmethod
     def from_scores(cls, scores) -> "ScoredOptions":
@@ -29,18 +35,7 @@ class ScoredOptions:
         if s.size < 1:
             raise ValueError("cannot score an empty option set")
         nn.ensure_finite("option scores", s)
-        e = np.exp(s - s.max())
-        return cls(scores=s, probabilities=e / e.sum(), predicted_index=int(np.argmax(s)))
-
-
-def predict(scored: ScoredOptions) -> int:
-    """Index of the best option; ties go to the lowest index."""
-    return scored.predicted_index
-
-
-def assemble(ctx: EncodedContext, option_vec: np.ndarray) -> np.ndarray:
-    """Fused row: query + image + caption + history + option, masked blocks omitted."""
-    return np.concatenate(ctx.blocks() + [np.asarray(option_vec, dtype=np.float64)])
+        return cls(scores=s)
 
 
 class FusionMlp:
@@ -64,9 +59,17 @@ class FusionMlp:
         self.out = nn.Linear(widths[-1], 1, rng, name=f"{name}.out")
 
     def score_rows(self, rows: np.ndarray, train: bool, update_running: bool = True):
-        """rows: [N, input_dim] -> scores [N]. In train mode the batch-norm
-        statistics are taken over all N rows jointly."""
-        x = rows
+        """rows: [N, input_dim] -> (scores [N], cache). In train mode the
+        batch-norm statistics are taken over all N rows jointly; eval mode
+        scores one row at a time and returns no cache."""
+        if not train:
+            scores = np.empty(len(rows))
+            for i in range(len(rows)):
+                scores[i] = self._forward(rows[i : i + 1], False)[0][0]
+            return scores, None
+        return self._forward(rows, True, update_running)
+
+    def _forward(self, x, train, update_running=True):
         caches = []
         for lin, bn in zip(self.hidden, self.norms):
             z, lin_cache = lin.forward(x)
@@ -78,13 +81,13 @@ class FusionMlp:
 
     def backward_rows(self, cache, dscores: np.ndarray) -> np.ndarray:
         caches, out_cache = cache
-        dx = self.out.backward(np.asarray(dscores, dtype=np.float64)[:, None], out_cache)
+        dx = self.out.backward(out_cache, np.asarray(dscores, dtype=np.float64)[:, None])
         for (lin_cache, bn_cache, relu_cache), lin, bn in zip(
             reversed(caches), reversed(self.hidden), reversed(self.norms)
         ):
             dh = nn.relu_backward(relu_cache, dx)
             dz = bn.backward(bn_cache, dh)
-            dx = lin.backward(dz, lin_cache)
+            dx = lin.backward(lin_cache, dz)
         return dx
 
     def parameters(self) -> dict[str, nn.Parameter]:
@@ -102,39 +105,3 @@ class FusionMlp:
             out[f"mlp.h{i}.bn.running_mean"] = bn.running_mean
             out[f"mlp.h{i}.bn.running_var"] = bn.running_var
         return out
-
-
-def score_options(mlp: FusionMlp, ctx: EncodedContext, option_vecs, train: bool = False,
-                  update_running: bool = True):
-    """Score one round's candidate set.
-
-    Eval mode scores each row separately against running statistics, so a
-    candidate's score does not depend on how many or which other candidates
-    are co-evaluated. Train mode norms over the given K rows jointly (the
-    batched training step builds larger row sets itself).
-
-    Returns (ScoredOptions, cache); the cache is None in eval mode.
-    """
-    option_vecs = np.asarray(option_vecs, dtype=np.float64)
-    if option_vecs.ndim != 2:
-        raise ValueError("option_vecs must be [K, option_dim]")
-    k = option_vecs.shape[0]
-    rows = np.stack([assemble(ctx, option_vecs[i]) for i in range(k)])
-    if rows.shape[1] != mlp.input_dim:
-        raise ValueError(
-            f"fused row width {rows.shape[1]} does not match mlp input {mlp.input_dim}; "
-            "context variant and scorer disagree"
-        )
-    if train:
-        scores, cache = mlp.score_rows(rows, train=True, update_running=update_running)
-        return ScoredOptions.from_scores(scores), cache
-    scores = np.empty(k)
-    for i in range(k):
-        row_score, _ = mlp.score_rows(rows[i : i + 1], train=False)
-        scores[i] = row_score[0]
-    return ScoredOptions.from_scores(scores), None
-
-
-def loss_and_grad(scored: ScoredOptions, gt_index: int):
-    """Cross-entropy of the ground-truth option against the full score vector."""
-    return nn.softmax_cross_entropy(scored.scores, gt_index)

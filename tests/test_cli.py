@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dialogrank
 from dialogrank.cli import main
 from dialogrank.metrics import compute_metrics
 from dialogrank.text import write_dataset, write_features, write_glove
@@ -174,18 +176,25 @@ def test_missing_file_is_single_line_error(workdir, capsys):
     assert stderr.count("\n") == 1
 
 
+def run_cli_process(*args):
+    """``python -m dialogrank.cli`` in a child process that imports the same
+    package as this test run, whatever PYTHONPATH the run was started with."""
+    src = os.path.dirname(os.path.dirname(dialogrank.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dialogrank.cli", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_help_lists_defaults():
     for sub in ("build-vocab", "build-qdataset", "train", "evaluate", "unroll",
                 "gradcheck"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dialogrank.cli", sub, "--help"],
-            capture_output=True, text=True)
+        proc = run_cli_process(sub, "--help")
         assert proc.returncode == 0
         assert "default" in proc.stdout
 
 
 def test_unknown_flag_fails_with_usage():
-    proc = subprocess.run(
-        [sys.executable, "-m", "dialogrank.cli", "evaluate", "--nonsense"],
-        capture_output=True, text=True)
+    proc = run_cli_process("evaluate", "--nonsense")
     assert proc.returncode != 0
+    assert "usage" in proc.stderr

@@ -20,6 +20,12 @@ def ids(vocab, *words):
     return [vocab.encode_word(w) for w in words] + [vocab.stop_id]
 
 
+def history_vec(bank, rounds):
+    """Eval-mode history block of one example."""
+    blocks, _ = bank.encode_histories([rounds], train=False)
+    return blocks[0]
+
+
 # ---------------------------------------------------------------------------
 # dims arithmetic (paper-scale shape fixtures)
 # ---------------------------------------------------------------------------
@@ -116,7 +122,7 @@ def test_caption_truncation_matches_config():
 
 def test_history_all_padded_slots_identical(small_setup):
     dims, vocab, bank = small_setup
-    vec, _ = bank.encode_history([], train=False)
+    vec = history_vec(bank, [])
     assert vec.shape == (dims.history_slots * dims.history_pair_dim,)
     slots = vec.reshape(dims.history_slots, dims.history_pair_dim)
     for k in range(1, dims.history_slots):
@@ -131,7 +137,7 @@ def test_history_default_scale_length():
 def test_history_partial_padding(small_setup):
     dims, vocab, bank = small_setup
     rounds = [(ids(vocab, "w1"), ids(vocab, "w2"))]
-    vec, _ = bank.encode_history(rounds, train=False)
+    vec = history_vec(bank, rounds)
     slots = vec.reshape(dims.history_slots, dims.history_pair_dim)
     assert not np.array_equal(slots[0], slots[1])
     assert np.array_equal(slots[1], slots[2])
@@ -146,8 +152,8 @@ def test_history_locality(small_setup):
     ]
     changed = list(base)
     changed[1] = (ids(vocab, "w3"), ids(vocab, "w7"))
-    va, _ = bank.encode_history(base, train=False)
-    vb, _ = bank.encode_history(changed, train=False)
+    va = history_vec(bank, base)
+    vb = history_vec(bank, changed)
     sa = va.reshape(dims.history_slots, -1)
     sb = vb.reshape(dims.history_slots, -1)
     assert np.array_equal(sa[0], sb[0])
@@ -160,7 +166,7 @@ def test_history_length_stability(small_setup):
     pair = (ids(vocab, "w1"), ids(vocab, "w2"))
     sizes = set()
     for n in range(dims.history_slots + 1):
-        vec, _ = bank.encode_history([pair] * n, train=False)
+        vec = history_vec(bank, [pair] * n)
         sizes.add(vec.shape)
     assert sizes == {(dims.history_len,)}
 
@@ -169,7 +175,7 @@ def test_history_too_long_rejected(small_setup):
     dims, vocab, bank = small_setup
     pair = (ids(vocab, "w1"), ids(vocab, "w2"))
     with pytest.raises(ValueError):
-        bank.encode_history([pair] * (dims.history_slots + 1))
+        history_vec(bank, [pair] * (dims.history_slots + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +185,9 @@ def test_history_too_long_rejected(small_setup):
 
 def test_shared_table_is_one_object(small_setup):
     _, _, bank = small_setup
-    assert bank.embed_query is bank.embed_option is bank.embed_caption
-    assert bank.embed_query is bank.embed_history_q is bank.embed_history_a
+    tables = [path.embed for path in bank.paths.values()]
+    assert len(tables) == 5
+    assert all(table is tables[0] for table in tables)
     assert sum(1 for n in bank.parameters() if n.startswith("embed.")) == 1
 
 
@@ -199,12 +206,12 @@ def test_shared_table_feeds_all_paths(small_setup):
     seq = [wid, vocab.stop_id]
     before_q, _ = bank.encode_query(seq)
     before_o, _ = bank.encode_option(seq)
-    before_h, _ = bank.encode_history([(seq, seq)], train=False)
-    bank.embed_query.weight.value[:, wid] += 0.5
+    before_h = history_vec(bank, [(seq, seq)])
+    bank.paths["query"].embed.weight.value[:, wid] += 0.5
     after_q, _ = bank.encode_query(seq)
     after_o, _ = bank.encode_option(seq)
-    after_h, _ = bank.encode_history([(seq, seq)], train=False)
-    bank.embed_query.weight.value[:, wid] -= 0.5
+    after_h = history_vec(bank, [(seq, seq)])
+    bank.paths["query"].embed.weight.value[:, wid] -= 0.5
     assert not np.allclose(before_q, after_q)
     assert not np.allclose(before_o, after_o)
     assert not np.allclose(before_h, after_h)

@@ -55,12 +55,12 @@ def test_linear_backward_identity_and_zero():
     lin = nn.Linear(2, 2)
     lin.weight.value[:] = np.eye(2)
     _, cache = lin.forward(np.array([[0.5, 0.25]]))
-    dx = lin.backward(np.array([[1.0, 0.0]]), cache)
+    dx = lin.backward(cache, np.array([[1.0, 0.0]]))
     assert np.array_equal(dx, [[1.0, 0.0]])
 
     lin.weight.zero_grad()
     lin.bias.zero_grad()
-    dx = lin.backward(np.zeros((1, 2)), cache)
+    dx = lin.backward(cache, np.zeros((1, 2)))
     assert not dx.any()
     assert not lin.weight.grad.any()
     assert not lin.bias.grad.any()
@@ -69,7 +69,7 @@ def test_linear_backward_identity_and_zero():
 def test_linear_backward_before_forward_raises():
     lin = nn.Linear(2, 2)
     with pytest.raises(RuntimeError):
-        lin.backward(np.zeros((1, 2)))
+        lin.backward(None, np.zeros((1, 2)))
 
 
 def test_linear_shape_mismatch():
@@ -89,7 +89,7 @@ def test_linear_gradients_match_finite_differences(seed):
 
     def forward():
         y, cache = lin.forward(x.value)
-        return y, lambda up: x.grad.__iadd__(lin.backward(up, cache))
+        return y, lambda up: x.grad.__iadd__(lin.backward(cache, up))
 
     report = nn.grad_check(
         fd_closure_param(forward, None, upstream),
@@ -476,7 +476,7 @@ def test_forward_backward_outputs_stay_finite(seed):
     assert np.isfinite(loss)
     dz = nn.relu_backward(rcache, rng.normal(size=r.shape))
     dy = bn.backward(bncache, dz)
-    dx = lin.backward(dy, lincache)
+    dx = lin.backward(lincache, dy)
     dseq = enc.backward(lcache, rng.normal(size=5))
     emb.backward(ecache, dseq)
     for arr in (dz, dy, dx, dseq, grads, lin.weight.grad, bn.gamma.grad,

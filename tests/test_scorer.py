@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dialogrank import nn
-from dialogrank.encoders import EncodedContext, ModelDims
+from dialogrank.encoders import ModelDims
 from dialogrank.model import DialogScorer, random_example, reduced_check_dims, synthetic_vocab
-from dialogrank.scorer import (FusionMlp, ScoredOptions, assemble, loss_and_grad,
-                               predict, score_options)
+from dialogrank.scorer import FusionMlp
 
 
 def test_mlp_hidden_sizes_at_defaults():
@@ -19,88 +20,84 @@ def test_mlp_hidden_sizes_at_defaults():
         FusionMlp(64, depth=3)
 
 
-def test_assemble_order_and_masking():
-    ctx = EncodedContext(
-        variant="qih",
-        query_vec=np.array([1.0]),
-        image_vec=np.array([2.0]),
-        caption_vec=np.array([3.0]),
-        history_vec=np.array([4.0, 5.0]),
-    )
-    row = assemble(ctx, np.array([6.0]))
-    assert np.array_equal(row, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+def test_assemble_order_and_masking(monkeypatch):
+    # fused columns, and so the input columns of mlp.h0.weight in checkpoints:
+    # query | image | caption | history | option, masked blocks omitted
+    dims = reduced_check_dims()
+    vocab = synthetic_vocab(40)
+    ex = random_example(vocab, dims, np.random.default_rng(8), k_options=3, n_history=1)
+    for variant in ("q", "qi", "qih"):
+        model = DialogScorer(dims, vocab, variant=variant, init_seed=2)
+        seen = []
+        monkeypatch.setattr(model.mlp, "score_rows", lambda rows, *args: (
+            seen.append(rows.copy()), (np.zeros(len(rows)), None))[1])
+        model.score_example(ex)
 
-    q_only = EncodedContext(variant="q", query_vec=np.array([1.0, 1.5]))
-    assert np.array_equal(assemble(q_only, np.array([6.0])), [1.0, 1.5, 6.0])
-
-    with pytest.raises(ValueError):
-        assemble(EncodedContext(variant="qi", query_vec=np.array([1.0])), np.array([6.0]))
-
-
-def test_predict_tie_break_and_shift():
-    assert predict(ScoredOptions.from_scores([0.1, 0.9, 0.3])) == 1
-    assert predict(ScoredOptions.from_scores([2.0, 2.0, 2.0])) == 0
-    s = np.array([0.3, -1.0, 0.25])
-    assert (predict(ScoredOptions.from_scores(s))
-            == predict(ScoredOptions.from_scores(s + 17.5)))
-
-
-def test_probabilities_normalized():
-    scored = ScoredOptions.from_scores(np.random.default_rng(0).normal(size=100))
-    assert abs(scored.probabilities.sum() - 1.0) < 1e-10
-    assert scored.scores[scored.predicted_index] == scored.scores.max()
+        blocks = [model.bank.encode_query(ex.question_ids)[0]]
+        if variant != "q":
+            blocks.append(ex.image_vec)
+        if variant == "qih":
+            blocks.append(model.bank.encode_caption(ex.caption_ids)[0])
+            blocks.append(model.bank.encode_histories([ex.history], train=False)[0][0])
+        width = sum(b.size for b in blocks) + dims.option_hidden
+        assert width == dims.fused_dim(variant) == model.mlp.hidden[0].weight.shape[1]
+        for k, ids in enumerate(ex.option_ids):
+            expected = np.concatenate(blocks + [model.bank.encode_option(ids)[0]])
+            assert np.array_equal(seen[0][k], expected)
 
 
 def test_loss_uniform_and_perfect():
-    scored = ScoredOptions.from_scores(np.zeros(100))
-    loss, _ = loss_and_grad(scored, 42)
+    loss, _ = nn.softmax_cross_entropy(np.zeros(100), 42)
     assert abs(loss - np.log(100)) < 1e-12
     sharp = np.zeros(10)
     sharp[3] = 60.0
-    loss, _ = loss_and_grad(ScoredOptions.from_scores(sharp), 3)
+    loss, _ = nn.softmax_cross_entropy(sharp, 3)
     assert loss < 1e-12
 
 
-def eval_context_and_options(seed=0, k=7):
+def eval_model_and_example(seed=0, k=7):
     dims = reduced_check_dims()
     vocab = synthetic_vocab(40)
     model = DialogScorer(dims, vocab, task="visdial", variant="qih", mlp_depth=2,
                          shared_embeddings=True, init_seed=seed)
     rng = np.random.default_rng([seed, 9])
     ex = random_example(vocab, dims, rng, k_options=k)
-    ctx = model.encode_context(ex)
-    vecs = np.stack([model.bank.encode_option(ids)[0] for ids in ex.option_ids])
-    return model, ctx, vecs
+    return model, ex
 
 
-def test_eval_scores_independent_of_cobatched_options():
-    model, ctx, vecs = eval_context_and_options()
-    full, _ = score_options(model.mlp, ctx, vecs, train=False)
-    alone, _ = score_options(model.mlp, ctx, vecs[3:4], train=False)
-    assert full.scores[3] == alone.scores[0]  # bitwise
+def with_options(ex, option_ids):
+    return dataclasses.replace(ex, option_ids=list(option_ids), gt_index=0)
 
-    subset, _ = score_options(model.mlp, ctx, vecs[2:6], train=False)
-    assert np.array_equal(subset.scores, full.scores[2:6])
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5])
+def test_eval_scores_independent_of_cobatched_options(size):
+    model, ex = eval_model_and_example()
+    full = model.score_example(ex).scores
+    for start in range(len(ex.option_ids) - size + 1):
+        subset = model.score_example(with_options(ex, ex.option_ids[start : start + size]))
+        assert np.array_equal(subset.scores, full[start : start + size])  # bitwise
 
 
 def test_eval_handles_any_option_count():
-    model, ctx, vecs = eval_context_and_options(k=37)
-    scored, _ = score_options(model.mlp, ctx, vecs, train=False)
+    model, ex = eval_model_and_example(k=37)
+    scored = model.score_example(ex)
     assert scored.scores.shape == (37,)
 
 
 def test_duplicate_options_equal_scores():
-    model, ctx, vecs = eval_context_and_options()
-    dup = np.stack([vecs[0], vecs[0], vecs[1]])
-    scored, _ = score_options(model.mlp, ctx, dup, train=False)
+    model, ex = eval_model_and_example()
+    dup = [ex.option_ids[0], ex.option_ids[0], ex.option_ids[1]]
+    scored = model.score_example(with_options(ex, dup))
     assert scored.scores[0] == scored.scores[1]
 
 
 def test_width_mismatch_rejected():
-    model, ctx, vecs = eval_context_and_options()
-    ctx.query_vec = ctx.query_vec[:-1]
-    with pytest.raises(ValueError, match="variant"):
-        score_options(model.mlp, ctx, vecs, train=False)
+    model, ex = eval_model_and_example()
+    ex.image_vec = ex.image_vec[:6]
+    with pytest.raises(ValueError, match=r"\(6,\).*image_dim 12"):
+        model.score_example(ex)
+    with pytest.raises(ValueError, match=r"\(6,\).*image_dim 12"):
+        model.batch_loss([ex])
 
 
 def test_overfitting_one_example_drives_gt_probability_up():
@@ -132,14 +129,14 @@ def test_overfitting_one_example_drives_gt_probability_up():
     assert improved >= 45
 
 
-def test_score_options_train_mode_norms_over_option_rows():
-    model, ctx, vecs = eval_context_and_options(k=6)
-    scored, cache = score_options(model.mlp, ctx, vecs, train=True,
-                                  update_running=False)
-    assert cache is not None
-    assert scored.scores.shape == (6,)
+def test_batch_forward_train_mode_norms_over_option_rows():
+    model, ex = eval_model_and_example(k=6)
+    scores, bundle = model.batch_forward([ex], train=True, update_running=False)
+    mlp_cache = bundle[-1]
+    assert mlp_cache is not None
+    assert scores[0].shape == (6,)
     # backward through the cached rows accumulates gradients
     model.zero_grads()
-    drows = model.mlp.backward_rows(cache, np.ones(6))
+    drows = model.mlp.backward_rows(mlp_cache, np.ones(6))
     assert drows.shape == (6, model.mlp.input_dim)
     assert any(p.grad.any() for p in model.mlp.parameters().values())

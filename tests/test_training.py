@@ -7,7 +7,7 @@ import pytest
 from dialogrank.checkpoint import (CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint)
 from dialogrank.encoders import ModelDims
 from dialogrank.metrics import evaluate_examples
-from dialogrank.model import DialogScorer, examples_from_dataset
+from dialogrank.model import DialogScorer, examples_from_dataset, synthetic_vocab
 from dialogrank.text import ImageFeatureStore, LoadError
 from dialogrank.training import TrainConfig, train
 from synth import load_payload, memorize_family, payload_vocab
@@ -194,20 +194,34 @@ def test_checkpoint_magic_rejected(tmp_path, toy_data):
         load_checkpoint(path)
 
 
-def test_checkpoint_shape_mismatch_names_parameter(tmp_path, toy_data):
-    model, _, _ = trained_model(toy_data)
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(model, path)
+def rewrite_checkpoint(path, edit_manifest, edit_payload=None) -> None:
+    """Apply ``edit_manifest(manifest)`` (and ``edit_payload(manifest, payload)``)
+    to a saved checkpoint in place."""
     raw = path.read_bytes()
     n = len(CHECKPOINT_MAGIC)
     (mlen,) = struct.unpack("<Q", raw[n : n + 8])
     manifest = json.loads(raw[n + 8 : n + 8 + mlen])
-    manifest["entries"][0]["shape"][0] += 1
-    broken_name = manifest["entries"][0]["name"]
+    payload = bytearray(raw[n + 8 + mlen :])
+    edit_manifest(manifest)
+    if edit_payload is not None:
+        edit_payload(manifest, payload)
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(mbytes)) + mbytes
-                     + raw[n + 8 + mlen :])
-    with pytest.raises(LoadError, match=broken_name):
+                     + bytes(payload))
+
+
+def test_checkpoint_shape_mismatch_names_parameter(tmp_path, toy_data):
+    model, _, _ = trained_model(toy_data)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    broken = []
+
+    def edit(manifest):
+        manifest["entries"][0]["shape"][0] += 1
+        broken.append(manifest["entries"][0]["name"])
+
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(LoadError, match=broken[0]):
         load_checkpoint(path)
 
 
@@ -215,13 +229,32 @@ def test_checkpoint_missing_entry_rejected(tmp_path, toy_data):
     model, _, _ = trained_model(toy_data)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
-    raw = path.read_bytes()
-    n = len(CHECKPOINT_MAGIC)
-    (mlen,) = struct.unpack("<Q", raw[n : n + 8])
-    manifest = json.loads(raw[n + 8 : n + 8 + mlen])
-    dropped = manifest["entries"].pop(0)
-    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(mbytes)) + mbytes
-                     + raw[n + 8 + mlen :])
+    rewrite_checkpoint(path, lambda manifest: manifest["entries"].pop(0))
     with pytest.raises(LoadError, match="missing"):
+        load_checkpoint(path)
+
+
+def write_nan(manifest, payload):
+    entry = next(e for e in manifest["entries"]
+                 if e["name"] == "lstm.query.weight" and e["role"] == "value")
+    payload[entry["offset"] : entry["offset"] + 8] = struct.pack("<d", float("nan"))
+
+
+@pytest.mark.parametrize("edit, edit_payload, named", [
+    (lambda m: m.pop("model"), None, "model"),
+    (lambda m: m.pop("step_counts"), None, "step_counts"),
+    (lambda m: m.pop("entries"), None, "entries"),
+    (lambda m: m.pop("vocab"), None, "vocab"),
+    (lambda m: m["model"]["dims"].update(bogus=1), None, "bogus"),
+    (lambda m: m.update(entries="x"), None, "entries"),
+    (lambda m: m["model"].update(variant="qx"), None, "variant"),
+    (lambda m: None, write_nan, "lstm.query.weight"),
+], ids=["no-model", "no-step-counts", "no-entries", "no-vocab", "unknown-dims-key",
+        "entries-not-a-list", "bad-variant", "nan-value"])
+def test_malformed_checkpoint_raises_load_error(tmp_path, edit, edit_payload, named):
+    model = DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    rewrite_checkpoint(path, edit, edit_payload)
+    with pytest.raises(LoadError, match=named):
         load_checkpoint(path)
