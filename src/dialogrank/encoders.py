@@ -5,6 +5,10 @@ History is always laid out as T-1 chronological slots; rounds that do not
 exist yet are padded with the encoding of the ([empty, stop], [empty, stop])
 pair, so the history block has one fixed length per model regardless of how
 deep into the dialog the query sits.
+
+Training packs each text path (distinct options only) into one LSTM call per
+step. Eval sends one sequence per call: GEMM rows are not bitwise independent
+of the row count (model.py), so only then is an encoding free of its co-batch.
 """
 
 from __future__ import annotations
@@ -70,21 +74,30 @@ class ModelDims:
 
 
 class TextPath:
-    """Embedding lookup -> LSTM over one token sequence; the final hidden
-    state is the sequence embedding."""
+    """Embedding lookup -> LSTM; a sequence's final hidden state is its embedding."""
 
     def __init__(self, embed: nn.Embedding, lstm: nn.LstmEncoder):
         self.embed = embed
         self.lstm = lstm
 
-    def encode(self, ids):
-        emb, ecache = self.embed.lookup(ids)
-        vec, lcache = self.lstm.encode(emb)
-        return vec, (ecache, lcache)
+    def encode(self, seqs):
+        """Embeddings [N, hidden] of N id sequences, in input order, from one
+        packed LSTM call (layout in nn.py). Returns (vecs, cache)."""
+        lengths = [len(s) for s in seqs]
+        if min(lengths) < 1:
+            raise ValueError(f"{self.lstm.weight.name}: cannot encode an empty sequence")
+        order = sorted(range(len(seqs)), key=lengths.__getitem__, reverse=True)  # stable
+        batch_sizes = [sum(n > t for n in lengths) for t in range(lengths[order[0]])]
+        emb, ids = self.embed.lookup(
+            [seqs[i][t] for t, n in enumerate(batch_sizes) for i in order[:n]])
+        h, lcache = self.lstm.encode(emb, batch_sizes)
+        vecs = np.empty_like(h)
+        vecs[order] = h
+        return vecs, ((ids, order), lcache)
 
-    def backward(self, cache, dvec) -> None:
-        ecache, lcache = cache
-        self.embed.backward(ecache, self.lstm.backward(lcache, dvec))
+    def backward(self, cache, dvecs) -> None:
+        (ids, order), lcache = cache
+        self.embed.backward(ids, self.lstm.backward(lcache, dvecs[order]))
 
 
 class EncoderBank:
@@ -133,8 +146,8 @@ class EncoderBank:
 
     # -- sequence encoders -------------------------------------------------
 
-    def encode_query(self, question_ids, answer_ids=None):
-        """Question embedding, or question+answer for the follow-up task.
+    def query_ids(self, question_ids, answer_ids=None) -> list[int]:
+        """Query token sequence: the question, or question+answer for follow-ups.
 
         The answer part is required exactly when the bank was built for the
         follow-up-question task; both sub-sequences keep their stop tokens.
@@ -149,26 +162,34 @@ class EncoderBank:
             seq = list(question_ids) + list(answer_ids)
         if not seq:
             raise ValueError("empty query")
-        return self.paths["query"].encode(seq)
+        return seq
+
+    def encode_texts(self, name: str, seqs, train: bool):
+        """Embeddings [N, hidden] of N id sequences on one path, and the cache
+        for its backward: one packed LSTM call, or in eval one call per sequence."""
+        if train:
+            return self.paths[name].encode(seqs)
+        return np.reshape([self._encode_one(name, s)[0] for s in seqs],
+                          (len(seqs), self.paths[name].lstm.hidden_dim)), None
+
+    def _encode_one(self, name: str, ids):
+        vecs, cache = self.paths[name].encode([ids])
+        return vecs[0], cache
+
+    def encode_query(self, question_ids, answer_ids=None):
+        return self._encode_one("query", self.query_ids(question_ids, answer_ids))
 
     def encode_option(self, option_ids):
-        return self.paths["option"].encode(option_ids)
+        return self._encode_one("option", option_ids)
 
     def encode_caption(self, caption_ids):
-        return self.paths["caption"].encode(caption_ids)
+        return self._encode_one("caption", caption_ids)
 
     # -- history -----------------------------------------------------------
 
     def empty_pair(self) -> tuple[list[int], list[int]]:
         pad = [self.empty_id, self.stop_id]
         return pad, list(pad)
-
-    def encode_pair_pre(self, question_ids, answer_ids):
-        """Concatenated question/answer hidden states of one history round,
-        before the pair-combine layer."""
-        qv, qcache = self.paths["history_q"].encode(question_ids)
-        av, acache = self.paths["history_a"].encode(answer_ids)
-        return np.concatenate([qv, av]), (qcache, acache)
 
     def combine_pairs(self, rows: np.ndarray, train: bool, update_running: bool = True):
         """Pair-combine FC -> batch norm -> ReLU over a batch of pair rows.
@@ -204,42 +225,39 @@ class EncoderBank:
         Train mode batch-norms the B * (T-1) slot rows jointly.
         """
         slots = self.dims.history_slots
-        pre_rows = np.empty((len(histories) * slots,
-                             self.dims.history_q_hidden + self.dims.history_a_hidden))
-        pair_caches = []  # (row index, cache) of real rounds
-        padded = np.zeros(len(pre_rows), dtype=bool)
-        empty_pre = empty_cache = None
+        pairs, rows = [], []  # real rounds and their slot rows; then the empty pair
+        padded = np.zeros(len(histories) * slots, dtype=bool)
         for e, rounds in enumerate(histories):
             if len(rounds) > slots:
                 raise ValueError(f"history holds {len(rounds)} rounds, model fits {slots}")
-            base = e * slots
-            for k, (q_ids, a_ids) in enumerate(rounds):
-                pre_rows[base + k], cache = self.encode_pair_pre(q_ids, a_ids)
-                pair_caches.append((base + k, cache))
-            if len(rounds) < slots:
-                if empty_pre is None:
-                    empty_pre, empty_cache = self.encode_pair_pre(*self.empty_pair())
-                pre_rows[base + len(rounds) : base + slots] = empty_pre
-                padded[base + len(rounds) : base + slots] = True
+            pairs += rounds
+            rows += range(e * slots, e * slots + len(rounds))
+            padded[e * slots + len(rounds) : (e + 1) * slots] = True
+        if padded.any():
+            pairs.append(self.empty_pair())
+        qv, qcache = self.encode_texts("history_q", [q for q, _ in pairs], train)
+        av, acache = self.encode_texts("history_a", [a for _, a in pairs], train)
+        pre = np.concatenate([qv, av], axis=1)
+        pre_rows = np.empty((len(padded), pre.shape[1]))
+        pre_rows[rows] = pre[: len(rows)]
+        pre_rows[padded] = pre[len(rows) :]
         combined, comb_cache = self.combine_pairs(pre_rows, train, update_running)
         blocks = combined.reshape(len(histories), self.dims.history_len)
-        return blocks, (pair_caches, empty_cache, padded, comb_cache)
+        return blocks, (rows, padded, qcache, acache, comb_cache)
 
     def backward_histories(self, cache, dblocks: np.ndarray) -> None:
         """Backward for a train-mode encode_histories call."""
-        pair_caches, empty_cache, padded, comb_cache = cache
+        rows, padded, qcache, acache, comb_cache = cache
         if comb_cache is None:
             raise RuntimeError("history backward requires a train-mode forward")
         dpre = self.backward_combine_pairs(
             comb_cache, dblocks.reshape(-1, self.dims.history_pair_dim))
-        grads = [(c, dpre[row]) for row, c in pair_caches]
-        if empty_cache is not None:
-            # all padded slots share one forward pass; their grads sum
-            grads.append((empty_cache, dpre[padded].sum(axis=0)))
+        dpairs = dpre[rows]
+        if padded.any():  # all padded slots share one encoding; their grads sum
+            dpairs = np.vstack([dpairs, dpre[padded].sum(axis=0)])
         split = self.dims.history_q_hidden
-        for (qcache, acache), d in grads:
-            self.paths["history_q"].backward(qcache, d[:split])
-            self.paths["history_a"].backward(acache, d[split:])
+        self.paths["history_q"].backward(qcache, dpairs[:, :split])
+        self.paths["history_a"].backward(acache, dpairs[:, split:])
 
     # -- registry ----------------------------------------------------------
 

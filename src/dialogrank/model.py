@@ -2,23 +2,23 @@
 
 One forward pass, ``DialogScorer.batch_forward``, serves training and
 evaluation; ``score_example`` is ``batch_forward([ex], train=False)``. It
-encodes each example's query, caption and options, lays out the history
-slots through ``EncoderBank.encode_histories``, writes the fused rows
-(query | image | caption | history | option) and scores them with the MLP.
+encodes the queries, captions, history slots (``EncoderBank.encode_histories``)
+and distinct option sequences, writes the fused rows (query | image | caption
+| history | option) and scores them with the MLP.
 
-Train mode batch-norms across the whole step: the pair-combine norm sees
-every history slot row of the minibatch, and the MLP norms see every
-(context, option) row. Eval mode uses the running statistics and pushes each
-row through its own 1-row products, in the pair-combine layer and in the
-MLP, so a candidate's score does not depend on which candidates are scored
-with it. Batching rows would not give that: on OpenBLAS 0.3.31 (Haswell
-kernels, numpy 2.4.6, 2 CPUs) the rows of ``X @ W.T`` change in their last
-bits with the row count M of ``X`` even for M >= 2. Compared with the first
-M rows of the M=100 product on Gaussian data, ``[M, 1600] @ [1600, 1]`` (the
-MLP output layer) differs at 71 of M = 2..99, ``[M, 256] @ [256, 128]`` (the
-pair-combine layer) at every M <= 8 and ``[M, 64] @ [64, 32]`` at every
-M <= 33. Only the paper-size first MLP layer ``[M, 6400] @ [6400, 3200]``
-was row-stable at every M >= 2 tried.
+Train mode makes one packed LSTM call per text path for the whole minibatch,
+encodes each distinct option once (duplicates sum their gradients) and
+batch-norms across the step. Eval mode uses the running statistics and sends
+one sequence per LSTM call and one row per pair-combine and MLP product, so a
+candidate's score does not depend on which candidates are scored with it.
+Batching would not give that: on OpenBLAS 0.3.31 (Haswell kernels, numpy
+2.4.6, 2 CPUs) the rows of ``X @ W.T`` change in their last bits with the row
+count M of ``X`` even for M >= 2. Compared with the first M rows of the M=100
+product on Gaussian data, ``[M, 1600] @ [1600, 1]`` (the MLP output layer)
+differs at 71 of M = 2..99, ``[M, 256] @ [256, 128]`` (the pair-combine
+layer) at every M <= 8 and ``[M, 64] @ [64, 32]`` at every M <= 33. Only the
+paper-size first MLP layer ``[M, 6400] @ [6400, 3200]`` was row-stable at
+every M >= 2 tried.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import nn
-from .encoders import EncoderBank, ModelDims, TASKS, VARIANTS
+from .encoders import EncoderBank, ModelDims
 from .scorer import FusionMlp, ScoredOptions
 from .text import DialogDataset, ImageFeatureStore, Vocabulary
 
@@ -57,6 +57,7 @@ def examples_from_dataset(dataset: DialogDataset, features: ImageFeatureStore | 
     if task == "visdial-q" and dataset.task != "visdial-q":
         raise ValueError("follow-up-question training needs a dataset with question options")
     needs_image = variant in ("qi", "qih")
+    followup = task == "visdial-q"
     if needs_image:
         if features is None:
             raise ValueError(f"variant {variant} needs image features")
@@ -69,30 +70,20 @@ def examples_from_dataset(dataset: DialogDataset, features: ImageFeatureStore | 
         image_vec = features.get(record.image_id) if needs_image else None
         history: list[tuple[list[int], list[int]]] = []
         for t, rnd in enumerate(record.rounds, start=1):
-            if t <= dims.rounds:
-                if task == "visdial":
-                    out.append(RoundExample(
-                        image_id=record.image_id,
-                        round_no=t,
-                        question_ids=rnd.question_ids,
-                        option_ids=[dataset.answer_ids[i] for i in rnd.answer_options],
-                        gt_index=rnd.gt_index,
-                        caption_ids=record.caption_ids,
-                        history=list(history),
-                        image_vec=image_vec,
-                    ))
-                elif rnd.question_options is not None:
-                    out.append(RoundExample(
-                        image_id=record.image_id,
-                        round_no=t,
-                        question_ids=rnd.question_ids,
-                        query_answer_ids=rnd.answer_ids,
-                        option_ids=[dataset.question_ids[i] for i in rnd.question_options],
-                        gt_index=rnd.question_gt_index,
-                        caption_ids=record.caption_ids,
-                        history=list(history),
-                        image_vec=image_vec,
-                    ))
+            if t <= dims.rounds and (not followup or rnd.question_options is not None):
+                out.append(RoundExample(
+                    image_id=record.image_id,
+                    round_no=t,
+                    question_ids=rnd.question_ids,
+                    query_answer_ids=rnd.answer_ids if followup else None,
+                    option_ids=([dataset.question_ids[i] for i in rnd.question_options]
+                                if followup else
+                                [dataset.answer_ids[i] for i in rnd.answer_options]),
+                    gt_index=rnd.question_gt_index if followup else rnd.gt_index,
+                    caption_ids=record.caption_ids,
+                    history=list(history),
+                    image_vec=image_vec,
+                ))
             history.append((rnd.question_ids, rnd.answer_ids))
     return out
 
@@ -103,10 +94,6 @@ class DialogScorer:
     def __init__(self, dims: ModelDims, vocab: Vocabulary, task: str = "visdial",
                  variant: str = "qih", mlp_depth: int = 2, shared_embeddings: bool = True,
                  init_seed: int = 0):
-        if task not in TASKS:
-            raise ValueError(f"unknown task {task!r}")
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
         self.dims = dims
         self.vocab = vocab
         self.task = task
@@ -192,56 +179,50 @@ class DialogScorer:
             raise ValueError("empty batch")
         for ex in batch:
             self._check_example(ex)
-        counts = [len(ex.option_ids) for ex in batch]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
+        bank = self.bank
+        offsets = np.concatenate([[0], np.cumsum([len(ex.option_ids) for ex in batch])])
+        distinct = {}  # option token tuple -> its row among the option encodings
+        option_of_row = np.array([distinct.setdefault(tuple(ids), len(distinct))
+                                  for ex in batch for ids in ex.option_ids])
+        queries = [bank.query_ids(ex.question_ids, ex.query_answer_ids) for ex in batch]
+        q_vecs, q_cache = bank.encode_texts("query", queries, train)
+        o_vecs, o_cache = bank.encode_texts("option", [list(k) for k in distinct], train)
+        c_vecs = c_cache = hist_cache = None
+        if self._cap_cols is not None:
+            c_vecs, c_cache = bank.encode_texts("caption", [ex.caption_ids for ex in batch], train)
+            hist, hist_cache = bank.encode_histories(
+                [ex.history for ex in batch], train, update_running)
 
-        caches = []  # per example in train mode: query, caption and option caches
         rows = np.empty((int(offsets[-1]), self.mlp.input_dim))
         for e, ex in enumerate(batch):
             block = rows[offsets[e] : offsets[e + 1]]
-            block[:, self._q_cols], q_cache = self.bank.encode_query(
-                ex.question_ids, ex.query_answer_ids)
+            block[:, self._q_cols] = q_vecs[e]
             if self._img_cols is not None:
                 block[:, self._img_cols] = ex.image_vec
-            cap_cache = None
-            if self._cap_cols is not None:
-                block[:, self._cap_cols], cap_cache = self.bank.encode_caption(ex.caption_ids)
-            opt_caches = []
-            for k, ids in enumerate(ex.option_ids):
-                block[k, self._opt_cols], cache = self.bank.encode_option(ids)
-                if train:
-                    opt_caches.append(cache)
-            if train:
-                caches.append((q_cache, cap_cache, opt_caches))
-
-        hist_cache = None
-        if self._hist_cols is not None:
-            hist, hist_cache = self.bank.encode_histories(
-                [ex.history for ex in batch], train, update_running)
-            for e in range(len(batch)):
-                rows[offsets[e] : offsets[e + 1], self._hist_cols] = hist[e]
+            if c_vecs is not None:
+                block[:, self._cap_cols] = c_vecs[e]
+                block[:, self._hist_cols] = hist[e]
+        rows[:, self._opt_cols] = o_vecs[option_of_row]
 
         flat_scores, mlp_cache = self.mlp.score_rows(rows, train, update_running)
         scores = [flat_scores[offsets[e] : offsets[e + 1]] for e in range(len(batch))]
-        return scores, (offsets, caches, hist_cache, mlp_cache)
+        return scores, (offsets, option_of_row, q_cache, c_cache, o_cache, hist_cache,
+                        mlp_cache)
 
     def batch_backward(self, bundle, dscores: list[np.ndarray]) -> None:
-        offsets, caches, hist_cache, mlp_cache = bundle
+        offsets, option_of_row, q_cache, c_cache, o_cache, hist_cache, mlp_cache = bundle
         if mlp_cache is None:
             raise RuntimeError("batch_backward requires a train-mode batch_forward")
         drows = self.mlp.backward_rows(mlp_cache, np.concatenate(dscores))
+        dctx = np.add.reduceat(drows, offsets[:-1], axis=0)  # each example's rows summed
+        doptions = np.zeros((option_of_row.max() + 1, self.dims.option_hidden))
+        np.add.at(doptions, option_of_row, drows[:, self._opt_cols])  # duplicates sum
         paths = self.bank.paths
-        for e, (q_cache, cap_cache, opt_caches) in enumerate(caches):
-            block = drows[offsets[e] : offsets[e + 1]]
-            paths["query"].backward(q_cache, block[:, self._q_cols].sum(axis=0))
-            if cap_cache is not None:
-                paths["caption"].backward(cap_cache, block[:, self._cap_cols].sum(axis=0))
-            for k, cache in enumerate(opt_caches):
-                paths["option"].backward(cache, block[k, self._opt_cols])
-        if hist_cache is not None:
-            dhist = np.stack([drows[offsets[e] : offsets[e + 1], self._hist_cols].sum(axis=0)
-                              for e in range(len(caches))])
-            self.bank.backward_histories(hist_cache, dhist)
+        paths["query"].backward(q_cache, dctx[:, self._q_cols])
+        paths["option"].backward(o_cache, doptions)
+        if c_cache is not None:
+            paths["caption"].backward(c_cache, dctx[:, self._cap_cols])
+            self.bank.backward_histories(hist_cache, dctx[:, self._hist_cols])
 
     def batch_loss(self, batch: list[RoundExample], want_grads: bool = True,
                    update_running: bool = True) -> float:

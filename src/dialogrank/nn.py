@@ -4,16 +4,20 @@ Everything runs in float64 on contiguous numpy arrays (the "tensor buffer"
 substrate: shape + row-major values). Layers follow a functional cache
 pattern: ``forward``/``encode`` returns ``(output, cache)`` and
 ``backward(cache, upstream)`` accumulates parameter gradients and returns the
-input gradient. This lets a single layer object appear many times inside one
-training step (the option encoder alone runs once per candidate).
+input gradient, so one layer object can appear many times in one step.
 
-Gate order inside the LSTM parameter block is input, forget, output,
-candidate. The forget-gate bias starts at 1.0, every other bias at 0.
+The LSTM runs a packed, time-major batch (PyTorch's ``PackedSequence``):
+N sequences sorted longest first, ``batch_sizes[t]`` of them running at step
+t, rows ``xs`` [S, E] holding step 0 of each, then step 1, and so on. The
+input projection is one GEMM, each step one GEMM over its running rows, and
+backward ends with one weight-gradient GEMM. Gate order is input, forget,
+output, candidate; the forget-gate bias starts at 1.0, every other at 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -79,17 +83,19 @@ class AdamConfig:
 
 
 def adam_step(params, cfg: AdamConfig) -> None:
-    """Bias-corrected Adam update on every parameter; zeroes grads afterwards."""
+    """In-place bias-corrected Adam on every parameter, grad as scratch; zeroes grads after."""
+    b1, b2 = cfg.beta1, cfg.beta2
     for p in params:
         t = p.step_count + 1
         g = p.grad
-        p.m *= cfg.beta1
-        p.m += (1.0 - cfg.beta1) * g
-        p.v *= cfg.beta2
-        p.v += (1.0 - cfg.beta2) * g * g
-        m_hat = p.m / (1.0 - cfg.beta1**t)
-        v_hat = p.v / (1.0 - cfg.beta2**t)
-        p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        p.m *= b1
+        p.m += np.multiply(g, 1.0 - b1, out=g)  # g now holds (1 - b1) * grad
+        p.v *= b2
+        p.v += np.multiply(np.square(g, out=g), (1.0 - b2) / (1.0 - b1) ** 2, out=g)
+        np.sqrt(np.divide(p.v, 1.0 - b2**t, out=g), out=g)
+        g += cfg.epsilon
+        g *= (1.0 - b1**t) / cfg.learning_rate
+        p.value -= np.divide(p.m, g, out=g)  # lr * m_hat / (sqrt(v_hat) + eps)
         p.step_count = t
         p.zero_grad()
 
@@ -177,69 +183,63 @@ class LstmEncoder:
         if rng is not None:
             he_normal_init(self.weight, input_dim + hidden_dim, rng)
 
-    def encode(self, xs: np.ndarray):
-        """xs: [T, input_dim] -> final hidden state [hidden_dim]. Returns (h, cache)."""
+    def encode(self, xs: np.ndarray, batch_sizes=None):
+        """Packed rows xs [S, input_dim] -> (h [N, hidden_dim] in packed order, cache);
+        without ``batch_sizes``, xs is one sequence [T, input_dim] and h is [hidden_dim]."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim:
             raise ValueError(f"{self.weight.name}: expected [T, {self.input_dim}], got {xs.shape}")
-        steps = xs.shape[0]
-        if steps < 1:
+        if xs.shape[0] < 1:
             raise ValueError(f"{self.weight.name}: cannot encode an empty sequence")
-        L = self.hidden_dim
-        W, b = self.weight.value, self.bias.value
-        h = np.zeros(L)
-        c = np.zeros(L)
-        xh = np.empty((steps, self.input_dim + L))
-        gi = np.empty((steps, L))
-        gf = np.empty((steps, L))
-        go = np.empty((steps, L))
-        gg = np.empty((steps, L))
-        c_prev = np.empty((steps, L))
-        tc = np.empty((steps, L))
-        for t in range(steps):
-            xh[t, : self.input_dim] = xs[t]
-            xh[t, self.input_dim :] = h
-            z = W @ xh[t] + b
-            gi[t] = _sigmoid(z[:L])
-            gf[t] = _sigmoid(z[L : 2 * L])
-            go[t] = _sigmoid(z[2 * L : 3 * L])
-            gg[t] = np.tanh(z[3 * L :])
-            c_prev[t] = c
-            c = gf[t] * c + gi[t] * gg[t]
-            tc[t] = np.tanh(c)
-            h = go[t] * tc[t]
+        sizes = [1] * len(xs) if batch_sizes is None else [int(n) for n in batch_sizes]
+        if sum(sizes) != len(xs) or sizes[-1] < 1 or any(a < b for a, b in zip(sizes, sizes[1:])):
+            raise ValueError(f"{self.weight.name}: batch_sizes must be positive, "
+                             f"non-increasing and sum to the {len(xs)} packed rows")
+        E, L = self.input_dim, self.hidden_dim
+        W, Wh_T = self.weight.value, self.weight.value[:, E:].T
+        xh = np.empty((len(xs), E + L))  # [x_t | h_{t-1}] of every packed row
+        xh[:, :E] = xs
+        gates = xs @ W[:, :E].T + self.bias.value
+        c_prev, tc = np.empty((2, len(xs), L))  # c_{t-1} and tanh(c_t) of every row
+        h, c = np.zeros((2, sizes[0], L))  # a finished sequence keeps its last h
+        for n, end in zip(sizes, accumulate(sizes)):
+            r = slice(end - n, end)
+            hn, cn, z = h[:n], c[:n], gates[r]  # views of the running rows
+            xh[r, E:] = hn
+            z += hn @ Wh_T
+            z[:, : 3 * L] = _sigmoid(z[:, : 3 * L])
+            np.tanh(z[:, 3 * L :], out=z[:, 3 * L :])
+            c_prev[r] = cn
+            cn *= z[:, L : 2 * L]
+            cn += z[:, :L] * z[:, 3 * L :]
+            np.tanh(cn, out=tc[r])
+            np.multiply(z[:, 2 * L : 3 * L], tc[r], out=hn)
         ensure_finite(self.weight.name, h)
-        return h, (xh, gi, gf, go, gg, c_prev, tc)
+        return (h[0] if batch_sizes is None else h), (xh, gates, c_prev, tc, sizes)
 
     def backward(self, cache, dh_last: np.ndarray) -> np.ndarray:
-        """Backward through time; returns gradient wrt the input sequence [T, input_dim]."""
-        xh, gi, gf, go, gg, c_prev, tc = cache
-        steps = xh.shape[0]
+        """Backward through time from dh_last (shaped like encode's h);
+        returns the gradient wrt the packed rows [S, input_dim]."""
+        xh, gates, c_prev, tc, sizes = cache
         E, L = self.input_dim, self.hidden_dim
-        W = self.weight.value
-        dW = self.weight.grad
-        db = self.bias.grad
-        dxs = np.empty((steps, E))
-        dh = np.array(dh_last, dtype=np.float64, copy=True)
-        dc = np.zeros(L)
-        dz = np.empty(4 * L)
-        for t in range(steps - 1, -1, -1):
-            do = dh * tc[t]
-            dc += dh * go[t] * (1.0 - tc[t] * tc[t])
-            di = dc * gg[t]
-            df = dc * c_prev[t]
-            dg = dc * gi[t]
-            dz[:L] = di * gi[t] * (1.0 - gi[t])
-            dz[L : 2 * L] = df * gf[t] * (1.0 - gf[t])
-            dz[2 * L : 3 * L] = do * go[t] * (1.0 - go[t])
-            dz[3 * L :] = dg * (1.0 - gg[t] * gg[t])
-            dW += np.outer(dz, xh[t])
-            db += dz
-            dxh = W.T @ dz
-            dxs[t] = dxh[:E]
-            dh = dxh[E:]
-            dc *= gf[t]
-        return dxs
+        W, Wh = self.weight.value, self.weight.value[:, E:]
+        dz = np.empty_like(gates)
+        dh = np.array(dh_last, dtype=np.float64).reshape(sizes[0], L)
+        dc = np.zeros((sizes[0], L))
+        for n, end in zip(sizes[::-1], list(accumulate(sizes))[::-1]):
+            r = slice(end - n, end)
+            gi, gf, go, gg = (gates[r, k * L : (k + 1) * L] for k in range(4))
+            dcn = dc[:n]
+            dcn += dh[:n] * go * (1.0 - tc[r] * tc[r])
+            dz[r, :L] = dcn * gg * gi * (1.0 - gi)
+            dz[r, L : 2 * L] = dcn * c_prev[r] * gf * (1.0 - gf)
+            dz[r, 2 * L : 3 * L] = dh[:n] * tc[r] * go * (1.0 - go)
+            dz[r, 3 * L :] = dcn * gi * (1.0 - gg * gg)
+            dh[:n] = dz[r] @ Wh
+            dcn *= gf
+        self.weight.grad += dz.T @ xh
+        self.bias.grad += dz.sum(axis=0)
+        return dz @ W[:, :E]
 
     def parameters(self):
         return [self.weight, self.bias]

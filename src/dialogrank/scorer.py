@@ -7,13 +7,10 @@ plain linear map to one scalar (normalizing the scalar would destroy the
 ordering information between candidates).
 
 Train mode norms over all rows of a call jointly. Eval mode norms with the
-running statistics and pushes each row through its own 1-row products: a
-row of a BLAS product ``X @ W.T`` is not bitwise independent of the row
-count M of ``X``, even for M >= 2 (on OpenBLAS 0.3.31 with Haswell kernels
-the ``[M, 1600] @ [1600, 1]`` output-layer product differs from the first M
-rows of the M=100 one at 71 of M = 2..99; model.py has the other shapes).
-Running rows one at a time makes a candidate's eval score independent of
-which candidates are scored alongside it, whatever the BLAS does.
+running statistics and pushes each row through its own 1-row products, so a
+candidate's eval score is independent of which candidates are scored
+alongside it: a row of a BLAS product is not bitwise independent of the row
+count, even for two rows or more (model.py has the measurements).
 """
 
 from __future__ import annotations

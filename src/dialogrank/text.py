@@ -183,7 +183,7 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
                          max_caption_words: int = 40) -> DialogDataset:
     _require(isinstance(payload, dict), "dataset root must be an object")
     for key in ("questions", "answers", "dialogs"):
-        _require(key in payload, f"dataset is missing the {key!r} pool")
+        _require(isinstance(payload.get(key), list), f"dataset needs a {key!r} list")
     questions = payload["questions"]
     answers = payload["answers"]
     _require(all(isinstance(q, str) for q in questions), "questions pool must hold strings")
@@ -205,11 +205,12 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
         _require(image_id not in seen_images, f"{where}: duplicate image_id")
         seen_images.add(image_id)
         caption = dialog.get("caption", "")
+        _require(isinstance(caption, str), f"{where}: caption must be a string")
         rounds_raw = dialog.get("rounds", [])
-        _require(
-            len(rounds_raw) == ROUNDS_PER_DIALOG,
-            f"{where}: expected {ROUNDS_PER_DIALOG} rounds, got {len(rounds_raw)}",
-        )
+        _require(isinstance(rounds_raw, list) and all(isinstance(r, dict) for r in rounds_raw),
+                 f"{where}: rounds must be a list of objects")
+        _require(len(rounds_raw) == ROUNDS_PER_DIALOG,
+                 f"{where}: expected {ROUNDS_PER_DIALOG} rounds, got {len(rounds_raw)}")
         rounds = []
         for t, r in enumerate(rounds_raw, start=1):
             rwhere = f"{where} round {t}"
@@ -219,9 +220,10 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
             _require(isinstance(ai, int) and 0 <= ai < len(answers),
                      f"{rwhere}: answer index out of range")
             opts = r.get("answer_options", [])
-            _require(len(set(opts)) == len(opts), f"{rwhere}: answer options not unique")
+            _require(isinstance(opts, list), f"{rwhere}: answer_options must be a list")
             _require(all(isinstance(o, int) and 0 <= o < len(answers) for o in opts),
                      f"{rwhere}: answer option index out of range")
+            _require(len(set(opts)) == len(opts), f"{rwhere}: answer options not unique")
             gt = r.get("gt_index")
             _require(isinstance(gt, int) and 0 <= gt < len(opts),
                      f"{rwhere}: gt_index out of range")
@@ -231,18 +233,20 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
             q_gt = r.get("question_gt_index")
             q_prov = r.get("question_provenance")
             if q_opts is not None:
-                _require(len(set(q_opts)) == len(q_opts),
-                         f"{rwhere}: question options not unique")
+                _require(isinstance(q_opts, list), f"{rwhere}: question_options must be a list")
                 _require(all(isinstance(o, int) and 0 <= o < len(questions) for o in q_opts),
                          f"{rwhere}: question option index out of range")
+                _require(len(set(q_opts)) == len(q_opts),
+                         f"{rwhere}: question options not unique")
                 _require(isinstance(q_gt, int) and 0 <= q_gt < len(q_opts),
                          f"{rwhere}: question_gt_index out of range")
                 _require(t < ROUNDS_PER_DIALOG, f"{rwhere}: follow-up options on the last round")
                 next_qi = rounds_raw[t].get("question")
-                _require(questions[q_opts[q_gt]] == questions[next_qi],
+                _require(isinstance(next_qi, int) and 0 <= next_qi < len(questions)
+                         and questions[q_opts[q_gt]] == questions[next_qi],
                          f"{rwhere}: gt follow-up differs from the next round's question")
                 if q_prov is not None:
-                    _require(len(q_prov) == len(q_opts),
+                    _require(isinstance(q_prov, list) and len(q_prov) == len(q_opts),
                              f"{rwhere}: provenance length mismatch")
                     _require(all(p in PROVENANCE_LABELS for p in q_prov),
                              f"{rwhere}: unknown provenance label")

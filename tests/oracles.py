@@ -105,3 +105,87 @@ def oracle_candidate_set(payload, image_id, round_t, glove_dict, seed,
     shuffled = [picked[i] for i in perm]
     gt = next(i for i, (_, label) in enumerate(shuffled) if label == "correct")
     return shuffled, gt
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def oracle_lstm_encode(enc, xs):
+    """One sequence xs [T, input_dim] through ``enc`` a step at a time, one
+    matrix-vector product per step. Returns (h, cache)."""
+    xs = np.asarray(xs, dtype=np.float64)
+    steps = xs.shape[0]
+    L = enc.hidden_dim
+    W, b = enc.weight.value, enc.bias.value
+    h = np.zeros(L)
+    c = np.zeros(L)
+    xh = np.empty((steps, enc.input_dim + L))
+    gi = np.empty((steps, L))
+    gf = np.empty((steps, L))
+    go = np.empty((steps, L))
+    gg = np.empty((steps, L))
+    c_prev = np.empty((steps, L))
+    tc = np.empty((steps, L))
+    for t in range(steps):
+        xh[t, : enc.input_dim] = xs[t]
+        xh[t, enc.input_dim :] = h
+        z = W @ xh[t] + b
+        gi[t] = _sigmoid(z[:L])
+        gf[t] = _sigmoid(z[L : 2 * L])
+        go[t] = _sigmoid(z[2 * L : 3 * L])
+        gg[t] = np.tanh(z[3 * L :])
+        c_prev[t] = c
+        c = gf[t] * c + gi[t] * gg[t]
+        tc[t] = np.tanh(c)
+        h = go[t] * tc[t]
+    assert np.all(np.isfinite(h))
+    return h, (xh, gi, gf, go, gg, c_prev, tc)
+
+
+def oracle_lstm_backward(enc, cache, dh_last):
+    """Backward through time of oracle_lstm_encode, one rank-1 weight-gradient
+    update per step; accumulates into enc's grads and returns dxs [T, input_dim]."""
+    xh, gi, gf, go, gg, c_prev, tc = cache
+    steps = xh.shape[0]
+    E, L = enc.input_dim, enc.hidden_dim
+    W = enc.weight.value
+    dW = enc.weight.grad
+    db = enc.bias.grad
+    dxs = np.empty((steps, E))
+    dh = np.array(dh_last, dtype=np.float64, copy=True)
+    dc = np.zeros(L)
+    dz = np.empty(4 * L)
+    for t in range(steps - 1, -1, -1):
+        do = dh * tc[t]
+        dc += dh * go[t] * (1.0 - tc[t] * tc[t])
+        di = dc * gg[t]
+        df = dc * c_prev[t]
+        dg = dc * gi[t]
+        dz[:L] = di * gi[t] * (1.0 - gi[t])
+        dz[L : 2 * L] = df * gf[t] * (1.0 - gf[t])
+        dz[2 * L : 3 * L] = do * go[t] * (1.0 - go[t])
+        dz[3 * L :] = dg * (1.0 - gg[t] * gg[t])
+        dW += np.outer(dz, xh[t])
+        db += dz
+        dxh = W.T @ dz
+        dxs[t] = dxh[:E]
+        dh = dxh[E:]
+        dc *= gf[t]
+    return dxs
+
+
+def oracle_adam_step(params, cfg):
+    """Bias-corrected Adam with the textbook temporaries; zeroes grads afterwards."""
+    for p in params:
+        t = p.step_count + 1
+        g = p.grad
+        p.m *= cfg.beta1
+        p.m += (1.0 - cfg.beta1) * g
+        p.v *= cfg.beta2
+        p.v += (1.0 - cfg.beta2) * g * g
+        m_hat = p.m / (1.0 - cfg.beta1**t)
+        v_hat = p.v / (1.0 - cfg.beta2**t)
+        p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        p.step_count = t
+        p.grad.fill(0.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from dialogrank import nn
 from dialogrank.encoders import EncoderBank, ModelDims
-from dialogrank.model import (full_model_gradcheck, reduced_check_dims,
-                              synthetic_vocab)
+from dialogrank.model import (DialogScorer, full_model_gradcheck, random_example,
+                              reduced_check_dims, synthetic_vocab)
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +239,45 @@ def test_option_embeddings_at_default_scale():
     assert all(v.shape == (512,) for v in vecs)
     query, _ = bank.encode_query(seqs[0])
     assert query.shape == (512,)
+
+
+def test_text_path_packed_call_matches_one_call_per_sequence(small_setup):
+    dims, vocab, bank = small_setup
+    rng = np.random.default_rng(5)
+    seqs = [list(rng.integers(3, len(vocab), size=n)) for n in (2, 5, 1, 5, 3, 9)]
+    seqs.append(seqs[1])
+    path = bank.paths["option"]
+    vecs, cache = path.encode(seqs)
+    dvecs = rng.normal(size=vecs.shape)
+    path.backward(cache, dvecs)
+    params = path.lstm.parameters() + path.embed.parameters()
+    packed_grads = [p.grad.copy() for p in params]
+    for p in params:
+        p.zero_grad()
+    for seq, vec, dvec in zip(seqs, vecs, dvecs):
+        want, one_cache = bank.encode_option(seq)
+        assert np.abs(vec - want).max() <= 1e-12 * np.abs(want).max()
+        path.backward(one_cache, dvec[None])
+    for got, p in zip(packed_grads, params):
+        assert np.abs(got - p.grad).max() <= 1e-12 * np.abs(p.grad).max()
+        p.zero_grad()
+
+
+def test_gradcheck_across_examples_with_repeated_options():
+    # B=3 with history depths 0, 1 and 2: the packed cross-example paths, the
+    # shared empty-pair encoding and the option de-duplication all in one sweep
+    dims = reduced_check_dims(rounds=3)
+    vocab = synthetic_vocab(16)
+    model = DialogScorer(dims, vocab, init_seed=6)
+    rng = np.random.default_rng(6)
+    batch = [random_example(vocab, dims, rng, k_options=3, n_history=n) for n in (0, 1, 2)]
+    batch[0].option_ids[2] = batch[0].option_ids[0]  # within an example
+    batch[2].option_ids[1] = batch[0].option_ids[0]  # across examples
+
+    def closure(want_grads: bool) -> float:
+        if want_grads:
+            model.zero_grads()
+        return model.batch_loss(batch, want_grads=want_grads, update_running=False)
+
+    report = nn.grad_check(closure, model.parameters(), h=1e-5, tolerance=1e-4)
+    assert report.passed, report.summary()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dialogrank import nn
+from oracles import oracle_adam_step, oracle_lstm_backward, oracle_lstm_encode
 
 
 def fd_closure_param(forward, params, upstream):
@@ -203,6 +204,72 @@ def test_lstm_spec_size_gradcheck():
     assert report.max_rel_error < 1e-5, report.summary()
 
 
+def close(got, want, rtol=1e-12):
+    """Agreement relative to the largest magnitude of the reference."""
+    return np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def pack(seqs):
+    """Longest-first, time-major packing of [T_i, E] sequences: (xs, batch_sizes,
+    order) with order[j] the input index of packed sequence j."""
+    order = sorted(range(len(seqs)), key=lambda i: -len(seqs[i]))
+    lengths = [len(seqs[i]) for i in order]
+    batch_sizes = [sum(n > t for n in lengths) for t in range(lengths[0])]
+    xs = np.array([seqs[i][t] for t, n in enumerate(batch_sizes) for i in order[:n]])
+    return xs, batch_sizes, order
+
+
+def unpack(rows, batch_sizes, order):
+    """Per-sequence [T_i, ·] slices of packed rows, in input order."""
+    out = [[] for _ in order]
+    start = 0
+    for n in batch_sizes:
+        for j in range(n):
+            out[order[j]].append(rows[start + j])
+        start += n
+    return [np.array(r) for r in out]
+
+
+PACKED_LENGTHS = {
+    "mixed": [3, 1, 21, 7, 1, 12, 4, 21, 2, 5],
+    "single": [9],
+    "equal": [6, 6, 6, 6],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_LENGTHS))
+def test_packed_lstm_matches_per_sequence_oracle(case):
+    rng = np.random.default_rng(len(case))
+    enc = nn.LstmEncoder(8, 16, rng=rng)
+    seqs = [rng.normal(size=(n, 8)) for n in PACKED_LENGTHS[case]]
+    if case == "mixed":
+        seqs[4] = seqs[1]  # duplicate sequences
+        seqs[7] = seqs[2]
+    dh = rng.normal(size=(len(seqs), 16))
+    xs, batch_sizes, order = pack(seqs)
+
+    h, cache = enc.encode(xs, batch_sizes)
+    assert h.shape == (len(seqs), 16)
+    dxs = unpack(enc.backward(cache, dh[order]), batch_sizes, order)
+    dW, db = enc.weight.grad.copy(), enc.bias.grad.copy()
+    enc.weight.zero_grad()
+    enc.bias.zero_grad()
+    for j, i in enumerate(order):
+        want_h, ocache = oracle_lstm_encode(enc, seqs[i])
+        assert close(h[j], want_h)
+        assert close(dxs[i], oracle_lstm_backward(enc, ocache, dh[i]))
+    assert close(dW, enc.weight.grad)
+    assert close(db, enc.bias.grad)
+
+
+def test_packed_lstm_rejects_bad_batch_sizes():
+    enc = nn.LstmEncoder(3, 4)
+    xs = np.zeros((5, 3))
+    for sizes in ([2, 2], [2, 3], [3, 2, 0], [1, 2, 2]):
+        with pytest.raises(ValueError, match="batch_sizes"):
+            enc.encode(xs, sizes)
+
+
 # ---------------------------------------------------------------------------
 # BatchNorm
 # ---------------------------------------------------------------------------
@@ -383,6 +450,36 @@ def test_adam_descends_quadratic():
         cur = abs(p.value[0])
         assert cur < prev
         prev = cur
+
+
+def test_adam_in_place_matches_oracle():
+    cfg = nn.AdamConfig(learning_rate=3e-3)
+    rng = np.random.default_rng(8)
+    shapes = [(7, 5), (11,), (3, 4, 2)]
+    ours = [nn.Parameter(rng.normal(size=s)) for s in shapes]
+    theirs = [nn.Parameter(p.value.copy()) for p in ours]
+    for _ in range(3):
+        for a, b in zip(ours, theirs):
+            a.grad[...] = b.grad[...] = rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 3)
+        nn.adam_step(ours, cfg)
+        oracle_adam_step(theirs, cfg)
+        for a, b in zip(ours, theirs):
+            for got, want in ((a.value, b.value), (a.m, b.m), (a.v, b.v)):
+                assert close(got, want)
+            assert a.step_count == b.step_count
+            assert not a.grad.any()
+
+
+def test_adam_allocates_no_full_size_temporary():
+    import tracemalloc
+
+    p = nn.Parameter(np.random.default_rng(0).normal(size=100_000))
+    p.grad[:] = 1.0
+    tracemalloc.start()
+    nn.adam_step([p], nn.AdamConfig())
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < p.value.nbytes // 10
 
 
 def test_adam_config_validation():

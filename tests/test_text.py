@@ -149,6 +149,34 @@ def test_load_dataset_rejects_duplicate_options():
         text.dataset_from_payload(payload, vocab)
 
 
+def _set(path, value):
+    """Payload mutator: set the item at ``path`` (a key/index sequence) to ``value``."""
+    def mutate(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set(("dialogs", 0, "rounds", 3), 5), r"dialog 0 \(image_id 7\): rounds must be a list of"),
+    (_set(("dialogs", 0, "rounds"), 7), r"dialog 0 \(image_id 7\): rounds must be a list of"),
+    (_set(("questions",), 3), "dataset needs a 'questions' list"),
+    (_set(("dialogs",), 3), "dataset needs a 'dialogs' list"),
+    (_set(("dialogs", 0, "rounds", 2, "answer_options"), 4),
+     r"dialog 0 \(image_id 7\) round 3: answer_options must be a list"),
+    (_set(("dialogs", 0, "caption"), 4), r"dialog 0 \(image_id 7\): caption must be a string"),
+], ids=["round-not-object", "rounds-int", "questions-int", "dialogs-int",
+        "answer-options-int", "caption-int"])
+def test_load_dataset_wrong_json_types_raise_load_error(mutate, message):
+    payload = minimal_payload()
+    vocab = text.build_vocab(text.corpus_from_payload(payload))
+    mutate(payload)
+    with pytest.raises(text.LoadError, match=message):
+        text.dataset_from_payload(payload, vocab)
+
+
 def test_load_dataset_order_independent():
     payload, _ = memorize_family(n_dialogs=4)
     vocab = text.build_vocab(text.corpus_from_payload(payload))
