@@ -124,7 +124,7 @@ def load_checkpoint(path) -> tuple[DialogScorer, dict]:
     for name, buf in buffers.items():
         targets[(name, "buffer")] = buf
 
-    seen = set()
+    seen, spans = set(), []  # entry keys; (offset, bytes, name, role) of each
     for i, entry in enumerate(_field(manifest, "entries", list)):
         try:
             key = (str(entry["name"]), str(entry["role"]))
@@ -136,6 +136,8 @@ def load_checkpoint(path) -> tuple[DialogScorer, dict]:
         if key not in targets:
             raise LoadError(f"checkpoint entry {name} ({role}) "
                             "does not exist in the configured model")
+        if key in seen:
+            raise LoadError(f"checkpoint entry {name} ({role}) appears twice")
         arr = targets[key]
         if shape != arr.shape:
             raise LoadError(
@@ -150,10 +152,20 @@ def load_checkpoint(path) -> tuple[DialogScorer, dict]:
             raise LoadError(f"parameter {name} ({role}): non-finite value in checkpoint")
         arr[...] = values.reshape(shape)
         seen.add(key)
+        spans.append((start, nbytes, name, role))
     missing = sorted(set(targets) - seen)
     if missing:
         name, role = missing[0]
         raise LoadError(f"checkpoint is missing parameter {name} ({role})")
+    end = 0  # the entries must tile the payload: no overlap, no gap, no tail
+    for start, nbytes, name, role in sorted(spans):
+        if start != end:
+            raise LoadError(f"checkpoint entry {name} ({role}) starts at payload byte "
+                            f"{start}, but the entries before it end at byte {end}")
+        end = start + nbytes
+    if end != len(payload):
+        raise LoadError(f"checkpoint payload runs {len(payload) - end} bytes past its "
+                        f"last entry {name} ({role})")
     step_counts = _field(manifest, "step_counts", dict)
     for name, p in params.items():
         try:

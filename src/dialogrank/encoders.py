@@ -114,6 +114,9 @@ class EncoderBank:
             raise ValueError(f"unknown task {task!r}")
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
+        if variant == "qih" and dims.history_slots < 1:
+            raise ValueError(f"variant qih needs rounds >= 2 for its history block, "
+                             f"got rounds={dims.rounds}")
         self.dims = dims
         self.task = task
         self.variant = variant
@@ -194,27 +197,13 @@ class EncoderBank:
     def combine_pairs(self, rows: np.ndarray, train: bool, update_running: bool = True):
         """Pair-combine FC -> batch norm -> ReLU over a batch of pair rows.
 
-        Eval mode runs each row through its own 1-row products, so a row's
-        output depends on that row alone (see model.py), and returns no cache.
+        Eval mode gives each row its own product (``nn.project``), so a row's
+        output depends on that row alone, and returns no cache.
         """
-        if not train:
-            out = np.empty((len(rows), self.dims.history_pair_dim))
-            for i in range(len(rows)):
-                out[i : i + 1] = self._combine(rows[i : i + 1], False)[0]
-            return out, None
-        return self._combine(rows, True, update_running)
-
-    def _combine(self, rows, train, update_running=True):
-        lin, lin_cache = self.pair_combine.forward(rows)
+        lin, lin_cache = self.pair_combine.forward(rows, train)
         normed, bn_cache = self.pair_bn.forward(lin, train=train, update_running=update_running)
         out, relu_cache = nn.relu(normed)
-        return out, (lin_cache, bn_cache, relu_cache)
-
-    def backward_combine_pairs(self, cache, dout: np.ndarray) -> np.ndarray:
-        lin_cache, bn_cache, relu_cache = cache
-        dnormed = nn.relu_backward(relu_cache, dout)
-        dlin = self.pair_bn.backward(bn_cache, dnormed)
-        return self.pair_combine.backward(lin_cache, dlin)
+        return out, ((lin_cache, bn_cache, relu_cache) if train else None)
 
     def encode_histories(self, histories, train: bool, update_running: bool = True):
         """Slot-aligned history blocks [B, (T-1) * pair_dim] of B examples.
@@ -250,8 +239,9 @@ class EncoderBank:
         rows, padded, qcache, acache, comb_cache = cache
         if comb_cache is None:
             raise RuntimeError("history backward requires a train-mode forward")
-        dpre = self.backward_combine_pairs(
-            comb_cache, dblocks.reshape(-1, self.dims.history_pair_dim))
+        lin_cache, bn_cache, relu_cache = comb_cache
+        dnormed = nn.relu_backward(relu_cache, dblocks.reshape(-1, self.dims.history_pair_dim))
+        dpre = self.pair_combine.backward(lin_cache, self.pair_bn.backward(bn_cache, dnormed))
         dpairs = dpre[rows]
         if padded.any():  # all padded slots share one encoding; their grads sum
             dpairs = np.vstack([dpairs, dpre[padded].sum(axis=0)])

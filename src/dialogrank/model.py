@@ -3,16 +3,18 @@
 One forward pass, ``DialogScorer.batch_forward``, serves training and
 evaluation; ``score_example`` is ``batch_forward([ex], train=False)``. It
 encodes the queries, captions, history slots (``EncoderBank.encode_histories``)
-and distinct option sequences, writes the fused rows (query | image | caption
-| history | option) and scores them with the MLP.
+and distinct option sequences, stacks each example's context (query | image |
+caption | history) and scores it against its options with the late-fusion MLP
+(scorer.py), so the fused rows are never built.
 
 Train mode makes one packed LSTM call per text path for the whole minibatch,
 encodes each distinct option once (duplicates sum their gradients) and
-batch-norms across the step. Eval mode uses the running statistics and sends
-one sequence per LSTM call and one row per pair-combine and MLP product, so a
-candidate's score does not depend on which candidates are scored with it.
-Batching would not give that: on OpenBLAS 0.3.31 (Haswell kernels, numpy
-2.4.6, 2 CPUs) the rows of ``X @ W.T`` change in their last bits with the row
+batch-norms across the step. Eval mode uses the running statistics, one
+sequence per LSTM call and one row per matrix product (``nn.project``), so a
+candidate's score does not depend on which candidates are scored with it; the
+elementwise stages (bias, norm, ReLU) run over all rows at once, being exactly
+rounded per element. Batching the products would not give that: on OpenBLAS 0.3.31 (Haswell
+kernels, numpy 2.4.6, 2 CPUs) the rows of ``X @ W.T`` change in their last bits with the row
 count M of ``X`` even for M >= 2. Compared with the first M rows of the M=100
 product on Gaussian data, ``[M, 1600] @ [1600, 1]`` (the MLP output layer)
 differs at 71 of M = 2..99, ``[M, 256] @ [256, 128]`` (the pair-combine
@@ -104,24 +106,6 @@ class DialogScorer:
         rng = np.random.default_rng(init_seed)
         self.bank = EncoderBank(dims, vocab, task, variant, shared_embeddings, rng)
         self.mlp = FusionMlp(dims.fused_dim(variant), mlp_depth, rng)
-        # fused-row column layout: query | image | caption | history | option
-        start = 0
-        self._q_cols = slice(start, start + dims.query_hidden)
-        start += dims.query_hidden
-        if variant in ("qi", "qih"):
-            self._img_cols = slice(start, start + dims.image_dim)
-            start += dims.image_dim
-        else:
-            self._img_cols = None
-        if variant == "qih":
-            self._cap_cols = slice(start, start + dims.caption_hidden)
-            start += dims.caption_hidden
-            self._hist_cols = slice(start, start + dims.history_len)
-            start += dims.history_len
-        else:
-            self._cap_cols = None
-            self._hist_cols = None
-        self._opt_cols = slice(start, start + dims.option_hidden)
 
     # -- registry ------------------------------------------------------------
 
@@ -187,42 +171,33 @@ class DialogScorer:
         queries = [bank.query_ids(ex.question_ids, ex.query_answer_ids) for ex in batch]
         q_vecs, q_cache = bank.encode_texts("query", queries, train)
         o_vecs, o_cache = bank.encode_texts("option", [list(k) for k in distinct], train)
-        c_vecs = c_cache = hist_cache = None
-        if self._cap_cols is not None:
+        blocks = [q_vecs]  # the context: query | image | caption | history
+        if self.variant != "q":
+            blocks.append(np.stack([ex.image_vec for ex in batch]))
+        c_cache = hist_cache = None
+        if self.variant == "qih":
             c_vecs, c_cache = bank.encode_texts("caption", [ex.caption_ids for ex in batch], train)
             hist, hist_cache = bank.encode_histories(
                 [ex.history for ex in batch], train, update_running)
+            blocks += [c_vecs, hist]
 
-        rows = np.empty((int(offsets[-1]), self.mlp.input_dim))
-        for e, ex in enumerate(batch):
-            block = rows[offsets[e] : offsets[e + 1]]
-            block[:, self._q_cols] = q_vecs[e]
-            if self._img_cols is not None:
-                block[:, self._img_cols] = ex.image_vec
-            if c_vecs is not None:
-                block[:, self._cap_cols] = c_vecs[e]
-                block[:, self._hist_cols] = hist[e]
-        rows[:, self._opt_cols] = o_vecs[option_of_row]
-
-        flat_scores, mlp_cache = self.mlp.score_rows(rows, train, update_running)
+        flat_scores, mlp_cache = self.mlp.forward(np.concatenate(blocks, axis=1), o_vecs,
+                                                  offsets, option_of_row, train, update_running)
         scores = [flat_scores[offsets[e] : offsets[e + 1]] for e in range(len(batch))]
-        return scores, (offsets, option_of_row, q_cache, c_cache, o_cache, hist_cache,
-                        mlp_cache)
+        return scores, (q_cache, c_cache, o_cache, hist_cache, mlp_cache)
 
     def batch_backward(self, bundle, dscores: list[np.ndarray]) -> None:
-        offsets, option_of_row, q_cache, c_cache, o_cache, hist_cache, mlp_cache = bundle
+        q_cache, c_cache, o_cache, hist_cache, mlp_cache = bundle
         if mlp_cache is None:
             raise RuntimeError("batch_backward requires a train-mode batch_forward")
-        drows = self.mlp.backward_rows(mlp_cache, np.concatenate(dscores))
-        dctx = np.add.reduceat(drows, offsets[:-1], axis=0)  # each example's rows summed
-        doptions = np.zeros((option_of_row.max() + 1, self.dims.option_hidden))
-        np.add.at(doptions, option_of_row, drows[:, self._opt_cols])  # duplicates sum
+        dctx, doptions = self.mlp.backward(mlp_cache, np.concatenate(dscores))
         paths = self.bank.paths
-        paths["query"].backward(q_cache, dctx[:, self._q_cols])
+        paths["query"].backward(q_cache, dctx[:, : self.dims.query_hidden])
         paths["option"].backward(o_cache, doptions)
         if c_cache is not None:
-            paths["caption"].backward(c_cache, dctx[:, self._cap_cols])
-            self.bank.backward_histories(hist_cache, dctx[:, self._hist_cols])
+            h0 = dctx.shape[1] - self.dims.history_len  # first history column
+            paths["caption"].backward(c_cache, dctx[:, h0 - self.dims.caption_hidden : h0])
+            self.bank.backward_histories(hist_cache, dctx[:, h0:])
 
     def batch_loss(self, batch: list[RoundExample], want_grads: bool = True,
                    update_running: bool = True) -> float:

@@ -100,6 +100,17 @@ def adam_step(params, cfg: AdamConfig) -> None:
         p.zero_grad()
 
 
+def project(x: np.ndarray, weight: np.ndarray, train: bool = True) -> np.ndarray:
+    """x @ weight.T; eval (``train=False``) gives every row its own product, as
+    BLAS rows are not bitwise independent of the row count (model.py)."""
+    if train:
+        return x @ weight.T
+    out = np.empty((len(x), weight.shape[0]))
+    for i in range(len(x)):
+        out[i : i + 1] = x[i : i + 1] @ weight.T
+    return out
+
+
 class Linear:
     """y = W x + b with W of shape [out, in]."""
 
@@ -111,15 +122,15 @@ class Linear:
         if rng is not None:
             he_normal_init(self.weight, in_dim, rng)
 
-    def forward(self, x: np.ndarray):
-        """x: [B, in] -> [B, out]. Returns (y, cache); forward never mutates
-        the layer, so frozen-parameter evaluation can run concurrently."""
+    def forward(self, x: np.ndarray, train: bool = True):
+        """x: [B, in] -> [B, out], in eval one row per product. Returns (y, cache);
+        forward never mutates the layer, so frozen-parameter evaluation can run concurrently."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(
                 f"{self.weight.name}: expected input [B, {self.in_dim}], got {x.shape}"
             )
-        y = x @ self.weight.value.T + self.bias.value
+        y = project(x, self.weight.value, train) + self.bias.value
         return y, x
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:

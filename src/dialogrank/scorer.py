@@ -1,16 +1,20 @@
 """Joint similarity scoring and feature fusion.
 
 Each candidate is scored independently: the context blocks and one option
-embedding are concatenated into a single row and pushed through an MLP whose
-hidden layers are linear -> batch norm -> ReLU and whose final layer is a
-plain linear map to one scalar (normalizing the scalar would destroy the
-ordering information between candidates).
+embedding form one row for an MLP whose hidden layers are linear -> batch
+norm -> ReLU and whose final layer is a plain linear map to one scalar
+(normalizing the scalar would destroy the ordering between candidates).
+
+The first layer is linear before its norm, so it splits by weight columns
+("late fusion"): ``z = ctx[e] @ W_ctx.T + opt[o] @ W_opt.T + b`` with column
+views of the one ``mlp.h0.weight``, the context term once per example and the
+option term once per distinct option. Its backward sums ``dz`` per example
+and per distinct option before the weight-gradient products.
 
 Train mode norms over all rows of a call jointly. Eval mode norms with the
-running statistics and pushes each row through its own 1-row products, so a
-candidate's eval score is independent of which candidates are scored
-alongside it: a row of a BLAS product is not bitwise independent of the row
-count, even for two rows or more (model.py has the measurements).
+running statistics and gives each row its own products (``nn.project``), so
+an eval score is bitwise independent of which candidates are scored with it
+(model.py has the BLAS measurements that make this necessary).
 """
 
 from __future__ import annotations
@@ -55,37 +59,40 @@ class FusionMlp:
             self.norms.append(nn.BatchNorm1d(widths[i + 1], name=f"{name}.h{i}.bn"))
         self.out = nn.Linear(widths[-1], 1, rng, name=f"{name}.out")
 
-    def score_rows(self, rows: np.ndarray, train: bool, update_running: bool = True):
-        """rows: [N, input_dim] -> (scores [N], cache). In train mode the
-        batch-norm statistics are taken over all N rows jointly; eval mode
-        scores one row at a time and returns no cache."""
-        if not train:
-            scores = np.empty(len(rows))
-            for i in range(len(rows)):
-                scores[i] = self._forward(rows[i : i + 1], False)[0][0]
-            return scores, None
-        return self._forward(rows, True, update_running)
-
-    def _forward(self, x, train, update_running=True):
+    def forward(self, ctx: np.ndarray, opts: np.ndarray, offsets, option_of_row,
+                train: bool, update_running: bool = True):
+        """Scores [N] of the rows ``ctx[e] | opts[option_of_row[r]]``, r in
+        ``offsets[e] : offsets[e + 1]``, and the cache for backward (None in eval)."""
+        h0, split = self.hidden[0], ctx.shape[1]
+        W = h0.weight.value
+        z = nn.project(opts, W[:, split:], train)[option_of_row]
+        z += np.repeat(nn.project(ctx, W[:, :split], train), np.diff(offsets), axis=0)
+        z += h0.bias.value
         caches = []
-        for lin, bn in zip(self.hidden, self.norms):
-            z, lin_cache = lin.forward(x)
+        for bn, lin in zip(self.norms, self.hidden[1:] + [self.out]):
             h, bn_cache = bn.forward(z, train=train, update_running=update_running)
             x, relu_cache = nn.relu(h)
-            caches.append((lin_cache, bn_cache, relu_cache))
-        scores, out_cache = self.out.forward(x)
-        return scores[:, 0], (caches, out_cache)
+            z, lin_cache = lin.forward(x, train)
+            caches.append((bn_cache, relu_cache, lin_cache))
+        cache = (ctx, opts, offsets, option_of_row, caches) if train else None
+        return z[:, 0], cache
 
-    def backward_rows(self, cache, dscores: np.ndarray) -> np.ndarray:
-        caches, out_cache = cache
-        dx = self.out.backward(out_cache, np.asarray(dscores, dtype=np.float64)[:, None])
-        for (lin_cache, bn_cache, relu_cache), lin, bn in zip(
-            reversed(caches), reversed(self.hidden), reversed(self.norms)
+    def backward(self, cache, dscores: np.ndarray):
+        """Backward of a train-mode forward; returns (dctx [B, Dc], dopts [U, Do])."""
+        ctx, opts, offsets, option_of_row, caches = cache
+        dz = np.asarray(dscores, dtype=np.float64)[:, None]
+        for (bn_cache, relu_cache, lin_cache), bn, lin in zip(
+            reversed(caches), reversed(self.norms), reversed(self.hidden[1:] + [self.out])
         ):
-            dh = nn.relu_backward(relu_cache, dx)
-            dz = bn.backward(bn_cache, dh)
-            dx = lin.backward(lin_cache, dz)
-        return dx
+            dz = bn.backward(bn_cache, nn.relu_backward(relu_cache, lin.backward(lin_cache, dz)))
+        dz_ctx = np.add.reduceat(dz, offsets[:-1], axis=0)  # each example's rows summed
+        dz_opt = np.zeros((len(opts), dz.shape[1]))
+        np.add.at(dz_opt, option_of_row, dz)  # each distinct option's rows summed
+        h0, split = self.hidden[0], ctx.shape[1]
+        h0.weight.grad[:, :split] += dz_ctx.T @ ctx
+        h0.weight.grad[:, split:] += dz_opt.T @ opts
+        h0.bias.grad += dz.sum(axis=0)
+        return dz_ctx @ h0.weight.value[:, :split], dz_opt @ h0.weight.value[:, split:]
 
     def parameters(self) -> dict[str, nn.Parameter]:
         out: dict[str, nn.Parameter] = {}

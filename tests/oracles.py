@@ -189,3 +189,63 @@ def oracle_adam_step(params, cfg):
         p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
         p.step_count = t
         p.grad.fill(0.0)
+
+
+def _oracle_mlp_rows(mlp, rows, train):
+    """Hidden layers (linear -> batch norm -> ReLU) and the output layer over
+    fused rows. Returns (scores, per-layer caches, last hidden, running stats)."""
+    x = rows
+    caches, running = [], []
+    for lin, bn in zip(mlp.hidden, mlp.norms):
+        z = x @ lin.weight.value.T + lin.bias.value
+        if train:
+            mean, var = z.mean(axis=0), z.var(axis=0)
+            m = bn.momentum
+            running.append(((1.0 - m) * bn.running_mean + m * mean,
+                            (1.0 - m) * bn.running_var + m * var))
+        else:
+            mean, var = bn.running_mean, bn.running_var
+        inv = 1.0 / np.sqrt(var + bn.epsilon)
+        xhat = (z - mean) * inv
+        h = bn.gamma.value * xhat + bn.beta.value
+        caches.append((x, xhat, inv, h))
+        x = np.maximum(h, 0.0)
+    scores = (x @ mlp.out.weight.value.T + mlp.out.bias.value)[:, 0]
+    return scores, caches, x, running
+
+
+def oracle_fused_mlp(mlp, ctx, opts, offsets, option_of_row, train, dscores=None):
+    """The fused-row scorer: each candidate row is ctx[e] | opts[option_of_row[r]]
+    (r in offsets[e] : offsets[e + 1]), built in full and multiplied by the
+    whole first-layer weight. Eval pushes each row through on its own. Reads
+    ``mlp``'s values and changes nothing. Returns (scores, running, grads,
+    dctx, dopts): running holds the updated (mean, var) of each norm in train
+    mode; grads (name -> array), dctx and dopts need ``dscores``."""
+    example_of_row = np.repeat(np.arange(len(ctx)), np.diff(offsets))
+    rows = np.concatenate([ctx[example_of_row], opts[option_of_row]], axis=1)
+    if not train:
+        scores = np.array([_oracle_mlp_rows(mlp, rows[i : i + 1], False)[0][0]
+                           for i in range(len(rows))])
+        return scores, [], None, None, None
+    scores, caches, last, running = _oracle_mlp_rows(mlp, rows, True)
+    if dscores is None:
+        return scores, running, None, None, None
+    dy = np.asarray(dscores, dtype=np.float64)[:, None]
+    grads = {mlp.out.weight.name: dy.T @ last, mlp.out.bias.name: dy.sum(axis=0)}
+    dx = dy @ mlp.out.weight.value
+    for (x, xhat, inv, h), lin, bn in reversed(list(zip(caches, mlp.hidden, mlp.norms))):
+        dh = dx * (h > 0.0)
+        grads[bn.gamma.name] = (dh * xhat).sum(axis=0)
+        grads[bn.beta.name] = dh.sum(axis=0)
+        dxhat = dh * bn.gamma.value
+        n = len(xhat)
+        dz = inv / n * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        grads[lin.weight.name] = dz.T @ x
+        grads[lin.bias.name] = dz.sum(axis=0)
+        dx = dz @ lin.weight.value
+    split = ctx.shape[1]
+    dctx = np.zeros_like(ctx)
+    np.add.at(dctx, example_of_row, dx[:, :split])
+    dopts = np.zeros_like(opts)
+    np.add.at(dopts, option_of_row, dx[:, split:])
+    return scores, running, grads, dctx, dopts

@@ -51,6 +51,21 @@ def test_dims_validation():
         ModelDims.for_task("nope")
 
 
+def test_one_round_models_need_no_history_block():
+    dims = reduced_check_dims(rounds=1)
+    vocab = synthetic_vocab(30)
+    with pytest.raises(ValueError, match=r"qih.*rounds=1"):
+        DialogScorer(dims, vocab, variant="qih")
+    rng = np.random.default_rng(2)
+    for variant in ("q", "qi"):
+        model = DialogScorer(dims, vocab, variant=variant)
+        batch = [random_example(vocab, dims, rng, k_options=3) for _ in range(2)]
+        before = model.parameters()["mlp.h0.weight"].value.copy()
+        assert np.isfinite(model.batch_loss(batch))
+        nn.adam_step(list(model.parameters().values()), nn.AdamConfig())
+        assert not np.array_equal(model.parameters()["mlp.h0.weight"].value, before)
+
+
 # ---------------------------------------------------------------------------
 # query / option / caption encoders
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dialogrank import nn
 from dialogrank.encoders import ModelDims
 from dialogrank.model import DialogScorer, random_example, reduced_check_dims, synthetic_vocab
 from dialogrank.scorer import FusionMlp
+from oracles import oracle_fused_mlp
 
 
 def test_mlp_hidden_sizes_at_defaults():
@@ -20,30 +22,109 @@ def test_mlp_hidden_sizes_at_defaults():
         FusionMlp(64, depth=3)
 
 
-def test_assemble_order_and_masking(monkeypatch):
-    # fused columns, and so the input columns of mlp.h0.weight in checkpoints:
+def close(got, want, rtol=1e-12):
+    """Agreement relative to the largest magnitude of the reference."""
+    return np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def test_assemble_order_and_masking():
+    # the input columns of mlp.h0.weight, and so of checkpoints, are
     # query | image | caption | history | option, masked blocks omitted
     dims = reduced_check_dims()
     vocab = synthetic_vocab(40)
     ex = random_example(vocab, dims, np.random.default_rng(8), k_options=3, n_history=1)
     for variant in ("q", "qi", "qih"):
         model = DialogScorer(dims, vocab, variant=variant, init_seed=2)
-        seen = []
-        monkeypatch.setattr(model.mlp, "score_rows", lambda rows, *args: (
-            seen.append(rows.copy()), (np.zeros(len(rows)), None))[1])
-        model.score_example(ex)
-
         blocks = [model.bank.encode_query(ex.question_ids)[0]]
         if variant != "q":
             blocks.append(ex.image_vec)
         if variant == "qih":
             blocks.append(model.bank.encode_caption(ex.caption_ids)[0])
             blocks.append(model.bank.encode_histories([ex.history], train=False)[0][0])
-        width = sum(b.size for b in blocks) + dims.option_hidden
+        ctx = np.concatenate(blocks)[None]
+        opts = np.stack([model.bank.encode_option(ids)[0] for ids in ex.option_ids])
+        width = ctx.shape[1] + opts.shape[1]
         assert width == dims.fused_dim(variant) == model.mlp.hidden[0].weight.shape[1]
-        for k, ids in enumerate(ex.option_ids):
-            expected = np.concatenate(blocks + [model.bank.encode_option(ids)[0]])
-            assert np.array_equal(seen[0][k], expected)
+        want = oracle_fused_mlp(model.mlp, ctx, opts, [0, 3], np.arange(3), train=False)[0]
+        assert close(model.score_example(ex).scores, want)
+
+
+def seeded_norms(mlp, rng):
+    """Non-trivial running statistics and affine parameters for every norm."""
+    for bn in mlp.norms:
+        bn.running_mean[:] = rng.normal(size=bn.dim)
+        bn.running_var[:] = rng.uniform(0.5, 2.0, size=bn.dim)
+        bn.gamma.value[:] = rng.uniform(0.5, 1.5, size=bn.dim)
+        bn.beta.value[:] = rng.normal(size=bn.dim)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("variant", ["q", "qi", "qih"])
+def test_late_fusion_matches_fused_row_oracle(variant, depth):
+    dims = reduced_check_dims()
+    model = DialogScorer(dims, synthetic_vocab(40), variant=variant, mlp_depth=depth,
+                         init_seed=3)
+    mlp = model.mlp
+    rng = np.random.default_rng([5, depth])
+    seeded_norms(mlp, rng)
+    offsets = np.array([0, 4, 7, 12])  # B=3; options repeat within and across examples
+    option_of_row = np.array([0, 1, 0, 2, 2, 3, 1, 4, 0, 4, 5, 3])
+    ctx = rng.normal(size=(3, mlp.input_dim - dims.option_hidden))
+    opts = rng.normal(size=(6, dims.option_hidden))
+    dscores = rng.normal(size=12)
+
+    want = oracle_fused_mlp(mlp, ctx, opts, offsets, option_of_row, train=False)[0]
+    got, cache = mlp.forward(ctx, opts, offsets, option_of_row, train=False)
+    assert cache is None
+    assert close(got, want)
+
+    want, running, grads, dctx, dopts = oracle_fused_mlp(
+        mlp, ctx, opts, offsets, option_of_row, train=True, dscores=dscores)
+    model.zero_grads()
+    got, cache = mlp.forward(ctx, opts, offsets, option_of_row, train=True)
+    assert close(got, want)
+    for bn, (mean, var) in zip(mlp.norms, running, strict=True):
+        assert close(bn.running_mean, mean) and close(bn.running_var, var)
+    got_dctx, got_dopts = mlp.backward(cache, dscores)
+    assert close(got_dctx, dctx) and close(got_dopts, dopts)
+    params = mlp.parameters()
+    assert set(params) == set(grads)
+    # a linear bias in front of a train-mode norm has a true gradient of 0 and
+    # a computed one of pure roundoff: judge each against its layer's largest
+    layer_scale = {}
+    for name, grad in grads.items():
+        layer = name.rsplit(".", 1)[0]
+        layer_scale[layer] = max(layer_scale.get(layer, 0.0), np.abs(grad).max())
+    for name, grad in grads.items():
+        err = np.abs(params[name].grad - grad).max()
+        assert err <= 1e-12 * layer_scale[name.rsplit(".", 1)[0]], name
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_batch_forward_builds_no_fused_rows(monkeypatch, train):
+    # the largest live block, sampled at every ReLU (so while the MLP runs)
+    # and after the forward, stays below one [N, fused_dim] float64 array
+    dims = dataclasses.replace(reduced_check_dims(), image_dim=1000)
+    vocab = synthetic_vocab(40)
+    model = DialogScorer(dims, vocab, init_seed=0)
+    rng = np.random.default_rng(4)
+    batch = [random_example(vocab, dims, rng, k_options=100) for _ in range(2)]
+    largest = []
+    relu = nn.relu
+
+    def sampled_relu(x):
+        largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+        return relu(x)
+
+    monkeypatch.setattr(nn, "relu", sampled_relu)
+    tracemalloc.start()
+    try:
+        scores, bundle = model.batch_forward(batch, train=train)
+        largest.append(max(t.size for t in tracemalloc.take_snapshot().traces))
+    finally:
+        tracemalloc.stop()
+    assert len(largest) > 2
+    assert max(largest) < 200 * dims.fused_dim("qih") * 8
 
 
 def test_loss_uniform_and_perfect():
@@ -135,8 +216,10 @@ def test_batch_forward_train_mode_norms_over_option_rows():
     mlp_cache = bundle[-1]
     assert mlp_cache is not None
     assert scores[0].shape == (6,)
-    # backward through the cached rows accumulates gradients
+    # backward through the cache accumulates gradients and returns one
+    # context row per example and one option row per distinct option
     model.zero_grads()
-    drows = model.mlp.backward_rows(mlp_cache, np.ones(6))
-    assert drows.shape == (6, model.mlp.input_dim)
+    dctx, dopts = model.mlp.backward(mlp_cache, np.ones(6))
+    assert dctx.shape == (1, model.mlp.input_dim - model.dims.option_hidden)
+    assert dopts.shape == (len(set(map(tuple, ex.option_ids))), model.dims.option_hidden)
     assert any(p.grad.any() for p in model.mlp.parameters().values())

@@ -240,6 +240,29 @@ def write_nan(manifest, payload):
     payload[entry["offset"] : entry["offset"] + 8] = struct.pack("<d", float("nan"))
 
 
+def entry_of(manifest, name, role):
+    return next(e for e in manifest["entries"] if e["name"] == name and e["role"] == role)
+
+
+def overlap_value(manifest, payload):
+    # Adam m of lstm.query.weight points at the bytes of its value
+    entry_of(manifest, "lstm.query.weight", "adam_m")["offset"] = entry_of(
+        manifest, "lstm.query.weight", "value")["offset"]
+
+
+def gap_before_adam_m(manifest, payload):
+    # 8 unused bytes in front of lstm.query.weight's Adam m; later entries shift
+    start = entry_of(manifest, "lstm.query.weight", "adam_m")["offset"]
+    payload[start:start] = bytes(8)
+    for e in manifest["entries"]:
+        if e["offset"] >= start:
+            e["offset"] += 8
+
+
+def trailing_bytes(manifest, payload):
+    payload += bytes(64)
+
+
 @pytest.mark.parametrize("edit, edit_payload, named", [
     (lambda m: m.pop("model"), None, "model"),
     (lambda m: m.pop("step_counts"), None, "step_counts"),
@@ -249,8 +272,14 @@ def write_nan(manifest, payload):
     (lambda m: m.update(entries="x"), None, "entries"),
     (lambda m: m["model"].update(variant="qx"), None, "variant"),
     (lambda m: None, write_nan, "lstm.query.weight"),
+    (lambda m: m["model"]["dims"].update(rounds=1), None, "qih.*rounds=1"),
+    (lambda m: None, overlap_value, r"lstm.query.weight \(value\)"),
+    (lambda m: None, gap_before_adam_m, r"lstm.query.weight \(adam_m\)"),
+    (lambda m: None, trailing_bytes, "64 bytes past"),
+    (lambda m: m["entries"].append(dict(m["entries"][0])), None, "appears twice"),
 ], ids=["no-model", "no-step-counts", "no-entries", "no-vocab", "unknown-dims-key",
-        "entries-not-a-list", "bad-variant", "nan-value"])
+        "entries-not-a-list", "bad-variant", "nan-value", "qih-one-round", "overlap", "gap",
+        "trailing-bytes", "duplicate-entry"])
 def test_malformed_checkpoint_raises_load_error(tmp_path, edit, edit_payload, named):
     model = DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0)
     path = tmp_path / "m.ckpt"
