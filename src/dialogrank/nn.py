@@ -12,6 +12,9 @@ t, rows ``xs`` [S, E] holding step 0 of each, then step 1, and so on. The
 input projection is one GEMM, each step one GEMM over its running rows, and
 backward ends with one weight-gradient GEMM. Gate order is input, forget,
 output, candidate; the forget-gate bias starts at 1.0, every other at 0.
+
+Adam sweeps each parameter once, in cache-sized blocks of ``BLOCK`` elements
+with the grad zeroing folded in; per element it is bitwise the whole-array update.
 """
 
 from __future__ import annotations
@@ -82,22 +85,30 @@ class AdamConfig:
             raise ValueError("betas must lie in [0, 1)")
 
 
+BLOCK = 1 << 15  # elements per block of the blocked kernels: 256 KB of float64
+
+
 def adam_step(params, cfg: AdamConfig) -> None:
-    """In-place bias-corrected Adam on every parameter, grad as scratch; zeroes grads after."""
+    """In-place bias-corrected Adam, grad as scratch, zeroing grads. Every ufunc runs on
+    one block of ``BLOCK`` elements of the flat views (parameter arrays are C-contiguous)
+    before the next block, so each array streams through memory once; each ufunc rounds
+    per element, so the result is bitwise that of the same ufuncs over whole arrays."""
     b1, b2 = cfg.beta1, cfg.beta2
     for p in params:
         t = p.step_count + 1
-        g = p.grad
-        p.m *= b1
-        p.m += np.multiply(g, 1.0 - b1, out=g)  # g now holds (1 - b1) * grad
-        p.v *= b2
-        p.v += np.multiply(np.square(g, out=g), (1.0 - b2) / (1.0 - b1) ** 2, out=g)
-        np.sqrt(np.divide(p.v, 1.0 - b2**t, out=g), out=g)
-        g += cfg.epsilon
-        g *= (1.0 - b1**t) / cfg.learning_rate
-        p.value -= np.divide(p.m, g, out=g)  # lr * m_hat / (sqrt(v_hat) + eps)
+        flat = [a.reshape(-1) for a in (p.grad, p.m, p.v, p.value)]
+        for i in range(0, p.size, BLOCK):
+            g, m, v, value = (a[i : i + BLOCK] for a in flat)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=g)  # g now holds (1 - b1) * grad
+            v *= b2
+            v += np.multiply(np.square(g, out=g), (1.0 - b2) / (1.0 - b1) ** 2, out=g)
+            np.sqrt(np.divide(v, 1.0 - b2**t, out=g), out=g)
+            g += cfg.epsilon
+            g *= (1.0 - b1**t) / cfg.learning_rate
+            value -= np.divide(m, g, out=g)  # lr * m_hat / (sqrt(v_hat) + eps)
+            g.fill(0.0)
         p.step_count = t
-        p.zero_grad()
 
 
 def project(x: np.ndarray, weight: np.ndarray, train: bool = True) -> np.ndarray:

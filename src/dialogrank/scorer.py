@@ -9,7 +9,8 @@ The first layer is linear before its norm, so it splits by weight columns
 ("late fusion"): ``z = ctx[e] @ W_ctx.T + opt[o] @ W_opt.T + b`` with column
 views of the one ``mlp.h0.weight``, the context term once per example and the
 option term once per distinct option. Its backward sums ``dz`` per example
-and per distinct option before the weight-gradient products.
+and per distinct option before the weight-gradient products; the context one
+is added in row blocks of about ``nn.BLOCK`` elements, never as one array.
 
 Train mode norms over all rows of a call jointly. Eval mode norms with the
 running statistics and gives each row its own products (``nn.project``), so
@@ -89,7 +90,9 @@ class FusionMlp:
         dz_opt = np.zeros((len(opts), dz.shape[1]))
         np.add.at(dz_opt, option_of_row, dz)  # each distinct option's rows summed
         h0, split = self.hidden[0], ctx.shape[1]
-        h0.weight.grad[:, :split] += dz_ctx.T @ ctx
+        rows = max(1, nn.BLOCK // split)
+        for i in range(0, h0.out_dim, rows):
+            h0.weight.grad[i : i + rows, :split] += dz_ctx[:, i : i + rows].T @ ctx
         h0.weight.grad[:, split:] += dz_opt.T @ opts
         h0.bias.grad += dz.sum(axis=0)
         return dz_ctx @ h0.weight.value[:, :split], dz_opt @ h0.weight.value[:, split:]

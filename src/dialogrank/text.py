@@ -9,6 +9,7 @@ All loaded stores are immutable after load and safe for concurrent reads.
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 from collections import Counter
@@ -323,8 +324,11 @@ class GloveTable:
 
 def load_glove(path) -> GloveTable:
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as f:
+    # "surrogateescape" reads each byte that is not UTF-8 as one of U+DC80..U+DCFF
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
+            _require(line.isascii() or not re.search("[\udc80-\udcff]", line),
+                     f"word-vector file line {lineno}: not UTF-8")
             parts = line.split()
             if not parts:
                 continue
@@ -398,12 +402,13 @@ def load_features(path) -> ImageFeatureStore:
         if len(header) != 8:
             raise LoadError("feature file header truncated")
         count, dim = struct.unpack("<II", header)
-        features: dict[int, np.ndarray] = {}
+        _require(count > 0, "feature file holds no vectors")
         row_bytes = 8 + 4 * dim
+        rows_in_file = (os.fstat(f.fileno()).st_size - f.tell()) // row_bytes  # before any read
+        _require(rows_in_file >= count, f"feature row {rows_in_file}: truncated")
+        features: dict[int, np.ndarray] = {}
         for i in range(count):
             row = f.read(row_bytes)
-            if len(row) != row_bytes:
-                raise LoadError(f"feature row {i}: truncated")
             (image_id,) = struct.unpack("<q", row[:8])
             vec = np.frombuffer(row[8:], dtype="<f4").astype(np.float64)
             if image_id in features:

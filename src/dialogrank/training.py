@@ -87,7 +87,7 @@ def _restore(model: DialogScorer, state: dict) -> None:
 def _clip_grads(params, max_norm: float) -> None:
     total = 0.0
     for p in params:
-        total += float((p.grad * p.grad).sum())
+        total += float(np.vdot(p.grad, p.grad))  # no full-size temporary
     norm = np.sqrt(total)
     if norm > max_norm:
         scale = max_norm / norm

@@ -191,6 +191,25 @@ def oracle_adam_step(params, cfg):
         p.grad.fill(0.0)
 
 
+def oracle_adam_step_in_place(params, cfg):
+    """The unblocked in-place Adam: each ufunc over whole arrays, grad as
+    scratch, then one pass zeroing the grad."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    for p in params:
+        t = p.step_count + 1
+        g = p.grad
+        p.m *= b1
+        p.m += np.multiply(g, 1.0 - b1, out=g)  # g now holds (1 - b1) * grad
+        p.v *= b2
+        p.v += np.multiply(np.square(g, out=g), (1.0 - b2) / (1.0 - b1) ** 2, out=g)
+        np.sqrt(np.divide(p.v, 1.0 - b2**t, out=g), out=g)
+        g += cfg.epsilon
+        g *= (1.0 - b1**t) / cfg.learning_rate
+        p.value -= np.divide(p.m, g, out=g)  # lr * m_hat / (sqrt(v_hat) + eps)
+        p.step_count = t
+        p.grad.fill(0.0)
+
+
 def _oracle_mlp_rows(mlp, rows, train):
     """Hidden layers (linear -> batch norm -> ReLU) and the output layer over
     fused rows. Returns (scores, per-layer caches, last hidden, running stats)."""

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dialogrank import nn
-from oracles import oracle_adam_step, oracle_lstm_backward, oracle_lstm_encode
+from oracles import (oracle_adam_step, oracle_adam_step_in_place, oracle_lstm_backward,
+                     oracle_lstm_encode)
 
 
 def fd_closure_param(forward, params, upstream):
@@ -480,6 +481,37 @@ def test_adam_allocates_no_full_size_temporary():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < p.value.nbytes // 10
+
+
+def test_blocked_adam_bitwise_matches_in_place_oracle():
+    # ragged last block, a 2-D parameter, one element and exactly one block
+    cfg = nn.AdamConfig(learning_rate=3e-3)
+    rng = np.random.default_rng(9)
+    shapes = [(3 * nn.BLOCK + 17,), (nn.BLOCK // 5 + 3, 7), (1,), (nn.BLOCK,)]
+    ours = [nn.Parameter(rng.normal(size=s)) for s in shapes]
+    theirs = [nn.Parameter(p.value.copy()) for p in ours]
+    for _ in range(3):
+        for a, b in zip(ours, theirs):
+            a.grad[...] = b.grad[...] = rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 3)
+        nn.adam_step(ours, cfg)
+        oracle_adam_step_in_place(theirs, cfg)
+        for a, b in zip(ours, theirs):
+            for got, want in ((a.value, b.value), (a.m, b.m), (a.v, b.v)):
+                assert np.array_equal(got, want)
+            assert a.step_count == b.step_count
+            assert not a.grad.any()
+
+
+def test_blocked_adam_peak_stays_below_two_blocks():
+    import tracemalloc
+
+    p = nn.Parameter(np.random.default_rng(1).normal(size=4 * nn.BLOCK))
+    p.grad[:] = 1.0
+    tracemalloc.start()
+    nn.adam_step([p], nn.AdamConfig())
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 2 * nn.BLOCK * 8
 
 
 def test_adam_config_validation():

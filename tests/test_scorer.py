@@ -100,6 +100,40 @@ def test_late_fusion_matches_fused_row_oracle(variant, depth):
         assert err <= 1e-12 * layer_scale[name.rsplit(".", 1)[0]], name
 
 
+def blocked_h0_case():
+    """An MLP whose h0 context gradient spans three row blocks of
+    nn.BLOCK // 300 rows, the last one ragged, and a seeded train-mode batch."""
+    split, rows = 300, nn.BLOCK // 300
+    mlp = FusionMlp(split + 200, depth=2, rng=np.random.default_rng(6))
+    assert 2 * rows < mlp.hidden_sizes[0] < 3 * rows
+    rng = np.random.default_rng(7)
+    offsets = np.array([0, 3, 5, 9])
+    option_of_row = np.array([0, 1, 2, 2, 3, 0, 4, 1, 3])
+    ctx, opts = rng.normal(size=(3, split)), rng.normal(size=(5, 200))
+    return mlp, (ctx, opts, offsets, option_of_row), rng.normal(size=9)
+
+
+def test_blocked_h0_context_gradient_matches_fused_row_oracle():
+    mlp, args, dscores = blocked_h0_case()
+    grads = oracle_fused_mlp(mlp, *args, train=True, dscores=dscores)[2]
+    _, cache = mlp.forward(*args, train=True)
+    mlp.backward(cache, dscores)
+    assert close(mlp.hidden[0].weight.grad, grads["mlp.h0.weight"])
+
+
+def test_blocked_h0_context_gradient_builds_no_full_temporary():
+    mlp, args, dscores = blocked_h0_case()
+    _, cache = mlp.forward(*args, train=True)
+    tracemalloc.start()
+    try:
+        mlp.backward(cache, dscores)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    h0 = mlp.hidden[0].weight
+    assert peak < h0.shape[0] * args[0].shape[1] * 8
+
+
 @pytest.mark.parametrize("train", [True, False])
 def test_batch_forward_builds_no_fused_rows(monkeypatch, train):
     # the largest live block, sampled at every ReLU (so while the MLP runs)

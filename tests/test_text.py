@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dialogrank import text
 from synth import memorize_family
@@ -244,3 +244,63 @@ def test_features_reject_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(text.LoadError, match="magic"):
         text.load_features(path)
+
+
+def test_features_with_no_vectors_raise_load_error(tmp_path):
+    path = tmp_path / "feat.bin"
+    path.write_bytes(text.FEATURE_MAGIC + (0).to_bytes(4, "little") + (3).to_bytes(4, "little"))
+    with pytest.raises(text.LoadError, match="feature file holds no vectors"):
+        text.load_features(path)
+
+
+def test_features_header_larger_than_file_raises_before_reading(tmp_path):
+    path = tmp_path / "feat.bin"
+    text.write_features(path, {5: np.ones(3), 9: np.ones(3)})
+    data = bytearray(path.read_bytes())
+    data[8:12] = (2**32 - 1).to_bytes(4, "little")  # dim: rows of 16 GB each
+    path.write_bytes(bytes(data))
+    with pytest.raises(text.LoadError, match="feature row 0: truncated"):
+        text.load_features(path)
+
+
+def test_glove_non_utf8_raises_load_error_naming_the_line(tmp_path):
+    path = tmp_path / "glove.txt"
+    path.write_bytes("café 1.0 2.0\n".encode() + b"dog\xff 3.0 4.0\n")
+    with pytest.raises(text.LoadError, match="line 2: not UTF-8"):
+        text.load_glove(path)
+
+
+def corrupt(data: bytes, edits) -> bytes:
+    for kind, pos, payload in edits:
+        if kind == "truncate":
+            data = data[: pos % (len(data) + 1)]
+        elif kind == "flip" and data:
+            i = pos % len(data)
+            data = data[:i] + bytes([data[i] ^ (payload[0] or 0x80)]) + data[i + 1 :]
+        else:
+            data += payload
+    return data
+
+
+def write_valid(fmt, path):
+    if fmt == "features":
+        text.write_features(path, {5: np.array([2.0, 0.5, 0.0]), 9: np.array([1.0, 1.0, 1.0])})
+        return text.load_features
+    text.write_glove(path, {"cat": np.array([1.0, 2.0]), "café": np.array([-0.5, 0.25])})
+    return text.load_glove
+
+
+@pytest.mark.parametrize("fmt", ["features", "glove"])
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["truncate", "flip", "append"]),
+                                st.integers(0, 2**16), st.binary(min_size=1, max_size=12)),
+                      min_size=1, max_size=4))
+def test_corrupt_files_load_or_raise_load_error(tmp_path_factory, fmt, edits):
+    # truncated, byte-flipped and extended files either load or raise LoadError
+    path = tmp_path_factory.getbasetemp() / f"fuzz.{fmt}"
+    load = write_valid(fmt, path)
+    path.write_bytes(corrupt(path.read_bytes(), edits))
+    try:
+        load(path)
+    except text.LoadError:
+        pass
