@@ -6,9 +6,10 @@ exist yet are padded with the encoding of the ([empty, stop], [empty, stop])
 pair, so the history block has one fixed length per model regardless of how
 deep into the dialog the query sits.
 
-Training packs each text path (distinct options only) into one LSTM call per
-step. Eval sends one sequence per call: GEMM rows are not bitwise independent
-of the row count (model.py), so only then is an encoding free of its co-batch.
+Each text path makes one packed LSTM call per forward, in train and eval alike
+(distinct options only). In eval the LSTM's products run on fixed blocks of
+``nn.ROWS`` rows (``nn.project``), so an encoding is bitwise free of the
+sequences packed with it (model.py has the measurement).
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ class TextPath:
         self.embed = embed
         self.lstm = lstm
 
-    def encode(self, seqs):
+    def encode(self, seqs, train: bool = True):
         """Embeddings [N, hidden] of N id sequences, in input order, from one
-        packed LSTM call (layout in nn.py). Returns (vecs, cache)."""
+        packed LSTM call (layout in nn.py). Returns (vecs, cache); eval's cache is None."""
         lengths = [len(s) for s in seqs]
         if min(lengths) < 1:
             raise ValueError(f"{self.lstm.weight.name}: cannot encode an empty sequence")
@@ -90,10 +91,10 @@ class TextPath:
         batch_sizes = [sum(n > t for n in lengths) for t in range(lengths[order[0]])]
         emb, ids = self.embed.lookup(
             [seqs[i][t] for t, n in enumerate(batch_sizes) for i in order[:n]])
-        h, lcache = self.lstm.encode(emb, batch_sizes)
+        h, lcache = self.lstm.encode(emb, batch_sizes, train)
         vecs = np.empty_like(h)
         vecs[order] = h
-        return vecs, ((ids, order), lcache)
+        return vecs, (((ids, order), lcache) if train else None)
 
     def backward(self, cache, dvecs) -> None:
         (ids, order), lcache = cache
@@ -167,27 +168,6 @@ class EncoderBank:
             raise ValueError("empty query")
         return seq
 
-    def encode_texts(self, name: str, seqs, train: bool):
-        """Embeddings [N, hidden] of N id sequences on one path, and the cache
-        for its backward: one packed LSTM call, or in eval one call per sequence."""
-        if train:
-            return self.paths[name].encode(seqs)
-        return np.reshape([self._encode_one(name, s)[0] for s in seqs],
-                          (len(seqs), self.paths[name].lstm.hidden_dim)), None
-
-    def _encode_one(self, name: str, ids):
-        vecs, cache = self.paths[name].encode([ids])
-        return vecs[0], cache
-
-    def encode_query(self, question_ids, answer_ids=None):
-        return self._encode_one("query", self.query_ids(question_ids, answer_ids))
-
-    def encode_option(self, option_ids):
-        return self._encode_one("option", option_ids)
-
-    def encode_caption(self, caption_ids):
-        return self._encode_one("caption", caption_ids)
-
     # -- history -----------------------------------------------------------
 
     def empty_pair(self) -> tuple[list[int], list[int]]:
@@ -197,8 +177,8 @@ class EncoderBank:
     def combine_pairs(self, rows: np.ndarray, train: bool, update_running: bool = True):
         """Pair-combine FC -> batch norm -> ReLU over a batch of pair rows.
 
-        Eval mode gives each row its own product (``nn.project``), so a row's
-        output depends on that row alone, and returns no cache.
+        Eval mode runs the product on fixed row blocks (``nn.project``), so a
+        row's output depends on that row alone, and returns no cache.
         """
         lin, lin_cache = self.pair_combine.forward(rows, train)
         normed, bn_cache = self.pair_bn.forward(lin, train=train, update_running=update_running)
@@ -224,8 +204,8 @@ class EncoderBank:
             padded[e * slots + len(rounds) : (e + 1) * slots] = True
         if padded.any():
             pairs.append(self.empty_pair())
-        qv, qcache = self.encode_texts("history_q", [q for q, _ in pairs], train)
-        av, acache = self.encode_texts("history_a", [a for _, a in pairs], train)
+        qv, qcache = self.paths["history_q"].encode([q for q, _ in pairs], train)
+        av, acache = self.paths["history_a"].encode([a for _, a in pairs], train)
         pre = np.concatenate([qv, av], axis=1)
         pre_rows = np.empty((len(padded), pre.shape[1]))
         pre_rows[rows] = pre[: len(rows)]

@@ -7,20 +7,25 @@ and distinct option sequences, stacks each example's context (query | image |
 caption | history) and scores it against its options with the late-fusion MLP
 (scorer.py), so the fused rows are never built.
 
-Train mode makes one packed LSTM call per text path for the whole minibatch,
-encodes each distinct option once (duplicates sum their gradients) and
-batch-norms across the step. Eval mode uses the running statistics, one
-sequence per LSTM call and one row per matrix product (``nn.project``), so a
-candidate's score does not depend on which candidates are scored with it; the
-elementwise stages (bias, norm, ReLU) run over all rows at once, being exactly
-rounded per element. Batching the products would not give that: on OpenBLAS 0.3.31 (Haswell
-kernels, numpy 2.4.6, 2 CPUs) the rows of ``X @ W.T`` change in their last bits with the row
-count M of ``X`` even for M >= 2. Compared with the first M rows of the M=100
-product on Gaussian data, ``[M, 1600] @ [1600, 1]`` (the MLP output layer)
-differs at 71 of M = 2..99, ``[M, 256] @ [256, 128]`` (the pair-combine
-layer) at every M <= 8 and ``[M, 64] @ [64, 32]`` at every M <= 33. Only the
-paper-size first MLP layer ``[M, 6400] @ [6400, 3200]`` was row-stable at
-every M >= 2 tried.
+Train mode encodes each distinct option once (duplicates sum their gradients)
+and batch-norms across the step. Both modes make one packed LSTM call per text
+path. Eval mode uses the running statistics and runs every matrix product on
+fixed blocks of ``nn.ROWS`` = 16 rows, zero-padding the last (``nn.project``),
+so a candidate's score does not depend on which candidates are scored with it;
+the elementwise stages (bias, norm, ReLU, gates) are exactly rounded per
+element. The row count matters: on OpenBLAS 0.3.31 (Haswell kernels, numpy
+2.4.6, 2 CPUs) the rows of ``X @ W.T`` change in their last bits with the row
+count M of ``X`` even for M >= 2 (``[M, 1600] @ [1600, 1]``, the MLP output
+layer, at 71 of M = 2..99; ``[M, 256] @ [256, 128]``, the pair-combine layer,
+at every M <= 8). With M fixed, each row was bitwise the same whatever its
+position in the block and whatever its block-mates, for R = 8, 16, 32 and 64,
+20 permutations and 20 sets of random block-mates, on every eval product shape
+and with 1 and 2 BLAS threads; ``tests/test_nn.py::test_block_property``
+checks this at ``nn.ROWS``. Against one row per product and one sequence per
+LSTM call, paper-dims eval scores moved by at most 2.9e-15 relative to the
+largest, and a K=100 round took 0.25 s instead of 0.78 s. A BLAS that broke the
+property would need a reproducible summation order (Demmel & Nguyen, ARITH
+2013), not a looser test.
 """
 
 from __future__ import annotations
@@ -169,14 +174,14 @@ class DialogScorer:
         option_of_row = np.array([distinct.setdefault(tuple(ids), len(distinct))
                                   for ex in batch for ids in ex.option_ids])
         queries = [bank.query_ids(ex.question_ids, ex.query_answer_ids) for ex in batch]
-        q_vecs, q_cache = bank.encode_texts("query", queries, train)
-        o_vecs, o_cache = bank.encode_texts("option", [list(k) for k in distinct], train)
+        q_vecs, q_cache = bank.paths["query"].encode(queries, train)
+        o_vecs, o_cache = bank.paths["option"].encode([list(k) for k in distinct], train)
         blocks = [q_vecs]  # the context: query | image | caption | history
         if self.variant != "q":
             blocks.append(np.stack([ex.image_vec for ex in batch]))
         c_cache = hist_cache = None
         if self.variant == "qih":
-            c_vecs, c_cache = bank.encode_texts("caption", [ex.caption_ids for ex in batch], train)
+            c_vecs, c_cache = bank.paths["caption"].encode([ex.caption_ids for ex in batch], train)
             hist, hist_cache = bank.encode_histories(
                 [ex.history for ex in batch], train, update_running)
             blocks += [c_vecs, hist]

@@ -9,9 +9,10 @@ input gradient, so one layer object can appear many times in one step.
 The LSTM runs a packed, time-major batch (PyTorch's ``PackedSequence``):
 N sequences sorted longest first, ``batch_sizes[t]`` of them running at step
 t, rows ``xs`` [S, E] holding step 0 of each, then step 1, and so on. The
-input projection is one GEMM, each step one GEMM over its running rows, and
-backward ends with one weight-gradient GEMM. Gate order is input, forget,
-output, candidate; the forget-gate bias starts at 1.0, every other at 0.
+input projection is one GEMM, each step one GEMM over its running rows (both
+on fixed row blocks in eval, ``project``), and backward ends with one
+weight-gradient GEMM. Gate order is input, forget, output, candidate; the
+forget-gate bias starts at 1.0, every other at 0.
 
 Adam sweeps each parameter once, in cache-sized blocks of ``BLOCK`` elements
 with the grad zeroing folded in; per element it is bitwise the whole-array update.
@@ -86,6 +87,7 @@ class AdamConfig:
 
 
 BLOCK = 1 << 15  # elements per block of the blocked kernels: 256 KB of float64
+ROWS = 16  # rows per block of an eval product (``project``)
 
 
 def adam_step(params, cfg: AdamConfig) -> None:
@@ -112,14 +114,18 @@ def adam_step(params, cfg: AdamConfig) -> None:
 
 
 def project(x: np.ndarray, weight: np.ndarray, train: bool = True) -> np.ndarray:
-    """x @ weight.T; eval (``train=False``) gives every row its own product, as
-    BLAS rows are not bitwise independent of the row count (model.py)."""
+    """x @ weight.T. Eval (``train=False``) zero-pads x to whole blocks of ``ROWS``
+    rows and runs one ``[ROWS, in] @ [in, out]`` product per block: BLAS gives a row
+    of a fixed-shape product bitwise the same whatever its block-mates and position
+    (model.py), so each eval row depends on that row alone."""
     if train:
         return x @ weight.T
-    out = np.empty((len(x), weight.shape[0]))
-    for i in range(len(x)):
-        out[i : i + 1] = x[i : i + 1] @ weight.T
-    return out
+    padded = np.zeros((-(-len(x) // ROWS) * ROWS, x.shape[1]))
+    padded[: len(x)] = x
+    out = np.empty((len(padded), weight.shape[0]))
+    for i in range(0, len(padded), ROWS):
+        out[i : i + ROWS] = padded[i : i + ROWS] @ weight.T
+    return out[: len(x)]
 
 
 class Linear:
@@ -134,7 +140,7 @@ class Linear:
             he_normal_init(self.weight, in_dim, rng)
 
     def forward(self, x: np.ndarray, train: bool = True):
-        """x: [B, in] -> [B, out], in eval one row per product. Returns (y, cache);
+        """x: [B, in] -> [B, out], in eval on fixed row blocks (``project``). Returns (y, cache);
         forward never mutates the layer, so frozen-parameter evaluation can run concurrently."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -205,9 +211,10 @@ class LstmEncoder:
         if rng is not None:
             he_normal_init(self.weight, input_dim + hidden_dim, rng)
 
-    def encode(self, xs: np.ndarray, batch_sizes=None):
+    def encode(self, xs: np.ndarray, batch_sizes=None, train: bool = True):
         """Packed rows xs [S, input_dim] -> (h [N, hidden_dim] in packed order, cache);
-        without ``batch_sizes``, xs is one sequence [T, input_dim] and h is [hidden_dim]."""
+        without ``batch_sizes``, xs is one sequence [T, input_dim] and h is [hidden_dim].
+        Its products run through ``project``, so in eval each h depends on its own rows alone."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim:
             raise ValueError(f"{self.weight.name}: expected [T, {self.input_dim}], got {xs.shape}")
@@ -218,17 +225,17 @@ class LstmEncoder:
             raise ValueError(f"{self.weight.name}: batch_sizes must be positive, "
                              f"non-increasing and sum to the {len(xs)} packed rows")
         E, L = self.input_dim, self.hidden_dim
-        W, Wh_T = self.weight.value, self.weight.value[:, E:].T
+        W = self.weight.value
         xh = np.empty((len(xs), E + L))  # [x_t | h_{t-1}] of every packed row
         xh[:, :E] = xs
-        gates = xs @ W[:, :E].T + self.bias.value
+        gates = project(xs, W[:, :E], train) + self.bias.value
         c_prev, tc = np.empty((2, len(xs), L))  # c_{t-1} and tanh(c_t) of every row
         h, c = np.zeros((2, sizes[0], L))  # a finished sequence keeps its last h
         for n, end in zip(sizes, accumulate(sizes)):
             r = slice(end - n, end)
             hn, cn, z = h[:n], c[:n], gates[r]  # views of the running rows
             xh[r, E:] = hn
-            z += hn @ Wh_T
+            z += project(hn, W[:, E:], train)
             z[:, : 3 * L] = _sigmoid(z[:, : 3 * L])
             np.tanh(z[:, 3 * L :], out=z[:, 3 * L :])
             c_prev[r] = cn

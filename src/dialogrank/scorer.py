@@ -13,9 +13,9 @@ and per distinct option before the weight-gradient products; the context one
 is added in row blocks of about ``nn.BLOCK`` elements, never as one array.
 
 Train mode norms over all rows of a call jointly. Eval mode norms with the
-running statistics and gives each row its own products (``nn.project``), so
-an eval score is bitwise independent of which candidates are scored with it
-(model.py has the BLAS measurements that make this necessary).
+running statistics and runs each product on fixed blocks of ``nn.ROWS`` rows
+(``nn.project``), so an eval score is bitwise independent of which candidates
+are scored with it (model.py has the BLAS measurements behind this rule).
 """
 
 from __future__ import annotations

@@ -341,6 +341,8 @@ def load_glove(path) -> GloveTable:
                 raise LoadError(f"word-vector file line {lineno}: {exc}") from exc
             if vec.size == 0:
                 raise LoadError(f"word-vector file line {lineno}: no components")
+            if not np.isfinite(vec).all():
+                raise LoadError(f"word-vector file line {lineno}: non-finite component")
             vectors[word] = vec
     if not vectors:
         raise LoadError("word-vector file holds no vectors")

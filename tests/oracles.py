@@ -268,3 +268,42 @@ def oracle_fused_mlp(mlp, ctx, opts, offsets, option_of_row, train, dscores=None
     dopts = np.zeros_like(opts)
     np.add.at(dopts, option_of_row, dx[:, split:])
     return scores, running, grads, dctx, dopts
+
+
+def oracle_project(x, weight):
+    """x @ weight.T with every row its own one-row product: the eval rule
+    before fixed row blocks."""
+    out = np.empty((len(x), weight.shape[0]))
+    for i in range(len(x)):
+        out[i : i + 1] = x[i : i + 1] @ weight.T
+    return out
+
+
+def oracle_score_example(model, ex):
+    """Eval scores of one round, one sequence per LSTM call (oracle_lstm_encode)
+    and one row per product: query | image | caption | history slots (empty
+    pairs padding the missing rounds) form the context, and each fused row runs
+    through the MLP on its own (oracle_fused_mlp). Reads ``model`` and changes nothing."""
+    bank = model.bank
+
+    def encode(name, ids):
+        path = bank.paths[name]
+        return oracle_lstm_encode(path.lstm, path.embed.weight.value[:, list(ids)].T)[0]
+
+    blocks = [encode("query", list(ex.question_ids) + list(ex.query_answer_ids or []))]
+    if model.variant != "q":
+        blocks.append(ex.image_vec)
+    if model.variant == "qih":
+        blocks.append(encode("caption", ex.caption_ids))
+        pad = [bank.empty_id, bank.stop_id]
+        pairs = ex.history + [(pad, pad)] * (model.dims.history_slots - len(ex.history))
+        rows = np.array([np.concatenate([encode("history_q", q), encode("history_a", a)])
+                         for q, a in pairs])
+        lin, bn = bank.pair_combine, bank.pair_bn
+        z = oracle_project(rows, lin.weight.value) + lin.bias.value
+        xhat = (z - bn.running_mean) / np.sqrt(bn.running_var + bn.epsilon)
+        blocks.append(np.maximum(bn.gamma.value * xhat + bn.beta.value, 0.0).ravel())
+    ctx = np.concatenate(blocks)[None]
+    opts = np.array([encode("option", ids) for ids in ex.option_ids])
+    k = len(opts)
+    return oracle_fused_mlp(model.mlp, ctx, opts, [0, k], np.arange(k), train=False)[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bank_encode import encode_caption, encode_option, encode_query
 from dialogrank import nn
 from dialogrank.encoders import EncoderBank, ModelDims
 from dialogrank.model import (DialogScorer, full_model_gradcheck, random_example,
@@ -74,12 +75,12 @@ def test_one_round_models_need_no_history_block():
 def test_encode_query_visdial_rejects_answer_part(small_setup):
     _, vocab, bank = small_setup
     with pytest.raises(ValueError):
-        bank.encode_query(ids(vocab, "w1"), ids(vocab, "w2"))
+        encode_query(bank, ids(vocab, "w1"), ids(vocab, "w2"))
 
 
 def test_encode_query_stop_only_is_allowed(small_setup):
     _, vocab, bank = small_setup
-    vec, _ = bank.encode_query([vocab.stop_id])
+    vec, _ = encode_query(bank, [vocab.stop_id])
     assert vec.shape == (16,)
     assert np.all(np.isfinite(vec))
 
@@ -92,26 +93,26 @@ def test_encode_query_followup_consumes_both_parts():
     q = ids(vocab, "w1")
     a = ids(vocab, "w2")
     assert len(q) + len(a) == 4
-    vec, (ecache, lcache) = bank.encode_query(q, a)
+    vec, (ecache, lcache) = encode_query(bank, q, a)
     assert lcache[0].shape[0] == 4  # the LSTM saw exactly four tokens
     with pytest.raises(ValueError):
-        bank.encode_query(q, None)
+        encode_query(bank, q, None)
 
 
 def test_encode_query_order_sensitivity(small_setup):
     _, vocab, bank = small_setup
-    a, _ = bank.encode_query(ids(vocab, "w1", "w2", "w3"))
-    b, _ = bank.encode_query(ids(vocab, "w3", "w2", "w1"))
+    a, _ = encode_query(bank, ids(vocab, "w1", "w2", "w3"))
+    b, _ = encode_query(bank, ids(vocab, "w3", "w2", "w1"))
     assert not np.allclose(a, b)
 
 
 def test_encode_option_shapes_and_determinism(small_setup):
     dims, vocab, bank = small_setup
     seqs = [ids(vocab, f"w{i % 5}") for i in range(100)]
-    vecs = np.stack([bank.encode_option(s)[0] for s in seqs])
+    vecs = np.stack([encode_option(bank, s)[0] for s in seqs])
     assert vecs.shape == (100, dims.option_hidden)
-    same_a, _ = bank.encode_option(ids(vocab, "w2", "w3"))
-    same_b, _ = bank.encode_option(ids(vocab, "w2", "w3"))
+    same_a, _ = encode_option(bank, ids(vocab, "w2", "w3"))
+    same_b, _ = encode_option(bank, ids(vocab, "w2", "w3"))
     assert np.array_equal(same_a, same_b)
 
 
@@ -127,7 +128,7 @@ def test_caption_truncation_matches_config():
     words = [f"w{i % 40}" for i in range(45)]
     seq = encode_truncate(words, vocab, dims.max_caption_words)
     assert len(seq) == 41  # first 40 words + stop
-    vec, _ = bank.encode_caption(seq)
+    vec, _ = encode_caption(bank, seq)
     assert vec.shape == (4,)
 
 
@@ -220,12 +221,12 @@ def test_shared_table_feeds_all_paths(small_setup):
     dims, vocab, bank = small_setup
     wid = vocab.encode_word("w1")
     seq = [wid, vocab.stop_id]
-    before_q, _ = bank.encode_query(seq)
-    before_o, _ = bank.encode_option(seq)
+    before_q, _ = encode_query(bank, seq)
+    before_o, _ = encode_option(bank, seq)
     before_h = history_vec(bank, [(seq, seq)])
     bank.paths["query"].embed.weight.value[:, wid] += 0.5
-    after_q, _ = bank.encode_query(seq)
-    after_o, _ = bank.encode_option(seq)
+    after_q, _ = encode_query(bank, seq)
+    after_o, _ = encode_option(bank, seq)
     after_h = history_vec(bank, [(seq, seq)])
     bank.paths["query"].embed.weight.value[:, wid] -= 0.5
     assert not np.allclose(before_q, after_q)
@@ -250,9 +251,9 @@ def test_option_embeddings_at_default_scale():
     bank = EncoderBank(dims, vocab, task="visdial", variant="q",
                        shared_embeddings=True, rng=np.random.default_rng(0))
     seqs = [[vocab.encode_word(f"w{i}"), vocab.stop_id] for i in range(3)]
-    vecs = [bank.encode_option(s)[0] for s in seqs]
+    vecs = [encode_option(bank, s)[0] for s in seqs]
     assert all(v.shape == (512,) for v in vecs)
-    query, _ = bank.encode_query(seqs[0])
+    query, _ = encode_query(bank, seqs[0])
     assert query.shape == (512,)
 
 
@@ -270,7 +271,7 @@ def test_text_path_packed_call_matches_one_call_per_sequence(small_setup):
     for p in params:
         p.zero_grad()
     for seq, vec, dvec in zip(seqs, vecs, dvecs):
-        want, one_cache = bank.encode_option(seq)
+        want, one_cache = encode_option(bank, seq)
         assert np.abs(vec - want).max() <= 1e-12 * np.abs(want).max()
         path.backward(one_cache, dvec[None])
     for got, p in zip(packed_grads, params):

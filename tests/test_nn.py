@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dialogrank import nn
+from dialogrank.encoders import ModelDims
+from dialogrank.model import reduced_check_dims
 from oracles import (oracle_adam_step, oracle_adam_step_in_place, oracle_lstm_backward,
                      oracle_lstm_encode)
 
@@ -238,8 +240,10 @@ PACKED_LENGTHS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PACKED_LENGTHS))
-def test_packed_lstm_matches_per_sequence_oracle(case):
+@pytest.mark.parametrize("case, train", [
+    pytest.param(case, train, id=case if train else f"{case}-eval")
+    for train in (True, False) for case in sorted(PACKED_LENGTHS)])
+def test_packed_lstm_matches_per_sequence_oracle(case, train):
     rng = np.random.default_rng(len(case))
     enc = nn.LstmEncoder(8, 16, rng=rng)
     seqs = [rng.normal(size=(n, 8)) for n in PACKED_LENGTHS[case]]
@@ -249,8 +253,14 @@ def test_packed_lstm_matches_per_sequence_oracle(case):
     dh = rng.normal(size=(len(seqs), 16))
     xs, batch_sizes, order = pack(seqs)
 
-    h, cache = enc.encode(xs, batch_sizes)
+    h, cache = enc.encode(xs, batch_sizes, train)
     assert h.shape == (len(seqs), 16)
+    if not train:  # fixed row blocks: close to the oracle, bitwise free of the co-batch
+        for j, i in enumerate(order):
+            assert close(h[j], oracle_lstm_encode(enc, seqs[i])[0])
+            alone, _ = enc.encode(seqs[i], [1] * len(seqs[i]), train=False)
+            assert np.array_equal(h[j], alone[0])
+        return
     dxs = unpack(enc.backward(cache, dh[order]), batch_sizes, order)
     dW, db = enc.weight.grad.copy(), enc.bias.grad.copy()
     enc.weight.zero_grad()
@@ -269,6 +279,60 @@ def test_packed_lstm_rejects_bad_batch_sizes():
     for sizes in ([2, 2], [2, 3], [3, 2, 0], [1, 2, 2]):
         with pytest.raises(ValueError, match="batch_sizes"):
             enc.encode(xs, sizes)
+
+
+# ---------------------------------------------------------------------------
+# Eval products on fixed row blocks
+# ---------------------------------------------------------------------------
+
+
+def eval_product_views(dims):
+    """name -> (weight shape, column slice) of every eval product of a qih model
+    with MLP depth 2. The mlp.h0 context and option terms and the LSTM input and
+    hidden terms multiply strided column views of one weight, as the model does."""
+    fused = dims.fused_dim("qih")
+    split, E = fused - dims.option_hidden, dims.embed_dim
+    views = {
+        "mlp.h0.context": ((fused // 2, fused), slice(0, split)),
+        "mlp.h0.option": ((fused // 2, fused), slice(split, None)),
+        "mlp.h1": ((fused // 4, fused // 2), slice(None)),
+        "mlp.out": ((1, fused // 4), slice(None)),
+        "history.combine": ((dims.history_pair_dim,
+                             dims.history_q_hidden + dims.history_a_hidden), slice(None)),
+    }
+    for L in (dims.query_hidden, dims.option_hidden, dims.caption_hidden,
+              dims.history_q_hidden, dims.history_a_hidden):
+        views[f"lstm{L}.input"] = ((4 * L, E + L), slice(0, E))
+        views[f"lstm{L}.hidden"] = ((4 * L, E + L), slice(E, None))
+    return views
+
+
+BLOCK_DIMS = {"reduced": reduced_check_dims(), "paper": ModelDims()}
+BLOCK_CASES = [(d, name) for d in BLOCK_DIMS for name in eval_product_views(BLOCK_DIMS[d])]
+
+
+@pytest.mark.parametrize("dims_name, view", BLOCK_CASES,
+                         ids=[f"{d}-{name}" for d, name in BLOCK_CASES])
+def test_block_property(dims_name, view):
+    # nn.project's eval rule rests on this BLAS property: row i of a product
+    # with ROWS rows is bitwise the same whatever its position, its block-mates
+    # and any zero padding. A BLAS that breaks it must fail here, by name.
+    shape, cols = eval_product_views(BLOCK_DIMS[dims_name])[view]
+    rng = np.random.default_rng(0)
+    W = rng.normal(size=shape)[:, cols]
+    R = nn.ROWS
+    x = rng.normal(size=(R, W.shape[1]))
+    want = x @ W.T
+    for _ in range(20):  # positions
+        perm = rng.permutation(R)
+        assert np.array_equal(x[perm] @ W.T, want[perm]), "position"
+    for _ in range(20):  # block-mates: half the rows kept, at random positions
+        kept, pos = rng.choice(R, R // 2, replace=False), rng.choice(R, R // 2, replace=False)
+        block = rng.normal(size=x.shape)
+        block[pos] = x[kept]
+        assert np.array_equal((block @ W.T)[pos], want[kept]), "block-mates"
+    for n in range(1, R + 1):  # zero padding, as nn.project pads
+        assert np.array_equal(nn.project(x[:n], W, train=False), want[:n]), "padding"
 
 
 # ---------------------------------------------------------------------------

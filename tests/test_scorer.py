@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bank_encode import encode_caption, encode_option, encode_query
 from dialogrank import nn
 from dialogrank.encoders import ModelDims
 from dialogrank.model import DialogScorer, random_example, reduced_check_dims, synthetic_vocab
 from dialogrank.scorer import FusionMlp
-from oracles import oracle_fused_mlp
+from oracles import oracle_fused_mlp, oracle_score_example
 
 
 def test_mlp_hidden_sizes_at_defaults():
@@ -35,23 +36,23 @@ def test_assemble_order_and_masking():
     ex = random_example(vocab, dims, np.random.default_rng(8), k_options=3, n_history=1)
     for variant in ("q", "qi", "qih"):
         model = DialogScorer(dims, vocab, variant=variant, init_seed=2)
-        blocks = [model.bank.encode_query(ex.question_ids)[0]]
+        blocks = [encode_query(model.bank, ex.question_ids)[0]]
         if variant != "q":
             blocks.append(ex.image_vec)
         if variant == "qih":
-            blocks.append(model.bank.encode_caption(ex.caption_ids)[0])
+            blocks.append(encode_caption(model.bank, ex.caption_ids)[0])
             blocks.append(model.bank.encode_histories([ex.history], train=False)[0][0])
         ctx = np.concatenate(blocks)[None]
-        opts = np.stack([model.bank.encode_option(ids)[0] for ids in ex.option_ids])
+        opts = np.stack([encode_option(model.bank, ids)[0] for ids in ex.option_ids])
         width = ctx.shape[1] + opts.shape[1]
         assert width == dims.fused_dim(variant) == model.mlp.hidden[0].weight.shape[1]
         want = oracle_fused_mlp(model.mlp, ctx, opts, [0, 3], np.arange(3), train=False)[0]
         assert close(model.score_example(ex).scores, want)
 
 
-def seeded_norms(mlp, rng):
+def seeded_norms(norms, rng):
     """Non-trivial running statistics and affine parameters for every norm."""
-    for bn in mlp.norms:
+    for bn in norms:
         bn.running_mean[:] = rng.normal(size=bn.dim)
         bn.running_var[:] = rng.uniform(0.5, 2.0, size=bn.dim)
         bn.gamma.value[:] = rng.uniform(0.5, 1.5, size=bn.dim)
@@ -66,7 +67,7 @@ def test_late_fusion_matches_fused_row_oracle(variant, depth):
                          init_seed=3)
     mlp = model.mlp
     rng = np.random.default_rng([5, depth])
-    seeded_norms(mlp, rng)
+    seeded_norms(mlp.norms, rng)
     offsets = np.array([0, 4, 7, 12])  # B=3; options repeat within and across examples
     option_of_row = np.array([0, 1, 0, 2, 2, 3, 1, 4, 0, 4, 5, 3])
     ctx = rng.normal(size=(3, mlp.input_dim - dims.option_hidden))
@@ -191,6 +192,22 @@ def test_eval_scores_independent_of_cobatched_options(size):
     for start in range(len(ex.option_ids) - size + 1):
         subset = model.score_example(with_options(ex, ex.option_ids[start : start + size]))
         assert np.array_equal(subset.scores, full[start : start + size])  # bitwise
+
+
+@pytest.mark.parametrize("k", [1, 2, 17, 100])
+@pytest.mark.parametrize("variant", ["q", "qi", "qih"])
+def test_score_example_matches_one_row_oracle(variant, k):
+    # fixed row blocks against one sequence per LSTM call and one row per
+    # product; not bitwise, since a one-row product is another BLAS path
+    dims = reduced_check_dims()
+    vocab = synthetic_vocab(40)
+    model = DialogScorer(dims, vocab, task="visdial-q", variant=variant, init_seed=4)
+    rng = np.random.default_rng([k, len(variant)])
+    seeded_norms(model.mlp.norms + [model.bank.pair_bn] * (variant == "qih"), rng)
+    for n_history in (0, 1, dims.history_slots):
+        ex = random_example(vocab, dims, rng, k_options=k, task="visdial-q",
+                            n_history=n_history)
+        assert close(model.score_example(ex).scores, oracle_score_example(model, ex))
 
 
 def test_eval_handles_any_option_count():

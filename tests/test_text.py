@@ -270,6 +270,14 @@ def test_glove_non_utf8_raises_load_error_naming_the_line(tmp_path):
         text.load_glove(path)
 
 
+@pytest.mark.parametrize("line", ["cat nan 1.0", "cat 1e999 2.0", "cat 1.0 -inf"])
+def test_glove_non_finite_raises_load_error_naming_the_line(tmp_path, line):
+    path = tmp_path / "glove.txt"
+    path.write_text("dog 3.0 4.0\n" + line + "\n")
+    with pytest.raises(text.LoadError, match="line 2: non-finite"):
+        text.load_glove(path)
+
+
 def corrupt(data: bytes, edits) -> bytes:
     for kind, pos, payload in edits:
         if kind == "truncate":
@@ -301,6 +309,8 @@ def test_corrupt_files_load_or_raise_load_error(tmp_path_factory, fmt, edits):
     load = write_valid(fmt, path)
     path.write_bytes(corrupt(path.read_bytes(), edits))
     try:
-        load(path)
+        loaded = load(path)
     except text.LoadError:
-        pass
+        return
+    if fmt == "glove":  # every table that loads holds finite vectors only
+        assert all(np.isfinite(loaded.get(w)).all() for w in loaded._vectors)
