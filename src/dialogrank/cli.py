@@ -232,11 +232,10 @@ def cmd_unroll(args) -> int:
     features = load_features(args.features)
     spec = PoolSpec(n_neighbor_images=args.neighbors, pool_size=args.pool_size,
                     top_m=args.top_m, seed=args.seed)
-    by_image = {r.image_id: r for r in dataset.records}
     if args.image_id is not None:
-        if args.image_id not in by_image:
+        if args.image_id not in dataset.by_image:
             raise LoadError(f"image {args.image_id}: not in the dataset")
-        record = by_image[args.image_id]
+        record = dataset.by_image[args.image_id]
     else:
         record = dataset.records[0]
     history = [

@@ -107,37 +107,87 @@ class CorpusKeys:
     """Precomputed QA keys for every round of every dialog."""
 
     def __init__(self, dataset: DialogDataset, glove: GloveTable):
-        self.entries: list[QaKey] = []
+        entries = []
         for record in dataset.records:
             for t, rnd in enumerate(record.rounds, start=1):
                 followup = (record.rounds[t].question
                             if t < ROUNDS_PER_DIALOG else None)
-                self.entries.append(QaKey(
+                entries.append(QaKey(
                     image_id=record.image_id,
                     round_no=t,
                     key=qa_pair_key(dataset.questions[rnd.question],
                                     dataset.answers[rnd.answer], glove),
                     followup_question=followup,
                 ))
+        self._index(entries)
+
+    @classmethod
+    def from_entries(cls, entries: list[QaKey]) -> "CorpusKeys":
+        """Index ready-made entries (at least one) without building keys."""
+        keys = cls.__new__(cls)
+        keys._index(entries)
+        return keys
+
+    def _index(self, entries: list[QaKey]) -> None:
+        self.entries = entries
         self._matrix = np.stack([e.key for e in self.entries])
         self._image_ids = np.array([e.image_id for e in self.entries])
         self._round_nos = np.array([e.round_no for e in self.entries])
+        self._has_followup = self._round_nos < ROUNDS_PER_DIALOG
+        self._sq_norms = np.einsum("ij,ij->i", self._matrix, self._matrix)
+        self._max_norm = float(np.sqrt(self._sq_norms.max()))
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
+# Squared distances below this scale may lose their relative accuracy to
+# underflow: each product under 2**-1022 is off by at most 2**-1075.
+_UNDERFLOW = 2.0 ** -1000
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def find_plausible(query_key: np.ndarray, query_image_id: int, corpus: CorpusKeys,
                    k: int = N_PLAUSIBLE) -> list[QaKey]:
     """The k nearest usable QA pairs: not from the query's image, not a
-    dialog's last round. Distance ties break by (image_id, round)."""
-    usable = (corpus._image_ids != query_image_id) & (corpus._round_nos < ROUNDS_PER_DIALOG)
-    idx = np.flatnonzero(usable)
-    if idx.size == 0:
+    dialog's last round. Distance ties break by (image_id, round).
+
+    The distance is ``np.linalg.norm(K[rows] - q, axis=1)`` over the key
+    matrix K. Finding the k nearest takes two stages:
+    - prefilter: squared distances ``|k|**2 - 2 K @ q + |q|**2`` for every
+      row, one matrix-vector product with no copy of K;
+    - exact re-rank: the usable rows within 2 err of the k-th smallest
+      prefilter value are re-ranked with the distance formula and the
+      (dist, image_id, round) tie-break.
+
+    Here err = 8 D eps (max|k| + |q|)**2 + D * 2**-1000 for key dimension D.
+    Each of |k|**2, k . q and |q|**2 is a sum of D products, so in any
+    summation order (BLAS blocking, threads, FMA) its error is at most
+    gamma_D = D eps / 2 times (max|k| + |q|)**2. The re-ranked squared
+    distance has an error of the same size. So the prefilter and the re-rank
+    agree to within delta = (D + 3) eps (max|k| + |q|)**2 <= err. The k-th
+    re-ranked squared distance is then at most the k-th prefilter value plus
+    delta, so every answer row has a prefilter value within 2 delta of the
+    k-th one; err leaves room for the rounding of the square root. The result
+    is the same list as a copy-then-norm scan of every usable row."""
+    usable = corpus._has_followup & (corpus._image_ids != query_image_id)
+    n_usable = int(np.count_nonzero(usable))
+    if n_usable == 0:
         return []
-    dists = np.linalg.norm(corpus._matrix[idx] - query_key, axis=1)
-    order = np.lexsort((corpus._round_nos[idx], corpus._image_ids[idx], dists))
-    return [corpus.entries[idx[i]] for i in order[:k]]
+    if 0 < k < n_usable:
+        approx = corpus._sq_norms - 2.0 * (corpus._matrix @ query_key)
+        approx += float(query_key @ query_key)
+        approx[~usable] = np.inf
+        kth = np.partition(approx, k - 1)[k - 1]
+        dim = corpus._matrix.shape[1]
+        q_norm = float(np.linalg.norm(query_key))
+        err = 8.0 * dim * _EPS * (corpus._max_norm + q_norm) ** 2 + dim * _UNDERFLOW
+        short = np.flatnonzero(approx <= kth + 2.0 * err)
+    else:
+        short = np.flatnonzero(usable)
+    dists = np.linalg.norm(corpus._matrix[short] - query_key, axis=1)
+    order = np.lexsort((corpus._round_nos[short], corpus._image_ids[short], dists))
+    return [corpus.entries[short[i]] for i in order[:k]]
 
 
 def compute_popular(dataset: DialogDataset, m: int = N_POPULAR) -> list[int]:

@@ -9,11 +9,11 @@ All loaded stores are immutable after load and safe for concurrent reads.
 from __future__ import annotations
 
 import json
-import os
 import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -160,6 +160,23 @@ class DialogDataset:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @cached_property
+    def by_image(self) -> dict[int, DialogRecord]:
+        """image_id -> record, built on first use."""
+        return {r.image_id: r for r in self.records}
+
+    @cached_property
+    def distinct_questions(self) -> tuple[list[str], frozenset[str]]:
+        """The question pool's distinct strings, sorted, and as a set."""
+        members = frozenset(self.questions)
+        return sorted(members), members
+
+    @cached_property
+    def distinct_answers(self) -> tuple[list[str], frozenset[str]]:
+        """The answer pool's distinct strings, sorted, and as a set."""
+        members = frozenset(self.answers)
+        return sorted(members), members
 
 
 def _require(cond: bool, message: str) -> None:
@@ -362,7 +379,11 @@ FEATURE_MAGIC = b"IMGF"
 
 
 class ImageFeatureStore:
-    """image_id -> unit-l2-norm feature vector."""
+    """image_id -> unit-l2-norm feature vector.
+
+    The vectors are one read-only, id-ordered ``[N, d]`` float64 matrix with an
+    id array and an id -> row map; ``get`` returns a row view of that matrix,
+    so the store never holds a second copy of the features."""
 
     def __init__(self, features: dict[int, np.ndarray]):
         if not features:
@@ -370,55 +391,97 @@ class ImageFeatureStore:
         dims = {v.shape for v in features.values()}
         if len(dims) != 1:
             raise ValueError(f"feature vectors disagree on dimension: {sorted(dims)}")
-        self.dim = next(iter(dims))[0]
-        self._features = {}
-        for image_id, vec in features.items():
-            vec = np.ascontiguousarray(vec, dtype=np.float64)
-            norm = float(np.linalg.norm(vec))
-            if not np.isfinite(norm) or norm == 0.0:
-                raise LoadError(f"image {image_id}: feature vector has zero or non-finite norm")
-            self._features[image_id] = vec / norm
+        ids = np.fromiter(features, dtype=np.int64, count=len(features))
+        self._index(ids, np.stack([np.asarray(v, dtype=np.float64)
+                                   for v in features.values()]))
+
+    @classmethod
+    def from_rows(cls, ids: np.ndarray, matrix: np.ndarray) -> "ImageFeatureStore":
+        """Store over unique ``ids`` [N] and raw float64 rows ``matrix`` [N, d],
+        which it takes over: rows are normalized in place."""
+        store = cls.__new__(cls)
+        store._index(ids, matrix)
+        return store
+
+    def _index(self, ids: np.ndarray, matrix: np.ndarray) -> None:
+        # one per-vector norm per row, as np.linalg.norm(vec), so every stored
+        # vector is bitwise the same as normalizing that vector alone
+        norms = np.array([np.linalg.norm(row) for row in matrix])
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+        if bad.size:
+            raise LoadError(f"image {int(ids[bad[0]])}: feature vector has zero or "
+                            "non-finite norm")
+        matrix /= norms[:, None]
+        if np.any(ids[1:] < ids[:-1]):
+            order = np.argsort(ids, kind="stable")
+            ids, matrix = ids[order], matrix[order]
+        matrix.flags.writeable = False
+        ids.flags.writeable = False
+        self.dim = matrix.shape[1]
+        self._matrix = matrix
+        self._ids = ids
+        self._row = {image_id: row for row, image_id in enumerate(ids.tolist())}
+        # one view per row, made once: get() allocates nothing, so callers that
+        # keep a vector per example (examples_from_dataset) hold no extra objects
+        self._vectors = list(matrix)
+        self._nearest: dict[tuple[int, int], tuple[int, ...]] = {}  # unroll.nearest_images
 
     def __len__(self) -> int:
-        return len(self._features)
+        return len(self._ids)
 
     def __contains__(self, image_id: int) -> bool:
-        return image_id in self._features
+        return image_id in self._row
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """All vectors, one read-only row per id in ``ids()`` order."""
+        return self._matrix
+
+    @property
+    def id_array(self) -> np.ndarray:
+        """The ids as a read-only int64 array, ascending, in matrix row order."""
+        return self._ids
 
     def ids(self) -> list[int]:
-        return sorted(self._features)
+        return self._ids.tolist()
 
-    def get(self, image_id: int) -> np.ndarray:
+    def row_of(self, image_id: int) -> int:
         try:
-            return self._features[image_id]
+            return self._row[image_id]
         except KeyError:
             raise LoadError(f"image {image_id}: no feature vector in store") from None
 
+    def get(self, image_id: int) -> np.ndarray:
+        return self._vectors[self.row_of(image_id)]
+
 
 def load_features(path) -> ImageFeatureStore:
+    """Read a feature file in one pass (so pipes work), check its length
+    against the header, and parse the rows straight into the store's matrix."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != FEATURE_MAGIC:
-            raise LoadError(f"feature file magic mismatch: {magic!r}")
-        header = f.read(8)
-        if len(header) != 8:
-            raise LoadError("feature file header truncated")
-        count, dim = struct.unpack("<II", header)
-        _require(count > 0, "feature file holds no vectors")
-        row_bytes = 8 + 4 * dim
-        rows_in_file = (os.fstat(f.fileno()).st_size - f.tell()) // row_bytes  # before any read
-        _require(rows_in_file >= count, f"feature row {rows_in_file}: truncated")
-        features: dict[int, np.ndarray] = {}
-        for i in range(count):
-            row = f.read(row_bytes)
-            (image_id,) = struct.unpack("<q", row[:8])
-            vec = np.frombuffer(row[8:], dtype="<f4").astype(np.float64)
-            if image_id in features:
-                raise LoadError(f"feature row {i}: duplicate image_id {image_id}")
-            features[image_id] = vec
-        if f.read(1):
-            raise LoadError("feature file has trailing bytes")
-    return ImageFeatureStore(features)
+        data = f.read()
+    magic = data[:4]
+    if magic != FEATURE_MAGIC:
+        raise LoadError(f"feature file magic mismatch: {magic!r}")
+    if len(data) < 12:
+        raise LoadError("feature file header truncated")
+    count, dim = struct.unpack_from("<II", data, 4)
+    _require(count > 0, "feature file holds no vectors")
+    row_bytes = 8 + 4 * dim
+    rows_in_file = (len(data) - 12) // row_bytes
+    _require(rows_in_file >= count, f"feature row {rows_in_file}: truncated")
+    _require(len(data) == 12 + count * row_bytes, "feature file has trailing bytes")
+    rows = np.frombuffer(data, dtype=[("id", "<i8"), ("vec", "<f4", (dim,))],
+                         count=count, offset=12)
+    ids = rows["id"].astype(np.int64)
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]  # later rows of an id
+    if repeats.size:
+        i = int(repeats.min())
+        raise LoadError(f"feature row {i}: duplicate image_id {int(ids[i])}")
+    matrix = rows["vec"].astype(np.float64)
+    del rows, data
+    return ImageFeatureStore.from_rows(ids, matrix)
 
 
 def write_features(path, features: dict[int, np.ndarray]) -> None:

@@ -10,6 +10,15 @@ the top-10 ranked candidates for diversity; the answer step takes the argmax.
 Every draw is seeded from (seed, image_id, round counter), so a transcript is
 a pure function of (seed, checkpoints, dataset, features), and each round's
 pools and scores are recorded for audit and replay.
+
+The corpus is indexed once. The feature store is one [N, d] matrix, and the
+neighbour list of an image is memoised on it, since it depends only on the
+image. The dataset builds ``by_image`` and its sorted distinct pools on first
+use. ``nearest_images`` scans the matrix with one vectorised norm, keeps the
+rows within the n-th scanned distance times (1 + 4 d eps), and re-ranks those
+with the per-vector norm and the id tie-break. That margin covers the
+scan's different summation order (derived in its docstring), so transcripts
+are the same bytes as with a per-vector scan of every image.
 """
 
 from __future__ import annotations
@@ -86,15 +95,59 @@ class Transcript:
         return dataset_json_bytes(self.to_payload())
 
 
+# Distances below this scale may lose their relative accuracy to underflow:
+# every square under 2**-1022 carries an absolute error of at most 2**-1075,
+# so d of them move a squared distance by far less than d * _UNDERFLOW.
+_UNDERFLOW = 2.0 ** -1000
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def nearest_images(features: ImageFeatureStore, image_id: int, n: int) -> list[int]:
-    """The n closest other images by l2 distance; ties break by id."""
-    query = features.get(image_id)
-    others = np.array([i for i in features.ids() if i != image_id])
-    if others.size == 0:
-        return []
-    dists = np.array([np.linalg.norm(features.get(int(i)) - query) for i in others])
-    order = np.lexsort((others, dists))
-    return [int(others[i]) for i in order[:n]]
+    """The n closest other images by l2 distance; ties break by id.
+
+    The distance is the per-vector ``np.linalg.norm(v - q)``. Finding the
+    neighbours takes two stages:
+    - prefilter: one vectorised scan ``np.linalg.norm(M - q, axis=1)`` over
+      the store's matrix;
+    - exact re-rank: the rows within the n-th scanned distance times
+      (1 + 4 d eps), plus a floor of sqrt(d * 2**-1000) for distances that
+      underflow, are re-ranked with the per-vector formula.
+
+    Both stages subtract the same floats. They differ only in the order in
+    which they sum the d non-negative squares, so each is within a factor
+    rho = 1 + (d + 2) eps / 2 of the other. Hence the n-th per-vector
+    distance is at most rho times the n-th scanned one, and every answer row
+    scans within rho**2 < 1 + 4 d eps of it. The answer is therefore the same
+    list as a per-vector scan of every image.
+
+    Results are memoised per (image_id, n) on the immutable store; each call
+    returns a fresh list."""
+    memo = features._nearest
+    key = (image_id, n)
+    if key not in memo:
+        memo[key] = _nearest_uncached(features, image_id, n)
+    return list(memo[key])
+
+
+def _nearest_uncached(features: ImageFeatureStore, image_id: int, n: int) -> tuple[int, ...]:
+    row = features.row_of(image_id)
+    matrix = features.matrix
+    query = matrix[row]
+    scanned = np.linalg.norm(matrix - query, axis=1)
+    scanned[row] = np.inf
+    others = len(scanned) - 1
+    if others == 0:
+        return ()
+    if 0 < n < others:
+        nth = np.partition(scanned, n - 1)[n - 1]
+        bound = nth * (1.0 + 4.0 * features.dim * _EPS) + np.sqrt(features.dim * _UNDERFLOW)
+        short = np.flatnonzero(scanned <= bound)
+    else:
+        short = np.delete(np.arange(len(scanned)), row)
+    dists = np.array([np.linalg.norm(matrix[i] - query) for i in short])
+    ids = features.id_array[short]
+    order = np.lexsort((ids, dists))
+    return tuple(int(ids[i]) for i in order[:n])
 
 
 _KIND_CODE = {"question": 0, "answer": 1}
@@ -108,17 +161,27 @@ def build_pool(kind: str, state: DialogState, dataset: DialogDataset,
     uniform draws from the full corpus pool (or everything left, when the
     corpus cannot fill pool_size). The padding generator is seeded from
     (seed, image_id, round counter, 0 for question pools / 1 for answer
-    pools)."""
+    pools).
+
+    The dataset's ``by_image`` and sorted distinct pools are built once per
+    dataset. Padding counts what is left as the distinct pool size minus the
+    seen strings in it, and filters the sorted pool only when everything left
+    is taken."""
     if kind not in _KIND_CODE:
         raise ValueError(f"unknown pool kind {kind!r}")
-    pool_source = dataset.questions if kind == "question" else dataset.answers
-    excluded = {q for q, _ in state.history} if kind == "question" else set()
+    if kind == "question":
+        pool_source = dataset.questions
+        distinct, members = dataset.distinct_questions
+        excluded = {q for q, _ in state.history}
+    else:
+        pool_source = dataset.answers
+        distinct, members = dataset.distinct_answers
+        excluded = set()
 
-    by_image = {r.image_id: r for r in dataset.records}
     items: list[str] = []
     seen: set[str] = set(excluded)
     for img in nearest_images(features, state.image_id, spec.n_neighbor_images):
-        record = by_image.get(img)
+        record = dataset.by_image.get(img)
         if record is None:
             continue
         for rnd in record.rounds:
@@ -129,10 +192,10 @@ def build_pool(kind: str, state: DialogState, dataset: DialogDataset,
                 items.append(s)
     del items[spec.pool_size :]
     if len(items) < spec.pool_size:
-        available = sorted(set(pool_source) - seen)
+        n_available = len(distinct) - sum(1 for s in seen if s in members)
         needed = spec.pool_size - len(items)
-        if len(available) <= needed:
-            items.extend(available)
+        if n_available <= needed:
+            items.extend(s for s in distinct if s not in seen)
         else:
             rng = np.random.default_rng(
                 [spec.seed, state.image_id, state.round_counter, _KIND_CODE[kind]])

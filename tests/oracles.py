@@ -107,6 +107,33 @@ def oracle_candidate_set(payload, image_id, round_t, glove_dict, seed,
     return shuffled, gt
 
 
+def oracle_nearest_images(features, image_id, n):
+    """Per-vector scan of every other image: np.linalg.norm(v - q) each,
+    ties broken by id."""
+    query = features.get(image_id)
+    others = np.array([i for i in features.ids() if i != image_id])
+    if others.size == 0:
+        return []
+    dists = np.array([np.linalg.norm(features.get(int(i)) - query) for i in others])
+    order = np.lexsort((others, dists))
+    return [int(others[i]) for i in order[:n]]
+
+
+def oracle_find_plausible(query_key, query_image_id, corpus, k=50):
+    """Copy every usable key (other image, not round 10), take the row norms
+    of the copy minus the query, rank by (dist, image_id, round)."""
+    entries = corpus.entries
+    image_ids = np.array([e.image_id for e in entries])
+    round_nos = np.array([e.round_no for e in entries])
+    idx = np.flatnonzero((image_ids != query_image_id) & (round_nos < 10))
+    if idx.size == 0:
+        return []
+    matrix = np.stack([e.key for e in entries])
+    dists = np.linalg.norm(matrix[idx] - query_key, axis=1)
+    order = np.lexsort((round_nos[idx], image_ids[idx], dists))
+    return [entries[idx[i]] for i in order[:k]]
+
+
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 

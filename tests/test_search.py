@@ -1,0 +1,175 @@
+"""Exactness of the two corpus searches against their brute-force oracles.
+
+``nearest_images`` prefilters with one vectorised norm scan and
+``find_plausible`` with a matrix-vector product; both re-rank a short list
+with the exact formula. Each case here compares the result with a
+straight-line scan by list equality: ties at the cut (duplicated vectors and
+keys), every interesting n or k, large corpora, keys whose common offset makes
+the product cancel, and near-ties that the prefilter orders differently from
+the exact formula across the cut.
+"""
+
+import numpy as np
+import pytest
+
+from dialogrank.qdataset import CorpusKeys, QaKey, find_plausible
+from dialogrank.text import ImageFeatureStore
+from dialogrank.unroll import nearest_images
+from oracles import oracle_find_plausible, oracle_nearest_images
+
+
+def counts(usable, cut):
+    return (1, 10, usable - 1, usable, usable + 5) + cut
+
+
+def check_nearest(store, queries, cut=()):
+    usable = len(store) - 1
+    for image_id in queries:
+        for n in counts(usable, cut):
+            want = oracle_nearest_images(store, image_id, n)
+            assert nearest_images(store, image_id, n) == want, (image_id, n)
+            assert nearest_images(store, image_id, n) == want, (image_id, n)  # memoised
+
+
+def entry_ids(entries):
+    return [(e.image_id, e.round_no) for e in entries]
+
+
+def corpus_of(keys, rounds=10):
+    """One entry per key; rows fill dialogs of ``rounds`` rounds in order."""
+    return CorpusKeys.from_entries([
+        QaKey(image_id=i // rounds, round_no=i % rounds + 1, key=key,
+              followup_question=i if i % rounds + 1 < rounds else None)
+        for i, key in enumerate(keys)])
+
+
+def check_plausible(corpus, queries, cut=()):
+    for query_key, query_image in queries:
+        usable = sum(1 for e in corpus.entries
+                     if e.image_id != query_image and e.round_no < 10)
+        for k in counts(usable, cut):
+            want = oracle_find_plausible(query_key, query_image, corpus, k)
+            got = find_plausible(query_key, query_image, corpus, k)
+            assert entry_ids(got) == entry_ids(want), (query_image, k)
+
+
+# ---------------------------------------------------------------------------
+# nearest_images
+# ---------------------------------------------------------------------------
+
+
+def test_nearest_duplicated_vectors_break_ties_by_id():
+    rng = np.random.default_rng(3)
+    bases = rng.normal(size=(5, 6))
+    picks = rng.integers(0, 5, size=40)
+    ids = rng.permutation(1000)[:40].tolist()
+    store = ImageFeatureStore({i: bases[p] * (1 + j) for j, (i, p) in
+                               enumerate(zip(ids, picks))})
+    check_nearest(store, ids[:6])
+
+
+def test_nearest_seeded_5k_store():
+    rng = np.random.default_rng(5)
+    store = ImageFeatureStore({int(i): rng.normal(size=12)
+                               for i in rng.permutation(50_000)[:5000]})
+    check_nearest(store, store.ids()[::1250])
+
+
+def near_tie_store(d, seeds):
+    """The first seeded store where rows 1 and 2 = row 1 permuted are equally
+    far from the constant query 0 in exact arithmetic, and sit behind four
+    much nearer rows, yet the vectorised scan and the per-vector norm
+    disagree on which of the two is nearer. Also returns the per-vector
+    winner (ties go to the lower id)."""
+    for seed in seeds:
+        rng = np.random.default_rng([seed, d])
+        a = rng.normal(size=d)
+        perm = rng.permutation(d)
+        vectors = {0: np.ones(d), 1: a, 2: a[perm]}
+        for j in range(4):  # much nearer than the pair
+            vectors[10 + j] = np.ones(d) + 0.01 * rng.normal(size=d)
+        for j in range(6):  # much farther
+            vectors[20 + j] = -np.ones(d) + 0.1 * rng.normal(size=d)
+        store = ImageFeatureStore(vectors)
+        m = store.matrix
+        if not np.array_equal(m[2], m[1][perm]):
+            continue  # normalization rounded the two rows apart
+        scanned = np.linalg.norm(m - m[0], axis=1)
+        exact = [np.linalg.norm(m[i] - m[0]) for i in (1, 2)]
+        exact_first = 1 if exact[0] <= exact[1] else 2
+        if scanned[1] != scanned[2] and (1 if scanned[1] < scanned[2] else 2) != exact_first:
+            return store, exact_first
+    raise AssertionError("no near-tie found")
+
+
+def test_nearest_near_tie_across_the_cut():
+    store, exact_first = near_tie_store(12, range(2000))
+    # the pair straddles the cut at n = 5: the scan alone would keep the other row
+    assert oracle_nearest_images(store, 0, 5)[-1] == exact_first
+    check_nearest(store, [0, 1, 2], cut=(5,))
+
+
+# ---------------------------------------------------------------------------
+# find_plausible
+# ---------------------------------------------------------------------------
+
+
+def test_plausible_duplicated_keys_break_ties_by_image_and_round():
+    rng = np.random.default_rng(4)
+    bases = rng.normal(size=(4, 15))
+    keys = bases[rng.integers(0, 4, size=300)]
+    corpus = corpus_of(keys)
+    check_plausible(corpus, [(bases[0], 0), (bases[2], 17), (keys[45], 4),
+                             (bases[1] + 0.5, -1)])
+
+
+def test_plausible_seeded_random_keys():
+    rng = np.random.default_rng(8)
+    keys = rng.normal(size=(3000, 20))
+    corpus = corpus_of(keys)
+    check_plausible(corpus, [(keys[i], i // 10) for i in (0, 1234, 2999)]
+                    + [(rng.normal(size=20), -1)])
+
+
+@pytest.mark.parametrize("spread", [1.0, 1e-2, 1e-4])
+def test_plausible_keys_with_large_common_offset(spread):
+    # |k|**2 and 2 k . q are about 1e6 and cancel; the differences are tiny
+    rng = np.random.default_rng(11)
+    offset = rng.normal(size=15)
+    offset *= 1e3 / np.linalg.norm(offset)
+    keys = offset + spread * rng.normal(size=(1000, 15))
+    corpus = corpus_of(keys)
+    check_plausible(corpus, [(keys[i], i // 10) for i in (3, 555)]
+                    + [(offset + spread * rng.normal(size=15), -1)], cut=(50,))
+
+
+def near_tie_corpus(d, seeds):
+    """The first seeded corpus where the keys of images 1 and 2 at round 1,
+    a and a permuted, are equally far from the constant query in exact
+    arithmetic, and sit behind five much nearer keys of image 0, yet the
+    product-form squared distance over the whole key matrix and the re-rank
+    norm disagree on which of the two is nearer. Also returns the query and
+    the image of the re-rank winner (ties go to the lower image)."""
+    q = np.full(d, 0.75)
+    for seed in seeds:
+        rng = np.random.default_rng([seed, d])
+        a = rng.normal(size=d)
+        keys = np.concatenate([
+            q + 0.01 * rng.normal(size=(5, d)),  # image 0: five much nearer than the pair
+            q - 3.0 + rng.normal(size=(5, d)),  # and five far
+            a[None], q - 3.0 + rng.normal(size=(9, d)),  # image 1: a, then far
+            a[None, rng.permutation(d)], q + 3.0 + rng.normal(size=(9, d)),  # image 2
+        ])
+        product = np.einsum("ij,ij->i", keys, keys) - 2.0 * (keys @ q) + q @ q
+        exact = np.linalg.norm(keys - q, axis=1)
+        exact_first = 1 if exact[10] <= exact[20] else 2
+        if product[10] != product[20] and (1 if product[10] < product[20] else 2) != exact_first:
+            return corpus_of(keys), q, exact_first
+    raise AssertionError("no near-tie found")
+
+
+def test_plausible_near_tie_across_the_cut():
+    corpus, q, exact_first = near_tie_corpus(15, range(2000))
+    # the pair straddles the cut at k = 6: the product alone would keep the other key
+    assert oracle_find_plausible(q, -1, corpus, 6)[-1].image_id == exact_first
+    check_plausible(corpus, [(q, -1), (q, 0)], cut=(6,))

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -261,6 +263,75 @@ def test_features_header_larger_than_file_raises_before_reading(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(text.LoadError, match="feature row 0: truncated"):
         text.load_features(path)
+
+
+def test_features_are_one_read_only_matrix():
+    store = text.ImageFeatureStore({9: np.array([1.0, 1.0]), 5: np.array([2.0, 0.0])})
+    assert store.ids() == [5, 9]
+    assert np.array_equal(store.matrix, [store.get(5), store.get(9)])
+    assert np.shares_memory(store.get(9), store.matrix)
+    with pytest.raises(ValueError):
+        store.get(5)[0] = 1.0
+    with pytest.raises(ValueError):
+        store.matrix[1, 1] = 0.0
+    with pytest.raises(text.LoadError, match="image 7: no feature vector"):
+        store.get(7)
+
+
+def edit_features(path, pos, raw: bytes):
+    data = bytearray(path.read_bytes())
+    data[pos : pos + len(raw)] = raw
+    path.write_bytes(bytes(data))
+
+
+def test_feature_file_row_errors_name_the_row(tmp_path):
+    path = tmp_path / "feat.bin"
+    vectors = {5: np.ones(3), 9: np.ones(3), 11: np.ones(3)}
+    row_bytes = 8 + 4 * 3
+    text.write_features(path, vectors)
+    edit_features(path, 12 + 2 * row_bytes, (9).to_bytes(8, "little", signed=True))
+    with pytest.raises(text.LoadError, match="feature row 2: duplicate image_id 9"):
+        text.load_features(path)
+    text.write_features(path, vectors)
+    edit_features(path, 12 + row_bytes + 8 + 4, np.array([np.inf], "<f4").tobytes())
+    with pytest.raises(text.LoadError, match="image 9: feature vector has zero or non-finite"):
+        text.load_features(path)
+    text.write_features(path, vectors)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(text.LoadError, match="trailing bytes"):
+        text.load_features(path)
+    text.write_features(path, vectors)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(text.LoadError, match="feature row 2: truncated"):
+        text.load_features(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("cut", [0, 1])
+def test_features_read_through_a_pipe(tmp_path, cut):
+    # a pipe cannot seek or report its size; it loads, or fails with LoadError
+    path = tmp_path / "feat.bin"
+    text.write_features(path, {5: np.array([2.0, 0.5, 0.0]), 9: np.array([1.0, 1.0, 1.0])})
+    data = path.read_bytes()[: -cut or None]
+    fifo = tmp_path / "feat.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        if cut:
+            with pytest.raises(text.LoadError, match="feature row 1: truncated"):
+                text.load_features(fifo)
+        else:
+            store = text.load_features(fifo)
+            assert np.array_equal(store.matrix, text.load_features(path).matrix)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_glove_non_utf8_raises_load_error_naming_the_line(tmp_path):

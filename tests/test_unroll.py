@@ -6,6 +6,7 @@ from dialogrank.model import DialogScorer
 from dialogrank.text import ImageFeatureStore
 from dialogrank.unroll import (DialogState, PoolSpec, build_pool, nearest_images,
                                step, unroll, verify_transcript)
+from oracles import oracle_nearest_images
 from synth import load_payload, qbuilder_corpus
 
 
@@ -78,7 +79,7 @@ def oracle_pool(kind, state, dataset, features, spec):
     excluded = {q for q, _ in state.history} if kind == "question" else set()
     by_image = {r.image_id: r for r in dataset.records}
     items, seen = [], set(excluded)
-    for img in nearest_images(features, state.image_id, spec.n_neighbor_images):
+    for img in oracle_nearest_images(features, state.image_id, spec.n_neighbor_images):
         rec = by_image.get(img)
         if rec is None:
             continue
@@ -130,6 +131,32 @@ def test_pool_matches_independent_oracle(setup):
     for kind in ("question", "answer"):
         for pool_size in (25, 60):
             spec = PoolSpec(n_neighbor_images=4, pool_size=pool_size, top_m=5, seed=9)
+            assert build_pool(kind, state, dataset, features, spec) == \
+                oracle_pool(kind, state, dataset, features, spec)
+
+
+def test_nearest_returns_a_fresh_list(setup):
+    _, features, _, _ = setup
+    image_id = features.ids()[2]
+    first = nearest_images(features, image_id, 4)
+    want = list(first)
+    first[0] = -1
+    first.append(-2)
+    assert nearest_images(features, image_id, 4) == want
+
+
+def test_pool_matches_oracle_after_searches_for_other_images(setup):
+    dataset, features, _, _ = setup
+    record = dataset.records[7]
+    for image_id in features.ids():
+        if image_id != record.image_id:
+            for n in (1, 4, 11):
+                nearest_images(features, image_id, n)
+    state = DialogState(record.image_id, record.caption,
+                        [(dataset.questions[record.rounds[0].question], "yes")])
+    for kind in ("question", "answer"):
+        for n_images, pool_size in ((1, 8), (4, 25), (4, 60), (11, 5000)):
+            spec = PoolSpec(n_neighbor_images=n_images, pool_size=pool_size, top_m=5, seed=4)
             assert build_pool(kind, state, dataset, features, spec) == \
                 oracle_pool(kind, state, dataset, features, spec)
 
