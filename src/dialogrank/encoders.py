@@ -7,9 +7,11 @@ pair, so the history block has one fixed length per model regardless of how
 deep into the dialog the query sits.
 
 Each text path makes one packed LSTM call per forward, in train and eval alike
-(distinct options only). In eval the LSTM's products run on fixed blocks of
-``nn.ROWS`` rows (``nn.project``), so an encoding is bitwise free of the
-sequences packed with it (model.py has the measurement).
+(distinct options only). In eval the LSTM's products run on fixed row blocks
+(``nn.project``) of the path's height: one row for the query and caption paths,
+whose sequences are one per example, and ``nn.ROWS`` rows for the option and
+history paths, whose sequences come many per example. So an encoding is bitwise
+free of the sequences packed with it (model.py has the measurement).
 """
 
 from __future__ import annotations
@@ -75,11 +77,13 @@ class ModelDims:
 
 
 class TextPath:
-    """Embedding lookup -> LSTM; a sequence's final hidden state is its embedding."""
+    """Embedding lookup -> LSTM; a sequence's final hidden state is its embedding.
+    ``rows`` is the eval block height of the path's products (``nn.project``)."""
 
-    def __init__(self, embed: nn.Embedding, lstm: nn.LstmEncoder):
+    def __init__(self, embed: nn.Embedding, lstm: nn.LstmEncoder, rows: int):
         self.embed = embed
         self.lstm = lstm
+        self.rows = rows
 
     def encode(self, seqs, train: bool = True):
         """Embeddings [N, hidden] of N id sequences, in input order, from one
@@ -91,7 +95,7 @@ class TextPath:
         batch_sizes = [sum(n > t for n in lengths) for t in range(lengths[order[0]])]
         emb, ids = self.embed.lookup(
             [seqs[i][t] for t, n in enumerate(batch_sizes) for i in order[:n]])
-        h, lcache = self.lstm.encode(emb, batch_sizes, train)
+        h, lcache = self.lstm.encode(emb, batch_sizes, None if train else self.rows)
         vecs = np.empty_like(h)
         vecs[order] = h
         return vecs, (((ids, order), lcache) if train else None)
@@ -137,7 +141,8 @@ class EncoderBank:
             tables = [nn.Embedding(E, V, rng, name=f"embed.{n}") for n in names]
         self.paths = {
             n: TextPath(table, nn.LstmEncoder(E, getattr(dims, f"{n}_hidden"), rng,
-                                              name=f"lstm.{n}"))
+                                              name=f"lstm.{n}"),
+                        1 if n in ("query", "caption") else nn.ROWS)
             for n, table in zip(names, tables)
         }
         if variant == "qih":
@@ -177,10 +182,11 @@ class EncoderBank:
     def combine_pairs(self, rows: np.ndarray, train: bool, update_running: bool = True):
         """Pair-combine FC -> batch norm -> ReLU over a batch of pair rows.
 
-        Eval mode runs the product on fixed row blocks (``nn.project``), so a
-        row's output depends on that row alone, and returns no cache.
+        Eval mode runs the product on fixed blocks of ``nn.ROWS`` rows
+        (``nn.project``), so a row's output depends on that row alone, and
+        returns no cache.
         """
-        lin, lin_cache = self.pair_combine.forward(rows, train)
+        lin, lin_cache = self.pair_combine.forward(rows, None if train else nn.ROWS)
         normed, bn_cache = self.pair_bn.forward(lin, train=train, update_running=update_running)
         out, relu_cache = nn.relu(normed)
         return out, ((lin_cache, bn_cache, relu_cache) if train else None)

@@ -10,22 +10,32 @@ caption | history) and scores it against its options with the late-fusion MLP
 Train mode encodes each distinct option once (duplicates sum their gradients)
 and batch-norms across the step. Both modes make one packed LSTM call per text
 path. Eval mode uses the running statistics and runs every matrix product on
-fixed blocks of ``nn.ROWS`` = 16 rows, zero-padding the last (``nn.project``),
-so a candidate's score does not depend on which candidates are scored with it;
-the elementwise stages (bias, norm, ReLU, gates) are exactly rounded per
-element. The row count matters: on OpenBLAS 0.3.31 (Haswell kernels, numpy
-2.4.6, 2 CPUs) the rows of ``X @ W.T`` change in their last bits with the row
-count M of ``X`` even for M >= 2 (``[M, 1600] @ [1600, 1]``, the MLP output
-layer, at 71 of M = 2..99; ``[M, 256] @ [256, 128]``, the pair-combine layer,
-at every M <= 8). With M fixed, each row was bitwise the same whatever its
-position in the block and whatever its block-mates, for R = 8, 16, 32 and 64,
-20 permutations and 20 sets of random block-mates, on every eval product shape
-and with 1 and 2 BLAS threads; ``tests/test_nn.py::test_block_property``
-checks this at ``nn.ROWS``. Against one row per product and one sequence per
-LSTM call, paper-dims eval scores moved by at most 2.9e-15 relative to the
-largest, and a K=100 round took 0.25 s instead of 0.78 s. A BLAS that broke the
-property would need a reproducible summation order (Demmel & Nguyen, ARITH
-2013), not a looser test.
+fixed row blocks, zero-padding the last (``nn.project``), so a candidate's
+score does not depend on which candidates or examples are scored with it; the
+elementwise stages (bias, norm, ReLU, gates) are exactly rounded per element.
+The block height follows what the rows are, never how many there are:
+- one row per product for rows that are one per example: the query and
+  caption LSTMs and the ``mlp.h0`` context term (for ``score_example``, one
+  unpadded product each);
+- ``nn.ROWS`` = 100 rows for rows that come many per example: the option and
+  history LSTMs, ``history.combine``, the ``mlp.h0`` option term, ``mlp.h1``
+  and ``mlp.out``, so a round's 100 candidates fill one block and each weight
+  is packed once per round (OpenBLAS packs the whole weight on every GEMM call).
+The row count matters: on OpenBLAS 0.3.31 (Haswell kernels, numpy 2.4.6,
+2 CPUs) the rows of ``X @ W.T`` change in their last bits with the row count M
+of ``X`` even for M >= 2 (``[M, 1600] @ [1600, 1]``, the MLP output layer, at
+71 of M = 2..99; ``[M, 256] @ [256, 128]``, the pair-combine layer, at every
+M <= 8). With M fixed, each row was bitwise the same whatever its position in
+the block and whatever its block-mates, for M = 1, 8, 16, 32, 64, 100, 112 and
+128, 20 permutations and 20 sets of random block-mates, on every eval product
+shape and with 1 and 2 BLAS threads; ``tests/test_nn.py::test_block_property``
+checks this at every height the model runs each product at. Paper-dims K=100
+eval scores stay within 1.5e-15, relative to the largest, of one row per
+product and one sequence per LSTM call, and a round takes 0.113 s (2-CPU Xeon,
+one BLAS thread) against 0.229 s with every product on 16-row blocks. A height
+swept over 64, 100, 112 and 128 gave 8.7, 9.5, 8.6 and 8.4 rounds/s on the
+``eval-paper`` benchmark. A BLAS that broke the property would need a
+reproducible summation order (Demmel & Nguyen, ARITH 2013), not a looser test.
 """
 
 from __future__ import annotations
@@ -111,6 +121,7 @@ class DialogScorer:
         rng = np.random.default_rng(init_seed)
         self.bank = EncoderBank(dims, vocab, task, variant, shared_embeddings, rng)
         self.mlp = FusionMlp(dims.fused_dim(variant), mlp_depth, rng)
+        self._option_ids: dict[str, list[int]] = {}  # unroll._option_ids: string -> ids
 
     # -- registry ------------------------------------------------------------
 

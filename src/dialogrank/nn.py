@@ -10,9 +10,9 @@ The LSTM runs a packed, time-major batch (PyTorch's ``PackedSequence``):
 N sequences sorted longest first, ``batch_sizes[t]`` of them running at step
 t, rows ``xs`` [S, E] holding step 0 of each, then step 1, and so on. The
 input projection is one GEMM, each step one GEMM over its running rows (both
-on fixed row blocks in eval, ``project``), and backward ends with one
-weight-gradient GEMM. Gate order is input, forget, output, candidate; the
-forget-gate bias starts at 1.0, every other at 0.
+on fixed row blocks of the caller's height in eval, ``project``), and backward
+ends with one weight-gradient GEMM. Gate order is input, forget, output,
+candidate; the forget-gate bias starts at 1.0, every other at 0.
 
 Adam sweeps each parameter once, in cache-sized blocks of ``BLOCK`` elements
 with the grad zeroing folded in; per element it is bitwise the whole-array update.
@@ -87,7 +87,7 @@ class AdamConfig:
 
 
 BLOCK = 1 << 15  # elements per block of the blocked kernels: 256 KB of float64
-ROWS = 16  # rows per block of an eval product (``project``)
+ROWS = 100  # rows per eval block of candidate or history rows (``project``): one per round
 
 
 def adam_step(params, cfg: AdamConfig) -> None:
@@ -113,19 +113,23 @@ def adam_step(params, cfg: AdamConfig) -> None:
         p.step_count = t
 
 
-def project(x: np.ndarray, weight: np.ndarray, train: bool = True) -> np.ndarray:
-    """x @ weight.T. Eval (``train=False``) zero-pads x to whole blocks of ``ROWS``
-    rows and runs one ``[ROWS, in] @ [in, out]`` product per block: BLAS gives a row
-    of a fixed-shape product bitwise the same whatever its block-mates and position
-    (model.py), so each eval row depends on that row alone."""
-    if train:
+def project(x: np.ndarray, weight: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """x @ weight.T. ``rows=None`` (train) is one plain product. Eval passes the block
+    height: x is zero-padded to whole blocks of ``rows`` rows (copied only when it is
+    not already whole) and runs one ``[rows, in] @ [in, out]`` product per block. BLAS
+    gives a row of a fixed-shape product bitwise the same whatever its block-mates and
+    position (model.py), so each eval row depends on that row alone. The height is
+    chosen by what the rows are, never by how many: 1 for the rows that are one per
+    example, ``ROWS`` for the rest."""
+    if rows is None:
         return x @ weight.T
-    padded = np.zeros((-(-len(x) // ROWS) * ROWS, x.shape[1]))
-    padded[: len(x)] = x
-    out = np.empty((len(padded), weight.shape[0]))
-    for i in range(0, len(padded), ROWS):
-        out[i : i + ROWS] = padded[i : i + ROWS] @ weight.T
-    return out[: len(x)]
+    n = len(x)
+    if n % rows:
+        x = np.concatenate([x, np.zeros((rows - n % rows, x.shape[1]))])
+    out = np.empty((len(x), weight.shape[0]))
+    for i in range(0, len(x), rows):
+        np.matmul(x[i : i + rows], weight.T, out=out[i : i + rows])
+    return out[:n]
 
 
 class Linear:
@@ -139,15 +143,16 @@ class Linear:
         if rng is not None:
             he_normal_init(self.weight, in_dim, rng)
 
-    def forward(self, x: np.ndarray, train: bool = True):
-        """x: [B, in] -> [B, out], in eval on fixed row blocks (``project``). Returns (y, cache);
-        forward never mutates the layer, so frozen-parameter evaluation can run concurrently."""
+    def forward(self, x: np.ndarray, rows: int | None = None):
+        """x: [B, in] -> [B, out]; eval passes the block height ``rows`` (``project``).
+        Returns (y, cache); forward never mutates the layer, so frozen-parameter evaluation
+        can run concurrently."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(
                 f"{self.weight.name}: expected input [B, {self.in_dim}], got {x.shape}"
             )
-        y = project(x, self.weight.value, train) + self.bias.value
+        y = project(x, self.weight.value, rows) + self.bias.value
         return y, x
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
@@ -211,10 +216,11 @@ class LstmEncoder:
         if rng is not None:
             he_normal_init(self.weight, input_dim + hidden_dim, rng)
 
-    def encode(self, xs: np.ndarray, batch_sizes=None, train: bool = True):
+    def encode(self, xs: np.ndarray, batch_sizes=None, rows: int | None = None):
         """Packed rows xs [S, input_dim] -> (h [N, hidden_dim] in packed order, cache);
         without ``batch_sizes``, xs is one sequence [T, input_dim] and h is [hidden_dim].
-        Its products run through ``project``, so in eval each h depends on its own rows alone."""
+        Its products run through ``project`` at block height ``rows`` (None in train), so in
+        eval each h depends on its own rows alone."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim:
             raise ValueError(f"{self.weight.name}: expected [T, {self.input_dim}], got {xs.shape}")
@@ -228,14 +234,14 @@ class LstmEncoder:
         W = self.weight.value
         xh = np.empty((len(xs), E + L))  # [x_t | h_{t-1}] of every packed row
         xh[:, :E] = xs
-        gates = project(xs, W[:, :E], train) + self.bias.value
+        gates = project(xs, W[:, :E], rows) + self.bias.value
         c_prev, tc = np.empty((2, len(xs), L))  # c_{t-1} and tanh(c_t) of every row
         h, c = np.zeros((2, sizes[0], L))  # a finished sequence keeps its last h
         for n, end in zip(sizes, accumulate(sizes)):
             r = slice(end - n, end)
             hn, cn, z = h[:n], c[:n], gates[r]  # views of the running rows
             xh[r, E:] = hn
-            z += project(hn, W[:, E:], train)
+            z += project(hn, W[:, E:], rows)
             z[:, : 3 * L] = _sigmoid(z[:, : 3 * L])
             np.tanh(z[:, 3 * L :], out=z[:, 3 * L :])
             c_prev[r] = cn

@@ -13,9 +13,12 @@ and per distinct option before the weight-gradient products; the context one
 is added in row blocks of about ``nn.BLOCK`` elements, never as one array.
 
 Train mode norms over all rows of a call jointly. Eval mode norms with the
-running statistics and runs each product on fixed blocks of ``nn.ROWS`` rows
-(``nn.project``), so an eval score is bitwise independent of which candidates
-are scored with it (model.py has the BLAS measurements behind this rule).
+running statistics and runs each product on fixed row blocks (``nn.project``):
+the context term, one row per example, one row per product; the option term,
+the later layers and the output, whose rows are candidates, on blocks of
+``nn.ROWS`` rows, which hold a round's 100 candidates. So an eval score is
+bitwise independent of which candidates and examples are scored with it
+(model.py has the BLAS measurements behind this rule).
 """
 
 from __future__ import annotations
@@ -66,14 +69,16 @@ class FusionMlp:
         ``offsets[e] : offsets[e + 1]``, and the cache for backward (None in eval)."""
         h0, split = self.hidden[0], ctx.shape[1]
         W = h0.weight.value
-        z = nn.project(opts, W[:, split:], train)[option_of_row]
-        z += np.repeat(nn.project(ctx, W[:, :split], train), np.diff(offsets), axis=0)
+        rows = None if train else nn.ROWS
+        z = nn.project(opts, W[:, split:], rows)[option_of_row]
+        ctx_z = nn.project(ctx, W[:, :split], None if train else 1)  # a row per example
+        z += np.repeat(ctx_z, np.diff(offsets), axis=0)
         z += h0.bias.value
         caches = []
         for bn, lin in zip(self.norms, self.hidden[1:] + [self.out]):
             h, bn_cache = bn.forward(z, train=train, update_running=update_running)
             x, relu_cache = nn.relu(h)
-            z, lin_cache = lin.forward(x, train)
+            z, lin_cache = lin.forward(x, rows)
             caches.append((bn_cache, relu_cache, lin_cache))
         cache = (ctx, opts, offsets, option_of_row, caches) if train else None
         return z[:, 0], cache

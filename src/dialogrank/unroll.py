@@ -18,7 +18,8 @@ use. ``nearest_images`` scans the matrix with one vectorised norm, keeps the
 rows within the n-th scanned distance times (1 + 4 d eps), and re-ranks those
 with the per-vector norm and the id tie-break. That margin covers the
 scan's different summation order (derived in its docstring), so transcripts
-are the same bytes as with a per-vector scan of every image.
+are the same bytes as with a per-vector scan of every image. Pool strings
+recur round after round, so each is tokenized once per model (``_option_ids``).
 """
 
 from __future__ import annotations
@@ -213,6 +214,21 @@ def _encode_pair(model: DialogScorer, question: str, answer: str):
     return q, a
 
 
+def _option_ids(model: DialogScorer, pool: list[str]) -> list[list[int]]:
+    """Option token ids of the pool strings under the model's vocabulary and option
+    length, memoised per string on the model; the id lists are shared, never mutated."""
+    memo = model._option_ids
+    option_len = (model.dims.max_question_words if model.task == "visdial-q"
+                  else model.dims.max_answer_words)
+    out = []
+    for s in pool:
+        ids = memo.get(s)
+        if ids is None:
+            ids = memo[s] = encode_truncate(tokenize(s), model.vocab, option_len)
+        out.append(ids)
+    return out
+
+
 def _model_example(model: DialogScorer, state: DialogState, features: ImageFeatureStore,
                    query: tuple[list[int], list[int] | None], pool: list[str],
                    history_pairs: list[tuple[str, str]]) -> RoundExample:
@@ -221,16 +237,12 @@ def _model_example(model: DialogScorer, state: DialogState, features: ImageFeatu
     window = history_pairs[len(history_pairs) - model.dims.history_slots :] \
         if len(history_pairs) > model.dims.history_slots else history_pairs
     history = [_encode_pair(model, q, a) for q, a in window]
-    if model.task == "visdial-q":
-        option_len = model.dims.max_question_words
-    else:
-        option_len = model.dims.max_answer_words
     return RoundExample(
         image_id=state.image_id,
         round_no=state.round_counter + 1,
         question_ids=query[0],
         query_answer_ids=query[1],
-        option_ids=[encode_truncate(tokenize(s), model.vocab, option_len) for s in pool],
+        option_ids=_option_ids(model, pool),
         gt_index=0,  # unused: generation has no ground truth
         caption_ids=encode_truncate(tokenize(state.caption), model.vocab,
                                     model.dims.max_caption_words),

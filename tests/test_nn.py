@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from dialogrank import nn
 from dialogrank.encoders import ModelDims
-from dialogrank.model import reduced_check_dims
+from dialogrank.model import DialogScorer, random_example, reduced_check_dims, synthetic_vocab
 from oracles import (oracle_adam_step, oracle_adam_step_in_place, oracle_lstm_backward,
                      oracle_lstm_encode)
 
@@ -253,12 +255,12 @@ def test_packed_lstm_matches_per_sequence_oracle(case, train):
     dh = rng.normal(size=(len(seqs), 16))
     xs, batch_sizes, order = pack(seqs)
 
-    h, cache = enc.encode(xs, batch_sizes, train)
+    h, cache = enc.encode(xs, batch_sizes, None if train else nn.ROWS)
     assert h.shape == (len(seqs), 16)
     if not train:  # fixed row blocks: close to the oracle, bitwise free of the co-batch
         for j, i in enumerate(order):
             assert close(h[j], oracle_lstm_encode(enc, seqs[i])[0])
-            alone, _ = enc.encode(seqs[i], [1] * len(seqs[i]), train=False)
+            alone, _ = enc.encode(seqs[i], [1] * len(seqs[i]), nn.ROWS)
             assert np.array_equal(h[j], alone[0])
         return
     dxs = unpack(enc.backward(cache, dh[order]), batch_sizes, order)
@@ -286,53 +288,115 @@ def test_packed_lstm_rejects_bad_batch_sizes():
 # ---------------------------------------------------------------------------
 
 
-def eval_product_views(dims):
-    """name -> (weight shape, column slice) of every eval product of a qih model
-    with MLP depth 2. The mlp.h0 context and option terms and the LSTM input and
-    hidden terms multiply strided column views of one weight, as the model does."""
+LSTM_PATHS = ("query", "option", "caption", "history_q", "history_a")
+
+
+def eval_products(dims):
+    """product -> (view name, parameter, weight shape, column slice) of every eval
+    product of a qih model with MLP depth 2. The mlp.h0 context and option terms and
+    the LSTM input and hidden terms multiply strided column views of one weight, as
+    the model does; LSTM products of one shape share the view ``lstm{hidden}.*``."""
     fused = dims.fused_dim("qih")
     split, E = fused - dims.option_hidden, dims.embed_dim
-    views = {
-        "mlp.h0.context": ((fused // 2, fused), slice(0, split)),
-        "mlp.h0.option": ((fused // 2, fused), slice(split, None)),
-        "mlp.h1": ((fused // 4, fused // 2), slice(None)),
-        "mlp.out": ((1, fused // 4), slice(None)),
-        "history.combine": ((dims.history_pair_dim,
-                             dims.history_q_hidden + dims.history_a_hidden), slice(None)),
+    h0, h1 = (fused // 2, fused), (fused // 4, fused // 2)
+    pair = (dims.history_pair_dim, dims.history_q_hidden + dims.history_a_hidden)
+    products = {
+        "mlp.h0.context": ("mlp.h0.context", "mlp.h0", h0, slice(0, split)),
+        "mlp.h0.option": ("mlp.h0.option", "mlp.h0", h0, slice(split, None)),
+        "mlp.h1": ("mlp.h1", "mlp.h1", h1, slice(None)),
+        "mlp.out": ("mlp.out", "mlp.out", (1, fused // 4), slice(None)),
+        "history.combine": ("history.combine", "history.combine", pair, slice(None)),
     }
-    for L in (dims.query_hidden, dims.option_hidden, dims.caption_hidden,
-              dims.history_q_hidden, dims.history_a_hidden):
-        views[f"lstm{L}.input"] = ((4 * L, E + L), slice(0, E))
-        views[f"lstm{L}.hidden"] = ((4 * L, E + L), slice(E, None))
+    for path in LSTM_PATHS:
+        L = getattr(dims, f"{path}_hidden")
+        for part, cols in (("input", slice(0, E)), ("hidden", slice(E, None))):
+            products[f"lstm.{path}.{part}"] = (f"lstm{L}.{part}", f"lstm.{path}",
+                                               (4 * L, E + L), cols)
+    return products
+
+
+@functools.cache
+def eval_product_heights():
+    """product -> the block heights ``nn.project`` ran it at, recorded over eval
+    batch_forwards of one and of two qih examples (different option counts and
+    history depths), so a height that follows the row count shows as two heights.
+    Heights depend on what the rows are, not on the dims, so reduced dims stand for all."""
+    dims = reduced_check_dims()
+    vocab = synthetic_vocab(40)
+    model = DialogScorer(dims, vocab, mlp_depth=2, init_seed=0)
+    params = model.parameters()
+    product_of = {}
+    for name, (_, param, _, cols) in eval_products(dims).items():
+        w = params[f"{param}.weight"].value[:, cols]
+        product_of[w.ctypes.data, w.shape] = name
+    heights = {}
+    project = nn.project
+
+    def recording(x, weight, rows=None):
+        heights.setdefault(product_of[weight.ctypes.data, weight.shape], set()).add(rows)
+        return project(x, weight, rows)
+
+    rng = np.random.default_rng(3)
+    batch = [random_example(vocab, dims, rng, k_options=k, n_history=n)
+             for k, n in ((7, 1), (2 * nn.ROWS, 3))]
+    nn.project = recording
+    try:
+        model.batch_forward(batch[:1], train=False)
+        model.batch_forward(batch, train=False)
+    finally:
+        nn.project = project
+    return heights
+
+
+def eval_product_views(dims):
+    """view name -> (weight shape, column slice, block heights) of the eval products:
+    each view is checked at the height of every product that has its shape."""
+    recorded = eval_product_heights()
+    views = {}
+    for name, (view, _, shape, cols) in eval_products(dims).items():
+        views.setdefault(view, (shape, cols, set()))[2].update(recorded[name])
     return views
 
 
+def test_eval_heights_follow_what_rows_are():
+    # rows that are one per example run one row per product; rows that come
+    # many per example (candidates, history pairs) share blocks of nn.ROWS rows
+    per_example = {"mlp.h0.context", "lstm.query.input", "lstm.query.hidden",
+                   "lstm.caption.input", "lstm.caption.hidden"}
+    for name, heights in eval_product_heights().items():
+        assert heights == ({1} if name in per_example else {nn.ROWS}), name
+
+
 BLOCK_DIMS = {"reduced": reduced_check_dims(), "paper": ModelDims()}
-BLOCK_CASES = [(d, name) for d in BLOCK_DIMS for name in eval_product_views(BLOCK_DIMS[d])]
+BLOCK_CASES = [(d, view) for d in BLOCK_DIMS
+               for view in dict.fromkeys(v for v, *_ in eval_products(BLOCK_DIMS[d]).values())]
 
 
 @pytest.mark.parametrize("dims_name, view", BLOCK_CASES,
-                         ids=[f"{d}-{name}" for d, name in BLOCK_CASES])
+                         ids=[f"{d}-{view}" for d, view in BLOCK_CASES])
 def test_block_property(dims_name, view):
     # nn.project's eval rule rests on this BLAS property: row i of a product
-    # with ROWS rows is bitwise the same whatever its position, its block-mates
-    # and any zero padding. A BLAS that breaks it must fail here, by name.
-    shape, cols = eval_product_views(BLOCK_DIMS[dims_name])[view]
+    # with R rows is bitwise the same whatever its position, its block-mates
+    # and any zero padding, at each height R the model runs this product at.
+    # A BLAS that breaks it must fail here, by name.
+    shape, cols, heights = eval_product_views(BLOCK_DIMS[dims_name])[view]
+    assert None not in heights, "an eval product ran as one plain product"
     rng = np.random.default_rng(0)
     W = rng.normal(size=shape)[:, cols]
-    R = nn.ROWS
-    x = rng.normal(size=(R, W.shape[1]))
-    want = x @ W.T
-    for _ in range(20):  # positions
-        perm = rng.permutation(R)
-        assert np.array_equal(x[perm] @ W.T, want[perm]), "position"
-    for _ in range(20):  # block-mates: half the rows kept, at random positions
-        kept, pos = rng.choice(R, R // 2, replace=False), rng.choice(R, R // 2, replace=False)
-        block = rng.normal(size=x.shape)
-        block[pos] = x[kept]
-        assert np.array_equal((block @ W.T)[pos], want[kept]), "block-mates"
-    for n in range(1, R + 1):  # zero padding, as nn.project pads
-        assert np.array_equal(nn.project(x[:n], W, train=False), want[:n]), "padding"
+    for R in sorted(heights):
+        x = rng.normal(size=(R, W.shape[1]))
+        want = x @ W.T
+        for _ in range(20):  # positions
+            perm = rng.permutation(R)
+            assert np.array_equal(x[perm] @ W.T, want[perm]), f"position, R={R}"
+        for _ in range(20):  # block-mates: half the rows kept, at random positions
+            kept = rng.choice(R, R // 2, replace=False)
+            pos = rng.choice(R, R // 2, replace=False)
+            block = rng.normal(size=x.shape)
+            block[pos] = x[kept]
+            assert np.array_equal((block @ W.T)[pos], want[kept]), f"block-mates, R={R}"
+        for n in range(1, R + 1):  # zero padding, as nn.project pads
+            assert np.array_equal(nn.project(x[:n], W, R), want[:n]), f"padding, R={R}"
 
 
 # ---------------------------------------------------------------------------

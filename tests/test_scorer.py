@@ -194,6 +194,33 @@ def test_eval_scores_independent_of_cobatched_options(size):
         assert np.array_equal(subset.scores, full[start : start + size])  # bitwise
 
 
+def test_eval_scores_independent_of_block_edge():
+    # K = ROWS + 37 options fill one block of option rows and part of the next;
+    # a contiguous subset across the edge lands at other block positions, and
+    # each of its scores must still be bitwise the full set's
+    model, ex = eval_model_and_example(seed=1, k=nn.ROWS + 37)
+    full = model.score_example(ex).scores
+    R = nn.ROWS
+    for start, stop in [(R - 1, R + 1), (R - 20, R + 17), (R - 37, R + 37), (1, R + 37),
+                        (0, R + 1), (R - 1, R + 37)]:
+        subset = model.score_example(with_options(ex, ex.option_ids[start:stop]))
+        assert np.array_equal(subset.scores, full[start:stop]), (start, stop)  # bitwise
+
+
+@pytest.mark.parametrize("k_b", [3, nn.ROWS + 37])
+def test_batch_forward_matches_score_example_per_example(k_b):
+    # per-example rows (query, caption, mlp.h0 context) and shared blocks
+    # (options, history, later MLP layers) alike leave each example's
+    # eval scores bitwise those it gets scored alone
+    model, a = eval_model_and_example(seed=2, k=7)
+    b = random_example(model.vocab, model.dims, np.random.default_rng(11), k_options=k_b,
+                       n_history=model.dims.history_slots)
+    for batch in ([a, b], [b, a]):
+        scores, _ = model.batch_forward(batch, train=False)
+        for ex, got in zip(batch, scores, strict=True):
+            assert np.array_equal(got, model.score_example(ex).scores)  # bitwise
+
+
 @pytest.mark.parametrize("k", [1, 2, 17, 100])
 @pytest.mark.parametrize("variant", ["q", "qi", "qih"])
 def test_score_example_matches_one_row_oracle(variant, k):

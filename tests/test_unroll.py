@@ -3,6 +3,7 @@ import pytest
 
 from dialogrank.encoders import ModelDims
 from dialogrank.model import DialogScorer
+from dialogrank import unroll as unroll_module
 from dialogrank.text import ImageFeatureStore
 from dialogrank.unroll import (DialogState, PoolSpec, build_pool, nearest_images,
                                step, unroll, verify_transcript)
@@ -254,3 +255,27 @@ def test_verify_transcript_catches_tampering(setup):
     transcript = unroll(state, 3, q_model, a_model, dataset, features, spec)
     transcript.rounds[1].answer_index = (transcript.rounds[1].answer_index + 1) % 25
     assert any("maximum" in p or "mismatch" in p for p in verify_transcript(transcript))
+
+
+def test_pool_strings_encoded_once_per_model(setup, monkeypatch):
+    # each pool string is tokenized once per model and reused in later rounds;
+    # the transcript is the same bytes as with every pool encoded afresh
+    dataset, features, _, _ = setup
+    q_model, a_model = toy_models(dataset.vocab, rounds_q=3, rounds_a=5)
+    record = dataset.records[3]
+    state = DialogState(record.image_id, record.caption, [])
+    spec = PoolSpec(n_neighbor_images=4, pool_size=25, top_m=5, seed=21)
+    memoised = unroll(state, 6, q_model, a_model, dataset, features, spec)
+    for model, kind in ((q_model, "question_pool"), (a_model, "answer_pool")):
+        pooled = {s for rnd in memoised.rounds for s in getattr(rnd, kind)}
+        assert set(model._option_ids) == pooled
+
+    option_ids = unroll_module._option_ids
+
+    def afresh(model, pool):
+        model._option_ids.clear()
+        return option_ids(model, pool)
+
+    monkeypatch.setattr(unroll_module, "_option_ids", afresh)
+    fresh = unroll(state, 6, q_model, a_model, dataset, features, spec)
+    assert fresh.to_bytes() == memoised.to_bytes()
