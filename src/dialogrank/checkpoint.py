@@ -5,12 +5,23 @@ JSON manifest (model config, vocabulary, per-array name/shape/offset entries,
 Adam step counts, optional extra config), then the concatenated little-endian
 float64 payloads. Values, Adam moments and batch-norm running statistics all
 round-trip exactly.
+
+Both directions stream one array at a time. ``save_checkpoint`` computes the
+entries from the array shapes, writes the manifest, then writes each array's
+own buffer in turn. ``load_checkpoint`` checks the whole manifest before it
+reads any payload (config and entry field types, unknown and duplicate keys,
+shapes, offsets that tile the payload with no gap or overlap, step counts),
+builds the model without drawing the random init it would overwrite, then
+reads the entries in offset order straight into their arrays, checking each
+for non-finite values, and finally checks that no bytes trail the last entry.
+It only reads forward (no seek, tell or stat), so a pipe loads like a file.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
 
 import numpy as np
 
@@ -20,43 +31,32 @@ from .text import LoadError, Vocabulary
 
 CHECKPOINT_MAGIC = b"SFCKPT1\n"
 FORMAT_VERSION = 1
+CHUNK = 1 << 16  # bytes per read of the manifest and of any trailing bytes
 
 
-def _array_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _arrays(model: DialogScorer):
+    """(name, role, array) of every stored array, in manifest order."""
+    for name, p in model.parameters().items():
+        yield name, "value", p.value
+        yield name, "adam_m", p.m
+        yield name, "adam_v", p.v
+    for name, buf in model.buffers().items():
+        yield name, "buffer", buf
 
 
 def save_checkpoint(model: DialogScorer, path, extra_config: dict | None = None) -> None:
+    arrays = list(_arrays(model))
     entries = []
-    payload = []
     offset = 0
-
-    def add(name: str, role: str, arr: np.ndarray):
-        nonlocal offset
-        data = _array_bytes(arr)
-        entries.append({
-            "name": name,
-            "role": role,
-            "shape": list(arr.shape),
-            "offset": offset,
-        })
-        payload.append(data)
-        offset += len(data)
-
-    params = model.parameters()
-    for name, p in params.items():
-        add(name, "value", p.value)
-        add(name, "adam_m", p.m)
-        add(name, "adam_v", p.v)
-    for name, buf in model.buffers().items():
-        add(name, "buffer", buf)
-
+    for name, role, arr in arrays:
+        entries.append({"name": name, "role": role, "shape": list(arr.shape), "offset": offset})
+        offset += arr.size * 8
     manifest = {
         "format_version": FORMAT_VERSION,
         "model": model.config(),
         "vocab": model.vocab.words,
         "entries": entries,
-        "step_counts": {name: p.step_count for name, p in params.items()},
+        "step_counts": {name: p.step_count for name, p in model.parameters().items()},
         "extra": extra_config or {},
     }
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -64,15 +64,147 @@ def save_checkpoint(model: DialogScorer, path, extra_config: dict | None = None)
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(mbytes)))
         f.write(mbytes)
-        for chunk in payload:
-            f.write(chunk)
+        for _, _, arr in arrays:  # a copy only on a big-endian host
+            f.write(np.ascontiguousarray(arr, dtype="<f8"))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _field(mapping: dict, key: str, kind: type, where: str = "manifest"):
     value = mapping.get(key)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise LoadError(f"checkpoint {where} key {key!r} is missing or not a {kind.__name__}")
     return value
+
+
+def _read_upto(f, n: int) -> bytes:
+    """Up to ``n`` bytes, fewer at end of file. Read in chunks, so a corrupt
+    length never allocates more than the file holds."""
+    chunks = []
+    while n > 0:
+        chunk = f.read(min(n, CHUNK))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _read_manifest(f) -> dict:
+    magic = f.read(len(CHECKPOINT_MAGIC))
+    if magic != CHECKPOINT_MAGIC:
+        raise LoadError(f"checkpoint magic mismatch: {magic!r}")
+    header = f.read(8)
+    if len(header) != 8:
+        raise LoadError("checkpoint manifest length truncated")
+    (mlen,) = struct.unpack("<Q", header)
+    mbytes = _read_upto(f, mlen)
+    if len(mbytes) != mlen:
+        raise LoadError("checkpoint manifest truncated")
+    try:
+        manifest = json.loads(mbytes.decode("utf-8"))
+    except ValueError as exc:
+        raise LoadError(f"checkpoint manifest is not valid JSON: {exc}") from exc
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise LoadError(f"unsupported checkpoint version {version!r}")
+    if not isinstance(manifest.get("extra", {}), dict):
+        raise LoadError("checkpoint manifest key 'extra' is not a dict")
+    return manifest
+
+
+def _build_model(manifest: dict) -> DialogScorer:
+    """The configured model with every value still at its zero default."""
+    cfg = _field(manifest, "model", dict)
+    for key, kind in (("task", str), ("variant", str), ("mlp_depth", int),
+                      ("shared_embeddings", bool), ("init_seed", int)):
+        _field(cfg, key, kind, "model config")
+    if cfg["init_seed"] < 0:
+        raise LoadError(f"checkpoint model config key 'init_seed' is negative: "
+                        f"{cfg['init_seed']}")
+    dims = _field(cfg, "dims", dict, "model config")
+    words = _field(manifest, "vocab", list)
+    if not all(isinstance(w, str) for w in words):
+        raise LoadError("checkpoint vocab holds a word that is not a str")
+    try:
+        model = DialogScorer(
+            ModelDims(**dims),
+            Vocabulary(words),
+            task=cfg["task"],
+            variant=cfg["variant"],
+            mlp_depth=cfg["mlp_depth"],
+            shared_embeddings=cfg["shared_embeddings"],
+            init_seed=None,  # the payload fills every value
+        )
+    except (TypeError, ValueError, MemoryError) as exc:
+        raise LoadError(f"checkpoint model config is invalid: {exc}") from exc
+    model.init_seed = cfg["init_seed"]
+    return model
+
+
+def _payload_plan(manifest: dict, model: DialogScorer) -> list:
+    """(offset, name, role, target array) of every entry, in offset order, once
+    the entries are known to match the model and to tile the payload."""
+    targets = {(name, role): arr for name, role, arr in _arrays(model)}
+    plan = {}
+    for i, entry in enumerate(_field(manifest, "entries", list)):
+        if not isinstance(entry, dict):
+            raise LoadError(f"checkpoint entry {i} is malformed: not an object")
+        name, role, shape, start = (entry.get(k) for k in ("name", "role", "shape", "offset"))
+        if not (isinstance(name, str) and isinstance(role, str) and isinstance(shape, list)
+                and all(_is_int(n) for n in shape) and _is_int(start)):
+            raise LoadError(f"checkpoint entry {i} is malformed: name and role must be "
+                            "strings, shape a list of integers and offset an integer")
+        key = (name, role)
+        if key not in targets:
+            raise LoadError(f"checkpoint entry {name} ({role}) "
+                            "does not exist in the configured model")
+        if key in plan:
+            raise LoadError(f"checkpoint entry {name} ({role}) appears twice")
+        arr = targets[key]
+        if tuple(shape) != arr.shape:
+            raise LoadError(
+                f"parameter {name}: checkpoint shape {shape} does not "
+                f"match model shape {list(arr.shape)}")
+        plan[key] = (start, name, role, arr)
+    missing = sorted(set(targets) - set(plan))
+    if missing:
+        name, role = missing[0]
+        raise LoadError(f"checkpoint is missing parameter {name} ({role})")
+    spans = sorted(plan.values(), key=lambda span: span[:3])
+    end = 0  # the entries must tile the payload: no overlap, no gap
+    for start, name, role, arr in spans:
+        if start != end:
+            raise LoadError(f"checkpoint entry {name} ({role}) starts at payload byte "
+                            f"{start}, but the entries before it end at byte {end}")
+        end = start + arr.nbytes
+    return spans
+
+
+def _set_step_counts(manifest: dict, model: DialogScorer) -> None:
+    counts = _field(manifest, "step_counts", dict)
+    for name, p in model.parameters().items():
+        count = counts.get(name)
+        if not _is_int(count) or count < 0:
+            raise LoadError(f"checkpoint step count of parameter {name} is missing "
+                            f"or not an integer >= 0: {count!r}")
+        p.step_count = count
+
+
+def _read_entry(f, arr: np.ndarray, name: str, role: str) -> None:
+    view = memoryview(arr).cast("B")
+    filled = 0
+    while filled < len(view):  # a pipe may return fewer bytes than asked
+        n = f.readinto(view[filled:])
+        if not n:
+            raise LoadError(f"parameter {name} ({role}): payload truncated")
+        filled += n
+    if sys.byteorder == "big":
+        arr.byteswap(inplace=True)
+    if not np.isfinite(arr).all():
+        raise LoadError(f"parameter {name} ({role}): non-finite value in checkpoint")
 
 
 def load_checkpoint(path) -> tuple[DialogScorer, dict]:
@@ -80,97 +212,17 @@ def load_checkpoint(path) -> tuple[DialogScorer, dict]:
 
     Every malformed manifest or payload raises ``LoadError``."""
     with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise LoadError(f"checkpoint magic mismatch: {magic!r}")
-        header = f.read(8)
-        if len(header) != 8:
-            raise LoadError("checkpoint manifest length truncated")
-        (mlen,) = struct.unpack("<Q", header)
-        mbytes = f.read(mlen)
-        if len(mbytes) != mlen:
-            raise LoadError("checkpoint manifest truncated")
-        try:
-            manifest = json.loads(mbytes.decode("utf-8"))
-        except ValueError as exc:
-            raise LoadError(f"checkpoint manifest is not valid JSON: {exc}") from exc
-        version = manifest.get("format_version") if isinstance(manifest, dict) else None
-        if version != FORMAT_VERSION:
-            raise LoadError(f"unsupported checkpoint version {version!r}")
-        payload = f.read()
-
-    cfg = _field(manifest, "model", dict)
-    try:
-        model = DialogScorer(
-            ModelDims(**_field(cfg, "dims", dict, "model config")),
-            Vocabulary(_field(manifest, "vocab", list)),
-            task=cfg["task"],
-            variant=cfg["variant"],
-            mlp_depth=cfg["mlp_depth"],
-            shared_embeddings=cfg["shared_embeddings"],
-            init_seed=cfg["init_seed"],
-        )
-    except KeyError as exc:
-        raise LoadError(f"checkpoint model config is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise LoadError(f"checkpoint model config is invalid: {exc}") from exc
-    params = model.parameters()
-    buffers = model.buffers()
-    targets = {}
-    for name, p in params.items():
-        targets[(name, "value")] = p.value
-        targets[(name, "adam_m")] = p.m
-        targets[(name, "adam_v")] = p.v
-    for name, buf in buffers.items():
-        targets[(name, "buffer")] = buf
-
-    seen, spans = set(), []  # entry keys; (offset, bytes, name, role) of each
-    for i, entry in enumerate(_field(manifest, "entries", list)):
-        try:
-            key = (str(entry["name"]), str(entry["role"]))
-            shape = tuple(int(n) for n in entry["shape"])
-            start = int(entry["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LoadError(f"checkpoint entry {i} is malformed: {exc!r}") from exc
-        name, role = key
-        if key not in targets:
-            raise LoadError(f"checkpoint entry {name} ({role}) "
-                            "does not exist in the configured model")
-        if key in seen:
-            raise LoadError(f"checkpoint entry {name} ({role}) appears twice")
-        arr = targets[key]
-        if shape != arr.shape:
-            raise LoadError(
-                f"parameter {name}: checkpoint shape {list(shape)} does not "
-                f"match model shape {list(arr.shape)}")
-        nbytes = arr.size * 8
-        chunk = memoryview(payload)[start : start + nbytes]  # no copy
-        if len(chunk) != nbytes:
-            raise LoadError(f"parameter {name}: payload truncated")
-        values = np.frombuffer(chunk, dtype="<f8")
-        if not np.isfinite(values).all():
-            raise LoadError(f"parameter {name} ({role}): non-finite value in checkpoint")
-        arr[...] = values.reshape(shape)
-        seen.add(key)
-        spans.append((start, nbytes, name, role))
-    missing = sorted(set(targets) - seen)
-    if missing:
-        name, role = missing[0]
-        raise LoadError(f"checkpoint is missing parameter {name} ({role})")
-    end = 0  # the entries must tile the payload: no overlap, no gap, no tail
-    for start, nbytes, name, role in sorted(spans):
-        if start != end:
-            raise LoadError(f"checkpoint entry {name} ({role}) starts at payload byte "
-                            f"{start}, but the entries before it end at byte {end}")
-        end = start + nbytes
-    if end != len(payload):
-        raise LoadError(f"checkpoint payload runs {len(payload) - end} bytes past its "
+        manifest = _read_manifest(f)
+        model = _build_model(manifest)
+        spans = _payload_plan(manifest, model)
+        _set_step_counts(manifest, model)
+        for _, name, role, arr in spans:
+            _read_entry(f, arr, name, role)
+        tail = 0
+        while chunk := f.read(CHUNK):
+            tail += len(chunk)
+    if tail:
+        _, name, role, _ = spans[-1]
+        raise LoadError(f"checkpoint payload runs {tail} bytes past its "
                         f"last entry {name} ({role})")
-    step_counts = _field(manifest, "step_counts", dict)
-    for name, p in params.items():
-        try:
-            p.step_count = int(step_counts[name])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LoadError(f"checkpoint step count of parameter {name} is missing "
-                            "or invalid") from exc
     return model, manifest.get("extra", {})

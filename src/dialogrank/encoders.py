@@ -114,7 +114,7 @@ class EncoderBank:
     """
 
     def __init__(self, dims: ModelDims, vocab: Vocabulary, task: str, variant: str,
-                 shared_embeddings: bool, rng: np.random.Generator):
+                 shared_embeddings: bool, rng: np.random.Generator | None):
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}")
         if variant not in VARIANTS:

@@ -106,11 +106,16 @@ def examples_from_dataset(dataset: DialogDataset, features: ImageFeatureStore | 
 
 
 class DialogScorer:
-    """Encoder bank + fusion MLP with a stable parameter registry."""
+    """Encoder bank + fusion MLP with a stable parameter registry.
+
+    ``init_seed`` seeds the He-normal init. ``None`` draws no init and leaves
+    every value at its zero (or fixed-bias) default, for a caller that fills
+    every value itself, as ``checkpoint.load_checkpoint`` does before it sets
+    ``init_seed`` to the recorded seed."""
 
     def __init__(self, dims: ModelDims, vocab: Vocabulary, task: str = "visdial",
                  variant: str = "qih", mlp_depth: int = 2, shared_embeddings: bool = True,
-                 init_seed: int = 0):
+                 init_seed: int | None = 0):
         self.dims = dims
         self.vocab = vocab
         self.task = task
@@ -118,7 +123,7 @@ class DialogScorer:
         self.mlp_depth = mlp_depth
         self.shared_embeddings = shared_embeddings
         self.init_seed = init_seed
-        rng = np.random.default_rng(init_seed)
+        rng = None if init_seed is None else np.random.default_rng(init_seed)
         self.bank = EncoderBank(dims, vocab, task, variant, shared_embeddings, rng)
         self.mlp = FusionMlp(dims.fused_dim(variant), mlp_depth, rng)
         self._option_ids: dict[str, list[int]] = {}  # unroll._option_ids: string -> ids

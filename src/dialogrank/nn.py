@@ -42,13 +42,17 @@ def _rng(seed_or_rng) -> np.random.Generator:
 
 
 class Parameter:
-    """A value array with paired gradient and Adam moment buffers."""
+    """A value array with paired gradient and Adam moment buffers.
+
+    The buffers come from ``np.zeros`` (calloc), so their pages stay unmapped
+    zero pages until first written: an eval-only process never maps its
+    gradients."""
 
     def __init__(self, value, name: str = "param"):
         self.value = as_f64(value)
-        self.grad = np.zeros_like(self.value)
-        self.m = np.zeros_like(self.value)
-        self.v = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)
+        self.m = np.zeros(self.value.shape)
+        self.v = np.zeros(self.value.shape)
         self.step_count = 0
         self.name = name
 

@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dialogrank import nn
 from dialogrank.checkpoint import (CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint)
 from dialogrank.encoders import ModelDims
 from dialogrank.metrics import evaluate_examples
@@ -263,6 +268,19 @@ def trailing_bytes(manifest, payload):
     payload += bytes(64)
 
 
+def cut_last_8_bytes(manifest, payload):
+    del payload[-8:]
+
+
+def first_param(manifest):
+    return manifest["entries"][0]["name"]
+
+
+def float_shape(manifest):
+    entry = manifest["entries"][0]
+    entry["shape"] = [float(n) for n in entry["shape"]]
+
+
 @pytest.mark.parametrize("edit, edit_payload, named", [
     (lambda m: m.pop("model"), None, "model"),
     (lambda m: m.pop("step_counts"), None, "step_counts"),
@@ -277,9 +295,28 @@ def trailing_bytes(manifest, payload):
     (lambda m: None, gap_before_adam_m, r"lstm.query.weight \(adam_m\)"),
     (lambda m: None, trailing_bytes, "64 bytes past"),
     (lambda m: m["entries"].append(dict(m["entries"][0])), None, "appears twice"),
+    (lambda m: m["model"].update(shared_embeddings=[0]), None, "'shared_embeddings'.*bool"),
+    (lambda m: m["model"].update(shared_embeddings=1), None, "'shared_embeddings'.*bool"),
+    (lambda m: m["model"].update(init_seed=True), None, "'init_seed'.*int"),
+    (lambda m: m["model"].update(init_seed="x"), None, "'init_seed'.*int"),
+    (lambda m: m["model"].update(init_seed=-1), None, "'init_seed' is negative"),
+    (lambda m: m["model"].update(task=1), None, "'task'.*str"),
+    (lambda m: m["model"].update(variant=None), None, "'variant'.*str"),
+    (lambda m: m["model"].update(mlp_depth=True), None, "'mlp_depth'.*int"),
+    (lambda m: m["model"].update(mlp_depth=2.0), None, "'mlp_depth'.*int"),
+    (lambda m: m["step_counts"].update({first_param(m): -5}), None,
+     "step count of parameter embed.shared.weight.*-5"),
+    (lambda m: m["step_counts"].update({first_param(m): 2.7}), None,
+     "step count of parameter embed.shared.weight.*2.7"),
+    (float_shape, None, "entry 0 is malformed"),
+    (lambda m: m["entries"][0].update(offset=0.5), None, "entry 0 is malformed"),
+    (lambda m: None, cut_last_8_bytes, r"mlp.h1.bn.running_var \(buffer\): payload truncated"),
 ], ids=["no-model", "no-step-counts", "no-entries", "no-vocab", "unknown-dims-key",
         "entries-not-a-list", "bad-variant", "nan-value", "qih-one-round", "overlap", "gap",
-        "trailing-bytes", "duplicate-entry"])
+        "trailing-bytes", "duplicate-entry", "shared-embeddings-list", "shared-embeddings-int",
+        "init-seed-bool", "init-seed-str", "init-seed-negative", "task-not-str",
+        "variant-null", "mlp-depth-bool", "mlp-depth-float", "step-count-negative",
+        "step-count-float", "shape-float", "offset-float", "truncated-payload"])
 def test_malformed_checkpoint_raises_load_error(tmp_path, edit, edit_payload, named):
     model = DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0)
     path = tmp_path / "m.ckpt"
@@ -287,3 +324,169 @@ def test_malformed_checkpoint_raises_load_error(tmp_path, edit, edit_payload, na
     rewrite_checkpoint(path, edit, edit_payload)
     with pytest.raises(LoadError, match=named):
         load_checkpoint(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("cut", [0, 8])
+def test_checkpoint_loads_through_a_pipe(tmp_path, cut):
+    # a pipe cannot seek or report its size; it loads, or fails with LoadError
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0), path,
+                    extra_config={"note": "pipe"})
+    data = path.read_bytes()[: -cut or None]
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        if cut:
+            with pytest.raises(LoadError, match=r"mlp.h1.bn.running_var \(buffer\): "
+                                                "payload truncated"):
+                load_checkpoint(fifo)
+        else:
+            loaded, extra = load_checkpoint(fifo)
+            again = tmp_path / "again.ckpt"
+            save_checkpoint(loaded, again, extra_config=extra)
+            assert again.read_bytes() == data
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_load_draws_no_init(tmp_path, monkeypatch):
+    model = DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew an init that the payload overwrites")
+
+    monkeypatch.setattr(nn, "he_normal_init", refuse)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.config() == model.config()
+    for name, p in model.parameters().items():
+        assert np.array_equal(p.value, loaded.parameters()[name].value)
+
+
+def memory_model() -> DialogScorer:
+    # about 1.9 MB of parameters; the largest array, mlp.h0.weight [256, 512], is 1 MB
+    dims = toy_dims(image_dim=352, embed_dim=32, query_hidden=64, option_hidden=64)
+    return DialogScorer(dims, synthetic_vocab(1200), init_seed=0)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_checkpoint_peak_memory_is_the_model(tmp_path):
+    # the payload streams into the model's own arrays: no whole-payload bytes,
+    # no per-array copies, no init drawn and thrown away
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(memory_model(), path)
+    (loaded, _), peak = traced_peak(lambda: load_checkpoint(path))
+    held = sum(a.nbytes for p in loaded.parameters().values() for a in (p.value, p.grad, p.m, p.v))
+    held += sum(b.nbytes for b in loaded.buffers().values())
+    assert peak <= held + (1 << 20), (peak, held)
+
+
+def test_save_checkpoint_peak_memory_below_largest_array(tmp_path):
+    # each array is written from its own buffer: no list of byte copies
+    model = memory_model()
+    largest = max(p.value.nbytes for p in model.parameters().values())
+    assert largest == 1 << 20
+    _, peak = traced_peak(lambda: save_checkpoint(model, tmp_path / "m.ckpt"))
+    assert peak < largest, (peak, largest)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint fuzz: every corrupt file loads or raises LoadError
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "small.ckpt"
+    save_checkpoint(DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0), path,
+                    extra_config={"note": "x"})
+    return path.read_bytes()
+
+
+def load_or_load_error(path) -> None:
+    try:
+        load_checkpoint(path)
+    except LoadError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["truncate", "header", "manifest", "payload"]),
+                                st.integers(0, 2**32), st.integers(1, 255)),
+                      min_size=1, max_size=3))
+def test_corrupt_checkpoint_bytes_load_or_raise_load_error(tmp_path_factory, small_checkpoint,
+                                                           edits):
+    # truncation at any byte, and byte flips in the header (magic and manifest
+    # length), the manifest and the payload
+    data = bytearray(small_checkpoint)
+    n = len(CHECKPOINT_MAGIC)
+    (mlen,) = struct.unpack("<Q", small_checkpoint[n : n + 8])
+    regions = {"header": (0, n + 8), "manifest": (n + 8, n + 8 + mlen),
+               "payload": (n + 8 + mlen, len(small_checkpoint))}
+    for kind, pos, mask in edits:
+        if kind == "truncate":
+            del data[pos % (len(data) + 1) :]
+            continue
+        lo, hi = regions[kind]
+        if lo + pos % (hi - lo) < len(data):
+            data[lo + pos % (hi - lo)] ^= mask
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(bytes(data))
+    load_or_load_error(path)
+
+
+def manifest_paths(manifest) -> list[tuple]:
+    paths = [(k,) for k in manifest]
+    paths += [("model", k) for k in manifest["model"]]
+    paths += [("model", "dims", k) for k in manifest["model"]["dims"]]
+    paths += [("vocab", i) for i in (0, 3, -1)]
+    for i in (0, 1, -1):
+        paths.append(("entries", i))
+        paths += [("entries", i, k) for k in ("name", "role", "shape", "offset")]
+        paths.append(("entries", i, "shape", 0))
+    paths += [("step_counts", k) for k in sorted(manifest["step_counts"])[:3]]
+    return paths
+
+
+JUNK = [None, "x", "", [], [1, 2], {}, 1.5, float("nan"), True, 0, -1, -(2**63), 2**64, 10**40]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupt_checkpoint_values_load_or_raise_load_error(tmp_path_factory, small_checkpoint,
+                                                            data):
+    # one manifest value replaced by null, a string, a list, a float, or a
+    # negative or huge int, or removed
+    path = tmp_path_factory.getbasetemp() / "fuzz-values.ckpt"
+    path.write_bytes(small_checkpoint)
+
+    def edit(manifest):
+        *parents, last = data.draw(st.sampled_from(manifest_paths(manifest)))
+        target = manifest
+        for key in parents:
+            target = target[key]
+        if data.draw(st.booleans(), label="remove") and isinstance(target, dict):
+            del target[last]
+        else:
+            target[last] = data.draw(st.sampled_from(JUNK), label="value")
+
+    rewrite_checkpoint(path, edit)
+    load_or_load_error(path)
