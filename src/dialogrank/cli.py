@@ -110,8 +110,7 @@ def _load_payload(path) -> dict:
         return json.load(f)
 
 
-def _vocab_for_file(path, min_count: int = 1) -> Vocabulary:
-    payload = _load_payload(path)
+def _vocab_of(payload, min_count: int = 1) -> Vocabulary:
     return build_vocab(corpus_from_payload(payload), min_count=min_count)
 
 
@@ -140,8 +139,7 @@ def _merged_raw_config(args, extra_keys=()) -> dict[str, str]:
 def cmd_build_vocab(args) -> int:
     _echo_config({"dataset": args.dataset, "out": args.out,
                   "min_count": args.min_count})
-    payload = _load_payload(args.dataset)
-    vocab = build_vocab(corpus_from_payload(payload), min_count=args.min_count)
+    vocab = _vocab_of(_load_payload(args.dataset), min_count=args.min_count)
     vocab.save(args.out)
     print(f"vocab size={len(vocab)} out={args.out}")
     return 0
@@ -151,8 +149,8 @@ def cmd_build_qdataset(args) -> int:
     _echo_config({"dataset": args.dataset, "glove": args.glove, "seed": args.seed,
                   "out": args.out, "plausible": args.plausible,
                   "popular": args.popular, "candidates": args.candidates})
-    vocab = _vocab_for_file(args.dataset)
-    dataset = dataset_from_payload(_load_payload(args.dataset), vocab)
+    payload = _load_payload(args.dataset)
+    dataset = dataset_from_payload(payload, _vocab_of(payload))
     glove = load_glove(args.glove)
     payload = build_qdataset_payload(
         dataset, glove, args.seed,
@@ -166,19 +164,21 @@ def cmd_build_qdataset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_train_config(_merged_raw_config(args))
-    min_count = int(_merged_raw_config(args).get("min_count", 1))
+    raw = _merged_raw_config(args)
+    cfg = resolve_train_config(raw)
+    min_count = int(raw.get("min_count", 1))
     _echo_config(_flat_config(cfg, min_count), args.out + ".config")
+    train_payload = _load_payload(args.train)
     if args.vocab:
         vocab = Vocabulary.load(args.vocab)
     else:
-        vocab = _vocab_for_file(args.train, min_count=min_count)
+        vocab = _vocab_of(train_payload, min_count=min_count)
     kwargs = dict(
         max_question_words=cfg.dims.max_question_words,
         max_answer_words=cfg.dims.max_answer_words,
         max_caption_words=cfg.dims.max_caption_words,
     )
-    train_set = dataset_from_payload(_load_payload(args.train), vocab, **kwargs)
+    train_set = dataset_from_payload(train_payload, vocab, **kwargs)
     val_set = dataset_from_payload(_load_payload(args.val), vocab, **kwargs)
     features = load_features(args.features) if args.features else None
     log_lines = []
@@ -227,8 +227,8 @@ def cmd_unroll(args) -> int:
                   "top_m": args.top_m})
     q_model, _ = load_checkpoint(args.q_checkpoint)
     a_model, _ = load_checkpoint(args.a_checkpoint)
-    vocab = _vocab_for_file(args.dataset)
-    dataset = dataset_from_payload(_load_payload(args.dataset), vocab)
+    payload = _load_payload(args.dataset)
+    dataset = dataset_from_payload(payload, _vocab_of(payload))
     features = load_features(args.features)
     spec = PoolSpec(n_neighbor_images=args.neighbors, pool_size=args.pool_size,
                     top_m=args.top_m, seed=args.seed)

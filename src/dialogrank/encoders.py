@@ -46,7 +46,7 @@ class ModelDims:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"dims.{name} must be a positive integer, got {value!r}")
 
     @property
@@ -179,7 +179,7 @@ class EncoderBank:
         pad = [self.empty_id, self.stop_id]
         return pad, list(pad)
 
-    def combine_pairs(self, rows: np.ndarray, train: bool, update_running: bool = True):
+    def combine_pairs(self, rows: np.ndarray, train: bool):
         """Pair-combine FC -> batch norm -> ReLU over a batch of pair rows.
 
         Eval mode runs the product on fixed blocks of ``nn.ROWS`` rows
@@ -187,11 +187,11 @@ class EncoderBank:
         returns no cache.
         """
         lin, lin_cache = self.pair_combine.forward(rows, None if train else nn.ROWS)
-        normed, bn_cache = self.pair_bn.forward(lin, train=train, update_running=update_running)
+        normed, bn_cache = self.pair_bn.forward(lin, train=train)
         out, relu_cache = nn.relu(normed)
         return out, ((lin_cache, bn_cache, relu_cache) if train else None)
 
-    def encode_histories(self, histories, train: bool, update_running: bool = True):
+    def encode_histories(self, histories, train: bool):
         """Slot-aligned history blocks [B, (T-1) * pair_dim] of B examples.
 
         ``histories[e]`` is the chronological list of (question_ids,
@@ -216,7 +216,7 @@ class EncoderBank:
         pre_rows = np.empty((len(padded), pre.shape[1]))
         pre_rows[rows] = pre[: len(rows)]
         pre_rows[padded] = pre[len(rows) :]
-        combined, comb_cache = self.combine_pairs(pre_rows, train, update_running)
+        combined, comb_cache = self.combine_pairs(pre_rows, train)
         blocks = combined.reshape(len(histories), self.dims.history_len)
         return blocks, (rows, padded, qcache, acache, comb_cache)
 

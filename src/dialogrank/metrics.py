@@ -24,23 +24,6 @@ class MetricsReport:
     n: int
     tie_policy: str = "pessimistic"
 
-    def summary(self) -> str:
-        return (
-            f"n={self.n} MRR={self.mrr:.4f} R@1={self.r_at_1:.2f} R@5={self.r_at_5:.2f} "
-            f"R@10={self.r_at_10:.2f} MeanRank={self.mean_rank:.2f} (ties: {self.tie_policy})"
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mrr": self.mrr,
-            "r_at_1": self.r_at_1,
-            "r_at_5": self.r_at_5,
-            "r_at_10": self.r_at_10,
-            "mean_rank": self.mean_rank,
-            "tie_policy": self.tie_policy,
-        }
-
 
 def rank_of_gt(scores, gt_index: int) -> int:
     """1 + number of competitors scoring >= the ground truth."""

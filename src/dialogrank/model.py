@@ -175,8 +175,7 @@ class DialogScorer:
         scores, _ = self.batch_forward([ex], train=False)
         return ScoredOptions.from_scores(scores[0])
 
-    def batch_forward(self, batch: list[RoundExample], train: bool = True,
-                      update_running: bool = True):
+    def batch_forward(self, batch: list[RoundExample], train: bool = True):
         """Forward over a minibatch; returns per-example scores and the cache
         bundle for batch_backward. Eval mode (``train=False``) keeps no
         caches, so its bundle cannot be passed to batch_backward."""
@@ -198,12 +197,11 @@ class DialogScorer:
         c_cache = hist_cache = None
         if self.variant == "qih":
             c_vecs, c_cache = bank.paths["caption"].encode([ex.caption_ids for ex in batch], train)
-            hist, hist_cache = bank.encode_histories(
-                [ex.history for ex in batch], train, update_running)
+            hist, hist_cache = bank.encode_histories([ex.history for ex in batch], train)
             blocks += [c_vecs, hist]
 
         flat_scores, mlp_cache = self.mlp.forward(np.concatenate(blocks, axis=1), o_vecs,
-                                                  offsets, option_of_row, train, update_running)
+                                                  offsets, option_of_row, train)
         scores = [flat_scores[offsets[e] : offsets[e + 1]] for e in range(len(batch))]
         return scores, (q_cache, c_cache, o_cache, hist_cache, mlp_cache)
 
@@ -220,10 +218,9 @@ class DialogScorer:
             paths["caption"].backward(c_cache, dctx[:, h0 - self.dims.caption_hidden : h0])
             self.bank.backward_histories(hist_cache, dctx[:, h0:])
 
-    def batch_loss(self, batch: list[RoundExample], want_grads: bool = True,
-                   update_running: bool = True) -> float:
+    def batch_loss(self, batch: list[RoundExample], want_grads: bool = True) -> float:
         """Mean cross-entropy over the minibatch; optionally accumulates grads."""
-        scores, bundle = self.batch_forward(batch, update_running=update_running)
+        scores, bundle = self.batch_forward(batch)
         total = 0.0
         dscores = []
         for ex, s in zip(batch, scores):
@@ -293,8 +290,8 @@ def full_model_gradcheck(seed: int, dims: ModelDims | None = None, vocab_size: i
 
     Builds a reduced-dimension model and one random round example, then
     compares the analytic training-step gradient of each coordinate against
-    central differences. Running statistics are frozen so the closure is a
-    pure function of the parameters.
+    central differences. A train-mode loss never reads the running
+    statistics, so the closure is a pure function of the parameters.
     """
     dims = dims or reduced_check_dims()
     vocab = synthetic_vocab(vocab_size)
@@ -307,6 +304,6 @@ def full_model_gradcheck(seed: int, dims: ModelDims | None = None, vocab_size: i
     def closure(want_grads: bool) -> float:
         if want_grads:
             model.zero_grads()
-        return model.batch_loss(batch, want_grads=want_grads, update_running=False)
+        return model.batch_loss(batch, want_grads=want_grads)
 
     return nn.grad_check(closure, model.parameters(), h=h, tolerance=tolerance)

@@ -287,9 +287,10 @@ class LstmEncoder:
 class BatchNorm1d:
     """Per-feature batch normalization with running statistics.
 
-    Train mode normalizes by the (biased) batch statistics and requires at
-    least two rows; eval mode uses running statistics only, so each row is
-    independent of its co-batched rows.
+    Train mode normalizes by the (biased) batch statistics, requires at
+    least two rows and updates the running statistics, which it never reads;
+    eval mode uses running statistics only, so each row is independent of its
+    co-batched rows.
     """
 
     def __init__(self, dim: int, momentum: float = 0.1, epsilon: float = 1e-5,
@@ -302,7 +303,7 @@ class BatchNorm1d:
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def forward(self, x: np.ndarray, train: bool, update_running: bool = True):
+    def forward(self, x: np.ndarray, train: bool):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"{self.gamma.name}: expected [B, {self.dim}], got {x.shape}")
@@ -313,12 +314,11 @@ class BatchNorm1d:
             var = x.var(axis=0)  # biased
             inv = 1.0 / np.sqrt(var + self.epsilon)
             xhat = (x - mean) * inv
-            if update_running:
-                m = self.momentum
-                self.running_mean *= 1.0 - m
-                self.running_mean += m * mean
-                self.running_var *= 1.0 - m
-                self.running_var += m * var
+            m = self.momentum
+            self.running_mean *= 1.0 - m
+            self.running_mean += m * mean
+            self.running_var *= 1.0 - m
+            self.running_var += m * var
         else:
             inv = 1.0 / np.sqrt(self.running_var + self.epsilon)
             xhat = (x - self.running_mean) * inv

@@ -147,44 +147,55 @@ _UNDERFLOW = 2.0 ** -1000
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def short_list(matrix: np.ndarray, sq_norms: np.ndarray, max_norm: float,
+               query: np.ndarray, k: int, skip: np.ndarray) -> np.ndarray:
+    """Rows of ``matrix`` outside the boolean mask ``skip`` that can be among
+    the k nearest to ``query`` under any exact re-rank of ``|m - q|``; all of
+    them when k does not cut. ``sq_norms`` holds each row's ``|m|**2`` and
+    ``max_norm`` the largest ``|m|``.
+
+    The prefilter takes squared distances ``|m|**2 - 2 M @ q + |q|**2`` for
+    every row, one matrix-vector product with no copy of M, and keeps the
+    rows within 2 err of the k-th smallest one, where
+    err = 8 D eps (max|m| + |q|)**2 + D * 2**-1000 for row dimension D.
+
+    Each of |m|**2, m . q and |q|**2 is a sum of D products, so in any
+    summation order (BLAS blocking, threads, FMA) its error is at most
+    gamma_D = D eps / 2 times (max|m| + |q|)**2 (Higham 2002). A re-ranked
+    squared distance, a sum of D rounded squared differences in any order,
+    has an error of the same size. So the prefilter and the re-rank agree to
+    within delta = (D + 3) eps (max|m| + |q|)**2 <= err. The k-th re-ranked
+    squared distance is then at most the k-th prefilter value plus delta, so
+    every answer row has a prefilter value within 2 delta of the k-th one;
+    err leaves room for the rounding of the square root, and the second term
+    for products that underflow. Re-ranking the short list therefore gives
+    the same list as re-ranking every row outside ``skip``."""
+    n_left = len(skip) - int(np.count_nonzero(skip))
+    if not 0 < k < n_left:
+        return np.flatnonzero(~skip)
+    approx = sq_norms - 2.0 * (matrix @ query)
+    approx += float(query @ query)
+    approx[skip] = np.inf
+    kth = np.partition(approx, k - 1)[k - 1]
+    dim = matrix.shape[1]
+    q_norm = float(np.linalg.norm(query))
+    err = 8.0 * dim * _EPS * (max_norm + q_norm) ** 2 + dim * _UNDERFLOW
+    return np.flatnonzero(approx <= kth + 2.0 * err)
+
+
 def find_plausible(query_key: np.ndarray, query_image_id: int, corpus: CorpusKeys,
                    k: int = N_PLAUSIBLE) -> list[QaKey]:
     """The k nearest usable QA pairs: not from the query's image, not a
     dialog's last round. Distance ties break by (image_id, round).
 
     The distance is ``np.linalg.norm(K[rows] - q, axis=1)`` over the key
-    matrix K. Finding the k nearest takes two stages:
-    - prefilter: squared distances ``|k|**2 - 2 K @ q + |q|**2`` for every
-      row, one matrix-vector product with no copy of K;
-    - exact re-rank: the usable rows within 2 err of the k-th smallest
-      prefilter value are re-ranked with the distance formula and the
-      (dist, image_id, round) tie-break.
-
-    Here err = 8 D eps (max|k| + |q|)**2 + D * 2**-1000 for key dimension D.
-    Each of |k|**2, k . q and |q|**2 is a sum of D products, so in any
-    summation order (BLAS blocking, threads, FMA) its error is at most
-    gamma_D = D eps / 2 times (max|k| + |q|)**2. The re-ranked squared
-    distance has an error of the same size. So the prefilter and the re-rank
-    agree to within delta = (D + 3) eps (max|k| + |q|)**2 <= err. The k-th
-    re-ranked squared distance is then at most the k-th prefilter value plus
-    delta, so every answer row has a prefilter value within 2 delta of the
-    k-th one; err leaves room for the rounding of the square root. The result
-    is the same list as a copy-then-norm scan of every usable row."""
-    usable = corpus._has_followup & (corpus._image_ids != query_image_id)
-    n_usable = int(np.count_nonzero(usable))
-    if n_usable == 0:
-        return []
-    if 0 < k < n_usable:
-        approx = corpus._sq_norms - 2.0 * (corpus._matrix @ query_key)
-        approx += float(query_key @ query_key)
-        approx[~usable] = np.inf
-        kth = np.partition(approx, k - 1)[k - 1]
-        dim = corpus._matrix.shape[1]
-        q_norm = float(np.linalg.norm(query_key))
-        err = 8.0 * dim * _EPS * (corpus._max_norm + q_norm) ** 2 + dim * _UNDERFLOW
-        short = np.flatnonzero(approx <= kth + 2.0 * err)
-    else:
-        short = np.flatnonzero(usable)
+    matrix K. ``short_list`` prefilters the usable rows; the short list is
+    re-ranked with the distance formula and the (dist, image_id, round)
+    tie-break, which gives the same list as a copy-then-norm scan of every
+    usable row."""
+    skip = ~corpus._has_followup | (corpus._image_ids == query_image_id)
+    short = short_list(corpus._matrix, corpus._sq_norms, corpus._max_norm,
+                       query_key, k, skip)
     dists = np.linalg.norm(corpus._matrix[short] - query_key, axis=1)
     order = np.lexsort((corpus._round_nos[short], corpus._image_ids[short], dists))
     return [corpus.entries[short[i]] for i in order[:k]]
@@ -229,7 +240,7 @@ def build_candidate_set(dataset: DialogDataset, record: DialogRecord, round_t: i
     if not 1 <= round_t < ROUNDS_PER_DIALOG:
         raise ValueError(
             f"round {round_t} has no follow-up question (valid: 1..{ROUNDS_PER_DIALOG - 1})")
-    if len(set(dataset.questions)) < pool_size:
+    if len(dataset.distinct_questions[0]) < pool_size:
         raise ValueError(
             f"corpus has fewer than {pool_size} distinct questions; cannot build candidates")
 

@@ -64,7 +64,7 @@ class FusionMlp:
         self.out = nn.Linear(widths[-1], 1, rng, name=f"{name}.out")
 
     def forward(self, ctx: np.ndarray, opts: np.ndarray, offsets, option_of_row,
-                train: bool, update_running: bool = True):
+                train: bool):
         """Scores [N] of the rows ``ctx[e] | opts[option_of_row[r]]``, r in
         ``offsets[e] : offsets[e + 1]``, and the cache for backward (None in eval)."""
         h0, split = self.hidden[0], ctx.shape[1]
@@ -76,7 +76,7 @@ class FusionMlp:
         z += h0.bias.value
         caches = []
         for bn, lin in zip(self.norms, self.hidden[1:] + [self.out]):
-            h, bn_cache = bn.forward(z, train=train, update_running=update_running)
+            h, bn_cache = bn.forward(z, train=train)
             x, relu_cache = nn.relu(h)
             z, lin_cache = lin.forward(x, rows)
             caches.append((bn_cache, relu_cache, lin_cache))

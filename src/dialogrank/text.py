@@ -143,20 +143,16 @@ ROUNDS_PER_DIALOG = 10
 class DialogDataset:
     """Loaded dialog corpus: string pools, their encodings, and dialog records."""
 
-    def __init__(self, questions, answers, records, vocab, task="visdial", seed=None,
-                 max_question_words=20, max_answer_words=20):
+    def __init__(self, questions, answers, records, vocab, question_ids, answer_ids,
+                 task="visdial", seed=None):
         self.questions: list[str] = questions
         self.answers: list[str] = answers
         self.records: list[DialogRecord] = records
         self.vocab = vocab
+        self.question_ids: list[list[int]] = question_ids  # one per pool string
+        self.answer_ids: list[list[int]] = answer_ids
         self.task = task
         self.seed = seed
-        self.question_ids = [
-            encode_truncate(tokenize(q), vocab, max_question_words) for q in questions
-        ]
-        self.answer_ids = [
-            encode_truncate(tokenize(a), vocab, max_answer_words) for a in answers
-        ]
 
     def __len__(self) -> int:
         return len(self.records)
@@ -287,11 +283,8 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
             caption_ids=encode_truncate(tokenize(caption), vocab, max_caption_words),
             rounds=rounds,
         ))
-    return DialogDataset(
-        list(questions), list(answers), records, vocab,
-        task=task, seed=payload.get("seed"),
-        max_question_words=max_question_words, max_answer_words=max_answer_words,
-    )
+    return DialogDataset(list(questions), list(answers), records, vocab, q_pool_ids,
+                         a_pool_ids, task=task, seed=payload.get("seed"))
 
 
 def corpus_from_payload(payload):
@@ -436,6 +429,16 @@ class ImageFeatureStore:
     def matrix(self) -> np.ndarray:
         """All vectors, one read-only row per id in ``ids()`` order."""
         return self._matrix
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """Each row's squared l2 norm, built on first search."""
+        return np.einsum("ij,ij->i", self._matrix, self._matrix)
+
+    @cached_property
+    def max_norm(self) -> float:
+        """The largest row norm, built on first search."""
+        return float(np.sqrt(self.sq_norms.max()))
 
     @property
     def id_array(self) -> np.ndarray:

@@ -42,11 +42,6 @@ class TrainConfig:
         if self.dims is None:
             self.dims = ModelDims.for_task(self.task)
 
-    def as_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
 
 @dataclass
 class EpochLog:

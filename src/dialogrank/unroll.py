@@ -14,12 +14,12 @@ pools and scores are recorded for audit and replay.
 The corpus is indexed once. The feature store is one [N, d] matrix, and the
 neighbour list of an image is memoised on it, since it depends only on the
 image. The dataset builds ``by_image`` and its sorted distinct pools on first
-use. ``nearest_images`` scans the matrix with one vectorised norm, keeps the
-rows within the n-th scanned distance times (1 + 4 d eps), and re-ranks those
-with the per-vector norm and the id tie-break. That margin covers the
-scan's different summation order (derived in its docstring), so transcripts
-are the same bytes as with a per-vector scan of every image. Pool strings
-recur round after round, so each is tokenized once per model (``_option_ids``).
+use. ``nearest_images`` shares the product-form prefilter of the
+follow-up-question builder (``qdataset.short_list``: one matrix-vector
+product and a derived margin) and re-ranks its short list with the
+per-vector norm and the id tie-break, so transcripts are the same bytes as
+with a per-vector scan of every image. Pool strings recur round after round,
+so each is tokenized once per model (``_option_ids``).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .model import DialogScorer, RoundExample
+from .qdataset import short_list
 from .text import (DialogDataset, ImageFeatureStore, dataset_json_bytes,
                    encode_truncate, tokenize)
 
@@ -96,59 +97,30 @@ class Transcript:
         return dataset_json_bytes(self.to_payload())
 
 
-# Distances below this scale may lose their relative accuracy to underflow:
-# every square under 2**-1022 carries an absolute error of at most 2**-1075,
-# so d of them move a squared distance by far less than d * _UNDERFLOW.
-_UNDERFLOW = 2.0 ** -1000
-_EPS = float(np.finfo(np.float64).eps)
-
-
 def nearest_images(features: ImageFeatureStore, image_id: int, n: int) -> list[int]:
     """The n closest other images by l2 distance; ties break by id.
 
-    The distance is the per-vector ``np.linalg.norm(v - q)``. Finding the
-    neighbours takes two stages:
-    - prefilter: one vectorised scan ``np.linalg.norm(M - q, axis=1)`` over
-      the store's matrix;
-    - exact re-rank: the rows within the n-th scanned distance times
-      (1 + 4 d eps), plus a floor of sqrt(d * 2**-1000) for distances that
-      underflow, are re-ranked with the per-vector formula.
-
-    Both stages subtract the same floats. They differ only in the order in
-    which they sum the d non-negative squares, so each is within a factor
-    rho = 1 + (d + 2) eps / 2 of the other. Hence the n-th per-vector
-    distance is at most rho times the n-th scanned one, and every answer row
-    scans within rho**2 < 1 + 4 d eps of it. The answer is therefore the same
-    list as a per-vector scan of every image.
+    The distance is the per-vector ``np.linalg.norm(v - q)``. The shared
+    ``qdataset.short_list`` prefilter, skipping only the query's own row,
+    keeps the rows that can be among the n nearest; re-ranking them with the
+    per-vector formula and the id tie-break gives the same list as a
+    per-vector scan of every image.
 
     Results are memoised per (image_id, n) on the immutable store; each call
     returns a fresh list."""
     memo = features._nearest
     key = (image_id, n)
     if key not in memo:
-        memo[key] = _nearest_uncached(features, image_id, n)
+        row = features.row_of(image_id)
+        matrix = features.matrix
+        query = matrix[row]
+        skip = np.zeros(len(matrix), dtype=bool)
+        skip[row] = True
+        short = short_list(matrix, features.sq_norms, features.max_norm, query, n, skip)
+        dists = np.array([np.linalg.norm(matrix[i] - query) for i in short])
+        ids = features.id_array[short]
+        memo[key] = tuple(int(ids[i]) for i in np.lexsort((ids, dists))[:n])
     return list(memo[key])
-
-
-def _nearest_uncached(features: ImageFeatureStore, image_id: int, n: int) -> tuple[int, ...]:
-    row = features.row_of(image_id)
-    matrix = features.matrix
-    query = matrix[row]
-    scanned = np.linalg.norm(matrix - query, axis=1)
-    scanned[row] = np.inf
-    others = len(scanned) - 1
-    if others == 0:
-        return ()
-    if 0 < n < others:
-        nth = np.partition(scanned, n - 1)[n - 1]
-        bound = nth * (1.0 + 4.0 * features.dim * _EPS) + np.sqrt(features.dim * _UNDERFLOW)
-        short = np.flatnonzero(scanned <= bound)
-    else:
-        short = np.delete(np.arange(len(scanned)), row)
-    dists = np.array([np.linalg.norm(matrix[i] - query) for i in short])
-    ids = features.id_array[short]
-    order = np.lexsort((ids, dists))
-    return tuple(int(ids[i]) for i in order[:n])
 
 
 _KIND_CODE = {"question": 0, "answer": 1}

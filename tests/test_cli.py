@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dialogrank
+from dialogrank import cli
 from dialogrank.cli import main
 from dialogrank.metrics import compute_metrics
 from dialogrank.text import write_dataset, write_features, write_glove
@@ -158,6 +159,38 @@ def test_unroll_end_to_end(workdir, capsys):
     payload = json.loads((workdir / "t1.json").read_text())
     assert len(payload["rounds"]) == 4
     assert payload["spec"]["seed"] == 9
+
+
+def test_each_input_file_is_read_once(workdir, capsys, monkeypatch):
+    reads = []
+
+    def counting_open(path, mode="r", **kwargs):
+        if "r" in mode:
+            reads.append(os.path.basename(path))
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    corpus, qdata = str(workdir / "corpus.json"), str(workdir / "q3.json")
+    train = ["train", "--features", str(workdir / "corpus_feat.bin"),
+             "--config", str(workdir / "tiny.cfg"), "--set", "image_dim=6"]
+    commands = [  # train and val name the same file, so it is read twice
+        (["build-qdataset", "--dataset", corpus, "--glove", str(workdir / "glove.txt"),
+          "--out", qdata], ["corpus.json"]),
+        (train + ["--task", "visdial-q", "--train", qdata, "--val", qdata,
+                  "--out", str(workdir / "q3.ckpt")], ["q3.json", "q3.json", "tiny.cfg"]),
+        (train + ["--train", corpus, "--val", corpus, "--out", str(workdir / "a3.ckpt")],
+         ["corpus.json", "corpus.json", "tiny.cfg"]),
+        (["unroll", "--q-checkpoint", str(workdir / "q3.ckpt"),
+          "--a-checkpoint", str(workdir / "a3.ckpt"), "--dataset", corpus,
+          "--features", str(workdir / "corpus_feat.bin"), "--rounds", "1",
+          "--pool-size", "20", "--top-m", "5", "--out", str(workdir / "t3.json")],
+         ["corpus.json"]),
+    ]
+    for argv, files in commands:
+        reads.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0, argv[0]
+        assert sorted(reads) == files, argv[0]
 
 
 def test_gradcheck_command(workdir, capsys):

@@ -293,7 +293,7 @@ def test_gradcheck_across_examples_with_repeated_options():
     def closure(want_grads: bool) -> float:
         if want_grads:
             model.zero_grads()
-        return model.batch_loss(batch, want_grads=want_grads, update_running=False)
+        return model.batch_loss(batch, want_grads=want_grads)
 
     report = nn.grad_check(closure, model.parameters(), h=1e-5, tolerance=1e-4)
     assert report.passed, report.summary()

@@ -444,7 +444,7 @@ def test_batchnorm_gradients_match_finite_differences(seed):
     upstream = rng.normal(size=(b, d))
 
     def forward():
-        y, cache = bn.forward(x.value, train=True, update_running=False)
+        y, cache = bn.forward(x.value, train=True)
         return y, lambda up: x.grad.__iadd__(bn.backward(cache, up))
 
     report = nn.grad_check(
@@ -459,7 +459,7 @@ def test_batchnorm_spec_shape_case():
     upstream = rng.normal(size=(8, 6))
 
     def forward():
-        y, cache = bn.forward(x.value, train=True, update_running=False)
+        y, cache = bn.forward(x.value, train=True)
         return y, lambda up: x.grad.__iadd__(bn.backward(cache, up))
 
     report = nn.grad_check(

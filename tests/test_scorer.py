@@ -270,7 +270,7 @@ def test_overfitting_one_example_drives_gt_probability_up():
     params = list(model.parameters().values())
 
     def gt_probability():
-        scores, _ = model.batch_forward(batch, update_running=False)
+        scores, _ = model.batch_forward(batch)
         e = np.exp(scores[0] - scores[0].max())
         return (e / e.sum())[batch[0].gt_index]
 
@@ -290,7 +290,7 @@ def test_overfitting_one_example_drives_gt_probability_up():
 
 def test_batch_forward_train_mode_norms_over_option_rows():
     model, ex = eval_model_and_example(k=6)
-    scores, bundle = model.batch_forward([ex], train=True, update_running=False)
+    scores, bundle = model.batch_forward([ex], train=True)
     mlp_cache = bundle[-1]
     assert mlp_cache is not None
     assert scores[0].shape == (6,)

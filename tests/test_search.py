@@ -1,13 +1,16 @@
 """Exactness of the two corpus searches against their brute-force oracles.
 
-``nearest_images`` prefilters with one vectorised norm scan and
-``find_plausible`` with a matrix-vector product; both re-rank a short list
-with the exact formula. Each case here compares the result with a
-straight-line scan by list equality: ties at the cut (duplicated vectors and
-keys), every interesting n or k, large corpora, keys whose common offset makes
-the product cancel, and near-ties that the prefilter orders differently from
-the exact formula across the cut.
+Both searches share one prefilter, ``qdataset.short_list``: product-form
+squared distances from one matrix-vector product, kept within a derived
+margin of the cut. ``nearest_images`` re-ranks the short list with the
+per-vector norm and ``find_plausible`` with a row-wise norm. Each case here
+compares the result with a straight-line scan by list equality: ties at the
+cut (duplicated vectors and keys), every interesting n or k, large corpora,
+keys whose common offset makes the product cancel, and near-ties that a
+prefilter orders differently from the exact formula across the cut.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +110,20 @@ def test_nearest_near_tie_across_the_cut():
     # the pair straddles the cut at n = 5: the scan alone would keep the other row
     assert oracle_nearest_images(store, 0, 5)[-1] == exact_first
     check_nearest(store, [0, 1, 2], cut=(5,))
+
+
+def test_nearest_uncached_peak_stays_below_one_store_copy():
+    rng = np.random.default_rng(9)
+    n, d = 4000, 64
+    store = ImageFeatureStore.from_rows(np.arange(n), rng.normal(size=(n, d)))
+    tracemalloc.start()
+    try:
+        got = nearest_images(store, 17, 10)  # first search: norms and memo built here
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == oracle_nearest_images(store, 17, 10)
+    assert peak < n * d * 8, peak
 
 
 # ---------------------------------------------------------------------------

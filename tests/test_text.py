@@ -203,6 +203,23 @@ def test_every_encoded_sequence_ends_in_stop():
         assert vocab.stop_id not in seq[:-1]
 
 
+def test_dataset_load_tokenizes_each_pool_string_and_caption_once(monkeypatch):
+    payload, _ = memorize_family(n_dialogs=3)
+    vocab = text.build_vocab(text.corpus_from_payload(payload))
+    calls = []
+    tokenize = text.tokenize
+    monkeypatch.setattr(text, "tokenize", lambda s: calls.append(s) or tokenize(s))
+    ds = text.dataset_from_payload(payload, vocab, max_question_words=3)
+    assert len(calls) == (len(payload["questions"]) + len(payload["answers"])
+                          + len(payload["dialogs"]))
+    # the pool encodings are those of the records' rounds, at the loader's length
+    for record in ds.records:
+        for rnd in record.rounds:
+            assert rnd.question_ids is ds.question_ids[rnd.question]
+            assert rnd.answer_ids is ds.answer_ids[rnd.answer]
+    assert max(len(ids) for ids in ds.question_ids) <= 4
+
+
 # ---------------------------------------------------------------------------
 # word vectors and image features
 # ---------------------------------------------------------------------------

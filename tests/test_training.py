@@ -291,6 +291,7 @@ def float_shape(manifest):
     (lambda m: m["model"].update(variant="qx"), None, "variant"),
     (lambda m: None, write_nan, "lstm.query.weight"),
     (lambda m: m["model"]["dims"].update(rounds=1), None, "qih.*rounds=1"),
+    (lambda m: m["model"]["dims"].update(embed_dim=True), None, "dims.embed_dim.*True"),
     (lambda m: None, overlap_value, r"lstm.query.weight \(value\)"),
     (lambda m: None, gap_before_adam_m, r"lstm.query.weight \(adam_m\)"),
     (lambda m: None, trailing_bytes, "64 bytes past"),
@@ -312,7 +313,7 @@ def float_shape(manifest):
     (lambda m: m["entries"][0].update(offset=0.5), None, "entry 0 is malformed"),
     (lambda m: None, cut_last_8_bytes, r"mlp.h1.bn.running_var \(buffer\): payload truncated"),
 ], ids=["no-model", "no-step-counts", "no-entries", "no-vocab", "unknown-dims-key",
-        "entries-not-a-list", "bad-variant", "nan-value", "qih-one-round", "overlap", "gap",
+        "entries-not-a-list", "bad-variant", "nan-value", "qih-one-round", "dims-bool", "overlap", "gap",
         "trailing-bytes", "duplicate-entry", "shared-embeddings-list", "shared-embeddings-int",
         "init-seed-bool", "init-seed-str", "init-seed-negative", "task-not-str",
         "variant-null", "mlp-depth-bool", "mlp-depth-float", "step-count-negative",
