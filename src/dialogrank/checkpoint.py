@@ -3,8 +3,9 @@
 Layout: magic bytes, a little-endian uint64 manifest length, a key-sorted
 JSON manifest (model config, vocabulary, per-array name/shape/offset entries,
 Adam step counts, optional extra config), then the concatenated little-endian
-float64 payloads. Values, Adam moments and batch-norm running statistics all
-round-trip exactly.
+float64 payloads. Values and batch-norm running statistics round-trip exactly;
+the Adam moments round-trip exactly when the load keeps them
+(``adam_state=True``).
 
 Both directions stream one array at a time. ``save_checkpoint`` computes the
 entries from the array shapes, writes the manifest, then writes each array's
@@ -15,16 +16,24 @@ builds the model without drawing the random init it would overwrite, then
 reads the entries in offset order straight into their arrays, checking each
 for non-finite values, and finally checks that no bytes trail the last entry.
 It only reads forward (no seek, tell or stat), so a pipe loads like a file.
+
+The default load is for inference (``evaluate`` and ``unroll`` never train):
+it reads each Adam moment entry, two thirds of the payload, chunk by chunk
+through one scratch buffer of ``nn.BLOCK`` values, with every check a kept
+entry gets (short reads, byte order, finiteness), and keeps none of it.
+``adam_state=True`` keeps the moments, for training on or saving back.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
 
 import numpy as np
 
+from . import nn
 from .encoders import ModelDims
 from .model import DialogScorer
 from .text import LoadError, Vocabulary
@@ -35,21 +44,24 @@ CHUNK = 1 << 16  # bytes per read of the manifest and of any trailing bytes
 
 
 def _arrays(model: DialogScorer):
-    """(name, role, array) of every stored array, in manifest order."""
+    """(name, role, shape, array) of every stored array, in manifest order; the
+    array is ``None`` for the moments of a parameter that holds no Adam state."""
     for name, p in model.parameters().items():
-        yield name, "value", p.value
-        yield name, "adam_m", p.m
-        yield name, "adam_v", p.v
+        yield name, "value", p.shape, p.value
+        yield name, "adam_m", p.shape, p.m
+        yield name, "adam_v", p.shape, p.v
     for name, buf in model.buffers().items():
-        yield name, "buffer", buf
+        yield name, "buffer", buf.shape, buf
 
 
 def save_checkpoint(model: DialogScorer, path, extra_config: dict | None = None) -> None:
+    """Raises ``ValueError`` for a model loaded without its Adam state."""
+    nn.require_adam_state(model.parameters().values())
     arrays = list(_arrays(model))
     entries = []
     offset = 0
-    for name, role, arr in arrays:
-        entries.append({"name": name, "role": role, "shape": list(arr.shape), "offset": offset})
+    for name, role, shape, arr in arrays:
+        entries.append({"name": name, "role": role, "shape": list(shape), "offset": offset})
         offset += arr.size * 8
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -64,7 +76,7 @@ def save_checkpoint(model: DialogScorer, path, extra_config: dict | None = None)
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(mbytes)))
         f.write(mbytes)
-        for _, _, arr in arrays:  # a copy only on a big-endian host
+        for *_, arr in arrays:  # a copy only on a big-endian host
             f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
@@ -145,9 +157,9 @@ def _build_model(manifest: dict) -> DialogScorer:
 
 
 def _payload_plan(manifest: dict, model: DialogScorer) -> list:
-    """(offset, name, role, target array) of every entry, in offset order, once
-    the entries are known to match the model and to tile the payload."""
-    targets = {(name, role): arr for name, role, arr in _arrays(model)}
+    """(offset, name, role, size, target array or None) of every entry, in offset
+    order, once the entries are known to match the model and to tile the payload."""
+    targets = {(name, role): (shape, arr) for name, role, shape, arr in _arrays(model)}
     plan = {}
     for i, entry in enumerate(_field(manifest, "entries", list)):
         if not isinstance(entry, dict):
@@ -163,23 +175,23 @@ def _payload_plan(manifest: dict, model: DialogScorer) -> list:
                             "does not exist in the configured model")
         if key in plan:
             raise LoadError(f"checkpoint entry {name} ({role}) appears twice")
-        arr = targets[key]
-        if tuple(shape) != arr.shape:
+        expected, arr = targets[key]
+        if tuple(shape) != expected:
             raise LoadError(
                 f"parameter {name}: checkpoint shape {shape} does not "
-                f"match model shape {list(arr.shape)}")
-        plan[key] = (start, name, role, arr)
+                f"match model shape {list(expected)}")
+        plan[key] = (start, name, role, math.prod(expected), arr)
     missing = sorted(set(targets) - set(plan))
     if missing:
         name, role = missing[0]
         raise LoadError(f"checkpoint is missing parameter {name} ({role})")
     spans = sorted(plan.values(), key=lambda span: span[:3])
     end = 0  # the entries must tile the payload: no overlap, no gap
-    for start, name, role, arr in spans:
+    for start, name, role, size, _ in spans:
         if start != end:
             raise LoadError(f"checkpoint entry {name} ({role}) starts at payload byte "
                             f"{start}, but the entries before it end at byte {end}")
-        end = start + arr.nbytes
+        end = start + size * 8
     return spans
 
 
@@ -207,22 +219,32 @@ def _read_entry(f, arr: np.ndarray, name: str, role: str) -> None:
         raise LoadError(f"parameter {name} ({role}): non-finite value in checkpoint")
 
 
-def load_checkpoint(path) -> tuple[DialogScorer, dict]:
+def load_checkpoint(path, *, adam_state: bool = False) -> tuple[DialogScorer, dict]:
     """Rebuild the model from a checkpoint; returns (model, extra_config).
 
-    Every malformed manifest or payload raises ``LoadError``."""
+    By default the model is for inference: each Adam moment entry is read and
+    checked through one scratch buffer, then dropped, so every parameter's ``m``
+    and ``v`` are ``None`` (its ``step_count`` is kept). ``adam_state=True`` keeps
+    the moments, so the model trains on, or saves back byte for byte. Every
+    malformed manifest or payload raises ``LoadError`` either way."""
     with open(path, "rb") as f:
         manifest = _read_manifest(f)
-        model = _build_model(manifest)
+        with nn.keep_adam_state(adam_state):
+            model = _build_model(manifest)
         spans = _payload_plan(manifest, model)
         _set_step_counts(manifest, model)
-        for _, name, role, arr in spans:
-            _read_entry(f, arr, name, role)
+        scratch = np.empty(nn.BLOCK)
+        for _, name, role, size, arr in spans:
+            if arr is None:  # a moment that is checked, chunk by chunk, and not kept
+                for i in range(0, size, nn.BLOCK):
+                    _read_entry(f, scratch[: size - i], name, role)
+            else:
+                _read_entry(f, arr, name, role)
         tail = 0
         while chunk := f.read(CHUNK):
             tail += len(chunk)
     if tail:
-        _, name, role, _ = spans[-1]
+        _, name, role, _, _ = spans[-1]
         raise LoadError(f"checkpoint payload runs {tail} bytes past its "
                         f"last entry {name} ({role})")
     return model, manifest.get("extra", {})

@@ -20,6 +20,8 @@ with the grad zeroing folded in; per element it is bitwise the whole-array updat
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -41,18 +43,37 @@ def _rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
+_KEEP_ADAM_STATE = ContextVar("keep_adam_state", default=True)
+
+
+@contextmanager
+def keep_adam_state(keep: bool):
+    """Parameters made inside this block hold Adam moments only if ``keep``. The flag
+    is context-local, so a model built in another thread meanwhile is not affected."""
+    token = _KEEP_ADAM_STATE.set(keep)
+    try:
+        yield
+    finally:
+        _KEEP_ADAM_STATE.reset(token)
+
+
 class Parameter:
-    """A value array with paired gradient and Adam moment buffers.
+    """A value array with its gradient and its Adam moments ``m`` and ``v``.
 
     The buffers come from ``np.zeros`` (calloc), so their pages stay unmapped
     zero pages until first written: an eval-only process never maps its
-    gradients."""
+    gradients. A parameter made for inference (``keep_adam_state(False)``, as
+    ``checkpoint.load_checkpoint`` does by default) holds no moments: ``m`` and
+    ``v`` are ``None``, and ``adam_step`` and ``save_checkpoint`` refuse it
+    (``require_adam_state``)."""
 
     def __init__(self, value, name: str = "param"):
         self.value = as_f64(value)
         self.grad = np.zeros(self.value.shape)
-        self.m = np.zeros(self.value.shape)
-        self.v = np.zeros(self.value.shape)
+        self.m = self.v = None
+        if _KEEP_ADAM_STATE.get():
+            self.m = np.zeros(self.value.shape)
+            self.v = np.zeros(self.value.shape)
         self.step_count = 0
         self.name = name
 
@@ -94,11 +115,24 @@ BLOCK = 1 << 15  # elements per block of the blocked kernels: 256 KB of float64
 ROWS = 100  # rows per eval block of candidate or history rows (``project``): one per round
 
 
+def require_adam_state(params) -> None:
+    """Raise ``ValueError`` naming the first parameter that holds no Adam moments."""
+    for p in params:
+        if p.m is None or p.v is None:
+            raise ValueError(
+                f"parameter {p.name} holds no Adam state: its checkpoint was loaded for "
+                "inference; load it with load_checkpoint(path, adam_state=True) to train "
+                "or save it")
+
+
 def adam_step(params, cfg: AdamConfig) -> None:
     """In-place bias-corrected Adam, grad as scratch, zeroing grads. Every ufunc runs on
     one block of ``BLOCK`` elements of the flat views (parameter arrays are C-contiguous)
     before the next block, so each array streams through memory once; each ufunc rounds
-    per element, so the result is bitwise that of the same ufuncs over whole arrays."""
+    per element, so the result is bitwise that of the same ufuncs over whole arrays.
+    Every parameter is checked for its moments before any is updated."""
+    params = list(params)
+    require_adam_state(params)
     b1, b2 = cfg.beta1, cfg.beta2
     for p in params:
         t = p.step_count + 1

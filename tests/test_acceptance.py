@@ -338,7 +338,7 @@ def test_criterion_9_persistence(tmp_path):
 
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(model, p1, extra_config={"run": "acceptance"})
-    loaded, extra = load_checkpoint(p1)
+    loaded, extra = load_checkpoint(p1, adam_state=True)
     save_checkpoint(loaded, p2, extra_config=extra)
     bytes_ok = p1.read_bytes() == p2.read_bytes()
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -42,6 +44,45 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_for_fixture(*argv):
+    """(exit code, stdout) of ``main(argv)``, for a module-scoped fixture, which
+    cannot use capsys."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+# Each file that a test reads but does not write comes from a fixture, so every
+# test runs alone, under -k, or in any order.
+
+
+@pytest.fixture(scope="module")
+def qdataset(workdir):
+    """``q1.json`` from build-qdataset over the corpus: (exit code, stdout, path)."""
+    path = workdir / "q1.json"
+    code, stdout = run_cli_for_fixture(
+        "build-qdataset", "--dataset", str(workdir / "corpus.json"),
+        "--glove", str(workdir / "glove.txt"), "--seed", "5", "--out", str(path))
+    return code, stdout, path
+
+
+@pytest.fixture(scope="module")
+def trained(workdir):
+    """``model.ckpt`` from train on the visdial set: (exit code, stdout, path)."""
+    path = workdir / "model.ckpt"
+    code, stdout = run_cli_for_fixture(
+        "train",
+        "--train", str(workdir / "train.json"),
+        "--val", str(workdir / "train.json"),
+        "--features", str(workdir / "feat.bin"),
+        "--config", str(workdir / "tiny.cfg"),
+        "--task", "visdial", "--variant", "qih",
+        "--shared-embeddings", "on", "--seed", "4",
+        "--out", str(path))
+    return code, stdout, path
+
+
 def test_build_vocab(workdir, capsys):
     out = workdir / "vocab.txt"
     code, stdout, _ = run_cli(capsys, "build-vocab", "--dataset",
@@ -51,31 +92,23 @@ def test_build_vocab(workdir, capsys):
     assert out.exists()
 
 
-def test_build_qdataset_digest_is_stable(workdir, capsys):
-    digests = []
-    for name in ("q1.json", "q2.json"):
-        code, stdout, _ = run_cli(
-            capsys, "build-qdataset",
-            "--dataset", str(workdir / "corpus.json"),
-            "--glove", str(workdir / "glove.txt"),
-            "--seed", "5", "--out", str(workdir / name))
-        assert code == 0
-        digests.append(stdout.split("sha256=")[1].strip())
-    assert digests[0] == digests[1]
-    assert (workdir / "q1.json").read_bytes() == (workdir / "q2.json").read_bytes()
-
-
-def test_train_and_evaluate(workdir, capsys):
-    ckpt = workdir / "model.ckpt"
+def test_build_qdataset_digest_is_stable(workdir, qdataset, capsys):
+    code, stdout, q1 = qdataset
+    assert code == 0
+    digests = [stdout.split("sha256=")[1].strip()]
     code, stdout, _ = run_cli(
-        capsys, "train",
-        "--train", str(workdir / "train.json"),
-        "--val", str(workdir / "train.json"),
-        "--features", str(workdir / "feat.bin"),
-        "--config", str(workdir / "tiny.cfg"),
-        "--task", "visdial", "--variant", "qih",
-        "--shared-embeddings", "on", "--seed", "4",
-        "--out", str(ckpt))
+        capsys, "build-qdataset",
+        "--dataset", str(workdir / "corpus.json"),
+        "--glove", str(workdir / "glove.txt"),
+        "--seed", "5", "--out", str(workdir / "q2.json"))
+    assert code == 0
+    digests.append(stdout.split("sha256=")[1].strip())
+    assert digests[0] == digests[1]
+    assert q1.read_bytes() == (workdir / "q2.json").read_bytes()
+
+
+def test_train_and_evaluate(workdir, trained, capsys):
+    code, stdout, ckpt = trained
     assert code == 0
     assert "config task=visdial" in stdout
     assert "epoch 1 loss" in stdout
@@ -105,25 +138,28 @@ def test_train_and_evaluate(workdir, capsys):
     assert abs(report.r_at_1 - printed_r1) < 5e-3
 
 
-def test_evaluate_rejects_task_mismatch(workdir, capsys):
+def test_evaluate_rejects_task_mismatch(workdir, trained, capsys):
+    assert trained[0] == 0  # the checkpoint exists and loads; only the task differs
     code, _, stderr = run_cli(
         capsys, "evaluate",
-        "--checkpoint", str(workdir / "model.ckpt"),
+        "--checkpoint", str(trained[2]),
         "--dataset", str(workdir / "train.json"),
         "--features", str(workdir / "feat.bin"),
         "--task", "visdial-q")
     assert code == 1
     assert stderr.count("\n") == 1
-    assert "error type=" in stderr
+    assert "error type=ValueError" in stderr
+    assert "trained for task 'visdial', asked for 'visdial-q'" in stderr
 
 
-def test_unroll_end_to_end(workdir, capsys):
+def test_unroll_end_to_end(workdir, qdataset, capsys):
     # train a tiny follow-up-question model on the built q-dataset
+    assert qdataset[0] == 0
     q_ckpt = workdir / "qmodel.ckpt"
     code, _, _ = run_cli(
         capsys, "train",
-        "--train", str(workdir / "q1.json"),
-        "--val", str(workdir / "q1.json"),
+        "--train", str(qdataset[2]),
+        "--val", str(qdataset[2]),
         "--features", str(workdir / "corpus_feat.bin"),
         "--config", str(workdir / "tiny.cfg"),
         "--task", "visdial-q", "--variant", "qih", "--seed", "6",

@@ -642,6 +642,20 @@ def test_blocked_adam_peak_stays_below_two_blocks():
     assert peak < 2 * nn.BLOCK * 8
 
 
+def test_adam_refuses_a_parameter_without_moments():
+    # a parameter made for inference holds no moments; no parameter is updated
+    cfg = nn.AdamConfig()
+    kept = nn.Parameter(np.array([1.0, 2.0]), name="kept")
+    with nn.keep_adam_state(False):
+        bare = nn.Parameter(np.array([3.0]), name="mlp.out.bias")
+    assert bare.m is None and bare.v is None
+    kept.grad[:] = bare.grad[:] = 1.0
+    with pytest.raises(ValueError, match=r"mlp.out.bias holds no Adam state.*adam_state=True"):
+        nn.adam_step([kept, bare], cfg)
+    assert np.array_equal(kept.value, [1.0, 2.0]) and kept.step_count == 0
+    assert not kept.m.any()
+
+
 def test_adam_config_validation():
     with pytest.raises(ValueError):
         nn.AdamConfig(learning_rate=0.0)

@@ -156,9 +156,26 @@ def test_checkpoint_roundtrip_bytes(tmp_path, toy_data):
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
     save_checkpoint(model, p1, extra_config={"note": "x"})
-    loaded, extra = load_checkpoint(p1)
+    loaded, extra = load_checkpoint(p1, adam_state=True)
     save_checkpoint(loaded, p2, extra_config=extra)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_default_load_keeps_no_adam_state_and_refuses_to_save(tmp_path, toy_data):
+    model, ds, features = trained_model(toy_data)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    loaded, _ = load_checkpoint(path)
+    for name, p in model.parameters().items():
+        q = loaded.parameters()[name]
+        assert q.m is None and q.v is None
+        assert np.array_equal(p.value, q.value)
+        assert q.step_count == p.step_count > 0
+    again = tmp_path / "again.ckpt"
+    with pytest.raises(ValueError, match=r"embed.shared.weight holds no Adam state"
+                                         r".*adam_state=True"):
+        save_checkpoint(loaded, again)
+    assert not again.exists()
 
 
 def test_checkpoint_preserves_evaluation(tmp_path, toy_data):
@@ -176,7 +193,7 @@ def test_checkpoint_preserves_adam_state_and_buffers(tmp_path, toy_data):
     model, _, _ = trained_model(toy_data)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
-    loaded, _ = load_checkpoint(path)
+    loaded, _ = load_checkpoint(path, adam_state=True)
     for name, p in model.parameters().items():
         q = loaded.parameters()[name]
         assert np.array_equal(p.value, q.value)
@@ -245,6 +262,13 @@ def write_nan(manifest, payload):
     payload[entry["offset"] : entry["offset"] + 8] = struct.pack("<d", float("nan"))
 
 
+def write_nan_in_adam_v(manifest, payload):
+    # the third of the entry's values: inside the moment that the default load drops
+    entry = entry_of(manifest, "lstm.query.weight", "adam_v")
+    at = entry["offset"] + 16
+    payload[at : at + 8] = struct.pack("<d", float("nan"))
+
+
 def entry_of(manifest, name, role):
     return next(e for e in manifest["entries"] if e["name"] == name and e["role"] == role)
 
@@ -270,6 +294,13 @@ def trailing_bytes(manifest, payload):
 
 def cut_last_8_bytes(manifest, payload):
     del payload[-8:]
+
+
+def cut_inside_last_moment(manifest, payload):
+    # the payload ends 4 bytes into the last Adam moment entry, mlp.out.bias (adam_v)
+    last = max((e for e in manifest["entries"] if e["role"] in ("adam_m", "adam_v")),
+               key=lambda e: e["offset"])
+    del payload[last["offset"] + 4 :]
 
 
 def first_param(manifest):
@@ -312,31 +343,48 @@ def float_shape(manifest):
     (float_shape, None, "entry 0 is malformed"),
     (lambda m: m["entries"][0].update(offset=0.5), None, "entry 0 is malformed"),
     (lambda m: None, cut_last_8_bytes, r"mlp.h1.bn.running_var \(buffer\): payload truncated"),
+    (lambda m: None, write_nan_in_adam_v, r"lstm.query.weight \(adam_v\): non-finite"),
+    (lambda m: None, cut_inside_last_moment, r"mlp.out.bias \(adam_v\): payload truncated"),
 ], ids=["no-model", "no-step-counts", "no-entries", "no-vocab", "unknown-dims-key",
         "entries-not-a-list", "bad-variant", "nan-value", "qih-one-round", "dims-bool", "overlap", "gap",
         "trailing-bytes", "duplicate-entry", "shared-embeddings-list", "shared-embeddings-int",
         "init-seed-bool", "init-seed-str", "init-seed-negative", "task-not-str",
         "variant-null", "mlp-depth-bool", "mlp-depth-float", "step-count-negative",
-        "step-count-float", "shape-float", "offset-float", "truncated-payload"])
+        "step-count-float", "shape-float", "offset-float", "truncated-payload",
+        "nan-adam-v", "truncated-adam-v"])
 def test_malformed_checkpoint_raises_load_error(tmp_path, edit, edit_payload, named):
     model = DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     rewrite_checkpoint(path, edit, edit_payload)
-    with pytest.raises(LoadError, match=named):
+    for adam_state in (False, True):  # moments dropped after their check, or kept
+        with pytest.raises(LoadError, match=named):
+            load_checkpoint(path, adam_state=adam_state)
+
+
+@pytest.mark.parametrize("index", [0, nn.BLOCK + 1, 4 * nn.BLOCK - 1])
+def test_default_load_checks_every_scratch_chunk(tmp_path, index):
+    # mlp.h0.weight has 4 * nn.BLOCK values, so its moments pass the scratch
+    # buffer in four chunks; an inf in the first, second or last chunk is named
+    path = tmp_path / "m.ckpt"
+    model = memory_model()
+    assert model.parameters()["mlp.h0.weight"].size == 4 * nn.BLOCK
+    save_checkpoint(model, path)
+
+    def inf_at(manifest, payload):
+        at = entry_of(manifest, "mlp.h0.weight", "adam_m")["offset"] + 8 * index
+        payload[at : at + 8] = struct.pack("<d", float("inf"))
+
+    rewrite_checkpoint(path, lambda m: None, inf_at)
+    with pytest.raises(LoadError, match=r"mlp.h0.weight \(adam_m\): non-finite"):
         load_checkpoint(path)
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("cut", [0, 8])
-def test_checkpoint_loads_through_a_pipe(tmp_path, cut):
-    # a pipe cannot seek or report its size; it loads, or fails with LoadError
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0), path,
-                    extra_config={"note": "pipe"})
-    data = path.read_bytes()[: -cut or None]
+def through_a_pipe(tmp_path, data: bytes, load):
+    """``load(fifo)`` while another thread writes ``data`` into the named pipe."""
     fifo = tmp_path / "m.fifo"
-    os.mkfifo(fifo)
+    if not fifo.exists():
+        os.mkfifo(fifo)
 
     def feed():
         with open(fifo, "wb") as f:
@@ -345,18 +393,38 @@ def test_checkpoint_loads_through_a_pipe(tmp_path, cut):
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
     try:
-        if cut:
-            with pytest.raises(LoadError, match=r"mlp.h1.bn.running_var \(buffer\): "
-                                                "payload truncated"):
-                load_checkpoint(fifo)
-        else:
-            loaded, extra = load_checkpoint(fifo)
-            again = tmp_path / "again.ckpt"
-            save_checkpoint(loaded, again, extra_config=extra)
-            assert again.read_bytes() == data
+        return load(fifo)
     finally:
         writer.join(timeout=10)
-    assert not writer.is_alive()
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("cut", [0, 8])
+def test_checkpoint_loads_through_a_pipe(tmp_path, cut):
+    # a pipe cannot seek or report its size, and may return short reads; it
+    # loads, or fails with LoadError, with the moments kept or dropped
+    path = tmp_path / "m.ckpt"
+    model = DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0)
+    save_checkpoint(model, path, extra_config={"note": "pipe"})
+    data = path.read_bytes()[: -cut or None]
+    if cut:
+        for adam_state in (False, True):
+            with pytest.raises(LoadError, match=r"mlp.h1.bn.running_var \(buffer\): "
+                                                "payload truncated"):
+                through_a_pipe(tmp_path, data,
+                               lambda fifo: load_checkpoint(fifo, adam_state=adam_state))
+        return
+    loaded, extra = through_a_pipe(tmp_path, data,
+                                   lambda fifo: load_checkpoint(fifo, adam_state=True))
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(loaded, again, extra_config=extra)
+    assert again.read_bytes() == data
+    loaded, extra = through_a_pipe(tmp_path, data, load_checkpoint)
+    assert extra == {"note": "pipe"}
+    for name, p in model.parameters().items():
+        assert np.array_equal(loaded.parameters()[name].value, p.value)
+        assert loaded.parameters()[name].m is None
 
 
 def test_load_draws_no_init(tmp_path, monkeypatch):
@@ -394,10 +462,24 @@ def test_load_checkpoint_peak_memory_is_the_model(tmp_path):
     # no per-array copies, no init drawn and thrown away
     path = tmp_path / "m.ckpt"
     save_checkpoint(memory_model(), path)
-    (loaded, _), peak = traced_peak(lambda: load_checkpoint(path))
+    (loaded, _), peak = traced_peak(lambda: load_checkpoint(path, adam_state=True))
     held = sum(a.nbytes for p in loaded.parameters().values() for a in (p.value, p.grad, p.m, p.v))
     held += sum(b.nbytes for b in loaded.buffers().values())
     assert peak <= held + (1 << 20), (peak, held)
+
+
+def test_default_load_peak_memory_holds_no_adam_state(tmp_path):
+    # the moments pass one scratch buffer of nn.BLOCK values and are never
+    # allocated: the peak is the values, the gradients and the buffers
+    path = tmp_path / "m.ckpt"
+    model = memory_model()
+    save_checkpoint(model, path)
+    (loaded, _), peak = traced_peak(lambda: load_checkpoint(path))
+    held = sum(a.nbytes for p in loaded.parameters().values() for a in (p.value, p.grad))
+    held += sum(b.nbytes for b in loaded.buffers().values())
+    assert peak <= held + (1 << 20), (peak, held)
+    for name, p in model.parameters().items():
+        assert np.array_equal(loaded.parameters()[name].value, p.value)
 
 
 def test_save_checkpoint_peak_memory_below_largest_array(tmp_path):
@@ -423,10 +505,11 @@ def small_checkpoint(tmp_path_factory):
 
 
 def load_or_load_error(path) -> None:
-    try:
-        load_checkpoint(path)
-    except LoadError:
-        pass
+    for adam_state in (False, True):
+        try:
+            load_checkpoint(path, adam_state=adam_state)
+        except LoadError:
+            pass
 
 
 @settings(max_examples=150, deadline=None)
