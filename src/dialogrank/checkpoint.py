@@ -43,7 +43,7 @@ FORMAT_VERSION = 1
 CHUNK = 1 << 16  # bytes per read of the manifest and of any trailing bytes
 
 
-def _arrays(model: DialogScorer):
+def arrays(model: DialogScorer):
     """(name, role, shape, array) of every stored array, in manifest order; the
     array is ``None`` for the moments of a parameter that holds no Adam state."""
     for name, p in model.parameters().items():
@@ -57,10 +57,10 @@ def _arrays(model: DialogScorer):
 def save_checkpoint(model: DialogScorer, path, extra_config: dict | None = None) -> None:
     """Raises ``ValueError`` for a model loaded without its Adam state."""
     nn.require_adam_state(model.parameters().values())
-    arrays = list(_arrays(model))
+    stored = list(arrays(model))
     entries = []
     offset = 0
-    for name, role, shape, arr in arrays:
+    for name, role, shape, arr in stored:
         entries.append({"name": name, "role": role, "shape": list(shape), "offset": offset})
         offset += arr.size * 8
     manifest = {
@@ -76,7 +76,7 @@ def save_checkpoint(model: DialogScorer, path, extra_config: dict | None = None)
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(mbytes)))
         f.write(mbytes)
-        for *_, arr in arrays:  # a copy only on a big-endian host
+        for *_, arr in stored:  # a copy only on a big-endian host
             f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
@@ -159,7 +159,7 @@ def _build_model(manifest: dict) -> DialogScorer:
 def _payload_plan(manifest: dict, model: DialogScorer) -> list:
     """(offset, name, role, size, target array or None) of every entry, in offset
     order, once the entries are known to match the model and to tile the payload."""
-    targets = {(name, role): (shape, arr) for name, role, shape, arr in _arrays(model)}
+    targets = {(name, role): (shape, arr) for name, role, shape, arr in arrays(model)}
     plan = {}
     for i, entry in enumerate(_field(manifest, "entries", list)):
         if not isinstance(entry, dict):

@@ -106,24 +106,25 @@ def _echo_config(values: dict, out_path=None) -> None:
 
 
 def _load_payload(path) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise LoadError(f"dataset file {path}: not UTF-8 JSON: {exc}") from exc
 
 
 def _vocab_of(payload, min_count: int = 1) -> Vocabulary:
     return build_vocab(corpus_from_payload(payload), min_count=min_count)
 
 
-def _merged_raw_config(args, extra_keys=()) -> dict[str, str]:
-    raw: dict[str, str] = {}
-    if getattr(args, "config", None):
-        raw.update(parse_config_file(args.config))
-    for key in ("task", "variant", "mlp_depth", "shared_embeddings", "learning_rate",
-                "batch_size", "max_epochs", "patience", "seed", "min_count", *extra_keys):
+def _merged_raw_config(args) -> dict[str, str]:
+    """``train``'s configuration: the file, then the flags, then ``--set`` items."""
+    raw = parse_config_file(args.config) if args.config else {}
+    for key in _TRAIN_KEYS:  # grad_clip and max_steps have no flag
         value = getattr(args, key, None)
         if value is not None:
             raw[key] = str(value)
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)

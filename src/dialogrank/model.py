@@ -1,8 +1,9 @@
-"""End-to-end ranking model: encoder bank feeding the fusion scorer.
+"""End-to-end ranking model: text paths and the history pair-combine feeding
+the fusion scorer.
 
 One forward pass, ``DialogScorer.batch_forward``, serves training and
 evaluation; ``score_example`` is ``batch_forward([ex], train=False)``. It
-encodes the queries, captions, history slots (``EncoderBank.encode_histories``)
+encodes the queries, captions, history slots (``DialogScorer.encode_histories``)
 and distinct option sequences, stacks each example's context (query | image |
 caption | history) and scores it against its options with the late-fusion MLP
 (scorer.py), so the fused rows are never built.
@@ -45,7 +46,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import nn
-from .encoders import EncoderBank, ModelDims
+from .encoders import TASKS, VARIANTS, ModelDims, TextPath
 from .scorer import FusionMlp, ScoredOptions
 from .text import DialogDataset, ImageFeatureStore, Vocabulary
 
@@ -106,7 +107,12 @@ def examples_from_dataset(dataset: DialogDataset, features: ImageFeatureStore | 
 
 
 class DialogScorer:
-    """Encoder bank + fusion MLP with a stable parameter registry.
+    """Text paths, history pair-combine and fusion MLP, with a stable
+    parameter registry.
+
+    With shared embeddings on, one table object serves the query, option,
+    caption and both history paths, so its gradients accumulate from all of
+    them and Adam updates it once per step.
 
     ``init_seed`` seeds the He-normal init. ``None`` draws no init and leaves
     every value at its zero (or fixed-bias) default, for a caller that fills
@@ -116,6 +122,13 @@ class DialogScorer:
     def __init__(self, dims: ModelDims, vocab: Vocabulary, task: str = "visdial",
                  variant: str = "qih", mlp_depth: int = 2, shared_embeddings: bool = True,
                  init_seed: int | None = 0):
+        if task not in TASKS:
+            raise ValueError(f"unknown task {task!r}")
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if variant == "qih" and dims.history_slots < 1:
+            raise ValueError(f"variant qih needs rounds >= 2 for its history block, "
+                             f"got rounds={dims.rounds}")
         self.dims = dims
         self.vocab = vocab
         self.task = task
@@ -124,19 +137,48 @@ class DialogScorer:
         self.shared_embeddings = shared_embeddings
         self.init_seed = init_seed
         rng = None if init_seed is None else np.random.default_rng(init_seed)
-        self.bank = EncoderBank(dims, vocab, task, variant, shared_embeddings, rng)
+        names = ["query", "option"]
+        if variant == "qih":
+            names += ["caption", "history_q", "history_a"]
+        E, V = dims.embed_dim, len(vocab)
+        # the draw order is every table, the LSTMs in path order, history.combine, the MLP
+        if shared_embeddings:
+            tables = [nn.Embedding(E, V, rng, name="embed.shared")] * len(names)
+        else:
+            tables = [nn.Embedding(E, V, rng, name=f"embed.{n}") for n in names]
+        self.paths = {
+            n: TextPath(table, nn.LstmEncoder(E, getattr(dims, f"{n}_hidden"), rng,
+                                              name=f"lstm.{n}"),
+                        1 if n in ("query", "caption") else nn.ROWS)
+            for n, table in zip(names, tables)
+        }
+        self.pair_combine = self.pair_bn = None
+        if variant == "qih":
+            self.pair_combine = nn.Linear(dims.history_q_hidden + dims.history_a_hidden,
+                                          dims.history_pair_dim, rng, name="history.combine")
+            self.pair_bn = nn.BatchNorm1d(dims.history_pair_dim, name="history.bn")
         self.mlp = FusionMlp(dims.fused_dim(variant), mlp_depth, rng)
         self._option_ids: dict[str, list[int]] = {}  # unroll._option_ids: string -> ids
 
     # -- registry ------------------------------------------------------------
 
     def parameters(self) -> dict[str, nn.Parameter]:
-        out = self.bank.parameters()
+        # a shared table is one object under one name, so it has one entry
+        out = {path.embed.weight.name: path.embed.weight for path in self.paths.values()}
+        layers = [path.lstm for path in self.paths.values()]
+        if self.pair_bn is not None:
+            layers += [self.pair_combine, self.pair_bn]
+        for layer in layers:
+            for p in layer.parameters():
+                out[p.name] = p
         out.update(self.mlp.parameters())
         return out
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out = self.bank.buffers()
+        out = {}
+        if self.pair_bn is not None:
+            out["history.bn.running_mean"] = self.pair_bn.running_mean
+            out["history.bn.running_var"] = self.pair_bn.running_var
         out.update(self.mlp.buffers())
         return out
 
@@ -153,6 +195,81 @@ class DialogScorer:
     def zero_grads(self) -> None:
         for p in self.parameters().values():
             p.zero_grad()
+
+    # -- text and history ----------------------------------------------------
+
+    def query_ids(self, question_ids, answer_ids=None) -> list[int]:
+        """Query token sequence: the question, or question+answer for follow-ups.
+
+        The answer part is required exactly when the model was built for the
+        follow-up-question task; both sub-sequences keep their stop tokens.
+        """
+        if self.task == "visdial":
+            if answer_ids is not None:
+                raise ValueError("answer part not allowed in the query for answer ranking")
+            seq = list(question_ids)
+        else:
+            if answer_ids is None:
+                raise ValueError("follow-up-question ranking queries need the answer part")
+            seq = list(question_ids) + list(answer_ids)
+        if not seq:
+            raise ValueError("empty query")
+        return seq
+
+    def empty_pair(self) -> tuple[list[int], list[int]]:
+        pad = [self.vocab.empty_id, self.vocab.stop_id]
+        return pad, list(pad)
+
+    def encode_histories(self, histories, train: bool):
+        """Slot-aligned history blocks [B, (T-1) * pair_dim] of B examples.
+
+        ``histories[e]`` is the chronological list of (question_ids,
+        answer_ids) pairs already exchanged before example e's query. History
+        is always laid out as T-1 chronological slots, so the block has one
+        fixed length per model however deep into the dialog the query sits;
+        slots of rounds that do not exist yet share one encoding of the
+        ([empty, stop], [empty, stop]) pair, computed once per call.
+
+        Each slot row runs through pair-combine FC -> batch norm -> ReLU.
+        Train mode batch-norms the B * (T-1) slot rows jointly. Eval mode runs
+        the product on fixed blocks of ``nn.ROWS`` rows (``nn.project``), so a
+        row's output depends on that row alone, and keeps no cache.
+        """
+        slots = self.dims.history_slots
+        pairs, rows = [], []  # real rounds and their slot rows; then the empty pair
+        padded = np.zeros(len(histories) * slots, dtype=bool)
+        for e, rounds in enumerate(histories):
+            if len(rounds) > slots:
+                raise ValueError(f"history holds {len(rounds)} rounds, model fits {slots}")
+            pairs += rounds
+            rows += range(e * slots, e * slots + len(rounds))
+            padded[e * slots + len(rounds) : (e + 1) * slots] = True
+        if padded.any():
+            pairs.append(self.empty_pair())
+        qv, qcache = self.paths["history_q"].encode([q for q, _ in pairs], train)
+        av, acache = self.paths["history_a"].encode([a for _, a in pairs], train)
+        pre = np.concatenate([qv, av], axis=1)
+        pre_rows = np.empty((len(padded), pre.shape[1]))
+        pre_rows[rows] = pre[: len(rows)]
+        pre_rows[padded] = pre[len(rows) :]
+        lin, lin_cache = self.pair_combine.forward(pre_rows, None if train else nn.ROWS)
+        normed, bn_cache = self.pair_bn.forward(lin, train=train)
+        combined, relu_cache = nn.relu(normed)
+        blocks = combined.reshape(len(histories), self.dims.history_len)
+        if not train:
+            return blocks, None
+        return blocks, (rows, padded, qcache, acache, lin_cache, bn_cache, relu_cache)
+
+    def _backward_histories(self, cache, dblocks: np.ndarray) -> None:
+        rows, padded, qcache, acache, lin_cache, bn_cache, relu_cache = cache
+        dnormed = nn.relu_backward(relu_cache, dblocks.reshape(-1, self.dims.history_pair_dim))
+        dpre = self.pair_combine.backward(lin_cache, self.pair_bn.backward(bn_cache, dnormed))
+        dpairs = dpre[rows]
+        if padded.any():  # all padded slots share one encoding; their grads sum
+            dpairs = np.vstack([dpairs, dpre[padded].sum(axis=0)])
+        split = self.dims.history_q_hidden
+        self.paths["history_q"].backward(qcache, dpairs[:, :split])
+        self.paths["history_a"].backward(acache, dpairs[:, split:])
 
     # -- forward and backward ------------------------------------------------
 
@@ -183,21 +300,20 @@ class DialogScorer:
             raise ValueError("empty batch")
         for ex in batch:
             self._check_example(ex)
-        bank = self.bank
         offsets = np.concatenate([[0], np.cumsum([len(ex.option_ids) for ex in batch])])
         distinct = {}  # option token tuple -> its row among the option encodings
         option_of_row = np.array([distinct.setdefault(tuple(ids), len(distinct))
                                   for ex in batch for ids in ex.option_ids])
-        queries = [bank.query_ids(ex.question_ids, ex.query_answer_ids) for ex in batch]
-        q_vecs, q_cache = bank.paths["query"].encode(queries, train)
-        o_vecs, o_cache = bank.paths["option"].encode([list(k) for k in distinct], train)
+        queries = [self.query_ids(ex.question_ids, ex.query_answer_ids) for ex in batch]
+        q_vecs, q_cache = self.paths["query"].encode(queries, train)
+        o_vecs, o_cache = self.paths["option"].encode([list(k) for k in distinct], train)
         blocks = [q_vecs]  # the context: query | image | caption | history
         if self.variant != "q":
             blocks.append(np.stack([ex.image_vec for ex in batch]))
         c_cache = hist_cache = None
         if self.variant == "qih":
-            c_vecs, c_cache = bank.paths["caption"].encode([ex.caption_ids for ex in batch], train)
-            hist, hist_cache = bank.encode_histories([ex.history for ex in batch], train)
+            c_vecs, c_cache = self.paths["caption"].encode([ex.caption_ids for ex in batch], train)
+            hist, hist_cache = self.encode_histories([ex.history for ex in batch], train)
             blocks += [c_vecs, hist]
 
         flat_scores, mlp_cache = self.mlp.forward(np.concatenate(blocks, axis=1), o_vecs,
@@ -210,13 +326,12 @@ class DialogScorer:
         if mlp_cache is None:
             raise RuntimeError("batch_backward requires a train-mode batch_forward")
         dctx, doptions = self.mlp.backward(mlp_cache, np.concatenate(dscores))
-        paths = self.bank.paths
-        paths["query"].backward(q_cache, dctx[:, : self.dims.query_hidden])
-        paths["option"].backward(o_cache, doptions)
+        self.paths["query"].backward(q_cache, dctx[:, : self.dims.query_hidden])
+        self.paths["option"].backward(o_cache, doptions)
         if c_cache is not None:
             h0 = dctx.shape[1] - self.dims.history_len  # first history column
-            paths["caption"].backward(c_cache, dctx[:, h0 - self.dims.caption_hidden : h0])
-            self.bank.backward_histories(hist_cache, dctx[:, h0:])
+            self.paths["caption"].backward(c_cache, dctx[:, h0 - self.dims.caption_hidden : h0])
+            self._backward_histories(hist_cache, dctx[:, h0:])
 
     def batch_loss(self, batch: list[RoundExample], want_grads: bool = True) -> float:
         """Mean cross-entropy over the minibatch; optionally accumulates grads."""

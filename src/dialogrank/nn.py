@@ -375,9 +375,6 @@ class BatchNorm1d:
     def parameters(self):
         return [self.gamma, self.beta]
 
-    def buffers(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
-
 
 def relu(x: np.ndarray):
     """Elementwise max(0, x). Returns (y, cache); subgradient at 0 is 0."""

@@ -192,9 +192,14 @@ def load_dataset(path, vocab: Vocabulary, max_question_words: int = 20,
     )
 
 
-def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 20,
-                         max_answer_words: int = 20,
-                         max_caption_words: int = 40) -> DialogDataset:
+def _indices(values: list, size: int) -> bool:
+    """Whether every value is a JSON integer (not a bool) in ``range(size)``, with
+    the loops in C: a dataset holds millions of option indices."""
+    return (set(map(type, values)) <= {int} and min(values, default=0) >= 0
+            and max(values, default=-1) < size)
+
+
+def _checked_pools(payload) -> tuple[list[str], list[str]]:
     _require(isinstance(payload, dict), "dataset root must be an object")
     for key in ("questions", "answers", "dialogs"):
         _require(isinstance(payload.get(key), list), f"dataset needs a {key!r} list")
@@ -202,6 +207,44 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
     answers = payload["answers"]
     _require(all(isinstance(q, str) for q in questions), "questions pool must hold strings")
     _require(all(isinstance(a, str) for a in answers), "answers pool must hold strings")
+    return questions, answers
+
+
+def _checked_dialogs(payload, questions, answers):
+    """The checks of what both ``corpus_from_payload`` and ``dataset_from_payload``
+    read, dialog by dialog. Yields (where, image_id, caption, rounds) once the
+    dialog's image id, caption and round list pass; ``rounds`` holds
+    (where, round, question index, answer index) of each round, once both
+    indices pass. A failure raises ``LoadError`` naming the dialog and round.
+    Indices and image ids must be JSON integers: ``type(x) is int``, as a bool
+    is not one."""
+    for d, dialog in enumerate(payload["dialogs"]):
+        where = f"dialog {d}"
+        _require(isinstance(dialog, dict), f"{where}: must be an object")
+        image_id = dialog.get("image_id")
+        _require(type(image_id) is int, f"{where}: image_id must be an integer")
+        where = f"dialog {d} (image_id {image_id})"
+        caption = dialog.get("caption", "")
+        _require(isinstance(caption, str), f"{where}: caption must be a string")
+        rounds_raw = dialog.get("rounds", [])
+        _require(isinstance(rounds_raw, list) and all(isinstance(r, dict) for r in rounds_raw),
+                 f"{where}: rounds must be a list of objects")
+        rounds = []
+        for t, r in enumerate(rounds_raw, start=1):
+            rwhere = f"{where} round {t}"
+            qi, ai = r.get("question"), r.get("answer")
+            _require(type(qi) is int and 0 <= qi < len(questions),
+                     f"{rwhere}: question index out of range")
+            _require(type(ai) is int and 0 <= ai < len(answers),
+                     f"{rwhere}: answer index out of range")
+            rounds.append((rwhere, r, qi, ai))
+        yield where, image_id, caption, rounds
+
+
+def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 20,
+                         max_answer_words: int = 20,
+                         max_caption_words: int = 40) -> DialogDataset:
+    questions, answers = _checked_pools(payload)
     task = payload.get("task", "visdial")
     _require(task in ("visdial", "visdial-q"), f"unknown task {task!r}")
 
@@ -210,36 +253,19 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
 
     records = []
     seen_images = set()
-    for d, dialog in enumerate(payload["dialogs"]):
-        where = f"dialog {d}"
-        _require(isinstance(dialog, dict), f"{where}: must be an object")
-        image_id = dialog.get("image_id")
-        _require(isinstance(image_id, int), f"{where}: image_id must be an integer")
-        where = f"dialog {d} (image_id {image_id})"
+    for where, image_id, caption, checked in _checked_dialogs(payload, questions, answers):
         _require(image_id not in seen_images, f"{where}: duplicate image_id")
         seen_images.add(image_id)
-        caption = dialog.get("caption", "")
-        _require(isinstance(caption, str), f"{where}: caption must be a string")
-        rounds_raw = dialog.get("rounds", [])
-        _require(isinstance(rounds_raw, list) and all(isinstance(r, dict) for r in rounds_raw),
-                 f"{where}: rounds must be a list of objects")
-        _require(len(rounds_raw) == ROUNDS_PER_DIALOG,
-                 f"{where}: expected {ROUNDS_PER_DIALOG} rounds, got {len(rounds_raw)}")
+        _require(len(checked) == ROUNDS_PER_DIALOG,
+                 f"{where}: expected {ROUNDS_PER_DIALOG} rounds, got {len(checked)}")
         rounds = []
-        for t, r in enumerate(rounds_raw, start=1):
-            rwhere = f"{where} round {t}"
-            qi, ai = r.get("question"), r.get("answer")
-            _require(isinstance(qi, int) and 0 <= qi < len(questions),
-                     f"{rwhere}: question index out of range")
-            _require(isinstance(ai, int) and 0 <= ai < len(answers),
-                     f"{rwhere}: answer index out of range")
+        for t, (rwhere, r, qi, ai) in enumerate(checked, start=1):
             opts = r.get("answer_options", [])
             _require(isinstance(opts, list), f"{rwhere}: answer_options must be a list")
-            _require(all(isinstance(o, int) and 0 <= o < len(answers) for o in opts),
-                     f"{rwhere}: answer option index out of range")
+            _require(_indices(opts, len(answers)), f"{rwhere}: answer option index out of range")
             _require(len(set(opts)) == len(opts), f"{rwhere}: answer options not unique")
             gt = r.get("gt_index")
-            _require(isinstance(gt, int) and 0 <= gt < len(opts),
+            _require(type(gt) is int and 0 <= gt < len(opts),
                      f"{rwhere}: gt_index out of range")
             _require(answers[opts[gt]] == answers[ai],
                      f"{rwhere}: gt option text differs from the round answer")
@@ -248,16 +274,14 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
             q_prov = r.get("question_provenance")
             if q_opts is not None:
                 _require(isinstance(q_opts, list), f"{rwhere}: question_options must be a list")
-                _require(all(isinstance(o, int) and 0 <= o < len(questions) for o in q_opts),
+                _require(_indices(q_opts, len(questions)),
                          f"{rwhere}: question option index out of range")
                 _require(len(set(q_opts)) == len(q_opts),
                          f"{rwhere}: question options not unique")
-                _require(isinstance(q_gt, int) and 0 <= q_gt < len(q_opts),
+                _require(type(q_gt) is int and 0 <= q_gt < len(q_opts),
                          f"{rwhere}: question_gt_index out of range")
                 _require(t < ROUNDS_PER_DIALOG, f"{rwhere}: follow-up options on the last round")
-                next_qi = rounds_raw[t].get("question")
-                _require(isinstance(next_qi, int) and 0 <= next_qi < len(questions)
-                         and questions[q_opts[q_gt]] == questions[next_qi],
+                _require(questions[q_opts[q_gt]] == questions[checked[t][2]],
                          f"{rwhere}: gt follow-up differs from the next round's question")
                 if q_prov is not None:
                     _require(isinstance(q_prov, list) and len(q_prov) == len(q_opts),
@@ -266,6 +290,8 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
                              f"{rwhere}: unknown provenance label")
                     _require(q_prov.count("correct") == 1,
                              f"{rwhere}: exactly one candidate must be labelled correct")
+            else:  # without candidates, a gt index or provenance means nothing
+                q_gt = q_prov = None
             rounds.append(DialogRound(
                 question_ids=q_pool_ids[qi],
                 answer_ids=a_pool_ids[ai],
@@ -289,14 +315,17 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
 
 def corpus_from_payload(payload):
     """Token lists for vocabulary building: every caption, question and answer
-    occurrence across the dialogs (pool entries count once per reference)."""
-    questions = payload["questions"]
-    answers = payload["answers"]
-    for dialog in payload["dialogs"]:
-        yield tokenize(dialog.get("caption", ""))
-        for r in dialog["rounds"]:
-            yield tokenize(questions[r["question"]])
-            yield tokenize(answers[r["answer"]])
+    occurrence across the dialogs (pool entries count once per reference). What
+    it reads gets the checks of ``dataset_from_payload``; each pool string is
+    tokenized once."""
+    questions, answers = _checked_pools(payload)
+    q_tokens = [tokenize(q) for q in questions]
+    a_tokens = [tokenize(a) for a in answers]
+    for _, _, caption, rounds in _checked_dialogs(payload, questions, answers):
+        yield tokenize(caption)
+        for _, _, qi, ai in rounds:
+            yield q_tokens[qi]
+            yield a_tokens[ai]
 
 
 def dataset_json_bytes(payload) -> bytes:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .checkpoint import load_checkpoint, save_checkpoint  # re-exported
+from .checkpoint import arrays, load_checkpoint, save_checkpoint
 from .encoders import ModelDims, TASKS, VARIANTS
 from .metrics import MetricsReport, evaluate_examples
 from .model import DialogScorer, examples_from_dataset
@@ -59,24 +59,18 @@ class EpochLog:
         )
 
 
-def _snapshot(model: DialogScorer) -> dict:
-    state = {"params": {}, "buffers": {}}
-    for name, p in model.parameters().items():
-        state["params"][name] = (p.value.copy(), p.m.copy(), p.v.copy(), p.step_count)
-    for name, buf in model.buffers().items():
-        state["buffers"][name] = buf.copy()
-    return state
+def _snapshot(model: DialogScorer) -> tuple[list[np.ndarray], list[int]]:
+    """Copies of every array a checkpoint stores, and the Adam step counts."""
+    return ([arr.copy() for *_, arr in arrays(model)],
+            [p.step_count for p in model.parameters().values()])
 
 
-def _restore(model: DialogScorer, state: dict) -> None:
-    for name, p in model.parameters().items():
-        value, m, v, steps = state["params"][name]
-        p.value[...] = value
-        p.m[...] = m
-        p.v[...] = v
-        p.step_count = steps
-    for name, buf in model.buffers().items():
-        buf[...] = state["buffers"][name]
+def _restore(model: DialogScorer, state) -> None:
+    saved, steps = state
+    for (*_, arr), value in zip(arrays(model), saved, strict=True):
+        arr[...] = value
+    for p, count in zip(model.parameters().values(), steps, strict=True):
+        p.step_count = count
 
 
 def _clip_grads(params, max_norm: float) -> None:

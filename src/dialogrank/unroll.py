@@ -238,7 +238,7 @@ def step(state: DialogState, q_model: DialogScorer, a_model: DialogScorer,
     if state.history:
         query = _encode_pair(q_model, *state.history[-1])
     else:
-        query = q_model.bank.empty_pair()  # caption-only start of dialog
+        query = q_model.empty_pair()  # caption-only start of dialog
     q_ex = _model_example(q_model, state, features, query, q_pool, state.history[:-1])
     q_scored = q_model.score_example(q_ex)
     best_first = np.lexsort((np.arange(len(q_pool)), -q_scored.scores))

@@ -311,10 +311,8 @@ def oracle_score_example(model, ex):
     and one row per product: query | image | caption | history slots (empty
     pairs padding the missing rounds) form the context, and each fused row runs
     through the MLP on its own (oracle_fused_mlp). Reads ``model`` and changes nothing."""
-    bank = model.bank
-
     def encode(name, ids):
-        path = bank.paths[name]
+        path = model.paths[name]
         return oracle_lstm_encode(path.lstm, path.embed.weight.value[:, list(ids)].T)[0]
 
     blocks = [encode("query", list(ex.question_ids) + list(ex.query_answer_ids or []))]
@@ -322,11 +320,11 @@ def oracle_score_example(model, ex):
         blocks.append(ex.image_vec)
     if model.variant == "qih":
         blocks.append(encode("caption", ex.caption_ids))
-        pad = [bank.empty_id, bank.stop_id]
+        pad = [model.vocab.empty_id, model.vocab.stop_id]
         pairs = ex.history + [(pad, pad)] * (model.dims.history_slots - len(ex.history))
         rows = np.array([np.concatenate([encode("history_q", q), encode("history_a", a)])
                          for q, a in pairs])
-        lin, bn = bank.pair_combine, bank.pair_bn
+        lin, bn = model.pair_combine, model.pair_bn
         z = oracle_project(rows, lin.weight.value) + lin.bias.value
         xhat = (z - bn.running_mean) / np.sqrt(bn.running_var + bn.epsilon)
         blocks.append(np.maximum(bn.gamma.value * xhat + bn.beta.value, 0.0).ravel())

@@ -245,6 +245,64 @@ def test_missing_file_is_single_line_error(workdir, capsys):
     assert stderr.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def malformed_datasets(workdir):
+    """One dataset file per way to break one: {name: path}."""
+    payload, _ = memorize_family(n_dialogs=2, k_options=5, seed=2)
+
+    def edited(edit):
+        copy = json.loads(json.dumps(payload))
+        edit(copy)
+        return copy
+
+    files = {
+        "question-index": edited(lambda p: p["dialogs"][0]["rounds"][0].update(question=10**6)),
+        "answer-missing": edited(lambda p: p["dialogs"][0]["rounds"][1].pop("answer")),
+        "rounds-string": edited(lambda p: p["dialogs"][1].update(rounds="oops")),
+        "caption-int": edited(lambda p: p["dialogs"][1].update(caption=5)),
+        "image-id-bool": edited(lambda p: p["dialogs"][0].update(image_id=True)),
+        "root-list": [payload],
+    }
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = workdir / f"malformed-{name}.json"
+        write_dataset(paths[name], doc)
+    blob = (workdir / "train.json").read_bytes()
+    for name, raw in (("truncated", blob[: len(blob) // 2]),
+                      ("not-utf8", blob.replace(b"what", b"wh\xe4t", 1))):
+        paths[name] = workdir / f"malformed-{name}.json"
+        paths[name].write_bytes(raw)
+    return paths
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "build-qdataset", "train", "evaluate",
+                                     "unroll"])
+def test_malformed_dataset_is_a_load_error(workdir, malformed_datasets, request, capsys,
+                                           command):
+    features = str(workdir / "feat.bin")
+    # evaluate and unroll load a checkpoint before the dataset
+    ckpt = str(request.getfixturevalue("trained")[2]) if command in ("evaluate", "unroll") else ""
+    for name, path in malformed_datasets.items():
+        data, out = str(path), str(workdir / f"out-{command}-{name}")
+        argv = {
+            "build-vocab": ["--dataset", data, "--out", out],
+            "build-qdataset": ["--dataset", data, "--glove", str(workdir / "glove.txt"),
+                               "--out", out],
+            "train": ["--train", data, "--val", str(workdir / "train.json"),
+                      "--features", features, "--config", str(workdir / "tiny.cfg"),
+                      "--out", out],
+            "evaluate": ["--checkpoint", ckpt, "--dataset", data, "--features", features,
+                         "--task", "visdial"],
+            "unroll": ["--q-checkpoint", ckpt, "--a-checkpoint", ckpt, "--dataset", data,
+                       "--features", features, "--out", out],
+        }[command]
+        code, _, stderr = run_cli(capsys, command, *argv)
+        assert code == 1, name
+        assert stderr.count("\n") == 1, name
+        assert stderr.startswith("error type=LoadError"), (name, stderr)
+        assert not os.path.exists(out), name
+
+
 def run_cli_process(*args):
     """``python -m dialogrank.cli`` in a child process that imports the same
     package as this test run, whatever PYTHONPATH the run was started with."""

@@ -3,7 +3,7 @@ import pytest
 
 from bank_encode import encode_caption, encode_option, encode_query
 from dialogrank import nn
-from dialogrank.encoders import EncoderBank, ModelDims
+from dialogrank.encoders import ModelDims
 from dialogrank.model import (DialogScorer, full_model_gradcheck, random_example,
                               reduced_check_dims, synthetic_vocab)
 
@@ -12,19 +12,18 @@ from dialogrank.model import (DialogScorer, full_model_gradcheck, random_example
 def small_setup():
     dims = reduced_check_dims(rounds=4)
     vocab = synthetic_vocab(30)
-    rng = np.random.default_rng(11)
-    bank = EncoderBank(dims, vocab, task="visdial", variant="qih",
-                       shared_embeddings=True, rng=rng)
-    return dims, vocab, bank
+    model = DialogScorer(dims, vocab, task="visdial", variant="qih",
+                         shared_embeddings=True, init_seed=11)
+    return dims, vocab, model
 
 
 def ids(vocab, *words):
     return [vocab.encode_word(w) for w in words] + [vocab.stop_id]
 
 
-def history_vec(bank, rounds):
+def history_vec(model, rounds):
     """Eval-mode history block of one example."""
-    blocks, _ = bank.encode_histories([rounds], train=False)
+    blocks, _ = model.encode_histories([rounds], train=False)
     return blocks[0]
 
 
@@ -73,14 +72,14 @@ def test_one_round_models_need_no_history_block():
 
 
 def test_encode_query_visdial_rejects_answer_part(small_setup):
-    _, vocab, bank = small_setup
+    _, vocab, model = small_setup
     with pytest.raises(ValueError):
-        encode_query(bank, ids(vocab, "w1"), ids(vocab, "w2"))
+        encode_query(model, ids(vocab, "w1"), ids(vocab, "w2"))
 
 
 def test_encode_query_stop_only_is_allowed(small_setup):
-    _, vocab, bank = small_setup
-    vec, _ = encode_query(bank, [vocab.stop_id])
+    _, vocab, model = small_setup
+    vec, _ = encode_query(model, [vocab.stop_id])
     assert vec.shape == (16,)
     assert np.all(np.isfinite(vec))
 
@@ -88,31 +87,31 @@ def test_encode_query_stop_only_is_allowed(small_setup):
 def test_encode_query_followup_consumes_both_parts():
     dims = reduced_check_dims()
     vocab = synthetic_vocab(30)
-    bank = EncoderBank(dims, vocab, task="visdial-q", variant="qih",
-                       shared_embeddings=True, rng=np.random.default_rng(3))
+    model = DialogScorer(dims, vocab, task="visdial-q", variant="qih",
+                         shared_embeddings=True, init_seed=3)
     q = ids(vocab, "w1")
     a = ids(vocab, "w2")
     assert len(q) + len(a) == 4
-    vec, (ecache, lcache) = encode_query(bank, q, a)
+    vec, (ecache, lcache) = encode_query(model, q, a)
     assert lcache[0].shape[0] == 4  # the LSTM saw exactly four tokens
     with pytest.raises(ValueError):
-        encode_query(bank, q, None)
+        encode_query(model, q, None)
 
 
 def test_encode_query_order_sensitivity(small_setup):
-    _, vocab, bank = small_setup
-    a, _ = encode_query(bank, ids(vocab, "w1", "w2", "w3"))
-    b, _ = encode_query(bank, ids(vocab, "w3", "w2", "w1"))
+    _, vocab, model = small_setup
+    a, _ = encode_query(model, ids(vocab, "w1", "w2", "w3"))
+    b, _ = encode_query(model, ids(vocab, "w3", "w2", "w1"))
     assert not np.allclose(a, b)
 
 
 def test_encode_option_shapes_and_determinism(small_setup):
-    dims, vocab, bank = small_setup
+    dims, vocab, model = small_setup
     seqs = [ids(vocab, f"w{i % 5}") for i in range(100)]
-    vecs = np.stack([encode_option(bank, s)[0] for s in seqs])
+    vecs = np.stack([encode_option(model, s)[0] for s in seqs])
     assert vecs.shape == (100, dims.option_hidden)
-    same_a, _ = encode_option(bank, ids(vocab, "w2", "w3"))
-    same_b, _ = encode_option(bank, ids(vocab, "w2", "w3"))
+    same_a, _ = encode_option(model, ids(vocab, "w2", "w3"))
+    same_b, _ = encode_option(model, ids(vocab, "w2", "w3"))
     assert np.array_equal(same_a, same_b)
 
 
@@ -121,14 +120,14 @@ def test_caption_truncation_matches_config():
                               caption_hidden=4, history_q_hidden=4, history_a_hidden=4,
                               history_pair_dim=4, image_dim=4)
     vocab = synthetic_vocab(60)
-    bank = EncoderBank(dims, vocab, task="visdial", variant="qih",
-                       shared_embeddings=True, rng=np.random.default_rng(5))
+    model = DialogScorer(dims, vocab, task="visdial", variant="qih",
+                         shared_embeddings=True, init_seed=5)
     from dialogrank.text import encode_truncate
 
     words = [f"w{i % 40}" for i in range(45)]
     seq = encode_truncate(words, vocab, dims.max_caption_words)
     assert len(seq) == 41  # first 40 words + stop
-    vec, _ = encode_caption(bank, seq)
+    vec, _ = encode_caption(model, seq)
     assert vec.shape == (4,)
 
 
@@ -138,8 +137,8 @@ def test_caption_truncation_matches_config():
 
 
 def test_history_all_padded_slots_identical(small_setup):
-    dims, vocab, bank = small_setup
-    vec = history_vec(bank, [])
+    dims, vocab, model = small_setup
+    vec = history_vec(model, [])
     assert vec.shape == (dims.history_slots * dims.history_pair_dim,)
     slots = vec.reshape(dims.history_slots, dims.history_pair_dim)
     for k in range(1, dims.history_slots):
@@ -152,16 +151,16 @@ def test_history_default_scale_length():
 
 
 def test_history_partial_padding(small_setup):
-    dims, vocab, bank = small_setup
+    dims, vocab, model = small_setup
     rounds = [(ids(vocab, "w1"), ids(vocab, "w2"))]
-    vec = history_vec(bank, rounds)
+    vec = history_vec(model, rounds)
     slots = vec.reshape(dims.history_slots, dims.history_pair_dim)
     assert not np.array_equal(slots[0], slots[1])
     assert np.array_equal(slots[1], slots[2])
 
 
 def test_history_locality(small_setup):
-    dims, vocab, bank = small_setup
+    dims, vocab, model = small_setup
     base = [
         (ids(vocab, "w1"), ids(vocab, "w2")),
         (ids(vocab, "w3"), ids(vocab, "w4")),
@@ -169,8 +168,8 @@ def test_history_locality(small_setup):
     ]
     changed = list(base)
     changed[1] = (ids(vocab, "w3"), ids(vocab, "w7"))
-    va = history_vec(bank, base)
-    vb = history_vec(bank, changed)
+    va = history_vec(model, base)
+    vb = history_vec(model, changed)
     sa = va.reshape(dims.history_slots, -1)
     sb = vb.reshape(dims.history_slots, -1)
     assert np.array_equal(sa[0], sb[0])
@@ -179,20 +178,20 @@ def test_history_locality(small_setup):
 
 
 def test_history_length_stability(small_setup):
-    dims, vocab, bank = small_setup
+    dims, vocab, model = small_setup
     pair = (ids(vocab, "w1"), ids(vocab, "w2"))
     sizes = set()
     for n in range(dims.history_slots + 1):
-        vec = history_vec(bank, [pair] * n)
+        vec = history_vec(model, [pair] * n)
         sizes.add(vec.shape)
     assert sizes == {(dims.history_len,)}
 
 
 def test_history_too_long_rejected(small_setup):
-    dims, vocab, bank = small_setup
+    dims, vocab, model = small_setup
     pair = (ids(vocab, "w1"), ids(vocab, "w2"))
     with pytest.raises(ValueError):
-        history_vec(bank, [pair] * (dims.history_slots + 1))
+        history_vec(model, [pair] * (dims.history_slots + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -201,34 +200,34 @@ def test_history_too_long_rejected(small_setup):
 
 
 def test_shared_table_is_one_object(small_setup):
-    _, _, bank = small_setup
-    tables = [path.embed for path in bank.paths.values()]
+    _, _, model = small_setup
+    tables = [path.embed for path in model.paths.values()]
     assert len(tables) == 5
     assert all(table is tables[0] for table in tables)
-    assert sum(1 for n in bank.parameters() if n.startswith("embed.")) == 1
+    assert sum(1 for n in model.parameters() if n.startswith("embed.")) == 1
 
 
 def test_separate_tables_when_not_shared():
     dims = reduced_check_dims()
     vocab = synthetic_vocab(30)
-    bank = EncoderBank(dims, vocab, task="visdial", variant="qih",
-                       shared_embeddings=False, rng=np.random.default_rng(1))
-    names = [n for n in bank.parameters() if n.startswith("embed.")]
+    model = DialogScorer(dims, vocab, task="visdial", variant="qih",
+                         shared_embeddings=False, init_seed=1)
+    names = [n for n in model.parameters() if n.startswith("embed.")]
     assert len(names) == 5
 
 
 def test_shared_table_feeds_all_paths(small_setup):
-    dims, vocab, bank = small_setup
+    dims, vocab, model = small_setup
     wid = vocab.encode_word("w1")
     seq = [wid, vocab.stop_id]
-    before_q, _ = encode_query(bank, seq)
-    before_o, _ = encode_option(bank, seq)
-    before_h = history_vec(bank, [(seq, seq)])
-    bank.paths["query"].embed.weight.value[:, wid] += 0.5
-    after_q, _ = encode_query(bank, seq)
-    after_o, _ = encode_option(bank, seq)
-    after_h = history_vec(bank, [(seq, seq)])
-    bank.paths["query"].embed.weight.value[:, wid] -= 0.5
+    before_q, _ = encode_query(model, seq)
+    before_o, _ = encode_option(model, seq)
+    before_h = history_vec(model, [(seq, seq)])
+    model.paths["query"].embed.weight.value[:, wid] += 0.5
+    after_q, _ = encode_query(model, seq)
+    after_o, _ = encode_option(model, seq)
+    after_h = history_vec(model, [(seq, seq)])
+    model.paths["query"].embed.weight.value[:, wid] -= 0.5
     assert not np.allclose(before_q, after_q)
     assert not np.allclose(before_o, after_o)
     assert not np.allclose(before_h, after_h)
@@ -248,21 +247,21 @@ def test_full_model_gradcheck_followup_task():
 def test_option_embeddings_at_default_scale():
     dims = ModelDims.for_task("visdial")
     vocab = synthetic_vocab(30)
-    bank = EncoderBank(dims, vocab, task="visdial", variant="q",
-                       shared_embeddings=True, rng=np.random.default_rng(0))
+    model = DialogScorer(dims, vocab, task="visdial", variant="q",
+                         shared_embeddings=True, init_seed=0)
     seqs = [[vocab.encode_word(f"w{i}"), vocab.stop_id] for i in range(3)]
-    vecs = [encode_option(bank, s)[0] for s in seqs]
+    vecs = [encode_option(model, s)[0] for s in seqs]
     assert all(v.shape == (512,) for v in vecs)
-    query, _ = encode_query(bank, seqs[0])
+    query, _ = encode_query(model, seqs[0])
     assert query.shape == (512,)
 
 
 def test_text_path_packed_call_matches_one_call_per_sequence(small_setup):
-    dims, vocab, bank = small_setup
+    dims, vocab, model = small_setup
     rng = np.random.default_rng(5)
     seqs = [list(rng.integers(3, len(vocab), size=n)) for n in (2, 5, 1, 5, 3, 9)]
     seqs.append(seqs[1])
-    path = bank.paths["option"]
+    path = model.paths["option"]
     vecs, cache = path.encode(seqs)
     dvecs = rng.normal(size=vecs.shape)
     path.backward(cache, dvecs)
@@ -271,7 +270,7 @@ def test_text_path_packed_call_matches_one_call_per_sequence(small_setup):
     for p in params:
         p.zero_grad()
     for seq, vec, dvec in zip(seqs, vecs, dvecs):
-        want, one_cache = encode_option(bank, seq)
+        want, one_cache = encode_option(model, seq)
         assert np.abs(vec - want).max() <= 1e-12 * np.abs(want).max()
         path.backward(one_cache, dvec[None])
     for got, p in zip(packed_grads, params):

@@ -36,14 +36,14 @@ def test_assemble_order_and_masking():
     ex = random_example(vocab, dims, np.random.default_rng(8), k_options=3, n_history=1)
     for variant in ("q", "qi", "qih"):
         model = DialogScorer(dims, vocab, variant=variant, init_seed=2)
-        blocks = [encode_query(model.bank, ex.question_ids)[0]]
+        blocks = [encode_query(model, ex.question_ids)[0]]
         if variant != "q":
             blocks.append(ex.image_vec)
         if variant == "qih":
-            blocks.append(encode_caption(model.bank, ex.caption_ids)[0])
-            blocks.append(model.bank.encode_histories([ex.history], train=False)[0][0])
+            blocks.append(encode_caption(model, ex.caption_ids)[0])
+            blocks.append(model.encode_histories([ex.history], train=False)[0][0])
         ctx = np.concatenate(blocks)[None]
-        opts = np.stack([encode_option(model.bank, ids)[0] for ids in ex.option_ids])
+        opts = np.stack([encode_option(model, ids)[0] for ids in ex.option_ids])
         width = ctx.shape[1] + opts.shape[1]
         assert width == dims.fused_dim(variant) == model.mlp.hidden[0].weight.shape[1]
         want = oracle_fused_mlp(model.mlp, ctx, opts, [0, 3], np.arange(3), train=False)[0]
@@ -230,7 +230,7 @@ def test_score_example_matches_one_row_oracle(variant, k):
     vocab = synthetic_vocab(40)
     model = DialogScorer(dims, vocab, task="visdial-q", variant=variant, init_seed=4)
     rng = np.random.default_rng([k, len(variant)])
-    seeded_norms(model.mlp.norms + [model.bank.pair_bn] * (variant == "qih"), rng)
+    seeded_norms(model.mlp.norms + [model.pair_bn] * (variant == "qih"), rng)
     for n_history in (0, 1, dims.history_slots):
         ex = random_example(vocab, dims, rng, k_options=k, task="visdial-q",
                             n_history=n_history)

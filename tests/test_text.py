@@ -169,14 +169,152 @@ def _set(path, value):
     (_set(("dialogs", 0, "rounds", 2, "answer_options"), 4),
      r"dialog 0 \(image_id 7\) round 3: answer_options must be a list"),
     (_set(("dialogs", 0, "caption"), 4), r"dialog 0 \(image_id 7\): caption must be a string"),
+    (_set(("dialogs", 0, "rounds", 0, "answer_options", 1), True),
+     r"dialog 0 \(image_id 7\) round 1: answer option index out of range"),
+    (_set(("dialogs", 0, "rounds", 0, "gt_index"), False),
+     r"dialog 0 \(image_id 7\) round 1: gt_index out of range"),
 ], ids=["round-not-object", "rounds-int", "questions-int", "dialogs-int",
-        "answer-options-int", "caption-int"])
+        "answer-options-int", "caption-int", "answer-option-bool", "gt-index-bool"])
 def test_load_dataset_wrong_json_types_raise_load_error(mutate, message):
     payload = minimal_payload()
     vocab = text.build_vocab(text.corpus_from_payload(payload))
     mutate(payload)
     with pytest.raises(text.LoadError, match=message):
         text.dataset_from_payload(payload, vocab)
+
+
+def _delete(path):
+    """Payload mutator: delete the item at ``path``."""
+    def mutate(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set(("dialogs", 0, "rounds", 0, "question"), 10**6),
+     r"dialog 0 \(image_id 7\) round 1: question index out of range"),
+    (_delete(("dialogs", 0, "rounds", 1, "answer")),
+     r"dialog 0 \(image_id 7\) round 2: answer index out of range"),
+    (_set(("dialogs", 0, "rounds"), "oops"), r"dialog 0 \(image_id 7\): rounds must be a list of"),
+    (_set(("dialogs", 0, "caption"), 5), r"dialog 0 \(image_id 7\): caption must be a string"),
+    (_set(("dialogs",), "oops"), "dataset needs a 'dialogs' list"),
+    (_set(("questions", 1), 3), "questions pool must hold strings"),
+    (_set(("dialogs", 0, "image_id"), True), "dialog 0: image_id must be an integer"),
+    (_set(("dialogs", 0, "rounds", 1, "question"), True),
+     r"dialog 0 \(image_id 7\) round 2: question index out of range"),
+], ids=["question-index-huge", "answer-missing", "rounds-string", "caption-int",
+        "dialogs-string", "question-pool-int", "image-id-bool", "question-bool"])
+def test_vocab_corpus_checks_the_payload_as_the_loader_does(mutate, message):
+    payload = minimal_payload()
+    vocab = text.build_vocab(text.corpus_from_payload(payload))
+    mutate(payload)
+    with pytest.raises(text.LoadError, match=message):
+        text.build_vocab(text.corpus_from_payload(payload))
+    with pytest.raises(text.LoadError, match=message):
+        text.dataset_from_payload(payload, vocab)
+
+
+def test_vocab_corpus_rejects_a_root_that_is_not_an_object():
+    with pytest.raises(text.LoadError, match="dataset root must be an object"):
+        text.build_vocab(text.corpus_from_payload([minimal_payload()]))
+
+
+def test_question_fields_without_question_options_are_ignored():
+    payload = minimal_payload()
+    payload["dialogs"][0]["rounds"][0].update(question_gt_index="x", question_provenance=5)
+    ds = text.dataset_from_payload(payload, text.build_vocab(text.corpus_from_payload(payload)))
+    rnd = ds.records[0].rounds[0]
+    assert rnd.question_options is rnd.question_gt_index is rnd.question_provenance is None
+
+
+def test_vocab_corpus_tokenizes_each_pool_string_once(monkeypatch):
+    payload, _ = memorize_family(n_dialogs=3)
+    questions, answers = payload["questions"], payload["answers"]
+    want = []  # one token list per caption, question and answer occurrence
+    for dialog in payload["dialogs"]:
+        want.append(text.tokenize(dialog["caption"]))
+        for r in dialog["rounds"]:
+            want += [text.tokenize(questions[r["question"]]), text.tokenize(answers[r["answer"]])]
+    calls = []
+    tokenize = text.tokenize
+    monkeypatch.setattr(text, "tokenize", lambda s: calls.append(s) or tokenize(s))
+    assert list(text.corpus_from_payload(payload)) == want
+    captions = [dialog["caption"] for dialog in payload["dialogs"]]
+    assert sorted(calls) == sorted(questions + answers + captions)
+
+
+def fuzz_payload():
+    """``minimal_payload`` with a second dialog and follow-up candidates on
+    round 1, so every field either loader reads is present."""
+    payload = minimal_payload()
+    payload["task"] = "visdial-q"
+    payload["dialogs"][0]["rounds"][0].update(
+        question_options=[1, 0], question_gt_index=0,
+        question_provenance=["correct", "random"])
+    payload["dialogs"].append(dict(json.loads(json.dumps(payload["dialogs"][0])),
+                                   image_id=8))
+    return payload
+
+
+def json_items(node, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, node
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from json_items(child, path + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["question", "answer", "x"]), st.integers(0, 2),
+                    max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_payloads_load_or_raise_load_error(data):
+    # a wrong JSON type anywhere, a deleted key, an out-of-range or negative
+    # index, or a bool for an int: both loaders either load or raise LoadError
+    payload = fuzz_payload()
+    assert text.dataset_from_payload(payload, text.build_vocab(
+        text.corpus_from_payload(payload))).task == "visdial-q"
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        kind = data.draw(st.sampled_from(["type", "delete", "index", "bool"]), label="kind")
+        items = list(json_items(payload))
+        if kind == "delete":
+            items = [(p, v) for p, v in items if p and isinstance(p[-1], str)]
+        elif kind != "type":
+            items = [(p, v) for p, v in items if type(v) is int]
+        if not items:
+            continue
+        path, old = data.draw(st.sampled_from(items), label="path")
+        if kind == "type":
+            new = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+        elif kind == "index":
+            new = data.draw(st.one_of(st.integers(-10**6, -1), st.integers(2, 10**6)))
+        elif kind == "bool":
+            new = data.draw(st.booleans())
+        if not path:
+            payload = new
+            continue
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    try:
+        vocab = text.build_vocab(text.corpus_from_payload(payload))
+        text.dataset_from_payload(payload, vocab)
+    except text.LoadError:
+        pass
 
 
 def test_load_dataset_order_independent():

@@ -139,6 +139,43 @@ def test_embedding_table_counts_in_checkpoint(tmp_path, toy_data):
         assert len(names) == expected
 
 
+REGISTRY_AFTER_TABLES = [  # every qih model's parameters after its embedding tables
+    "lstm.query.weight", "lstm.query.bias", "lstm.option.weight", "lstm.option.bias",
+    "lstm.caption.weight", "lstm.caption.bias", "lstm.history_q.weight",
+    "lstm.history_q.bias", "lstm.history_a.weight", "lstm.history_a.bias",
+    "history.combine.weight", "history.combine.bias", "history.bn.gamma", "history.bn.beta",
+    "mlp.h0.weight", "mlp.h0.bias", "mlp.h0.bn.gamma", "mlp.h0.bn.beta",
+    "mlp.h1.weight", "mlp.h1.bias", "mlp.h1.bn.gamma", "mlp.h1.bn.beta",
+    "mlp.out.weight", "mlp.out.bias",
+]
+REGISTRY_BUFFERS = [
+    "history.bn.running_mean", "history.bn.running_var", "mlp.h0.bn.running_mean",
+    "mlp.h0.bn.running_var", "mlp.h1.bn.running_mean", "mlp.h1.bn.running_var",
+]
+
+
+@pytest.mark.parametrize("shared, tables", [
+    (True, ["embed.shared.weight"]),
+    (False, ["embed.query.weight", "embed.option.weight", "embed.caption.weight",
+             "embed.history_q.weight", "embed.history_a.weight"]),
+], ids=["shared", "separate"])
+def test_checkpoint_registry_order_is_pinned(tmp_path, shared, tables):
+    # every round-trip test is self-consistent; only a literal catches a
+    # reordered registry, which would change the bytes of every checkpoint
+    model = DialogScorer(toy_dims(), synthetic_vocab(20), variant="qih", mlp_depth=2,
+                         shared_embeddings=shared, init_seed=0)
+    path = tmp_path / "fresh.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    n = len(CHECKPOINT_MAGIC)
+    (mlen,) = struct.unpack("<Q", raw[n : n + 8])
+    manifest = json.loads(raw[n + 8 : n + 8 + mlen])
+    want = [(name, role) for name in tables + REGISTRY_AFTER_TABLES
+            for role in ("value", "adam_m", "adam_v")]
+    want += [(name, "buffer") for name in REGISTRY_BUFFERS]
+    assert [(e["name"], e["role"]) for e in manifest["entries"]] == want
+
+
 # ---------------------------------------------------------------------------
 # checkpoint round trips
 # ---------------------------------------------------------------------------
