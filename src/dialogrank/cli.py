@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from dataclasses import asdict, fields
 
@@ -21,7 +20,7 @@ from .model import full_model_gradcheck
 from .qdataset import (N_PLAUSIBLE, N_POPULAR, POOL_SIZE, build_qdataset_payload)
 from .text import (LoadError, Vocabulary, build_vocab, corpus_from_payload,
                    dataset_from_payload, dataset_json_bytes, load_features,
-                   load_glove)
+                   load_glove, read_dataset)
 from .training import TrainConfig, train
 from .unroll import DialogState, PoolSpec, unroll, verify_transcript
 
@@ -105,15 +104,11 @@ def _echo_config(values: dict, out_path=None) -> None:
             f.write("\n".join(lines) + "\n")
 
 
-def _load_payload(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise LoadError(f"dataset file {path}: not UTF-8 JSON: {exc}") from exc
-
-
-def _vocab_of(payload, min_count: int = 1) -> Vocabulary:
+def _vocab_of(path, payload, min_count: int = 1) -> Vocabulary:
+    """The vocabulary of the dataset file ``path`` holding ``payload``; a file
+    with no dialogs has none."""
+    if isinstance(payload, dict) and payload.get("dialogs") == []:
+        raise LoadError(f"dataset file {path}: no dialogs to build a vocabulary from")
     return build_vocab(corpus_from_payload(payload), min_count=min_count)
 
 
@@ -140,7 +135,7 @@ def _merged_raw_config(args) -> dict[str, str]:
 def cmd_build_vocab(args) -> int:
     _echo_config({"dataset": args.dataset, "out": args.out,
                   "min_count": args.min_count})
-    vocab = _vocab_of(_load_payload(args.dataset), min_count=args.min_count)
+    vocab = _vocab_of(args.dataset, read_dataset(args.dataset), min_count=args.min_count)
     vocab.save(args.out)
     print(f"vocab size={len(vocab)} out={args.out}")
     return 0
@@ -150,8 +145,8 @@ def cmd_build_qdataset(args) -> int:
     _echo_config({"dataset": args.dataset, "glove": args.glove, "seed": args.seed,
                   "out": args.out, "plausible": args.plausible,
                   "popular": args.popular, "candidates": args.candidates})
-    payload = _load_payload(args.dataset)
-    dataset = dataset_from_payload(payload, _vocab_of(payload))
+    payload = read_dataset(args.dataset)
+    dataset = dataset_from_payload(payload, _vocab_of(args.dataset, payload))
     glove = load_glove(args.glove)
     payload = build_qdataset_payload(
         dataset, glove, args.seed,
@@ -169,18 +164,18 @@ def cmd_train(args) -> int:
     cfg = resolve_train_config(raw)
     min_count = int(raw.get("min_count", 1))
     _echo_config(_flat_config(cfg, min_count), args.out + ".config")
-    train_payload = _load_payload(args.train)
+    train_payload = read_dataset(args.train)
     if args.vocab:
         vocab = Vocabulary.load(args.vocab)
     else:
-        vocab = _vocab_of(train_payload, min_count=min_count)
+        vocab = _vocab_of(args.train, train_payload, min_count=min_count)
     kwargs = dict(
         max_question_words=cfg.dims.max_question_words,
         max_answer_words=cfg.dims.max_answer_words,
         max_caption_words=cfg.dims.max_caption_words,
     )
     train_set = dataset_from_payload(train_payload, vocab, **kwargs)
-    val_set = dataset_from_payload(_load_payload(args.val), vocab, **kwargs)
+    val_set = dataset_from_payload(read_dataset(args.val), vocab, **kwargs)
     features = load_features(args.features) if args.features else None
     log_lines = []
 
@@ -203,7 +198,7 @@ def cmd_evaluate(args) -> int:
                   "rank_log": args.rank_log})
     model, _ = load_checkpoint(args.checkpoint)
     dataset = dataset_from_payload(
-        _load_payload(args.dataset), model.vocab,
+        read_dataset(args.dataset), model.vocab,
         max_question_words=model.dims.max_question_words,
         max_answer_words=model.dims.max_answer_words,
         max_caption_words=model.dims.max_caption_words)
@@ -226,10 +221,12 @@ def cmd_unroll(args) -> int:
                   "start_rounds": args.start_rounds, "seed": args.seed,
                   "neighbors": args.neighbors, "pool_size": args.pool_size,
                   "top_m": args.top_m})
+    if args.start_rounds < 0:
+        raise ValueError(f"--start-rounds must be >= 0, got {args.start_rounds}")
     q_model, _ = load_checkpoint(args.q_checkpoint)
     a_model, _ = load_checkpoint(args.a_checkpoint)
-    payload = _load_payload(args.dataset)
-    dataset = dataset_from_payload(payload, _vocab_of(payload))
+    payload = read_dataset(args.dataset)
+    dataset = dataset_from_payload(payload, _vocab_of(args.dataset, payload))
     features = load_features(args.features)
     spec = PoolSpec(n_neighbor_images=args.neighbors, pool_size=args.pool_size,
                     top_m=args.top_m, seed=args.seed)

@@ -83,6 +83,7 @@ def examples_from_dataset(dataset: DialogDataset, features: ImageFeatureStore | 
             raise ValueError(
                 f"feature store dimension {features.dim} != configured image_dim {dims.image_dim}"
             )
+    q_ids, a_ids = dataset.question_ids, dataset.answer_ids
     out = []
     for record in dataset.records:
         image_vec = features.get(record.image_id) if needs_image else None
@@ -92,17 +93,16 @@ def examples_from_dataset(dataset: DialogDataset, features: ImageFeatureStore | 
                 out.append(RoundExample(
                     image_id=record.image_id,
                     round_no=t,
-                    question_ids=rnd.question_ids,
-                    query_answer_ids=rnd.answer_ids if followup else None,
-                    option_ids=([dataset.question_ids[i] for i in rnd.question_options]
-                                if followup else
-                                [dataset.answer_ids[i] for i in rnd.answer_options]),
+                    question_ids=q_ids[rnd.question],
+                    query_answer_ids=a_ids[rnd.answer] if followup else None,
+                    option_ids=([q_ids[i] for i in rnd.question_options] if followup else
+                                [a_ids[i] for i in rnd.answer_options]),
                     gt_index=rnd.question_gt_index if followup else rnd.gt_index,
                     caption_ids=record.caption_ids,
                     history=list(history),
                     image_vec=image_vec,
                 ))
-            history.append((rnd.question_ids, rnd.answer_ids))
+            history.append((q_ids[rnd.question], a_ids[rnd.answer]))
     return out
 
 
@@ -421,4 +421,4 @@ def full_model_gradcheck(seed: int, dims: ModelDims | None = None, vocab_size: i
             model.zero_grads()
         return model.batch_loss(batch, want_grads=want_grads)
 
-    return nn.grad_check(closure, model.parameters(), h=h, tolerance=tolerance)
+    return nn.grad_check(closure, model.parameters().values(), h=h, tolerance=tolerance)

@@ -37,12 +37,6 @@ def ensure_finite(name: str, arr) -> None:
         raise FloatingPointError(f"non-finite values in {name}")
 
 
-def _rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 _KEEP_ADAM_STATE = ContextVar("keep_adam_state", default=True)
 
 
@@ -89,12 +83,11 @@ class Parameter:
         self.grad.fill(0.0)
 
 
-def he_normal_init(param: Parameter, fan_in: int, rng) -> None:
-    """Fill ``param`` with N(0, 2/fan_in) samples from a seeded generator."""
+def he_normal_init(param: Parameter, fan_in: int, rng: np.random.Generator) -> None:
+    """Fill ``param`` with N(0, 2/fan_in) samples drawn from ``rng``."""
     if fan_in < 1:
         raise ValueError(f"fan_in must be >= 1, got {fan_in}")
-    gen = _rng(rng)
-    param.value[...] = gen.normal(0.0, np.sqrt(2.0 / fan_in), size=param.shape)
+    param.value[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=param.shape)
 
 
 @dataclass
@@ -254,9 +247,8 @@ class LstmEncoder:
         if rng is not None:
             he_normal_init(self.weight, input_dim + hidden_dim, rng)
 
-    def encode(self, xs: np.ndarray, batch_sizes=None, rows: int | None = None):
-        """Packed rows xs [S, input_dim] -> (h [N, hidden_dim] in packed order, cache);
-        without ``batch_sizes``, xs is one sequence [T, input_dim] and h is [hidden_dim].
+    def encode(self, xs: np.ndarray, batch_sizes, rows: int | None = None):
+        """Packed rows xs [S, input_dim] -> (h [N, hidden_dim] in packed order, cache).
         Its products run through ``project`` at block height ``rows`` (None in train), so in
         eval each h depends on its own rows alone."""
         xs = np.asarray(xs, dtype=np.float64)
@@ -264,7 +256,7 @@ class LstmEncoder:
             raise ValueError(f"{self.weight.name}: expected [T, {self.input_dim}], got {xs.shape}")
         if xs.shape[0] < 1:
             raise ValueError(f"{self.weight.name}: cannot encode an empty sequence")
-        sizes = [1] * len(xs) if batch_sizes is None else [int(n) for n in batch_sizes]
+        sizes = [int(n) for n in batch_sizes]
         if sum(sizes) != len(xs) or sizes[-1] < 1 or any(a < b for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"{self.weight.name}: batch_sizes must be positive, "
                              f"non-increasing and sum to the {len(xs)} packed rows")
@@ -288,10 +280,10 @@ class LstmEncoder:
             np.tanh(cn, out=tc[r])
             np.multiply(z[:, 2 * L : 3 * L], tc[r], out=hn)
         ensure_finite(self.weight.name, h)
-        return (h[0] if batch_sizes is None else h), (xh, gates, c_prev, tc, sizes)
+        return h, (xh, gates, c_prev, tc, sizes)
 
     def backward(self, cache, dh_last: np.ndarray) -> np.ndarray:
-        """Backward through time from dh_last (shaped like encode's h);
+        """Backward through time from dh_last [N, hidden_dim] (encode's h);
         returns the gradient wrt the packed rows [S, input_dim]."""
         xh, gates, c_prev, tc, sizes = cache
         E, L = self.input_dim, self.hidden_dim
@@ -437,30 +429,27 @@ def grad_check(loss_fn, params, h: float = 1e-5, tolerance: float = 1e-4,
     ``loss_fn(want_grads: bool) -> float`` must be a deterministic scalar
     function of the parameter values; when called with ``want_grads=True`` it
     must also accumulate gradients into each parameter's ``grad`` buffer.
-    ``params`` is a mapping name -> Parameter or an iterable of Parameters.
+    ``params`` is an iterable of Parameters; the report names each by ``p.name``.
 
     Each coordinate is judged on |analytic - numeric| relative to
     max(|analytic|, |numeric|, scale_floor); the floor keeps float roundoff
     in the twice-recomputed loss (~1e-14, i.e. ~1e-9 after dividing by 2h)
     from dominating coordinates whose true gradient has vanished.
     """
-    if isinstance(params, dict):
-        named = list(params.items())
-    else:
-        named = [(p.name, p) for p in params]
-    for _, p in named:
+    params = list(params)
+    for p in params:
         p.zero_grad()
     loss_fn(True)
-    analytic = {name: p.grad.copy() for name, p in named}
+    analytic = [p.grad.copy() for p in params]
 
     report = GradCheckReport(
         max_rel_error=0.0,
         tolerance=tolerance,
-        n_coordinates=sum(p.size for _, p in named),
+        n_coordinates=sum(p.size for p in params),
     )
-    for name, p in named:
+    for p, grad in zip(params, analytic):
         flat = p.value.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
+        a_flat = grad.reshape(-1)
         worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
@@ -476,9 +465,9 @@ def grad_check(loss_fn, params, h: float = 1e-5, tolerance: float = 1e-4,
                 worst = rel
             if rel > report.max_rel_error:
                 report.max_rel_error = rel
-                report.worst_param = name
+                report.worst_param = p.name
                 report.worst_index = i
                 report.worst_analytic = float(a)
                 report.worst_numeric = float(numeric)
-        report.per_param[name] = worst
+        report.per_param[p.name] = worst
     return report

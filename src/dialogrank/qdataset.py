@@ -283,6 +283,10 @@ def build_qdataset_payload(dataset: DialogDataset, glove: GloveTable, seed: int,
                            pool_size: int = POOL_SIZE) -> dict:
     """Follow-up-question dataset document: the source corpus with candidate
     follow-up options attached to rounds 1..9 of every dialog."""
+    for name, value, least in (("n_plausible", n_plausible, 0), ("n_popular", n_popular, 0),
+                               ("pool_size", pool_size, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     corpus = CorpusKeys(dataset, glove)
     popular = compute_popular(dataset, m=n_popular)
     dialogs = []

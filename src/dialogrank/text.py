@@ -118,8 +118,9 @@ def encode_truncate(words, vocab: Vocabulary, max_len: int) -> list[int]:
 
 @dataclass
 class DialogRound:
-    question_ids: list[int]
-    answer_ids: list[int]
+    """One round of a dialog; its encodings are the dataset's pool encodings
+    ``question_ids[question]`` and ``answer_ids[answer]``."""
+
     question: int  # questions-pool index
     answer: int  # answers-pool index
     answer_options: list[int]  # answers-pool indices
@@ -180,16 +181,15 @@ def _require(cond: bool, message: str) -> None:
         raise LoadError(message)
 
 
-def load_dataset(path, vocab: Vocabulary, max_question_words: int = 20,
-                 max_answer_words: int = 20, max_caption_words: int = 40) -> DialogDataset:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    return dataset_from_payload(
-        payload, vocab,
-        max_question_words=max_question_words,
-        max_answer_words=max_answer_words,
-        max_caption_words=max_caption_words,
-    )
+def read_dataset(path):
+    """The parsed JSON document of a dataset file, unchecked: ``dataset_from_payload``
+    and ``corpus_from_payload`` check what they read. A file that is not UTF-8 JSON
+    raises ``LoadError`` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise LoadError(f"dataset file {path}: not UTF-8 JSON: {exc}") from exc
 
 
 def _indices(values: list, size: int) -> bool:
@@ -293,8 +293,6 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
             else:  # without candidates, a gt index or provenance means nothing
                 q_gt = q_prov = None
             rounds.append(DialogRound(
-                question_ids=q_pool_ids[qi],
-                answer_ids=a_pool_ids[ai],
                 question=qi,
                 answer=ai,
                 answer_options=list(opts),
@@ -407,25 +405,9 @@ class ImageFeatureStore:
     id array and an id -> row map; ``get`` returns a row view of that matrix,
     so the store never holds a second copy of the features."""
 
-    def __init__(self, features: dict[int, np.ndarray]):
-        if not features:
-            raise ValueError("feature store is empty")
-        dims = {v.shape for v in features.values()}
-        if len(dims) != 1:
-            raise ValueError(f"feature vectors disagree on dimension: {sorted(dims)}")
-        ids = np.fromiter(features, dtype=np.int64, count=len(features))
-        self._index(ids, np.stack([np.asarray(v, dtype=np.float64)
-                                   for v in features.values()]))
-
-    @classmethod
-    def from_rows(cls, ids: np.ndarray, matrix: np.ndarray) -> "ImageFeatureStore":
-        """Store over unique ``ids`` [N] and raw float64 rows ``matrix`` [N, d],
+    def __init__(self, ids: np.ndarray, matrix: np.ndarray):
+        """Store over unique int64 ``ids`` [N] and raw float64 rows ``matrix`` [N, d],
         which it takes over: rows are normalized in place."""
-        store = cls.__new__(cls)
-        store._index(ids, matrix)
-        return store
-
-    def _index(self, ids: np.ndarray, matrix: np.ndarray) -> None:
         # one per-vector norm per row, as np.linalg.norm(vec), so every stored
         # vector is bitwise the same as normalizing that vector alone
         norms = np.array([np.linalg.norm(row) for row in matrix])
@@ -456,7 +438,7 @@ class ImageFeatureStore:
 
     @property
     def matrix(self) -> np.ndarray:
-        """All vectors, one read-only row per id in ``ids()`` order."""
+        """All vectors, one read-only row per id in ``id_array`` order."""
         return self._matrix
 
     @cached_property
@@ -473,9 +455,6 @@ class ImageFeatureStore:
     def id_array(self) -> np.ndarray:
         """The ids as a read-only int64 array, ascending, in matrix row order."""
         return self._ids
-
-    def ids(self) -> list[int]:
-        return self._ids.tolist()
 
     def row_of(self, image_id: int) -> int:
         try:
@@ -513,7 +492,7 @@ def load_features(path) -> ImageFeatureStore:
         raise LoadError(f"feature row {i}: duplicate image_id {int(ids[i])}")
     matrix = rows["vec"].astype(np.float64)
     del rows, data
-    return ImageFeatureStore.from_rows(ids, matrix)
+    return ImageFeatureStore(ids, matrix)
 
 
 def write_features(path, features: dict[int, np.ndarray]) -> None:

@@ -7,12 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .checkpoint import arrays, load_checkpoint, save_checkpoint
+from .checkpoint import arrays
 from .encoders import ModelDims, TASKS, VARIANTS
 from .metrics import MetricsReport, evaluate_examples
 from .model import DialogScorer, examples_from_dataset
-
-__all__ = ["TrainConfig", "EpochLog", "train", "save_checkpoint", "load_checkpoint"]
 
 
 @dataclass

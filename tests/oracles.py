@@ -111,7 +111,7 @@ def oracle_nearest_images(features, image_id, n):
     """Per-vector scan of every other image: np.linalg.norm(v - q) each,
     ties broken by id."""
     query = features.get(image_id)
-    others = np.array([i for i in features.ids() if i != image_id])
+    others = features.id_array[features.id_array != image_id]
     if others.size == 0:
         return []
     dists = np.array([np.linalg.norm(features.get(int(i)) - query) for i in others])

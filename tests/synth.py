@@ -12,7 +12,7 @@ families target different cues:
 
 import numpy as np
 
-from dialogrank.text import (build_vocab, corpus_from_payload,
+from dialogrank.text import (ImageFeatureStore, build_vocab, corpus_from_payload,
                              dataset_from_payload)
 
 FILLER = [
@@ -31,6 +31,14 @@ def payload_vocab(payload, min_count=1):
 def load_payload(payload, vocab=None, **kwargs):
     vocab = vocab or payload_vocab(payload)
     return dataset_from_payload(payload, vocab, **kwargs)
+
+
+def feature_store(vectors):
+    """The store over an {image_id: vector} map, built as ``load_features`` builds
+    it: one int64 id array and one float64 row matrix."""
+    ids = np.fromiter(vectors, dtype=np.int64, count=len(vectors))
+    return ImageFeatureStore(ids, np.stack([np.asarray(v, dtype=np.float64)
+                                            for v in vectors.values()]))
 
 
 def _option_block(rng, pool_size, gt, k):

@@ -20,13 +20,12 @@ from dialogrank.model import (DialogScorer, examples_from_dataset,
 from dialogrank.qdataset import (CorpusKeys, build_candidate_set,
                                  build_qdataset_payload, compute_popular)
 from dialogrank.scorer import FusionMlp
-from dialogrank.text import (GloveTable, ImageFeatureStore, dataset_from_payload,
-                             dataset_json_bytes)
+from dialogrank.text import GloveTable, dataset_from_payload, dataset_json_bytes
 from dialogrank.training import TrainConfig, train
 from dialogrank.unroll import DialogState, PoolSpec, unroll, verify_transcript
 from oracles import oracle_candidate_set, oracle_rank
-from synth import (color_family, load_payload, memorize_family, object_family,
-                   payload_vocab, qbuilder_corpus, toy_glove)
+from synth import (color_family, feature_store, load_payload, memorize_family,
+                   object_family, payload_vocab, qbuilder_corpus, toy_glove)
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -70,7 +69,7 @@ def test_criterion_1_gradient_integrity():
 def overfit_setup():
     payload, feats = memorize_family(n_dialogs=20, k_options=8, seed=0)
     dataset = load_payload(payload)
-    features = ImageFeatureStore(feats)
+    features = feature_store(feats)
     dims = ModelDims.for_task(
         "visdial", rounds=4, embed_dim=16, query_hidden=32, option_hidden=32,
         caption_hidden=16, history_q_hidden=16, history_a_hidden=16,
@@ -230,7 +229,7 @@ def _train_family(train_payload, val_payload, features_map, variant, seed=1):
     vocab = payload_vocab(train_payload)
     train_set = load_payload(train_payload, vocab)
     val_set = load_payload(val_payload, vocab)
-    features = ImageFeatureStore(features_map)
+    features = feature_store(features_map)
     dims = ModelDims.for_task(
         "visdial", rounds=4, embed_dim=8, query_hidden=16, option_hidden=16,
         caption_hidden=8, history_q_hidden=8, history_a_hidden=8,
@@ -286,7 +285,7 @@ def test_criterion_8_unroller_audit():
     payload = qbuilder_corpus(n_images=20, seed=6)
     dataset = load_payload(payload)
     rng = np.random.default_rng(3)
-    features = ImageFeatureStore(
+    features = feature_store(
         {d["image_id"]: rng.normal(size=6) for d in payload["dialogs"]})
 
     def dims(task):

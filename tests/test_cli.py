@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dialogrank
-from dialogrank import cli
+from dialogrank import cli, text
 from dialogrank.cli import main
 from dialogrank.metrics import compute_metrics
 from dialogrank.text import write_dataset, write_features, write_glove
@@ -205,22 +205,26 @@ def test_each_input_file_is_read_once(workdir, capsys, monkeypatch):
             reads.append(os.path.basename(path))
         return open(path, mode, **kwargs)
 
+    # the command reads its configuration; the text readers read datasets,
+    # word vectors and features
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    monkeypatch.setattr(text, "open", counting_open, raising=False)
     corpus, qdata = str(workdir / "corpus.json"), str(workdir / "q3.json")
     train = ["train", "--features", str(workdir / "corpus_feat.bin"),
              "--config", str(workdir / "tiny.cfg"), "--set", "image_dim=6"]
     commands = [  # train and val name the same file, so it is read twice
         (["build-qdataset", "--dataset", corpus, "--glove", str(workdir / "glove.txt"),
-          "--out", qdata], ["corpus.json"]),
+          "--out", qdata], ["corpus.json", "glove.txt"]),
         (train + ["--task", "visdial-q", "--train", qdata, "--val", qdata,
-                  "--out", str(workdir / "q3.ckpt")], ["q3.json", "q3.json", "tiny.cfg"]),
+                  "--out", str(workdir / "q3.ckpt")],
+         ["corpus_feat.bin", "q3.json", "q3.json", "tiny.cfg"]),
         (train + ["--train", corpus, "--val", corpus, "--out", str(workdir / "a3.ckpt")],
-         ["corpus.json", "corpus.json", "tiny.cfg"]),
+         ["corpus.json", "corpus.json", "corpus_feat.bin", "tiny.cfg"]),
         (["unroll", "--q-checkpoint", str(workdir / "q3.ckpt"),
           "--a-checkpoint", str(workdir / "a3.ckpt"), "--dataset", corpus,
           "--features", str(workdir / "corpus_feat.bin"), "--rounds", "1",
           "--pool-size", "20", "--top-m", "5", "--out", str(workdir / "t3.json")],
-         ["corpus.json"]),
+         ["corpus.json", "corpus_feat.bin"]),
     ]
     for argv, files in commands:
         reads.clear()
@@ -301,6 +305,62 @@ def test_malformed_dataset_is_a_load_error(workdir, malformed_datasets, request,
         assert stderr.count("\n") == 1, name
         assert stderr.startswith("error type=LoadError"), (name, stderr)
         assert not os.path.exists(out), name
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--plausible", "-1", "n_plausible must be >= 0, got -1"),
+    ("--popular", "-1", "n_popular must be >= 0, got -1"),
+    ("--candidates", "0", "pool_size must be >= 1, got 0"),
+    ("--candidates", "-3", "pool_size must be >= 1, got -3"),
+], ids=["plausible-negative", "popular-negative", "candidates-zero", "candidates-negative"])
+def test_build_qdataset_out_of_range_count_is_an_error(workdir, capsys, flag, value, message):
+    out = workdir / f"q-bad{flag}{value}.json"
+    code, _, stderr = run_cli(capsys, "build-qdataset", "--dataset", str(workdir / "corpus.json"),
+                              "--glove", str(workdir / "glove.txt"), flag, value,
+                              "--out", str(out))
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=ValueError") and message in stderr, stderr
+    assert not out.exists()
+
+
+def test_unroll_negative_start_rounds_is_an_error(workdir, trained, capsys):
+    ckpt, out = str(trained[2]), workdir / "t-negative.json"
+    code, _, stderr = run_cli(
+        capsys, "unroll", "--q-checkpoint", ckpt, "--a-checkpoint", ckpt,
+        "--dataset", str(workdir / "corpus.json"),
+        "--features", str(workdir / "corpus_feat.bin"),
+        "--start-rounds", "-1", "--out", str(out))
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert "--start-rounds must be >= 0, got -1" in stderr, stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "build-qdataset", "train", "unroll"])
+def test_dataset_without_dialogs_is_a_load_error(workdir, request, capsys, command):
+    # the loader accepts a dataset with no dialogs; a vocabulary cannot be built from one
+    data = workdir / "no-dialogs.json"
+    write_dataset(data, {"format": "visdial-desk.v1", "task": "visdial",
+                         "questions": [], "answers": [], "dialogs": []})
+    out = str(workdir / f"out-{command}-no-dialogs")
+    ckpt = str(request.getfixturevalue("trained")[2]) if command == "unroll" else ""
+    argv = {
+        "build-vocab": ["--dataset", str(data), "--out", out],
+        "build-qdataset": ["--dataset", str(data), "--glove", str(workdir / "glove.txt"),
+                           "--out", out],
+        "train": ["--train", str(data), "--val", str(workdir / "train.json"),
+                  "--features", str(workdir / "feat.bin"), "--config", str(workdir / "tiny.cfg"),
+                  "--out", out],
+        "unroll": ["--q-checkpoint", ckpt, "--a-checkpoint", ckpt, "--dataset", str(data),
+                   "--features", str(workdir / "feat.bin"), "--out", out],
+    }[command]
+    code, _, stderr = run_cli(capsys, command, *argv)
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=LoadError"), stderr
+    assert f"dataset file {data}: no dialogs" in stderr, stderr
+    assert not os.path.exists(out)
 
 
 def run_cli_process(*args):

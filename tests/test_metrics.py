@@ -101,8 +101,7 @@ def test_untrained_model_scores_near_uniform():
 def test_rank_log_reproduces_report(tmp_path):
     from dialogrank.metrics import evaluate_model
     from dialogrank.model import DialogScorer
-    from dialogrank.text import ImageFeatureStore
-    from synth import load_payload, memorize_family
+    from synth import feature_store, load_payload, memorize_family
     from dialogrank.encoders import ModelDims
 
     payload, feats = memorize_family(n_dialogs=4, k_options=6, seed=8)
@@ -113,7 +112,7 @@ def test_rank_log_reproduces_report(tmp_path):
     model = DialogScorer(dims, ds.vocab, task="visdial", variant="qih", mlp_depth=1,
                          shared_embeddings=True, init_seed=2)
     log_path = tmp_path / "ranks.log"
-    report = evaluate_model(model, ds, ImageFeatureStore(feats), "visdial",
+    report = evaluate_model(model, ds, feature_store(feats), "visdial",
                             rank_log_path=log_path)
     ranks = [int(line.split()[2]) for line in log_path.read_text().splitlines()]
     assert compute_metrics(ranks, 6) == report

@@ -153,10 +153,16 @@ def test_embedding_gradients_match_finite_differences(seed):
 # ---------------------------------------------------------------------------
 
 
+def encode_one(enc, xs):
+    """One sequence xs [T, input_dim] as a packed batch of one: (h [hidden_dim], cache)."""
+    h, cache = enc.encode(xs, [1] * len(xs))
+    return h[0], cache
+
+
 def test_lstm_zero_parameters_fixed_point():
     enc = nn.LstmEncoder(3, 4)
     enc.bias.value[:] = 0.0  # drop the forget-bias stabilizer too
-    h, _ = enc.encode(np.random.default_rng(0).normal(size=(6, 3)))
+    h, _ = encode_one(enc, np.random.default_rng(0).normal(size=(6, 3)))
     assert np.array_equal(h, np.zeros(4))
 
 
@@ -164,15 +170,15 @@ def test_lstm_length_sensitivity():
     rng = np.random.default_rng(3)
     enc = nn.LstmEncoder(4, 5, rng=rng)
     xs = rng.normal(size=(2, 4))
-    h1, _ = enc.encode(xs[:1])
-    h2, _ = enc.encode(xs)
+    h1, _ = encode_one(enc, xs[:1])
+    h2, _ = encode_one(enc, xs)
     assert not np.allclose(h1, h2)
 
 
 def test_lstm_empty_sequence_rejected():
     enc = nn.LstmEncoder(3, 4)
     with pytest.raises(ValueError):
-        enc.encode(np.zeros((0, 3)))
+        enc.encode(np.zeros((0, 3)), [])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -186,7 +192,7 @@ def test_lstm_gradients_match_finite_differences(seed):
     upstream = rng.normal(size=l)
 
     def forward():
-        h, cache = enc.encode(xs.value)
+        h, cache = encode_one(enc, xs.value)
         return h, lambda up: xs.grad.__iadd__(enc.backward(cache, up))
 
     report = nn.grad_check(
@@ -202,7 +208,7 @@ def test_lstm_spec_size_gradcheck():
     upstream = rng.normal(size=5)
 
     def forward():
-        h, cache = enc.encode(xs)
+        h, cache = encode_one(enc, xs)
         return h, lambda up: enc.backward(cache, up)
 
     report = nn.grad_check(fd_closure_param(forward, None, upstream), [enc.weight, enc.bias])
@@ -671,22 +677,22 @@ def test_adam_config_validation():
 def test_he_init_deterministic():
     a = nn.Parameter(np.zeros((17, 13)))
     b = nn.Parameter(np.zeros((17, 13)))
-    nn.he_normal_init(a, 13, 99)
-    nn.he_normal_init(b, 13, 99)
+    nn.he_normal_init(a, 13, np.random.default_rng(99))
+    nn.he_normal_init(b, 13, np.random.default_rng(99))
     assert np.array_equal(a.value, b.value)
 
 
 def test_he_init_variance():
     p = nn.Parameter(np.zeros(100_000))
-    nn.he_normal_init(p, 2, 1)  # target variance 2/2 = 1
+    nn.he_normal_init(p, 2, np.random.default_rng(1))  # target variance 2/2 = 1
     assert abs(p.value.var() - 1.0) < 0.05
 
 
 def test_he_init_fan_in_scaling():
     a = nn.Parameter(np.zeros(100_000))
     b = nn.Parameter(np.zeros(100_000))
-    nn.he_normal_init(a, 4, 2)
-    nn.he_normal_init(b, 16, 3)
+    nn.he_normal_init(a, 4, np.random.default_rng(2))
+    nn.he_normal_init(b, 16, np.random.default_rng(3))
     ratio = b.value.std() / a.value.std()
     assert abs(ratio - 0.5) < 0.05 * 0.5
 
@@ -697,27 +703,27 @@ def test_he_init_fan_in_scaling():
 
 
 def test_grad_check_quadratic():
-    p = nn.Parameter(np.array([1.0, -2.0, 0.5]))
+    p = nn.Parameter(np.array([1.0, -2.0, 0.5]), name="p")
 
     def closure(want_grads: bool) -> float:
         if want_grads:
             p.grad += 2.0 * p.value
         return float((p.value**2).sum())
 
-    report = nn.grad_check(closure, {"p": p})
+    report = nn.grad_check(closure, [p])
     assert report.max_rel_error < 1e-8
     assert report.passed
 
 
 def test_grad_check_flags_wrong_backward():
-    p = nn.Parameter(np.array([1.0, -2.0, 0.5]))
+    p = nn.Parameter(np.array([1.0, -2.0, 0.5]), name="p")
 
     def closure(want_grads: bool) -> float:
         if want_grads:
             p.grad += 3.0 * p.value  # wrong: true gradient is 2w
         return float((p.value**2).sum())
 
-    report = nn.grad_check(closure, {"p": p})
+    report = nn.grad_check(closure, [p])
     assert not report.passed
     assert report.max_rel_error > 1e-4
 
@@ -737,7 +743,7 @@ def test_forward_backward_outputs_stay_finite(seed):
 
     ids = rng.integers(0, 9, size=7)
     seq, ecache = emb.lookup(ids)
-    h, lcache = enc.encode(seq)
+    h, lcache = encode_one(enc, seq)
     assert np.all(np.isfinite(h))
     x = rng.normal(size=(5, 6)) * 100.0
     y, lincache = lin.forward(x)

@@ -19,6 +19,7 @@ from dialogrank.qdataset import CorpusKeys, QaKey, find_plausible
 from dialogrank.text import ImageFeatureStore
 from dialogrank.unroll import nearest_images
 from oracles import oracle_find_plausible, oracle_nearest_images
+from synth import feature_store
 
 
 def counts(usable, cut):
@@ -66,16 +67,16 @@ def test_nearest_duplicated_vectors_break_ties_by_id():
     bases = rng.normal(size=(5, 6))
     picks = rng.integers(0, 5, size=40)
     ids = rng.permutation(1000)[:40].tolist()
-    store = ImageFeatureStore({i: bases[p] * (1 + j) for j, (i, p) in
-                               enumerate(zip(ids, picks))})
+    store = feature_store({i: bases[p] * (1 + j) for j, (i, p) in
+                           enumerate(zip(ids, picks))})
     check_nearest(store, ids[:6])
 
 
 def test_nearest_seeded_5k_store():
     rng = np.random.default_rng(5)
-    store = ImageFeatureStore({int(i): rng.normal(size=12)
-                               for i in rng.permutation(50_000)[:5000]})
-    check_nearest(store, store.ids()[::1250])
+    store = feature_store({int(i): rng.normal(size=12)
+                           for i in rng.permutation(50_000)[:5000]})
+    check_nearest(store, store.id_array[::1250].tolist())
 
 
 def near_tie_store(d, seeds):
@@ -93,7 +94,7 @@ def near_tie_store(d, seeds):
             vectors[10 + j] = np.ones(d) + 0.01 * rng.normal(size=d)
         for j in range(6):  # much farther
             vectors[20 + j] = -np.ones(d) + 0.1 * rng.normal(size=d)
-        store = ImageFeatureStore(vectors)
+        store = feature_store(vectors)
         m = store.matrix
         if not np.array_equal(m[2], m[1][perm]):
             continue  # normalization rounded the two rows apart
@@ -115,7 +116,7 @@ def test_nearest_near_tie_across_the_cut():
 def test_nearest_uncached_peak_stays_below_one_store_copy():
     rng = np.random.default_rng(9)
     n, d = 4000, 64
-    store = ImageFeatureStore.from_rows(np.arange(n), rng.normal(size=(n, d)))
+    store = ImageFeatureStore(np.arange(n), rng.normal(size=(n, d)))
     tracemalloc.start()
     try:
         got = nearest_images(store, 17, 10)  # first search: norms and memo built here

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialogrank import text
-from synth import memorize_family
+from dialogrank.encoders import ModelDims
+from dialogrank.model import examples_from_dataset
+from synth import feature_store, memorize_family
 
 
 def test_tokenize_punctuation():
@@ -109,7 +112,7 @@ def test_load_dataset_roundtrip(tmp_path):
     path = tmp_path / "data.json"
     text.write_dataset(path, payload)
     vocab = text.build_vocab(text.corpus_from_payload(payload))
-    ds = text.load_dataset(path, vocab)
+    ds = text.dataset_from_payload(text.read_dataset(path), vocab)
     assert len(ds) == 1
     assert ds.records[0].image_id == 7
     assert len(ds.records[0].rounds) == 10
@@ -117,6 +120,18 @@ def test_load_dataset_roundtrip(tmp_path):
     blob1 = text.dataset_json_bytes(payload)
     blob2 = text.dataset_json_bytes(json.loads(blob1))
     assert blob1 == blob2
+
+
+@pytest.mark.parametrize("name, mangle", [
+    ("truncated", lambda blob: blob[: len(blob) // 2]),
+    ("not-utf8", lambda blob: blob.replace(b"sunny", b"sunn\xff", 1)),
+], ids=["truncated", "not-utf8"])
+def test_read_dataset_undecodable_file_is_a_load_error_naming_it(tmp_path, name, mangle):
+    path = tmp_path / f"{name}.json"
+    text.write_dataset(path, minimal_payload())
+    path.write_bytes(mangle(path.read_bytes()))
+    with pytest.raises(text.LoadError, match=re.escape(f"dataset file {path}: not UTF-8 JSON")):
+        text.read_dataset(path)
 
 
 def test_load_dataset_rejects_nine_rounds():
@@ -329,7 +344,8 @@ def test_load_dataset_order_independent():
     for image_id, rec in by_id1.items():
         other = by_id2[image_id]
         assert rec.caption_ids == other.caption_ids
-        assert [r.question_ids for r in rec.rounds] == [r.question_ids for r in other.rounds]
+        assert ([ds1.question_ids[r.question] for r in rec.rounds]
+                == [ds2.question_ids[r.question] for r in other.rounds])
 
 
 def test_every_encoded_sequence_ends_in_stop():
@@ -350,11 +366,18 @@ def test_dataset_load_tokenizes_each_pool_string_and_caption_once(monkeypatch):
     ds = text.dataset_from_payload(payload, vocab, max_question_words=3)
     assert len(calls) == (len(payload["questions"]) + len(payload["answers"])
                           + len(payload["dialogs"]))
-    # the pool encodings are those of the records' rounds, at the loader's length
-    for record in ds.records:
-        for rnd in record.rounds:
-            assert rnd.question_ids is ds.question_ids[rnd.question]
-            assert rnd.answer_ids is ds.answer_ids[rnd.answer]
+    # the pool encodings are those the rounds' examples score, at the loader's length
+    examples = examples_from_dataset(ds, None, "visdial", "q", ModelDims.for_task("visdial"))
+    assert len(examples) == 10 * len(ds.records)
+    for ex in examples:
+        record = ds.by_image[ex.image_id]
+        rnd = record.rounds[ex.round_no - 1]
+        assert ex.question_ids is ds.question_ids[rnd.question]
+        assert ex.option_ids[ex.gt_index] == ds.answer_ids[rnd.answer]
+        for (q_ids, a_ids), past in zip(ex.history, record.rounds[: ex.round_no - 1],
+                                        strict=True):
+            assert q_ids is ds.question_ids[past.question]
+            assert a_ids is ds.answer_ids[past.answer]
     assert max(len(ids) for ids in ds.question_ids) <= 4
 
 
@@ -421,8 +444,8 @@ def test_features_header_larger_than_file_raises_before_reading(tmp_path):
 
 
 def test_features_are_one_read_only_matrix():
-    store = text.ImageFeatureStore({9: np.array([1.0, 1.0]), 5: np.array([2.0, 0.0])})
-    assert store.ids() == [5, 9]
+    store = feature_store({9: np.array([1.0, 1.0]), 5: np.array([2.0, 0.0])})
+    assert store.id_array.tolist() == [5, 9]
     assert np.array_equal(store.matrix, [store.get(5), store.get(9)])
     assert np.shares_memory(store.get(9), store.matrix)
     with pytest.raises(ValueError):

@@ -13,9 +13,9 @@ from dialogrank.checkpoint import (CHECKPOINT_MAGIC, load_checkpoint, save_check
 from dialogrank.encoders import ModelDims
 from dialogrank.metrics import evaluate_examples
 from dialogrank.model import DialogScorer, examples_from_dataset, synthetic_vocab
-from dialogrank.text import ImageFeatureStore, LoadError
+from dialogrank.text import LoadError
 from dialogrank.training import TrainConfig, train
-from synth import load_payload, memorize_family, payload_vocab
+from synth import feature_store, load_payload, memorize_family, payload_vocab
 
 
 def toy_dims(**overrides):
@@ -29,7 +29,7 @@ def toy_dims(**overrides):
 @pytest.fixture(scope="module")
 def toy_data():
     payload, feats = memorize_family(n_dialogs=6, k_options=5, seed=0)
-    return load_payload(payload), ImageFeatureStore(feats)
+    return load_payload(payload), feature_store(feats)
 
 
 def quick_cfg(**overrides):

@@ -4,11 +4,10 @@ import pytest
 from dialogrank.encoders import ModelDims
 from dialogrank.model import DialogScorer
 from dialogrank import unroll as unroll_module
-from dialogrank.text import ImageFeatureStore
 from dialogrank.unroll import (DialogState, PoolSpec, build_pool, nearest_images,
                                step, unroll, verify_transcript)
 from oracles import oracle_nearest_images
-from synth import load_payload, qbuilder_corpus
+from synth import feature_store, load_payload, qbuilder_corpus
 
 
 def toy_models(vocab, rounds_q=4, rounds_a=4, image_dim=6):
@@ -32,7 +31,7 @@ def setup():
     payload = qbuilder_corpus(n_images=12, seed=6)
     dataset = load_payload(payload)
     rng = np.random.default_rng(44)
-    features = ImageFeatureStore(
+    features = feature_store(
         {r["image_id"]: rng.normal(size=6) for r in payload["dialogs"]})
     q_model, a_model = toy_models(dataset.vocab)
     return dataset, features, q_model, a_model
@@ -45,13 +44,13 @@ def setup():
 
 def test_nearest_duplicate_feature_first():
     vec = np.array([1.0, 2.0, 2.0])
-    store = ImageFeatureStore({1: vec, 2: 2.0 * vec, 3: np.array([5.0, -1.0, 0.1])})
+    store = feature_store({1: vec, 2: 2.0 * vec, 3: np.array([5.0, -1.0, 0.1])})
     assert nearest_images(store, 1, 1) == [2]  # same direction, distance 0
 
 
 def test_nearest_exhausts_store():
     rng = np.random.default_rng(1)
-    store = ImageFeatureStore({i: rng.normal(size=4) for i in range(6)})
+    store = feature_store({i: rng.normal(size=4) for i in range(6)})
     got = nearest_images(store, 0, 5)
     assert sorted(got) == [1, 2, 3, 4, 5]
     assert nearest_images(store, 0, 99) == got
@@ -59,7 +58,7 @@ def test_nearest_exhausts_store():
 
 def test_nearest_matches_brute_force_oracle():
     rng = np.random.default_rng(2)
-    store = ImageFeatureStore({i: rng.normal(size=5) for i in range(50)})
+    store = feature_store({i: rng.normal(size=5) for i in range(50)})
     for query in (0, 17, 49):
         got = nearest_images(store, query, 10)
         qv = store.get(query)
@@ -138,7 +137,7 @@ def test_pool_matches_independent_oracle(setup):
 
 def test_nearest_returns_a_fresh_list(setup):
     _, features, _, _ = setup
-    image_id = features.ids()[2]
+    image_id = int(features.id_array[2])
     first = nearest_images(features, image_id, 4)
     want = list(first)
     first[0] = -1
@@ -149,7 +148,7 @@ def test_nearest_returns_a_fresh_list(setup):
 def test_pool_matches_oracle_after_searches_for_other_images(setup):
     dataset, features, _, _ = setup
     record = dataset.records[7]
-    for image_id in features.ids():
+    for image_id in features.id_array.tolist():
         if image_id != record.image_id:
             for n in (1, 4, 11):
                 nearest_images(features, image_id, n)
