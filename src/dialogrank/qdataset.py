@@ -22,6 +22,14 @@ The QA key is: word vectors of the question's first three words concatenated
 remaining question words (unknown words count as zero vectors), then the mean
 vector of the answer's known words; punctuation tokens are dropped before
 composition and words are used raw, before any vocabulary unk-mapping.
+
+``CorpusKeys`` computes each key once and holds it once: ``matrix [N, 5d]``
+has one row per round in dataset order (dialog by dialog, round by round),
+and the parallel arrays ``image_ids``, ``round_nos`` (1-based) and
+``followups`` (the question-pool index of the next round's question, -1 on a
+dialog's last round) say which round a row is. A candidate set is a function
+of one row: the row is the neighbour-search query, and its image, round and
+follow-up are the ones the set is built for.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .text import (DATASET_FORMAT, DialogDataset, DialogRecord, GloveTable,
+from .text import (DATASET_FORMAT, DialogDataset, GloveTable,
                    ROUNDS_PER_DIALOG, tokenize)
 
 N_PLAUSIBLE = 50
@@ -95,50 +103,45 @@ def qa_pair_key(question: str, answer: str, glove: GloveTable) -> np.ndarray:
     return np.concatenate([q_key, a_key])
 
 
-@dataclass
-class QaKey:
-    image_id: int
-    round_no: int  # 1-based
-    key: np.ndarray
-    followup_question: int | None  # questions-pool index; None for round 10
-
-
 class CorpusKeys:
-    """Precomputed QA keys for every round of every dialog."""
+    """The QA key of every round, one row each, laid out as the module
+    docstring says; ``sq_norms`` and ``max_norm`` serve ``short_list``."""
 
     def __init__(self, dataset: DialogDataset, glove: GloveTable):
-        entries = []
+        n = sum(len(record.rounds) for record in dataset.records)
+        matrix = np.empty((n, (FIRST_WORDS + 2) * glove.dim))
+        image_ids = np.empty(n, dtype=np.int64)
+        round_nos = np.empty(n, dtype=np.int64)
+        followups = np.full(n, -1, dtype=np.int64)
+        row = 0
         for record in dataset.records:
             for t, rnd in enumerate(record.rounds, start=1):
-                followup = (record.rounds[t].question
-                            if t < ROUNDS_PER_DIALOG else None)
-                entries.append(QaKey(
-                    image_id=record.image_id,
-                    round_no=t,
-                    key=qa_pair_key(dataset.questions[rnd.question],
-                                    dataset.answers[rnd.answer], glove),
-                    followup_question=followup,
-                ))
-        self._index(entries)
+                matrix[row] = qa_pair_key(dataset.questions[rnd.question],
+                                          dataset.answers[rnd.answer], glove)
+                image_ids[row] = record.image_id
+                round_nos[row] = t
+                if t < ROUNDS_PER_DIALOG:
+                    followups[row] = record.rounds[t].question
+                row += 1
+        self._adopt(matrix, image_ids, round_nos, followups)
 
     @classmethod
-    def from_entries(cls, entries: list[QaKey]) -> "CorpusKeys":
-        """Index ready-made entries (at least one) without building keys."""
+    def from_arrays(cls, matrix, image_ids, round_nos, followups) -> "CorpusKeys":
+        """Ready-made rows (at least one), without building keys."""
         keys = cls.__new__(cls)
-        keys._index(entries)
+        keys._adopt(matrix, image_ids, round_nos, followups)
         return keys
 
-    def _index(self, entries: list[QaKey]) -> None:
-        self.entries = entries
-        self._matrix = np.stack([e.key for e in self.entries])
-        self._image_ids = np.array([e.image_id for e in self.entries])
-        self._round_nos = np.array([e.round_no for e in self.entries])
-        self._has_followup = self._round_nos < ROUNDS_PER_DIALOG
-        self._sq_norms = np.einsum("ij,ij->i", self._matrix, self._matrix)
-        self._max_norm = float(np.sqrt(self._sq_norms.max()))
+    def _adopt(self, matrix, image_ids, round_nos, followups) -> None:
+        self.matrix = matrix
+        self.image_ids = image_ids
+        self.round_nos = round_nos
+        self.followups = followups
+        self.sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+        self.max_norm = float(np.sqrt(self.sq_norms.max()))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.matrix)
 
 
 # Squared distances below this scale may lose their relative accuracy to
@@ -184,21 +187,22 @@ def short_list(matrix: np.ndarray, sq_norms: np.ndarray, max_norm: float,
 
 
 def find_plausible(query_key: np.ndarray, query_image_id: int, corpus: CorpusKeys,
-                   k: int = N_PLAUSIBLE) -> list[QaKey]:
-    """The k nearest usable QA pairs: not from the query's image, not a
-    dialog's last round. Distance ties break by (image_id, round).
+                   k: int = N_PLAUSIBLE) -> list[int]:
+    """Corpus rows of the k nearest usable QA pairs, nearest first: not from
+    the query's image, not a dialog's last round. Distance ties break by
+    (image_id, round).
 
     The distance is ``np.linalg.norm(K[rows] - q, axis=1)`` over the key
     matrix K. ``short_list`` prefilters the usable rows; the short list is
     re-ranked with the distance formula and the (dist, image_id, round)
     tie-break, which gives the same list as a copy-then-norm scan of every
     usable row."""
-    skip = ~corpus._has_followup | (corpus._image_ids == query_image_id)
-    short = short_list(corpus._matrix, corpus._sq_norms, corpus._max_norm,
+    skip = (corpus.followups < 0) | (corpus.image_ids == query_image_id)
+    short = short_list(corpus.matrix, corpus.sq_norms, corpus.max_norm,
                        query_key, k, skip)
-    dists = np.linalg.norm(corpus._matrix[short] - query_key, axis=1)
-    order = np.lexsort((corpus._round_nos[short], corpus._image_ids[short], dists))
-    return [corpus.entries[short[i]] for i in order[:k]]
+    dists = np.linalg.norm(corpus.matrix[short] - query_key, axis=1)
+    order = np.lexsort((corpus.round_nos[short], corpus.image_ids[short], dists))
+    return short[order[:k]].tolist()
 
 
 def compute_popular(dataset: DialogDataset, m: int = N_POPULAR) -> list[int]:
@@ -222,7 +226,6 @@ class CandidateSet:
     question_indices: list[int]  # questions-pool indices, final (shuffled) order
     gt_index: int
     provenance: list[str]
-    seed: int
 
     def strings(self, dataset: DialogDataset) -> list[str]:
         return [dataset.questions[i] for i in self.question_indices]
@@ -232,14 +235,16 @@ def round_rng(seed: int, image_id: int, round_no: int) -> np.random.Generator:
     return np.random.default_rng([seed, image_id, round_no])
 
 
-def build_candidate_set(dataset: DialogDataset, record: DialogRecord, round_t: int,
-                        corpus: CorpusKeys, popular: list[int], glove: GloveTable,
-                        seed: int, n_plausible: int = N_PLAUSIBLE,
+def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
+                        popular: list[int], seed: int, n_plausible: int = N_PLAUSIBLE,
                         pool_size: int = POOL_SIZE) -> CandidateSet:
-    """Candidate follow-up questions for the QA pair at 1-based round_t."""
-    if not 1 <= round_t < ROUNDS_PER_DIALOG:
-        raise ValueError(
-            f"round {round_t} has no follow-up question (valid: 1..{ROUNDS_PER_DIALOG - 1})")
+    """Candidate follow-up questions for the QA pair in corpus row ``row``,
+    which is also the neighbour-search query."""
+    image_id = int(corpus.image_ids[row])
+    round_no = int(corpus.round_nos[row])
+    followup = int(corpus.followups[row])
+    if followup < 0:
+        raise ValueError(f"image {image_id} round {round_no} has no follow-up question")
     if len(dataset.distinct_questions[0]) < pool_size:
         raise ValueError(
             f"corpus has fewer than {pool_size} distinct questions; cannot build candidates")
@@ -253,17 +258,13 @@ def build_candidate_set(dataset: DialogDataset, record: DialogRecord, round_t: i
             seen.add(s)
             chosen.append((pool_idx, label))
 
-    query_round = record.rounds[round_t - 1]
-    push(record.rounds[round_t].question, "correct")
-
-    key = qa_pair_key(dataset.questions[query_round.question],
-                      dataset.answers[query_round.answer], glove)
-    for neighbor in find_plausible(key, record.image_id, corpus, k=n_plausible):
-        push(neighbor.followup_question, "plausible")
+    push(followup, "correct")
+    for neighbor in find_plausible(corpus.matrix[row], image_id, corpus, k=n_plausible):
+        push(int(corpus.followups[neighbor]), "plausible")
     for pool_idx in popular:
         push(pool_idx, "popular")
 
-    rng = round_rng(seed, record.image_id, round_t)
+    rng = round_rng(seed, image_id, round_no)
     del chosen[pool_size:]
     while len(chosen) < pool_size:
         push(int(rng.integers(0, len(dataset.questions))), "random")
@@ -274,7 +275,6 @@ def build_candidate_set(dataset: DialogDataset, record: DialogRecord, round_t: i
         question_indices=[idx for idx, _ in shuffled],
         gt_index=gt_index,
         provenance=[label for _, label in shuffled],
-        seed=seed,
     )
 
 
@@ -290,23 +290,25 @@ def build_qdataset_payload(dataset: DialogDataset, glove: GloveTable, seed: int,
     corpus = CorpusKeys(dataset, glove)
     popular = compute_popular(dataset, m=n_popular)
     dialogs = []
+    row = 0  # CorpusKeys holds the rounds in this order
     for record in dataset.records:
         rounds = []
-        for t, rnd in enumerate(record.rounds, start=1):
-            row = {
+        for rnd in record.rounds:
+            out = {
                 "question": rnd.question,
                 "answer": rnd.answer,
                 "answer_options": list(rnd.answer_options),
                 "gt_index": rnd.gt_index,
             }
-            if t < ROUNDS_PER_DIALOG:
+            if corpus.followups[row] >= 0:
                 cand = build_candidate_set(
-                    dataset, record, t, corpus, popular, glove, seed,
+                    dataset, corpus, row, popular, seed,
                     n_plausible=n_plausible, pool_size=pool_size)
-                row["question_options"] = cand.question_indices
-                row["question_gt_index"] = cand.gt_index
-                row["question_provenance"] = cand.provenance
-            rounds.append(row)
+                out["question_options"] = cand.question_indices
+                out["question_gt_index"] = cand.gt_index
+                out["question_provenance"] = cand.provenance
+            rounds.append(out)
+            row += 1
         dialogs.append({
             "image_id": record.image_id,
             "caption": record.caption,

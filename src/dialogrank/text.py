@@ -91,7 +91,8 @@ def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
     """Vocabulary over an iterable of token lists.
 
     Keeps words with frequency >= min_count; ids are assigned reserved tokens
-    first, then by descending frequency with lexicographic ties.
+    first, then by descending frequency with lexicographic ties. A reserved
+    token in the text keeps its reserved id.
     """
     counts: Counter = Counter()
     seen_any = False
@@ -101,7 +102,7 @@ def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
     if not seen_any:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     kept = sorted(
-        (w for w, c in counts.items() if c >= min_count),
+        (w for w, c in counts.items() if c >= min_count and w not in RESERVED_WORDS),
         key=lambda w: (-counts[w], w),
     )
     return Vocabulary(list(RESERVED_WORDS) + kept)

@@ -37,6 +37,10 @@ class TrainConfig:
             raise ValueError("learning_rate, batch_size and max_epochs must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.dims is None:
             self.dims = ModelDims.for_task(self.task)
 

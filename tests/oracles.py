@@ -120,18 +120,16 @@ def oracle_nearest_images(features, image_id, n):
 
 
 def oracle_find_plausible(query_key, query_image_id, corpus, k=50):
-    """Copy every usable key (other image, not round 10), take the row norms
-    of the copy minus the query, rank by (dist, image_id, round)."""
-    entries = corpus.entries
-    image_ids = np.array([e.image_id for e in entries])
-    round_nos = np.array([e.round_no for e in entries])
-    idx = np.flatnonzero((image_ids != query_image_id) & (round_nos < 10))
+    """Copy every usable key row (other image, not round 10), take the row
+    norms of the copy minus the query, rank by (dist, image_id, round).
+    Returns corpus rows."""
+    idx = np.flatnonzero((corpus.image_ids != query_image_id) & (corpus.round_nos < 10))
     if idx.size == 0:
         return []
-    matrix = np.stack([e.key for e in entries])
-    dists = np.linalg.norm(matrix[idx] - query_key, axis=1)
-    order = np.lexsort((round_nos[idx], image_ids[idx], dists))
-    return [entries[idx[i]] for i in order[:k]]
+    matrix = np.stack([corpus.matrix[i] for i in idx])
+    dists = np.linalg.norm(matrix - query_key, axis=1)
+    order = np.lexsort((corpus.round_nos[idx], corpus.image_ids[idx], dists))
+    return [int(idx[i]) for i in order[:k]]
 
 
 def _sigmoid(z):

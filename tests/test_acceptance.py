@@ -173,26 +173,28 @@ def test_criterion_5_builder_oracle():
     seed = 17
 
     rounds_checked = 0
-    for record in dataset.records:
-        for t in range(1, 10):
-            got = build_candidate_set(dataset, record, t, keys, popular, glove, seed)
-            want, want_gt = oracle_candidate_set(payload, record.image_id, t,
-                                                 glove_dict, seed)
-            strings = got.strings(dataset)
-            assert list(zip(strings, got.provenance)) == want
-            assert got.gt_index == want_gt
-            assert len(strings) == 100 and len(set(strings)) == 100
-            assert strings[got.gt_index] == dataset.questions[record.rounds[t].question]
-            rounds_checked += 1
+    for row in np.flatnonzero(keys.followups >= 0):
+        record = dataset.by_image[int(keys.image_ids[row])]
+        t = int(keys.round_nos[row])
+        got = build_candidate_set(dataset, keys, row, popular, seed)
+        want, want_gt = oracle_candidate_set(payload, record.image_id, t,
+                                             glove_dict, seed)
+        strings = got.strings(dataset)
+        assert list(zip(strings, got.provenance)) == want
+        assert got.gt_index == want_gt
+        assert len(strings) == 100 and len(set(strings)) == 100
+        assert strings[got.gt_index] == dataset.questions[record.rounds[t].question]
+        rounds_checked += 1
 
-    # plausible exclusions, checked against the neighbor records themselves
+    # plausible exclusions, checked against the neighbor rows themselves
     probe = dataset.records[2]
     from dialogrank.qdataset import find_plausible, qa_pair_key
     q_round = probe.rounds[0]
     key = qa_pair_key(dataset.questions[q_round.question],
                       dataset.answers[q_round.answer], glove)
     hits = find_plausible(key, probe.image_id, keys)
-    exclusions_ok = all(h.image_id != probe.image_id and h.round_no < 10 for h in hits)
+    exclusions_ok = all(keys.image_ids[h] != probe.image_id and keys.round_nos[h] < 10
+                        for h in hits)
 
     built_a = dataset_json_bytes(build_qdataset_payload(dataset, glove, seed))
     built_b = dataset_json_bytes(build_qdataset_payload(dataset, glove, seed))

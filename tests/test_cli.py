@@ -337,6 +337,45 @@ def test_unroll_negative_start_rounds_is_an_error(workdir, trained, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("grad_clip=-1", "grad_clip must be > 0, got -1.0"),
+    ("grad_clip=0", "grad_clip must be > 0, got 0.0"),
+    ("grad_clip=nan", "grad_clip must be > 0, got nan"),
+    ("max_steps=0", "max_steps must be >= 1, got 0"),
+], ids=["grad-clip-negative", "grad-clip-zero", "grad-clip-nan", "max-steps-zero"])
+def test_train_nonpositive_grad_clip_or_max_steps_is_an_error(workdir, capsys, setting,
+                                                             message):
+    # a negative clip flips every gradient, zero clears them, and max_steps=0
+    # would still take one step
+    out = workdir / f"bad-{setting.replace('=', '')}.ckpt"
+    code, _, stderr = run_cli(
+        capsys, "train", "--train", str(workdir / "train.json"),
+        "--val", str(workdir / "train.json"), "--features", str(workdir / "feat.bin"),
+        "--config", str(workdir / "tiny.cfg"), "--set", setting, "--out", str(out))
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=ValueError") and message in stderr, stderr
+    assert not out.exists()
+
+
+def test_build_vocab_reserved_words_in_text(workdir, capsys):
+    # the tokenizer keeps <stop>, <empty> and <unk> whole, so text can hold them
+    payload, _ = memorize_family(n_dialogs=2, k_options=5, seed=2)
+    payload["questions"][0] = "is it <stop> ?"
+    payload["questions"][1] = "<empty> or <unk> ?"
+    payload["answers"][0] = "<unk> <unk>"
+    data, out = workdir / "reserved-words.json", workdir / "reserved-vocab.txt"
+    write_dataset(data, payload)
+    code, stdout, stderr = run_cli(capsys, "build-vocab", "--dataset", str(data),
+                                   "--out", str(out))
+    assert code == 0, stderr
+    words = out.read_text(encoding="utf-8").split("\n")[:-1]
+    assert words[:3] == list(text.RESERVED_WORDS)
+    for word in text.RESERVED_WORDS:
+        assert words.count(word) == 1, word
+    assert "is" in words and "or" in words
+
+
 @pytest.mark.parametrize("command", ["build-vocab", "build-qdataset", "train", "unroll"])
 def test_dataset_without_dialogs_is_a_load_error(workdir, request, capsys, command):
     # the loader accepts a dataset with no dialogs; a vocabulary cannot be built from one

@@ -1,6 +1,8 @@
 """Candidate-builder tests, anchored by a straight-line oracle that
 re-implements the whole mining protocol directly from the documented rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,22 +98,57 @@ def test_answer_key_matches_brute_force(corpus):
 # ---------------------------------------------------------------------------
 
 
+def row_of(keys, image_id, round_no):
+    """The corpus row of one dialog round."""
+    return int(np.flatnonzero((keys.image_ids == image_id) & (keys.round_nos == round_no))[0])
+
+
+def test_corpus_rows_hold_each_round_key_and_followup(corpus):
+    _, dataset, glove = corpus
+    keys = qd.CorpusKeys(dataset, glove)
+    assert len(keys) == 10 * len(dataset)
+    row = 0
+    for record in dataset.records:
+        for t, rnd in enumerate(record.rounds, start=1):
+            assert (keys.image_ids[row], keys.round_nos[row]) == (record.image_id, t)
+            assert np.array_equal(keys.matrix[row], qd.qa_pair_key(
+                dataset.questions[rnd.question], dataset.answers[rnd.answer], glove))
+            want = record.rounds[t].question if t < 10 else -1
+            assert keys.followups[row] == want
+            row += 1
+
+
+def test_corpus_keys_hold_each_key_once():
+    payload = qbuilder_corpus(n_images=400, seed=6)
+    dataset = load_payload(payload)
+    glove = GloveTable({w: np.asarray(v) for w, v in toy_glove(payload, dim=50).items()})
+    tracemalloc.start()
+    try:
+        keys = qd.CorpusKeys(dataset, glove)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert keys.matrix.shape == (4000, 250)
+    assert peak < 1.25 * keys.matrix.nbytes, (peak, keys.matrix.nbytes)
+
+
 def test_plausible_identical_key_ranks_first(corpus):
     _, dataset, glove = corpus
     keys = qd.CorpusKeys(dataset, glove)
-    probe = next(e for e in keys.entries if e.round_no < 10)
-    hits = qd.find_plausible(probe.key, query_image_id=-1, corpus=keys, k=5)
-    assert hits[0].image_id == probe.image_id and hits[0].round_no == probe.round_no
+    probe = next(r for r in range(len(keys)) if keys.round_nos[r] < 10)
+    hits = qd.find_plausible(keys.matrix[probe], query_image_id=-1, corpus=keys, k=5)
+    assert (keys.image_ids[hits[0]] == keys.image_ids[probe]
+            and keys.round_nos[hits[0]] == keys.round_nos[probe])
 
 
 def test_plausible_excludes_own_image_and_last_round(corpus):
     _, dataset, glove = corpus
     keys = qd.CorpusKeys(dataset, glove)
-    probe = keys.entries[0]
-    hits = qd.find_plausible(probe.key, probe.image_id, keys, k=len(keys))
-    assert all(h.image_id != probe.image_id for h in hits)
-    assert all(h.round_no < 10 for h in hits)
-    assert all(h.followup_question is not None for h in hits)
+    probe_image = keys.image_ids[0]
+    hits = qd.find_plausible(keys.matrix[0], probe_image, keys, k=len(keys))
+    assert all(keys.image_ids[h] != probe_image for h in hits)
+    assert all(keys.round_nos[h] < 10 for h in hits)
+    assert all(keys.followups[h] >= 0 for h in hits)
 
 
 def test_plausible_everything_excluded():
@@ -119,25 +156,26 @@ def test_plausible_everything_excluded():
     dataset = load_payload(payload)
     glove = GloveTable({w: np.asarray(v) for w, v in toy_glove(payload).items()})
     keys = qd.CorpusKeys(dataset, glove)
-    assert qd.find_plausible(keys.entries[0].key, keys.entries[0].image_id, keys) == []
+    assert qd.find_plausible(keys.matrix[0], keys.image_ids[0], keys) == []
 
 
 def test_plausible_matches_exhaustive_scan(corpus):
     _, dataset, glove = corpus
     keys = qd.CorpusKeys(dataset, glove)
     assert len(keys) >= 200
-    for probe in keys.entries[:12]:
-        got = qd.find_plausible(probe.key, probe.image_id, keys, k=50)
+    for probe in range(12):
+        query = keys.matrix[probe]
+        got = qd.find_plausible(query, keys.image_ids[probe], keys, k=50)
         scan = []
-        for e in keys.entries:
-            if e.image_id == probe.image_id or e.round_no == 10:
+        for r in range(len(keys)):
+            if keys.image_ids[r] == keys.image_ids[probe] or keys.round_nos[r] == 10:
                 continue
-            scan.append((float(np.linalg.norm(e.key - probe.key)),
-                         e.image_id, e.round_no, e))
+            scan.append((float(np.linalg.norm(keys.matrix[r] - query)),
+                         keys.image_ids[r], keys.round_nos[r], r))
         scan.sort(key=lambda item: item[:3])
         want = [item[3] for item in scan[:50]]
-        assert [(h.image_id, h.round_no) for h in got] == \
-            [(w.image_id, w.round_no) for w in want]
+        assert [(keys.image_ids[h], keys.round_nos[h]) for h in got] == \
+            [(keys.image_ids[w], keys.round_nos[w]) for w in want]
 
 
 def test_popular_counting(corpus):
@@ -177,7 +215,8 @@ def test_candidate_sets_match_oracle_everywhere(corpus, seed):
     glove_dict = toy_glove(payload, dim=5)
     for record in dataset.records:
         for t in range(1, 10):
-            got = qd.build_candidate_set(dataset, record, t, keys, popular, glove, seed)
+            row = row_of(keys, record.image_id, t)
+            got = qd.build_candidate_set(dataset, keys, row, popular, seed)
             want, want_gt = oracle_candidate_set(
                 payload, record.image_id, t, glove_dict, seed)
             got_pairs = list(zip(got.strings(dataset), got.provenance))
@@ -190,7 +229,8 @@ def test_candidate_set_invariants(corpus):
     keys = qd.CorpusKeys(dataset, glove)
     popular = qd.compute_popular(dataset)
     record = dataset.records[4]
-    cand = qd.build_candidate_set(dataset, record, 3, keys, popular, glove, seed=5)
+    cand = qd.build_candidate_set(dataset, keys, row_of(keys, record.image_id, 3),
+                                  popular, seed=5)
     strings = cand.strings(dataset)
     assert len(strings) == 100
     assert len(set(strings)) == 100
@@ -205,8 +245,9 @@ def test_candidate_set_round_10_rejected(corpus):
     _, dataset, glove = corpus
     keys = qd.CorpusKeys(dataset, glove)
     popular = qd.compute_popular(dataset)
-    with pytest.raises(ValueError, match="no follow-up"):
-        qd.build_candidate_set(dataset, dataset.records[0], 10, keys, popular, glove, 0)
+    image_id = dataset.records[0].image_id
+    with pytest.raises(ValueError, match=f"image {image_id} round 10 has no follow-up"):
+        qd.build_candidate_set(dataset, keys, row_of(keys, image_id, 10), popular, 0)
 
 
 def test_candidate_set_needs_enough_questions():
@@ -216,7 +257,7 @@ def test_candidate_set_needs_enough_questions():
     keys = qd.CorpusKeys(dataset, glove)
     popular = qd.compute_popular(dataset)
     with pytest.raises(ValueError, match="distinct questions"):
-        qd.build_candidate_set(dataset, dataset.records[0], 1, keys, popular, glove, 0)
+        qd.build_candidate_set(dataset, keys, 0, popular, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dialogrank.qdataset import CorpusKeys, QaKey, find_plausible
+from dialogrank.qdataset import CorpusKeys, find_plausible
 from dialogrank.text import ImageFeatureStore
 from dialogrank.unroll import nearest_images
 from oracles import oracle_find_plausible, oracle_nearest_images
@@ -35,26 +35,22 @@ def check_nearest(store, queries, cut=()):
             assert nearest_images(store, image_id, n) == want, (image_id, n)  # memoised
 
 
-def entry_ids(entries):
-    return [(e.image_id, e.round_no) for e in entries]
-
-
 def corpus_of(keys, rounds=10):
-    """One entry per key; rows fill dialogs of ``rounds`` rounds in order."""
-    return CorpusKeys.from_entries([
-        QaKey(image_id=i // rounds, round_no=i % rounds + 1, key=key,
-              followup_question=i if i % rounds + 1 < rounds else None)
-        for i, key in enumerate(keys)])
+    """One row per key; rows fill dialogs of ``rounds`` rounds in order."""
+    row = np.arange(len(keys))
+    round_nos = row % rounds + 1
+    return CorpusKeys.from_arrays(keys, row // rounds, round_nos,
+                                  np.where(round_nos < rounds, row, -1))
 
 
 def check_plausible(corpus, queries, cut=()):
     for query_key, query_image in queries:
-        usable = sum(1 for e in corpus.entries
-                     if e.image_id != query_image and e.round_no < 10)
+        usable = int(np.count_nonzero((corpus.image_ids != query_image)
+                                      & (corpus.round_nos < 10)))
         for k in counts(usable, cut):
             want = oracle_find_plausible(query_key, query_image, corpus, k)
             got = find_plausible(query_key, query_image, corpus, k)
-            assert entry_ids(got) == entry_ids(want), (query_image, k)
+            assert got == want, (query_image, k)
 
 
 # ---------------------------------------------------------------------------
@@ -189,5 +185,5 @@ def near_tie_corpus(d, seeds):
 def test_plausible_near_tie_across_the_cut():
     corpus, q, exact_first = near_tie_corpus(15, range(2000))
     # the pair straddles the cut at k = 6: the product alone would keep the other key
-    assert oracle_find_plausible(q, -1, corpus, 6)[-1].image_id == exact_first
+    assert corpus.image_ids[oracle_find_plausible(q, -1, corpus, 6)[-1]] == exact_first
     check_plausible(corpus, [(q, -1), (q, 0)], cut=(6,))
