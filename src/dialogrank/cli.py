@@ -1,9 +1,10 @@
 """Command-line entry point wiring all subsystems together.
 
 Configuration is plain-text ``key=value`` lines; command-line flags override
-file values (last wins) and every run echoes its fully resolved configuration
-and writes it next to its outputs. All subcommands are deterministic in
-(inputs, flags, seed) and exit nonzero with a single-line error on failure.
+file values (last wins) and every run echoes its fully resolved configuration;
+``train`` also writes it next to its checkpoint. All subcommands are
+deterministic in (inputs, flags, seed) and exit nonzero with a single-line
+error on failure.
 """
 
 from __future__ import annotations
@@ -18,18 +19,12 @@ from .encoders import ModelDims, TASKS, VARIANTS
 from .metrics import evaluate_model
 from .model import full_model_gradcheck
 from .qdataset import (N_PLAUSIBLE, N_POPULAR, POOL_SIZE, build_qdataset_payload)
+from .scorer import MLP_DEPTHS
 from .text import (LoadError, Vocabulary, build_vocab, corpus_from_payload,
                    dataset_from_payload, dataset_json_bytes, load_features,
                    load_glove, read_dataset)
 from .training import TrainConfig, train
 from .unroll import DialogState, PoolSpec, unroll, verify_transcript
-
-_DIM_KEYS = {f.name for f in fields(ModelDims)}
-_TRAIN_KEYS = {
-    "task": str, "variant": str, "mlp_depth": int, "shared_embeddings": bool,
-    "learning_rate": float, "batch_size": int, "max_epochs": int, "patience": int,
-    "seed": int, "grad_clip": float, "max_steps": int, "min_count": int,
-}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -39,6 +34,18 @@ def _parse_bool(raw: str) -> bool:
     if low in ("off", "false", "0", "no"):
         return False
     raise ValueError(f"expected on/off, got {raw!r}")
+
+
+def _or_none(parse):
+    return lambda raw: None if raw.lower() == "none" else parse(raw)
+
+
+_DIM_KEYS = {f.name for f in fields(ModelDims)}
+_TRAIN_KEYS = {  # each key's parser; only the two optional caps take "none"
+    "task": str, "variant": str, "mlp_depth": int, "shared_embeddings": _parse_bool,
+    "learning_rate": float, "batch_size": int, "max_epochs": int, "patience": int,
+    "seed": int, "grad_clip": _or_none(float), "max_steps": _or_none(int), "min_count": int,
+}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -55,29 +62,25 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def resolve_train_config(raw: dict[str, str]) -> TrainConfig:
-    """Typed TrainConfig (with dims) from a flat key=value mapping."""
-    task = raw.get("task", "visdial")
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
+def resolve_train_config(raw: dict[str, str]) -> tuple[TrainConfig, int]:
+    """Typed TrainConfig (with dims) and the vocabulary's min_count from a flat
+    key=value mapping; any value that does not parse or fit raises ValueError."""
     dims_kwargs = {}
     plain: dict = {}
     for key, value in raw.items():
-        if key in _DIM_KEYS:
-            dims_kwargs[key] = int(value)
-        elif key in _TRAIN_KEYS:
-            if value.lower() == "none":
-                plain[key] = None
-            elif _TRAIN_KEYS[key] is bool:
-                plain[key] = _parse_bool(value)
+        if key not in _DIM_KEYS and key not in _TRAIN_KEYS:
+            raise ValueError(f"unknown configuration key {key!r}")
+        try:
+            if key in _DIM_KEYS:
+                dims_kwargs[key] = int(value)
             else:
                 plain[key] = _TRAIN_KEYS[key](value)
-        else:
-            raise ValueError(f"unknown configuration key {key!r}")
-    plain.pop("min_count", None)
-    plain["task"] = task
+        except ValueError as exc:
+            raise ValueError(f"configuration key {key!r}: {exc}") from None
+    min_count = plain.pop("min_count", 1)
+    task = plain.setdefault("task", "visdial")
     dims = ModelDims.for_task(task, **dims_kwargs)
-    return TrainConfig(dims=dims, **plain)
+    return TrainConfig(dims=dims, **plain), min_count
 
 
 def _flat_config(cfg: TrainConfig, min_count: int) -> dict[str, str]:
@@ -95,13 +98,29 @@ def _flat_config(cfg: TrainConfig, min_count: int) -> dict[str, str]:
     return out
 
 
-def _echo_config(values: dict, out_path=None) -> None:
+def _echo_config(values: dict) -> list[str]:
+    """Print one ``config key=value`` line per item; returns the ``key=value`` lines."""
     lines = [f"{k}={v}" for k, v in values.items()]
     for line in lines:
         print("config " + line)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+    return lines
+
+
+def _echo_args(args) -> None:
+    """Echo a command's parsed arguments, in the order its parser declares them."""
+    _echo_config({k: v for k, v in vars(args).items() if k not in ("command", "func")})
+
+
+def _write_lines(path, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _dataset_for(payload, vocab: Vocabulary, dims: ModelDims):
+    """The dataset of ``payload``, its text cut to the word limits of ``dims``."""
+    return dataset_from_payload(payload, vocab, max_question_words=dims.max_question_words,
+                                max_answer_words=dims.max_answer_words,
+                                max_caption_words=dims.max_caption_words)
 
 
 def _vocab_of(path, payload, min_count: int = 1) -> Vocabulary:
@@ -133,8 +152,7 @@ def _merged_raw_config(args) -> dict[str, str]:
 
 
 def cmd_build_vocab(args) -> int:
-    _echo_config({"dataset": args.dataset, "out": args.out,
-                  "min_count": args.min_count})
+    _echo_args(args)
     vocab = _vocab_of(args.dataset, read_dataset(args.dataset), min_count=args.min_count)
     vocab.save(args.out)
     print(f"vocab size={len(vocab)} out={args.out}")
@@ -142,9 +160,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_build_qdataset(args) -> int:
-    _echo_config({"dataset": args.dataset, "glove": args.glove, "seed": args.seed,
-                  "out": args.out, "plausible": args.plausible,
-                  "popular": args.popular, "candidates": args.candidates})
+    _echo_args(args)
     payload = read_dataset(args.dataset)
     dataset = dataset_from_payload(payload, _vocab_of(args.dataset, payload))
     glove = load_glove(args.glove)
@@ -160,22 +176,16 @@ def cmd_build_qdataset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw = _merged_raw_config(args)
-    cfg = resolve_train_config(raw)
-    min_count = int(raw.get("min_count", 1))
-    _echo_config(_flat_config(cfg, min_count), args.out + ".config")
+    cfg, min_count = resolve_train_config(_merged_raw_config(args))
+    flat = _flat_config(cfg, min_count)
+    config_lines = _echo_config(flat)
     train_payload = read_dataset(args.train)
     if args.vocab:
         vocab = Vocabulary.load(args.vocab)
     else:
         vocab = _vocab_of(args.train, train_payload, min_count=min_count)
-    kwargs = dict(
-        max_question_words=cfg.dims.max_question_words,
-        max_answer_words=cfg.dims.max_answer_words,
-        max_caption_words=cfg.dims.max_caption_words,
-    )
-    train_set = dataset_from_payload(train_payload, vocab, **kwargs)
-    val_set = dataset_from_payload(read_dataset(args.val), vocab, **kwargs)
+    train_set = _dataset_for(train_payload, vocab, cfg.dims)
+    val_set = _dataset_for(read_dataset(args.val), vocab, cfg.dims)
     features = load_features(args.features) if args.features else None
     log_lines = []
 
@@ -184,24 +194,18 @@ def cmd_train(args) -> int:
         print(line)
 
     model, logs = train(train_set, val_set, features, cfg, log_fn=log_fn)
-    save_checkpoint(model, args.out, extra_config={"train": _flat_config(cfg, min_count)})
-    with open(args.out + ".log", "w", encoding="utf-8") as f:
-        f.write("\n".join(log_lines) + "\n")
+    save_checkpoint(model, args.out, extra_config={"train": flat})
+    _write_lines(args.out + ".config", config_lines)
+    _write_lines(args.out + ".log", log_lines)
     best = max(logs, key=lambda entry: entry.val.mrr)
     print(f"checkpoint out={args.out} best_epoch={best.epoch} best_val_mrr={best.val.mrr:.4f}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    _echo_config({"checkpoint": args.checkpoint, "dataset": args.dataset,
-                  "features": args.features, "task": args.task,
-                  "rank_log": args.rank_log})
+    _echo_args(args)
     model, _ = load_checkpoint(args.checkpoint)
-    dataset = dataset_from_payload(
-        read_dataset(args.dataset), model.vocab,
-        max_question_words=model.dims.max_question_words,
-        max_answer_words=model.dims.max_answer_words,
-        max_caption_words=model.dims.max_caption_words)
+    dataset = _dataset_for(read_dataset(args.dataset), model.vocab, model.dims)
     features = load_features(args.features) if args.features else None
     report = evaluate_model(model, dataset, features, args.task, rank_log_path=args.rank_log)
     print(f"n = {report.n}")
@@ -215,12 +219,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_unroll(args) -> int:
-    _echo_config({"q_checkpoint": args.q_checkpoint, "a_checkpoint": args.a_checkpoint,
-                  "dataset": args.dataset, "features": args.features, "out": args.out,
-                  "image_id": args.image_id, "rounds": args.rounds,
-                  "start_rounds": args.start_rounds, "seed": args.seed,
-                  "neighbors": args.neighbors, "pool_size": args.pool_size,
-                  "top_m": args.top_m})
+    _echo_args(args)
     if args.start_rounds < 0:
         raise ValueError(f"--start-rounds must be >= 0, got {args.start_rounds}")
     q_model, _ = load_checkpoint(args.q_checkpoint)
@@ -256,8 +255,7 @@ def cmd_unroll(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _echo_config({"seed": args.seed, "seeds": args.seeds, "k_options": args.k_options,
-                  "vocab_size": args.vocab_size, "tolerance": args.tolerance})
+    _echo_args(args)
     worst = 0.0
     ok = True
     for seed in range(args.seed, args.seed + args.seeds):
@@ -315,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value configuration file (default none)")
     p.add_argument("--task", choices=TASKS, help="ranking direction (default visdial)")
     p.add_argument("--variant", choices=VARIANTS, help="context blocks (default qih)")
-    p.add_argument("--mlp-depth", type=int, choices=(1, 2), dest="mlp_depth",
+    p.add_argument("--mlp-depth", type=int, choices=MLP_DEPTHS, dest="mlp_depth",
                    help="hidden layers in the scorer (default 2)")
     p.add_argument("--shared-embeddings", choices=("on", "off"), dest="shared_embeddings",
                    help="one word table for all encoders (default on)")

@@ -30,7 +30,7 @@ def rank_of_gt(scores, gt_index: int) -> int:
     s = np.asarray(scores, dtype=np.float64).ravel()
     if not 0 <= gt_index < s.size:
         raise IndexError(f"gt_index {gt_index} out of range for {s.size} scores")
-    return int(1 + np.count_nonzero(s >= s[gt_index]) - 1)
+    return int(np.count_nonzero(s >= s[gt_index]))
 
 
 def compute_metrics(ranks, k: int) -> MetricsReport:

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import nn
 from .encoders import TASKS, VARIANTS, ModelDims, TextPath
-from .scorer import FusionMlp, ScoredOptions
+from .scorer import MLP_DEPTHS, FusionMlp, ScoredOptions
 from .text import DialogDataset, ImageFeatureStore, Vocabulary
 
 
@@ -106,6 +106,20 @@ def examples_from_dataset(dataset: DialogDataset, features: ImageFeatureStore | 
     return out
 
 
+def check_model_config(dims: ModelDims, task: str, variant: str, mlp_depth: int) -> None:
+    """Raise ``ValueError`` unless the settings name a model that can be built
+    and trained. ``DialogScorer`` and ``training.TrainConfig`` both apply it."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if mlp_depth not in MLP_DEPTHS:
+        raise ValueError(f"mlp depth must be 1 or 2, got {mlp_depth}")
+    if variant == "qih" and dims.history_slots < 1:
+        raise ValueError(f"variant qih needs rounds >= 2 for its history block, "
+                         f"got rounds={dims.rounds}")
+
+
 class DialogScorer:
     """Text paths, history pair-combine and fusion MLP, with a stable
     parameter registry.
@@ -122,13 +136,7 @@ class DialogScorer:
     def __init__(self, dims: ModelDims, vocab: Vocabulary, task: str = "visdial",
                  variant: str = "qih", mlp_depth: int = 2, shared_embeddings: bool = True,
                  init_seed: int | None = 0):
-        if task not in TASKS:
-            raise ValueError(f"unknown task {task!r}")
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
-        if variant == "qih" and dims.history_slots < 1:
-            raise ValueError(f"variant qih needs rounds >= 2 for its history block, "
-                             f"got rounds={dims.rounds}")
+        check_model_config(dims, task, variant, mlp_depth)
         self.dims = dims
         self.vocab = vocab
         self.task = task

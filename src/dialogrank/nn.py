@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -406,7 +406,6 @@ class GradCheckReport:
     worst_index: int = -1
     worst_analytic: float = 0.0
     worst_numeric: float = 0.0
-    per_param: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -450,7 +449,6 @@ def grad_check(loss_fn, params, h: float = 1e-5, tolerance: float = 1e-4,
     for p, grad in zip(params, analytic):
         flat = p.value.reshape(-1)
         a_flat = grad.reshape(-1)
-        worst = 0.0
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -461,13 +459,10 @@ def grad_check(loss_fn, params, h: float = 1e-5, tolerance: float = 1e-4,
             numeric = (lp - lm) / (2.0 * h)
             a = a_flat[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), scale_floor)
-            if rel > worst:
-                worst = rel
             if rel > report.max_rel_error:
                 report.max_rel_error = rel
                 report.worst_param = p.name
                 report.worst_index = i
                 report.worst_analytic = float(a)
                 report.worst_numeric = float(numeric)
-        report.per_param[p.name] = worst
     return report

@@ -29,6 +29,8 @@ import numpy as np
 
 from . import nn
 
+MLP_DEPTHS = (1, 2)  # hidden layers the scoring MLP may have
+
 
 @dataclass
 class ScoredOptions:
@@ -48,10 +50,9 @@ class FusionMlp:
     floor(input/4) units."""
 
     def __init__(self, input_dim: int, depth: int, rng=None, name: str = "mlp"):
-        if depth not in (1, 2):
+        if depth not in MLP_DEPTHS:
             raise ValueError(f"mlp depth must be 1 or 2, got {depth}")
         self.input_dim = input_dim
-        self.depth = depth
         widths = [input_dim, input_dim // 2]
         if depth == 2:
             widths.append(input_dim // 4)

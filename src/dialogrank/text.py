@@ -350,12 +350,6 @@ class GloveTable:
         self._vectors = {w: np.ascontiguousarray(v, dtype=np.float64)
                          for w, v in vectors.items()}
 
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._vectors
-
     def get(self, word: str):
         return self._vectors.get(word)
 
@@ -426,16 +420,10 @@ class ImageFeatureStore:
         self._matrix = matrix
         self._ids = ids
         self._row = {image_id: row for row, image_id in enumerate(ids.tolist())}
-        # one view per row, made once: get() allocates nothing, so callers that
-        # keep a vector per example (examples_from_dataset) hold no extra objects
-        self._vectors = list(matrix)
         self._nearest: dict[tuple[int, int], tuple[int, ...]] = {}  # unroll.nearest_images
 
     def __len__(self) -> int:
         return len(self._ids)
-
-    def __contains__(self, image_id: int) -> bool:
-        return image_id in self._row
 
     @property
     def matrix(self) -> np.ndarray:
@@ -464,7 +452,7 @@ class ImageFeatureStore:
             raise LoadError(f"image {image_id}: no feature vector in store") from None
 
     def get(self, image_id: int) -> np.ndarray:
-        return self._vectors[self.row_of(image_id)]
+        return self._matrix[self.row_of(image_id)]
 
 
 def load_features(path) -> ImageFeatureStore:

@@ -8,9 +8,9 @@ import numpy as np
 
 from . import nn
 from .checkpoint import arrays
-from .encoders import ModelDims, TASKS, VARIANTS
+from .encoders import ModelDims
 from .metrics import MetricsReport, evaluate_examples
-from .model import DialogScorer, examples_from_dataset
+from .model import DialogScorer, check_model_config, examples_from_dataset
 
 
 @dataclass
@@ -29,10 +29,9 @@ class TrainConfig:
     dims: ModelDims | None = None
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        if self.dims is None:
+            self.dims = ModelDims.for_task(self.task)
+        check_model_config(self.dims, self.task, self.variant, self.mlp_depth)
         if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("learning_rate, batch_size and max_epochs must be positive")
         if self.patience < 1:
@@ -41,8 +40,6 @@ class TrainConfig:
             raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.dims is None:
-            self.dims = ModelDims.for_task(self.task)
 
 
 @dataclass

@@ -241,6 +241,37 @@ def test_gradcheck_command(workdir, capsys):
     assert "OK" in stdout
 
 
+def test_each_command_echoes_its_arguments(workdir, trained, capsys):
+    # every command but train echoes its parser's destinations in declaration
+    # order, defaults included, before it reads anything; unroll then fails on
+    # the answer model given as its question model, after the echo
+    ckpt, corpus, out = str(trained[2]), str(workdir / "corpus.json"), str(workdir / "echo.out")
+    data, feat = str(workdir / "train.json"), str(workdir / "feat.bin")
+    cases = [
+        (["build-vocab", "--dataset", data, "--out", out],
+         {"dataset": data, "out": out, "min_count": 1}),
+        (["build-qdataset", "--dataset", corpus, "--glove", str(workdir / "glove.txt"),
+          "--out", out, "--popular", "3"],
+         {"dataset": corpus, "glove": str(workdir / "glove.txt"), "seed": 0, "out": out,
+          "plausible": 50, "popular": 3, "candidates": 100}),
+        (["evaluate", "--checkpoint", ckpt, "--dataset", data, "--features", feat,
+          "--task", "visdial"],
+         {"checkpoint": ckpt, "dataset": data, "features": feat, "task": "visdial",
+          "rank_log": None}),
+        (["unroll", "--q-checkpoint", ckpt, "--a-checkpoint", ckpt, "--dataset", data,
+          "--features", feat, "--out", out, "--rounds", "2", "--top-m", "3"],
+         {"q_checkpoint": ckpt, "a_checkpoint": ckpt, "dataset": data, "features": feat,
+          "out": out, "image_id": None, "rounds": 2, "start_rounds": 0, "seed": 0,
+          "neighbors": 10, "pool_size": 100, "top_m": 3}),
+        (["gradcheck", "--seeds", "0", "--vocab-size", "16", "--k-options", "3"],  # no check
+         {"seed": 0, "seeds": 0, "k_options": 3, "vocab_size": 16, "tolerance": 0.0001}),
+    ]
+    for argv, echoed in cases:
+        _, stdout, _ = run_cli(capsys, *argv)
+        config = [line for line in stdout.splitlines() if line.startswith("config ")]
+        assert config == [f"config {k}={v}" for k, v in echoed.items()], argv[0]
+
+
 def test_missing_file_is_single_line_error(workdir, capsys):
     code, _, stderr = run_cli(capsys, "evaluate", "--checkpoint", "/nonexistent.ckpt",
                               "--dataset", str(workdir / "train.json"),
@@ -356,6 +387,28 @@ def test_train_nonpositive_grad_clip_or_max_steps_is_an_error(workdir, capsys, s
     assert stderr.count("\n") == 1
     assert stderr.startswith("error type=ValueError") and message in stderr, stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("shared_embeddings=none", "configuration key 'shared_embeddings'"),
+    ("seed=none", "configuration key 'seed'"),
+    ("patience=none", "configuration key 'patience'"),
+    ("mlp_depth=3", "mlp depth must be 1 or 2, got 3"),
+    ("rounds=1", "variant qih needs rounds >= 2"),
+    (None, "variant qih needs image features"),
+], ids=["shared-embeddings-none", "seed-none", "patience-none", "mlp-depth-3", "rounds-1",
+        "no-features"])
+def test_train_bad_setting_writes_nothing(workdir, capsys, setting, message):
+    out = workdir / f"bad-setting-{setting or 'no-features'}.ckpt"
+    argv = ["train", "--train", str(workdir / "train.json"), "--val", str(workdir / "train.json"),
+            "--config", str(workdir / "tiny.cfg"), "--out", str(out)]
+    argv += ["--set", setting, "--features", str(workdir / "feat.bin")] if setting else []
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=ValueError") and message in stderr, stderr
+    for suffix in ("", ".config", ".log"):
+        assert not os.path.exists(f"{out}{suffix}"), suffix
 
 
 def test_build_vocab_reserved_words_in_text(workdir, capsys):

@@ -12,7 +12,8 @@ from dialogrank import nn
 from dialogrank.checkpoint import (CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint)
 from dialogrank.encoders import ModelDims
 from dialogrank.metrics import evaluate_examples
-from dialogrank.model import DialogScorer, examples_from_dataset, synthetic_vocab
+from dialogrank.model import (DialogScorer, examples_from_dataset, reduced_check_dims,
+                              synthetic_vocab)
 from dialogrank.text import LoadError
 from dialogrank.training import TrainConfig, train
 from synth import feature_store, load_payload, memorize_family, payload_vocab
@@ -113,6 +114,13 @@ def test_grad_clip_training_runs_and_is_deterministic(toy_data):
     m2, _ = train(ds, ds, features, quick_cfg(max_steps=3, grad_clip=0.5))
     for name, p in m1.parameters().items():
         assert np.array_equal(p.value, m2.parameters()[name].value)
+
+
+def test_config_rejects_unbuildable_models():
+    with pytest.raises(ValueError, match="mlp depth must be 1 or 2, got 3"):
+        TrainConfig(mlp_depth=3)
+    with pytest.raises(ValueError, match="variant qih needs rounds >= 2"):
+        TrainConfig(dims=reduced_check_dims(1))
 
 
 def test_parameter_counts_increase_with_context():
