@@ -7,15 +7,18 @@ float64 payloads. Values and batch-norm running statistics round-trip exactly;
 the Adam moments round-trip exactly when the load keeps them
 (``adam_state=True``).
 
-Both directions stream one array at a time. ``save_checkpoint`` computes the
-entries from the array shapes, writes the manifest, then writes each array's
-own buffer in turn. ``load_checkpoint`` checks the whole manifest before it
-reads any payload (config and entry field types, unknown and duplicate keys,
-shapes, offsets that tile the payload with no gap or overlap, step counts),
-builds the model without drawing the random init it would overwrite, then
-reads the entries in offset order straight into their arrays, checking each
-for non-finite values, and finally checks that no bytes trail the last entry.
-It only reads forward (no seek, tell or stat), so a pipe loads like a file.
+Both directions stream one array at a time, in the order of ``arrays(model)``.
+``_entries`` is the one place that lays the payload out: each entry's
+name/role/shape and its offset, the arrays packed in that order.
+``save_checkpoint`` writes those entries, then each array's own buffer in turn.
+``load_checkpoint`` checks the whole manifest before it reads any payload. It
+checks the config's field types, builds the model without drawing the random
+init it would overwrite, then accepts only the writer's layout, in the writer's
+order: the manifest's entries must be ``_entries(model)``, entry for entry, as
+canonical JSON. Then it checks the step counts, reads the arrays in order
+straight into place, checking each for non-finite values, and finally checks
+that no bytes trail the last entry. It only reads forward (no seek, tell or
+stat), so a pipe loads like a file.
 
 The default load is for inference (``evaluate`` and ``unroll`` never train):
 it reads each Adam moment entry, two thirds of the payload, chunk by chunk
@@ -54,20 +57,25 @@ def arrays(model: DialogScorer):
         yield name, "buffer", buf.shape, buf
 
 
+def _entries(model: DialogScorer) -> list[dict]:
+    """The manifest entry of each array of ``arrays(model)``: its name, role, shape
+    and payload offset, the arrays packed in that order."""
+    entries = []
+    offset = 0
+    for name, role, shape, _ in arrays(model):
+        entries.append({"name": name, "role": role, "shape": list(shape), "offset": offset})
+        offset += math.prod(shape) * 8
+    return entries
+
+
 def save_checkpoint(model: DialogScorer, path, extra_config: dict | None = None) -> None:
     """Raises ``ValueError`` for a model loaded without its Adam state."""
     nn.require_adam_state(model.parameters().values())
-    stored = list(arrays(model))
-    entries = []
-    offset = 0
-    for name, role, shape, arr in stored:
-        entries.append({"name": name, "role": role, "shape": list(shape), "offset": offset})
-        offset += arr.size * 8
     manifest = {
         "format_version": FORMAT_VERSION,
         "model": model.config(),
         "vocab": model.vocab.words,
-        "entries": entries,
+        "entries": _entries(model),
         "step_counts": {name: p.step_count for name, p in model.parameters().items()},
         "extra": extra_config or {},
     }
@@ -76,7 +84,7 @@ def save_checkpoint(model: DialogScorer, path, extra_config: dict | None = None)
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(mbytes)))
         f.write(mbytes)
-        for *_, arr in stored:  # a copy only on a big-endian host
+        for *_, arr in arrays(model):  # a copy only on a big-endian host
             f.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
@@ -156,43 +164,21 @@ def _build_model(manifest: dict) -> DialogScorer:
     return model
 
 
-def _payload_plan(manifest: dict, model: DialogScorer) -> list:
-    """(offset, name, role, size, target array or None) of every entry, in offset
-    order, once the entries are known to match the model and to tile the payload."""
-    targets = {(name, role): (shape, arr) for name, role, shape, arr in arrays(model)}
-    plan = {}
-    for i, entry in enumerate(_field(manifest, "entries", list)):
-        if not isinstance(entry, dict):
-            raise LoadError(f"checkpoint entry {i} is malformed: not an object")
-        name, role, shape, start = (entry.get(k) for k in ("name", "role", "shape", "offset"))
-        if not (isinstance(name, str) and isinstance(role, str) and isinstance(shape, list)
-                and all(_is_int(n) for n in shape) and _is_int(start)):
-            raise LoadError(f"checkpoint entry {i} is malformed: name and role must be "
-                            "strings, shape a list of integers and offset an integer")
-        key = (name, role)
-        if key not in targets:
-            raise LoadError(f"checkpoint entry {name} ({role}) "
-                            "does not exist in the configured model")
-        if key in plan:
-            raise LoadError(f"checkpoint entry {name} ({role}) appears twice")
-        expected, arr = targets[key]
-        if tuple(shape) != expected:
-            raise LoadError(
-                f"parameter {name}: checkpoint shape {shape} does not "
-                f"match model shape {list(expected)}")
-        plan[key] = (start, name, role, math.prod(expected), arr)
-    missing = sorted(set(targets) - set(plan))
-    if missing:
-        name, role = missing[0]
-        raise LoadError(f"checkpoint is missing parameter {name} ({role})")
-    spans = sorted(plan.values(), key=lambda span: span[:3])
-    end = 0  # the entries must tile the payload: no overlap, no gap
-    for start, name, role, size, _ in spans:
-        if start != end:
-            raise LoadError(f"checkpoint entry {name} ({role}) starts at payload byte "
-                            f"{start}, but the entries before it end at byte {end}")
-        end = start + size * 8
-    return spans
+def _check_entries(manifest: dict, model: DialogScorer) -> None:
+    """The manifest must list exactly ``_entries(model)``, in order, each entry the
+    same canonical JSON: ``16.0`` is not ``16`` and ``true`` is not ``1``."""
+    got = _field(manifest, "entries", list)
+    want = _entries(model)
+    for i, entry in enumerate(want):
+        have = json.dumps(got[i], sort_keys=True) if i < len(got) else "no entry"
+        if have != json.dumps(entry, sort_keys=True):
+            raise LoadError(f"checkpoint entry {i} should be {entry['name']} ({entry['role']}) "
+                            f"of shape {entry['shape']} at payload byte {entry['offset']}, "
+                            f"got {have}")
+    if len(got) > len(want):
+        raise LoadError(f"checkpoint lists {len(got)} entries, but the model stores "
+                        f"{len(want)}: entry {len(want)} is extra, got "
+                        f"{json.dumps(got[len(want)], sort_keys=True)}")
 
 
 def _set_step_counts(manifest: dict, model: DialogScorer) -> None:
@@ -231,11 +217,12 @@ def load_checkpoint(path, *, adam_state: bool = False) -> tuple[DialogScorer, di
         manifest = _read_manifest(f)
         with nn.keep_adam_state(adam_state):
             model = _build_model(manifest)
-        spans = _payload_plan(manifest, model)
+        _check_entries(manifest, model)
         _set_step_counts(manifest, model)
         scratch = np.empty(nn.BLOCK)
-        for _, name, role, size, arr in spans:
+        for name, role, shape, arr in arrays(model):
             if arr is None:  # a moment that is checked, chunk by chunk, and not kept
+                size = math.prod(shape)
                 for i in range(0, size, nn.BLOCK):
                     _read_entry(f, scratch[: size - i], name, role)
             else:
@@ -243,8 +230,7 @@ def load_checkpoint(path, *, adam_state: bool = False) -> tuple[DialogScorer, di
         tail = 0
         while chunk := f.read(CHUNK):
             tail += len(chunk)
-    if tail:
-        _, name, role, _, _ = spans[-1]
+    if tail:  # name and role are those of the last entry read
         raise LoadError(f"checkpoint payload runs {tail} bytes past its "
                         f"last entry {name} ({role})")
     return model, manifest.get("extra", {})

@@ -50,15 +50,18 @@ _TRAIN_KEYS = {  # each key's parser; only the two optional caps take "none"
 
 def parse_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {body!r}")
-            key, value = body.split("=", 1)
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                body = line.split("#", 1)[0].strip()
+                if not body:
+                    continue
+                if "=" not in body:
+                    raise ValueError(f"{path}:{lineno}: expected key=value, got {body!r}")
+                key, value = body.split("=", 1)
+                values[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     return values
 
 
@@ -222,13 +225,15 @@ def cmd_unroll(args) -> int:
     _echo_args(args)
     if args.start_rounds < 0:
         raise ValueError(f"--start-rounds must be >= 0, got {args.start_rounds}")
+    if args.rounds < 0:
+        raise ValueError(f"--rounds must be >= 0, got {args.rounds}")
+    spec = PoolSpec(n_neighbor_images=args.neighbors, pool_size=args.pool_size,
+                    top_m=args.top_m, seed=args.seed)
     q_model, _ = load_checkpoint(args.q_checkpoint)
     a_model, _ = load_checkpoint(args.a_checkpoint)
     payload = read_dataset(args.dataset)
     dataset = dataset_from_payload(payload, _vocab_of(args.dataset, payload))
     features = load_features(args.features)
-    spec = PoolSpec(n_neighbor_images=args.neighbors, pool_size=args.pool_size,
-                    top_m=args.top_m, seed=args.seed)
     if args.image_id is not None:
         if args.image_id not in dataset.by_image:
             raise LoadError(f"image {args.image_id}: not in the dataset")
@@ -356,13 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=10, help="exchanges to generate (default 10)")
     p.add_argument("--start-rounds", type=int, default=0, dest="start_rounds",
                    help="seed the history with this many dataset rounds (default 0)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.add_argument("--neighbors", type=int, default=10,
-                   help="images mined for each pool (default 10)")
-    p.add_argument("--pool-size", type=int, default=100, dest="pool_size",
-                   help="candidates per pool (default 100)")
-    p.add_argument("--top-m", type=int, default=10, dest="top_m",
-                   help="question candidates sampled from (default 10)")
+    p.add_argument("--seed", type=int, default=PoolSpec.seed,
+                   help="sampling seed (default %(default)s)")
+    p.add_argument("--neighbors", type=int, default=PoolSpec.n_neighbor_images,
+                   help="images mined for each pool (default %(default)s)")
+    p.add_argument("--pool-size", type=int, default=PoolSpec.pool_size, dest="pool_size",
+                   help="candidates per pool (default %(default)s)")
+    p.add_argument("--top-m", type=int, default=PoolSpec.top_m, dest="top_m",
+                   help="question candidates sampled from (default %(default)s)")
     p.set_defaults(func=cmd_unroll)
 
     p = sub.add_parser("gradcheck",

@@ -408,7 +408,7 @@ def random_example(vocab: Vocabulary, dims: ModelDims, rng: np.random.Generator,
 def full_model_gradcheck(seed: int, dims: ModelDims | None = None, vocab_size: int = 50,
                          k_options: int = 5, task: str = "visdial", variant: str = "qih",
                          mlp_depth: int = 2, shared_embeddings: bool = True,
-                         h: float = 1e-5, tolerance: float = 1e-4) -> nn.GradCheckReport:
+                         tolerance: float = 1e-4) -> nn.GradCheckReport:
     """Finite-difference check of every parameter gradient of the full model.
 
     Builds a reduced-dimension model and one random round example, then
@@ -429,4 +429,4 @@ def full_model_gradcheck(seed: int, dims: ModelDims | None = None, vocab_size: i
             model.zero_grads()
         return model.batch_loss(batch, want_grads=want_grads)
 
-    return nn.grad_check(closure, model.parameters().values(), h=h, tolerance=tolerance)
+    return nn.grad_check(closure, model.parameters().values(), tolerance=tolerance)

@@ -16,6 +16,8 @@ candidate; the forget-gate bias starts at 1.0, every other at 0.
 
 Adam sweeps each parameter once, in cache-sized blocks of ``BLOCK`` elements
 with the grad zeroing folded in; per element it is bitwise the whole-array update.
+Only its learning rate is set; ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``
+are constants, and so are batch norm's ``BN_MOMENTUM`` and ``BN_EPSILON``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isfinite
 
 import numpy as np
 
@@ -90,18 +93,17 @@ def he_normal_init(param: Parameter, fan_in: int, rng: np.random.Generator) -> N
     param.value[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=param.shape)
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba (2015) defaults
+BN_MOMENTUM, BN_EPSILON = 0.1, 1e-5  # running-statistics momentum; added to the variance
+
+
 @dataclass
 class AdamConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+        if not (isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 BLOCK = 1 << 15  # elements per block of the blocked kernels: 256 KB of float64
@@ -126,7 +128,7 @@ def adam_step(params, cfg: AdamConfig) -> None:
     Every parameter is checked for its moments before any is updated."""
     params = list(params)
     require_adam_state(params)
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p in params:
         t = p.step_count + 1
         flat = [a.reshape(-1) for a in (p.grad, p.m, p.v, p.value)]
@@ -137,7 +139,7 @@ def adam_step(params, cfg: AdamConfig) -> None:
             v *= b2
             v += np.multiply(np.square(g, out=g), (1.0 - b2) / (1.0 - b1) ** 2, out=g)
             np.sqrt(np.divide(v, 1.0 - b2**t, out=g), out=g)
-            g += cfg.epsilon
+            g += ADAM_EPSILON
             g *= (1.0 - b1**t) / cfg.learning_rate
             value -= np.divide(m, g, out=g)  # lr * m_hat / (sqrt(v_hat) + eps)
             g.fill(0.0)
@@ -319,11 +321,8 @@ class BatchNorm1d:
     co-batched rows.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.1, epsilon: float = 1e-5,
-                 name: str = "bn"):
+    def __init__(self, dim: int, name: str = "bn"):
         self.dim = dim
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.gamma = Parameter(np.ones(dim), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(dim), name=f"{name}.beta")
         self.running_mean = np.zeros(dim)
@@ -338,15 +337,15 @@ class BatchNorm1d:
                 raise ValueError(f"{self.gamma.name}: train mode needs a batch of >= 2 rows")
             mean = x.mean(axis=0)
             var = x.var(axis=0)  # biased
-            inv = 1.0 / np.sqrt(var + self.epsilon)
+            inv = 1.0 / np.sqrt(var + BN_EPSILON)
             xhat = (x - mean) * inv
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean *= 1.0 - m
             self.running_mean += m * mean
             self.running_var *= 1.0 - m
             self.running_var += m * var
         else:
-            inv = 1.0 / np.sqrt(self.running_var + self.epsilon)
+            inv = 1.0 / np.sqrt(self.running_var + BN_EPSILON)
             xhat = (x - self.running_mean) * inv
         y = self.gamma.value * xhat + self.beta.value
         ensure_finite(self.gamma.name, y)
@@ -421,8 +420,10 @@ class GradCheckReport:
         )
 
 
-def grad_check(loss_fn, params, h: float = 1e-5, tolerance: float = 1e-4,
-               scale_floor: float = 1e-3) -> GradCheckReport:
+GRADCHECK_STEP, GRADCHECK_FLOOR = 1e-5, 1e-3  # difference step h; least error scale
+
+
+def grad_check(loss_fn, params, tolerance: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
     ``loss_fn(want_grads: bool) -> float`` must be a deterministic scalar
@@ -431,10 +432,11 @@ def grad_check(loss_fn, params, h: float = 1e-5, tolerance: float = 1e-4,
     ``params`` is an iterable of Parameters; the report names each by ``p.name``.
 
     Each coordinate is judged on |analytic - numeric| relative to
-    max(|analytic|, |numeric|, scale_floor); the floor keeps float roundoff
+    max(|analytic|, |numeric|, GRADCHECK_FLOOR); the floor keeps float roundoff
     in the twice-recomputed loss (~1e-14, i.e. ~1e-9 after dividing by 2h)
     from dominating coordinates whose true gradient has vanished.
     """
+    h = GRADCHECK_STEP
     params = list(params)
     for p in params:
         p.zero_grad()
@@ -458,7 +460,7 @@ def grad_check(loss_fn, params, h: float = 1e-5, tolerance: float = 1e-4,
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * h)
             a = a_flat[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), scale_floor)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), GRADCHECK_FLOOR)
             if rel > report.max_rel_error:
                 report.max_rel_error = rel
                 report.worst_param = p.name

@@ -49,7 +49,7 @@ class FusionMlp:
     """Scoring MLP with one or two hidden layers of floor(input/2),
     floor(input/4) units."""
 
-    def __init__(self, input_dim: int, depth: int, rng=None, name: str = "mlp"):
+    def __init__(self, input_dim: int, depth: int, rng=None):
         if depth not in MLP_DEPTHS:
             raise ValueError(f"mlp depth must be 1 or 2, got {depth}")
         self.input_dim = input_dim
@@ -60,9 +60,9 @@ class FusionMlp:
         self.hidden = []
         self.norms = []
         for i in range(depth):
-            self.hidden.append(nn.Linear(widths[i], widths[i + 1], rng, name=f"{name}.h{i}"))
-            self.norms.append(nn.BatchNorm1d(widths[i + 1], name=f"{name}.h{i}.bn"))
-        self.out = nn.Linear(widths[-1], 1, rng, name=f"{name}.out")
+            self.hidden.append(nn.Linear(widths[i], widths[i + 1], rng, name=f"mlp.h{i}"))
+            self.norms.append(nn.BatchNorm1d(widths[i + 1], name=f"mlp.h{i}.bn"))
+        self.out = nn.Linear(widths[-1], 1, rng, name="mlp.out")
 
     def forward(self, ctx: np.ndarray, opts: np.ndarray, offsets, option_of_row,
                 train: bool):

@@ -82,9 +82,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            words = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-        return cls(words)
+        """Raises ``LoadError`` naming the path for a file that is not a UTF-8 vocabulary."""
+        try:
+            with open(path, encoding="utf-8") as f:
+                return cls([line.rstrip("\n") for line in f if line.rstrip("\n")])
+        except ValueError as exc:  # UnicodeDecodeError, or the checks of __init__
+            raise LoadError(f"vocabulary file {path}: {exc}") from exc
 
 
 def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
@@ -146,7 +149,7 @@ class DialogDataset:
     """Loaded dialog corpus: string pools, their encodings, and dialog records."""
 
     def __init__(self, questions, answers, records, vocab, question_ids, answer_ids,
-                 task="visdial", seed=None):
+                 task="visdial"):
         self.questions: list[str] = questions
         self.answers: list[str] = answers
         self.records: list[DialogRecord] = records
@@ -154,7 +157,6 @@ class DialogDataset:
         self.question_ids: list[list[int]] = question_ids  # one per pool string
         self.answer_ids: list[list[int]] = answer_ids
         self.task = task
-        self.seed = seed
 
     def __len__(self) -> int:
         return len(self.records)
@@ -309,7 +311,7 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
             rounds=rounds,
         ))
     return DialogDataset(list(questions), list(answers), records, vocab, q_pool_ids,
-                         a_pool_ids, task=task, seed=payload.get("seed"))
+                         a_pool_ids, task=task)
 
 
 def corpus_from_payload(payload):

@@ -32,8 +32,9 @@ class TrainConfig:
         if self.dims is None:
             self.dims = ModelDims.for_task(self.task)
         check_model_config(self.dims, self.task, self.variant, self.mlp_depth)
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("learning_rate, batch_size and max_epochs must be positive")
+        nn.AdamConfig(self.learning_rate)  # the learning rate's rule
+        if self.batch_size < 1 or self.max_epochs < 1:
+            raise ValueError("batch_size and max_epochs must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.grad_clip is not None and not self.grad_clip > 0:

@@ -45,7 +45,7 @@ class PoolSpec:
         if not self.pool_size >= self.top_m >= 1:
             raise ValueError("need pool_size >= top_m >= 1")
         if self.n_neighbor_images < 1:
-            raise ValueError("need at least one neighbor image")
+            raise ValueError(f"need n_neighbor_images >= 1, got {self.n_neighbor_images}")
 
 
 @dataclass

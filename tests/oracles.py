@@ -1,12 +1,14 @@
 """Independent straight-line reference implementations used as test oracles.
 
 Nothing here shares code with the package beyond the tokenizer (whose rules
-are part of the documented contract); each oracle recomputes its answer from
-first principles so it can catch implementation bugs on the main path.
+are part of the documented contract) and the Adam and batch-norm constants of
+``nn``; each oracle recomputes its answer from first principles so it can
+catch implementation bugs on the main path.
 """
 
 import numpy as np
 
+from dialogrank import nn
 from dialogrank.text import tokenize
 
 
@@ -205,13 +207,13 @@ def oracle_adam_step(params, cfg):
     for p in params:
         t = p.step_count + 1
         g = p.grad
-        p.m *= cfg.beta1
-        p.m += (1.0 - cfg.beta1) * g
-        p.v *= cfg.beta2
-        p.v += (1.0 - cfg.beta2) * g * g
-        m_hat = p.m / (1.0 - cfg.beta1**t)
-        v_hat = p.v / (1.0 - cfg.beta2**t)
-        p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        p.m *= nn.ADAM_BETA1
+        p.m += (1.0 - nn.ADAM_BETA1) * g
+        p.v *= nn.ADAM_BETA2
+        p.v += (1.0 - nn.ADAM_BETA2) * g * g
+        m_hat = p.m / (1.0 - nn.ADAM_BETA1**t)
+        v_hat = p.v / (1.0 - nn.ADAM_BETA2**t)
+        p.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPSILON)
         p.step_count = t
         p.grad.fill(0.0)
 
@@ -219,7 +221,7 @@ def oracle_adam_step(params, cfg):
 def oracle_adam_step_in_place(params, cfg):
     """The unblocked in-place Adam: each ufunc over whole arrays, grad as
     scratch, then one pass zeroing the grad."""
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
     for p in params:
         t = p.step_count + 1
         g = p.grad
@@ -228,7 +230,7 @@ def oracle_adam_step_in_place(params, cfg):
         p.v *= b2
         p.v += np.multiply(np.square(g, out=g), (1.0 - b2) / (1.0 - b1) ** 2, out=g)
         np.sqrt(np.divide(p.v, 1.0 - b2**t, out=g), out=g)
-        g += cfg.epsilon
+        g += nn.ADAM_EPSILON
         g *= (1.0 - b1**t) / cfg.learning_rate
         p.value -= np.divide(p.m, g, out=g)  # lr * m_hat / (sqrt(v_hat) + eps)
         p.step_count = t
@@ -244,12 +246,12 @@ def _oracle_mlp_rows(mlp, rows, train):
         z = x @ lin.weight.value.T + lin.bias.value
         if train:
             mean, var = z.mean(axis=0), z.var(axis=0)
-            m = bn.momentum
+            m = nn.BN_MOMENTUM
             running.append(((1.0 - m) * bn.running_mean + m * mean,
                             (1.0 - m) * bn.running_var + m * var))
         else:
             mean, var = bn.running_mean, bn.running_var
-        inv = 1.0 / np.sqrt(var + bn.epsilon)
+        inv = 1.0 / np.sqrt(var + nn.BN_EPSILON)
         xhat = (z - mean) * inv
         h = bn.gamma.value * xhat + bn.beta.value
         caches.append((x, xhat, inv, h))
@@ -324,7 +326,7 @@ def oracle_score_example(model, ex):
                          for q, a in pairs])
         lin, bn = model.pair_combine, model.pair_bn
         z = oracle_project(rows, lin.weight.value) + lin.bias.value
-        xhat = (z - bn.running_mean) / np.sqrt(bn.running_var + bn.epsilon)
+        xhat = (z - bn.running_mean) / np.sqrt(bn.running_var + nn.BN_EPSILON)
         blocks.append(np.maximum(bn.gamma.value * xhat + bn.beta.value, 0.0).ravel())
     ctx = np.concatenate(blocks)[None]
     opts = np.array([encode("option", ids) for ids in ex.option_ids])

@@ -51,8 +51,7 @@ def test_criterion_1_gradient_integrity():
     worst = 0.0
     for seed in range(5):
         rep = full_model_gradcheck(seed=seed, dims=dims, vocab_size=50, k_options=5,
-                                   mlp_depth=2, shared_embeddings=True,
-                                   h=1e-5, tolerance=1e-4)
+                                   mlp_depth=2, shared_embeddings=True, tolerance=1e-4)
         worst = max(worst, rep.max_rel_error)
         assert rep.passed, rep.summary()
     elapsed = time.perf_counter() - t0

@@ -389,6 +389,11 @@ def test_train_nonpositive_grad_clip_or_max_steps_is_an_error(workdir, capsys, s
     assert not out.exists()
 
 
+def assert_train_wrote_nothing(out) -> None:
+    for suffix in ("", ".config", ".log"):
+        assert not os.path.exists(f"{out}{suffix}"), suffix
+
+
 @pytest.mark.parametrize("setting, message", [
     ("shared_embeddings=none", "configuration key 'shared_embeddings'"),
     ("seed=none", "configuration key 'seed'"),
@@ -407,8 +412,63 @@ def test_train_bad_setting_writes_nothing(workdir, capsys, setting, message):
     assert code == 1
     assert stderr.count("\n") == 1
     assert stderr.startswith("error type=ValueError") and message in stderr, stderr
-    for suffix in ("", ".config", ".log"):
-        assert not os.path.exists(f"{out}{suffix}"), suffix
+    assert_train_wrote_nothing(out)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_nonfinite_learning_rate_writes_nothing(workdir, value):
+    # a child process, so that a numpy warning would reach the stderr read here
+    out = workdir / f"bad-learning-rate-{value}.ckpt"
+    proc = run_cli_process(
+        "train", "--train", str(workdir / "train.json"), "--val", str(workdir / "train.json"),
+        "--features", str(workdir / "feat.bin"), "--config", str(workdir / "tiny.cfg"),
+        "--set", f"learning_rate={value}", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error type=ValueError")
+    assert f"learning_rate must be finite and > 0, got {value}" in proc.stderr, proc.stderr
+    assert_train_wrote_nothing(out)
+
+
+@pytest.mark.parametrize("flag, content, error, message", [
+    ("--vocab", b"<stop>\n<empty>\n<unk>\nred\xff\n", "LoadError", "can't decode byte 0xff"),
+    ("--vocab", b"<stop>\n<empty>\nred\n", "LoadError", "missing reserved token '<unk>'"),
+    ("--vocab", b"<stop>\n<empty>\n<unk>\nred\nred\n", "LoadError", "words must be unique"),
+    ("--config", b"rounds=4\n# \xff\n", "ValueError", "not UTF-8"),
+], ids=["vocab-not-utf8", "vocab-no-unk", "vocab-duplicate-word", "config-not-utf8"])
+def test_train_bad_vocab_or_config_file_writes_nothing(workdir, capsys, flag, content, error,
+                                                       message):
+    path = workdir / f"bad{flag}-{len(content)}.txt"
+    path.write_bytes(content)
+    out = workdir / f"bad{flag}-{len(content)}.ckpt"
+    argv = ["train", "--train", str(workdir / "train.json"), "--val", str(workdir / "train.json"),
+            "--features", str(workdir / "feat.bin"), "--out", str(out), flag, str(path)]
+    if flag == "--vocab":
+        argv += ["--config", str(workdir / "tiny.cfg")]
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith(f"error type={error}") and message in stderr, stderr
+    where = f"vocabulary file {path}: " if flag == "--vocab" else f"{path}: "
+    assert where in stderr, stderr
+    assert_train_wrote_nothing(out)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--neighbors", "0", "need n_neighbor_images >= 1, got 0"),
+    ("--top-m", "0", "need pool_size >= top_m >= 1"),
+    ("--rounds", "-1", "--rounds must be >= 0, got -1"),
+], ids=["neighbors-zero", "top-m-zero", "rounds-negative"])
+def test_unroll_bad_pool_setting_fails_before_loading(workdir, capsys, flag, value, message):
+    # the checkpoints do not exist: the setting is refused before any file is read
+    missing, out = str(workdir / "no-such.ckpt"), workdir / f"t-bad{flag}.json"
+    code, _, stderr = run_cli(
+        capsys, "unroll", "--q-checkpoint", missing, "--a-checkpoint", missing,
+        "--dataset", str(workdir / "corpus.json"),
+        "--features", str(workdir / "corpus_feat.bin"), flag, value, "--out", str(out))
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=ValueError") and message in stderr, stderr
+    assert not out.exists()
 
 
 def test_build_vocab_reserved_words_in_text(workdir, capsys):

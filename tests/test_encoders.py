@@ -294,5 +294,5 @@ def test_gradcheck_across_examples_with_repeated_options():
             model.zero_grads()
         return model.batch_loss(batch, want_grads=want_grads)
 
-    report = nn.grad_check(closure, model.parameters().values(), h=1e-5, tolerance=1e-4)
+    report = nn.grad_check(closure, model.parameters().values(), tolerance=1e-4)
     assert report.passed, report.summary()

@@ -413,12 +413,12 @@ def test_block_property(dims_name, view):
 def test_batchnorm_two_point_symmetry():
     bn = nn.BatchNorm1d(1)
     y, _ = bn.forward(np.array([[0.0], [2.0]]), train=True)
-    expected = 1.0 / np.sqrt(1.0 + bn.epsilon)
+    expected = 1.0 / np.sqrt(1.0 + nn.BN_EPSILON)
     assert np.allclose(y, [[-expected], [expected]])
 
 
 def test_batchnorm_eval_identity():
-    bn = nn.BatchNorm1d(3, epsilon=1e-5)
+    bn = nn.BatchNorm1d(3)
     x = np.random.default_rng(1).normal(size=(4, 3))
     y, _ = bn.forward(x, train=False)
     assert np.allclose(y, x, atol=1e-4)
@@ -431,7 +431,7 @@ def test_batchnorm_train_needs_two_rows():
 
 
 def test_batchnorm_running_stats_update():
-    bn = nn.BatchNorm1d(1, momentum=0.1)
+    bn = nn.BatchNorm1d(1)
     x = np.array([[0.0], [2.0]])
     bn.forward(x, train=True)
     assert np.allclose(bn.running_mean, [0.1 * 1.0])
@@ -569,7 +569,7 @@ def test_adam_first_step_magnitude():
     p = nn.Parameter(np.array([0.0]))
     p.grad[:] = 1.0
     nn.adam_step([p], cfg)
-    expected = cfg.learning_rate / (1.0 + cfg.epsilon)
+    expected = cfg.learning_rate / (1.0 + nn.ADAM_EPSILON)
     assert abs(p.value[0] + expected) < 1e-15
     assert p.step_count == 1
     assert not p.grad.any()
@@ -663,10 +663,9 @@ def test_adam_refuses_a_parameter_without_moments():
 
 
 def test_adam_config_validation():
-    with pytest.raises(ValueError):
-        nn.AdamConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        nn.AdamConfig(beta1=1.0)
+    for bad in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            nn.AdamConfig(learning_rate=bad)
 
 
 # ---------------------------------------------------------------------------

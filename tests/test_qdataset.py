@@ -295,7 +295,7 @@ def test_qdataset_output_loads_as_followup_dataset(corpus):
     built = qd.build_qdataset_payload(dataset, glove, seed=4)
     loaded = load_payload(built)
     assert loaded.task == "visdial-q"
-    assert loaded.seed == 4
+    assert built["seed"] == 4
     rnd = loaded.records[0].rounds[0]
     assert len(rnd.question_options) == 100
     assert rnd.question_provenance.count("correct") == 1

@@ -297,8 +297,20 @@ def test_checkpoint_missing_entry_rejected(tmp_path, toy_data):
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     rewrite_checkpoint(path, lambda manifest: manifest["entries"].pop(0))
-    with pytest.raises(LoadError, match="missing"):
+    with pytest.raises(LoadError, match=r"entry 0 should be embed.shared.weight \(value\)"):
         load_checkpoint(path)
+
+
+def test_checkpoint_entries_in_another_order_rejected(tmp_path):
+    # every entry is valid, but the loader accepts only the writer's order
+    model = DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    rewrite_checkpoint(path, lambda manifest: manifest["entries"].reverse())
+    for adam_state in (False, True):
+        with pytest.raises(LoadError, match=r"entry 0 should be embed.shared.weight \(value\) "
+                                            r"of shape \[8, 30\] at payload byte 0, got"):
+            load_checkpoint(path, adam_state=adam_state)
 
 
 def write_nan(manifest, payload):
@@ -368,10 +380,11 @@ def float_shape(manifest):
     (lambda m: None, write_nan, "lstm.query.weight"),
     (lambda m: m["model"]["dims"].update(rounds=1), None, "qih.*rounds=1"),
     (lambda m: m["model"]["dims"].update(embed_dim=True), None, "dims.embed_dim.*True"),
-    (lambda m: None, overlap_value, r"lstm.query.weight \(value\)"),
+    (lambda m: None, overlap_value, r"should be lstm.query.weight \(adam_m\)"),
     (lambda m: None, gap_before_adam_m, r"lstm.query.weight \(adam_m\)"),
     (lambda m: None, trailing_bytes, "64 bytes past"),
-    (lambda m: m["entries"].append(dict(m["entries"][0])), None, "appears twice"),
+    (lambda m: m["entries"].append(dict(m["entries"][0])), None,
+     r'entry \d+ is extra, got \{"name": "embed.shared.weight", .*"role": "value"'),
     (lambda m: m["model"].update(shared_embeddings=[0]), None, "'shared_embeddings'.*bool"),
     (lambda m: m["model"].update(shared_embeddings=1), None, "'shared_embeddings'.*bool"),
     (lambda m: m["model"].update(init_seed=True), None, "'init_seed'.*int"),
@@ -385,8 +398,9 @@ def float_shape(manifest):
      "step count of parameter embed.shared.weight.*-5"),
     (lambda m: m["step_counts"].update({first_param(m): 2.7}), None,
      "step count of parameter embed.shared.weight.*2.7"),
-    (float_shape, None, "entry 0 is malformed"),
-    (lambda m: m["entries"][0].update(offset=0.5), None, "entry 0 is malformed"),
+    (float_shape, None, r"entry 0 should be embed.shared.weight \(value\) .*\[8.0, 30.0\]"),
+    (lambda m: m["entries"][0].update(offset=0.5), None,
+     r"entry 0 should be embed.shared.weight \(value\) .*\"offset\": 0.5"),
     (lambda m: None, cut_last_8_bytes, r"mlp.h1.bn.running_var \(buffer\): payload truncated"),
     (lambda m: None, write_nan_in_adam_v, r"lstm.query.weight \(adam_v\): non-finite"),
     (lambda m: None, cut_inside_last_moment, r"mlp.out.bias \(adam_v\): payload truncated"),
