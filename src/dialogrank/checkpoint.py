@@ -127,6 +127,8 @@ def _read_manifest(f) -> dict:
         manifest = json.loads(mbytes.decode("utf-8"))
     except ValueError as exc:
         raise LoadError(f"checkpoint manifest is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # nested deeper than the interpreter's recursion limit
+        raise LoadError("checkpoint manifest is JSON nested too deeply to read") from exc
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if not _is_int(version) or version != FORMAT_VERSION:
         raise LoadError(f"unsupported checkpoint version {version!r}")

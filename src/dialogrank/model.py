@@ -122,7 +122,9 @@ def check_model_config(dims: ModelDims, task: str, variant: str, mlp_depth: int)
 
 class DialogScorer:
     """Text paths, history pair-combine and fusion MLP, with a stable
-    parameter registry.
+    parameter registry: ``layers`` lists every layer in checkpoint manifest
+    order (each path's table, each path's LSTM, ``history.combine`` and
+    ``history.bn``, then the MLP's), and ``parameters`` and ``buffers`` walk it.
 
     With shared embeddings on, one table object serves the query, option,
     caption and both history paths, so its gradients accumulate from all of
@@ -149,46 +151,35 @@ class DialogScorer:
         if variant == "qih":
             names += ["caption", "history_q", "history_a"]
         E, V = dims.embed_dim, len(vocab)
-        # the draw order is every table, the LSTMs in path order, history.combine, the MLP
+        # the random init draws in layer order
         if shared_embeddings:
             tables = [nn.Embedding(E, V, rng, name="embed.shared")] * len(names)
         else:
             tables = [nn.Embedding(E, V, rng, name=f"embed.{n}") for n in names]
-        self.paths = {
-            n: TextPath(table, nn.LstmEncoder(E, getattr(dims, f"{n}_hidden"), rng,
-                                              name=f"lstm.{n}"),
-                        1 if n in ("query", "caption") else nn.ROWS)
-            for n, table in zip(names, tables)
-        }
+        lstms = [nn.LstmEncoder(E, getattr(dims, f"{n}_hidden"), rng, name=f"lstm.{n}")
+                 for n in names]
+        self.paths = {n: TextPath(table, lstm, 1 if n in ("query", "caption") else nn.ROWS)
+                      for n, table, lstm in zip(names, tables, lstms)}
+        self.layers = tables + lstms
         self.pair_combine = self.pair_bn = None
         if variant == "qih":
             self.pair_combine = nn.Linear(dims.history_q_hidden + dims.history_a_hidden,
                                           dims.history_pair_dim, rng, name="history.combine")
             self.pair_bn = nn.BatchNorm1d(dims.history_pair_dim, name="history.bn")
+            self.layers += [self.pair_combine, self.pair_bn]
         self.mlp = FusionMlp(dims.fused_dim(variant), mlp_depth, rng)
+        self.layers += self.mlp.layers
         self._option_ids: dict[str, list[int]] = {}  # unroll._option_ids: string -> ids
 
     # -- registry ------------------------------------------------------------
 
     def parameters(self) -> dict[str, nn.Parameter]:
         # a shared table is one object under one name, so it has one entry
-        out = {path.embed.weight.name: path.embed.weight for path in self.paths.values()}
-        layers = [path.lstm for path in self.paths.values()]
-        if self.pair_bn is not None:
-            layers += [self.pair_combine, self.pair_bn]
-        for layer in layers:
-            for p in layer.parameters():
-                out[p.name] = p
-        out.update(self.mlp.parameters())
-        return out
+        return {p.name: p for layer in self.layers for p in layer.parameters()}
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        if self.pair_bn is not None:
-            out["history.bn.running_mean"] = self.pair_bn.running_mean
-            out["history.bn.running_var"] = self.pair_bn.running_var
-        out.update(self.mlp.buffers())
-        return out
+        return {name: buf for layer in self.layers if isinstance(layer, nn.BatchNorm1d)
+                for name, buf in layer.buffers().items()}
 
     def config(self) -> dict:
         return {

@@ -323,6 +323,7 @@ class BatchNorm1d:
 
     def __init__(self, dim: int, name: str = "bn"):
         self.dim = dim
+        self.name = name
         self.gamma = Parameter(np.ones(dim), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(dim), name=f"{name}.beta")
         self.running_mean = np.zeros(dim)
@@ -365,6 +366,10 @@ class BatchNorm1d:
 
     def parameters(self):
         return [self.gamma, self.beta]
+
+    def buffers(self) -> dict[str, np.ndarray]:
+        return {f"{self.name}.running_mean": self.running_mean,
+                f"{self.name}.running_var": self.running_var}
 
 
 def relu(x: np.ndarray):

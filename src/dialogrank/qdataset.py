@@ -235,6 +235,12 @@ def round_rng(seed: int, image_id: int, round_no: int) -> np.random.Generator:
     return np.random.default_rng([seed, image_id, round_no])
 
 
+def _check_pool_size(dataset: DialogDataset, pool_size: int) -> None:
+    if len(dataset.distinct_questions[0]) < pool_size:
+        raise ValueError(
+            f"corpus has fewer than {pool_size} distinct questions; cannot build candidates")
+
+
 def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
                         popular: list[int], seed: int, n_plausible: int = N_PLAUSIBLE,
                         pool_size: int = POOL_SIZE) -> CandidateSet:
@@ -245,9 +251,7 @@ def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
     followup = int(corpus.followups[row])
     if followup < 0:
         raise ValueError(f"image {image_id} round {round_no} has no follow-up question")
-    if len(dataset.distinct_questions[0]) < pool_size:
-        raise ValueError(
-            f"corpus has fewer than {pool_size} distinct questions; cannot build candidates")
+    _check_pool_size(dataset, pool_size)
 
     chosen: list[tuple[int, str]] = []  # (pool index, provenance)
     seen: set[str] = set()
@@ -287,6 +291,7 @@ def build_qdataset_payload(dataset: DialogDataset, glove: GloveTable, seed: int,
                                ("pool_size", pool_size, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+    _check_pool_size(dataset, pool_size)
     corpus = CorpusKeys(dataset, glove)
     popular = compute_popular(dataset, m=n_popular)
     dialogs = []

@@ -47,7 +47,8 @@ class ScoredOptions:
 
 class FusionMlp:
     """Scoring MLP with one or two hidden layers of floor(input/2),
-    floor(input/4) units."""
+    floor(input/4) units. ``layers`` holds them in registry order:
+    ``mlp.h0``, ``mlp.h0.bn``, ..., ``mlp.out``."""
 
     def __init__(self, input_dim: int, depth: int, rng=None):
         if depth not in MLP_DEPTHS:
@@ -57,18 +58,17 @@ class FusionMlp:
         if depth == 2:
             widths.append(input_dim // 4)
         self.hidden_sizes = widths[1:]
-        self.hidden = []
-        self.norms = []
+        self.layers = []
         for i in range(depth):
-            self.hidden.append(nn.Linear(widths[i], widths[i + 1], rng, name=f"mlp.h{i}"))
-            self.norms.append(nn.BatchNorm1d(widths[i + 1], name=f"mlp.h{i}.bn"))
-        self.out = nn.Linear(widths[-1], 1, rng, name="mlp.out")
+            self.layers += [nn.Linear(widths[i], widths[i + 1], rng, name=f"mlp.h{i}"),
+                            nn.BatchNorm1d(widths[i + 1], name=f"mlp.h{i}.bn")]
+        self.layers.append(nn.Linear(widths[-1], 1, rng, name="mlp.out"))
 
     def forward(self, ctx: np.ndarray, opts: np.ndarray, offsets, option_of_row,
                 train: bool):
         """Scores [N] of the rows ``ctx[e] | opts[option_of_row[r]]``, r in
         ``offsets[e] : offsets[e + 1]``, and the cache for backward (None in eval)."""
-        h0, split = self.hidden[0], ctx.shape[1]
+        h0, split = self.layers[0], ctx.shape[1]
         W = h0.weight.value
         rows = None if train else nn.ROWS
         z = nn.project(opts, W[:, split:], rows)[option_of_row]
@@ -76,7 +76,7 @@ class FusionMlp:
         z += np.repeat(ctx_z, np.diff(offsets), axis=0)
         z += h0.bias.value
         caches = []
-        for bn, lin in zip(self.norms, self.hidden[1:] + [self.out]):
+        for bn, lin in zip(self.layers[1::2], self.layers[2::2]):
             h, bn_cache = bn.forward(z, train=train)
             x, relu_cache = nn.relu(h)
             z, lin_cache = lin.forward(x, rows)
@@ -89,32 +89,16 @@ class FusionMlp:
         ctx, opts, offsets, option_of_row, caches = cache
         dz = np.asarray(dscores, dtype=np.float64)[:, None]
         for (bn_cache, relu_cache, lin_cache), bn, lin in zip(
-            reversed(caches), reversed(self.norms), reversed(self.hidden[1:] + [self.out])
+            reversed(caches), reversed(self.layers[1::2]), reversed(self.layers[2::2])
         ):
             dz = bn.backward(bn_cache, nn.relu_backward(relu_cache, lin.backward(lin_cache, dz)))
         dz_ctx = np.add.reduceat(dz, offsets[:-1], axis=0)  # each example's rows summed
         dz_opt = np.zeros((len(opts), dz.shape[1]))
         np.add.at(dz_opt, option_of_row, dz)  # each distinct option's rows summed
-        h0, split = self.hidden[0], ctx.shape[1]
+        h0, split = self.layers[0], ctx.shape[1]
         rows = max(1, nn.BLOCK // split)
         for i in range(0, h0.out_dim, rows):
             h0.weight.grad[i : i + rows, :split] += dz_ctx[:, i : i + rows].T @ ctx
         h0.weight.grad[:, split:] += dz_opt.T @ opts
         h0.bias.grad += dz.sum(axis=0)
         return dz_ctx @ h0.weight.value[:, :split], dz_opt @ h0.weight.value[:, split:]
-
-    def parameters(self) -> dict[str, nn.Parameter]:
-        out: dict[str, nn.Parameter] = {}
-        for lin, bn in zip(self.hidden, self.norms):
-            for p in lin.parameters() + bn.parameters():
-                out[p.name] = p
-        for p in self.out.parameters():
-            out[p.name] = p
-        return out
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, bn in enumerate(self.norms):
-            out[f"mlp.h{i}.bn.running_mean"] = bn.running_mean
-            out[f"mlp.h{i}.bn.running_var"] = bn.running_var
-        return out

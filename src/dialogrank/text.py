@@ -72,9 +72,6 @@ class Vocabulary:
     def encode_word(self, word: str) -> int:
         return self._ids.get(word, self.unk_id)
 
-    def word_of(self, token_id: int) -> str:
-        return self._words[token_id]
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             for w in self._words:
@@ -186,13 +183,16 @@ def _require(cond: bool, message: str) -> None:
 
 def read_dataset(path):
     """The parsed JSON document of a dataset file, unchecked: ``dataset_from_payload``
-    and ``corpus_from_payload`` check what they read. A file that is not UTF-8 JSON
-    raises ``LoadError`` naming the path."""
+    and ``corpus_from_payload`` check what they read. A file that is not UTF-8 JSON,
+    or nests deeper than the parser's recursion limit, raises ``LoadError`` naming
+    the path."""
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise LoadError(f"dataset file {path}: not UTF-8 JSON: {exc}") from exc
+    except RecursionError as exc:  # nested deeper than the interpreter's recursion limit
+        raise LoadError(f"dataset file {path}: JSON nested too deeply to read") from exc
 
 
 def _indices(values: list, size: int) -> bool:

@@ -242,7 +242,7 @@ def _oracle_mlp_rows(mlp, rows, train):
     fused rows. Returns (scores, per-layer caches, last hidden, running stats)."""
     x = rows
     caches, running = [], []
-    for lin, bn in zip(mlp.hidden, mlp.norms):
+    for lin, bn in zip(mlp.layers[:-1:2], mlp.layers[1::2]):
         z = x @ lin.weight.value.T + lin.bias.value
         if train:
             mean, var = z.mean(axis=0), z.var(axis=0)
@@ -256,7 +256,8 @@ def _oracle_mlp_rows(mlp, rows, train):
         h = bn.gamma.value * xhat + bn.beta.value
         caches.append((x, xhat, inv, h))
         x = np.maximum(h, 0.0)
-    scores = (x @ mlp.out.weight.value.T + mlp.out.bias.value)[:, 0]
+    out = mlp.layers[-1]
+    scores = (x @ out.weight.value.T + out.bias.value)[:, 0]
     return scores, caches, x, running
 
 
@@ -277,9 +278,11 @@ def oracle_fused_mlp(mlp, ctx, opts, offsets, option_of_row, train, dscores=None
     if dscores is None:
         return scores, running, None, None, None
     dy = np.asarray(dscores, dtype=np.float64)[:, None]
-    grads = {mlp.out.weight.name: dy.T @ last, mlp.out.bias.name: dy.sum(axis=0)}
-    dx = dy @ mlp.out.weight.value
-    for (x, xhat, inv, h), lin, bn in reversed(list(zip(caches, mlp.hidden, mlp.norms))):
+    out = mlp.layers[-1]
+    grads = {out.weight.name: dy.T @ last, out.bias.name: dy.sum(axis=0)}
+    dx = dy @ out.weight.value
+    for (x, xhat, inv, h), lin, bn in reversed(list(zip(caches, mlp.layers[:-1:2],
+                                                        mlp.layers[1::2]))):
         dh = dx * (h > 0.0)
         grads[bn.gamma.name] = (dh * xhat).sum(axis=0)
         grads[bn.beta.name] = dh.sum(axis=0)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 
 import dialogrank
 from dialogrank import cli, text
+from dialogrank.checkpoint import CHECKPOINT_MAGIC
 from dialogrank.cli import main
 from dialogrank.metrics import compute_metrics
 from dialogrank.text import write_dataset, write_features, write_glove
@@ -280,6 +282,20 @@ def test_missing_file_is_single_line_error(workdir, capsys):
     assert stderr.count("\n") == 1
 
 
+def test_deeply_nested_checkpoint_manifest_is_a_load_error(workdir, capsys):
+    # json.loads raises RecursionError, not ValueError, past the recursion limit
+    ckpt = workdir / "deep.ckpt"
+    deep = b"[" * 100_000 + b"]" * 100_000
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(deep)) + deep)
+    code, _, stderr = run_cli(capsys, "evaluate", "--checkpoint", str(ckpt),
+                              "--dataset", str(workdir / "train.json"),
+                              "--features", str(workdir / "feat.bin"), "--task", "visdial")
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=LoadError"), stderr
+    assert "checkpoint manifest is JSON nested too deeply to read" in stderr, stderr
+
+
 @pytest.fixture(scope="module")
 def malformed_datasets(workdir):
     """One dataset file per way to break one: {name: path}."""
@@ -304,7 +320,8 @@ def malformed_datasets(workdir):
         write_dataset(paths[name], doc)
     blob = (workdir / "train.json").read_bytes()
     for name, raw in (("truncated", blob[: len(blob) // 2]),
-                      ("not-utf8", blob.replace(b"what", b"wh\xe4t", 1))):
+                      ("not-utf8", blob.replace(b"what", b"wh\xe4t", 1)),
+                      ("deep-nesting", b"[" * 100_000 + b"]" * 100_000)):
         paths[name] = workdir / f"malformed-{name}.json"
         paths[name].write_bytes(raw)
     return paths

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bank_encode import encode_caption, encode_option, encode_query
+from path_encode import encode_caption, encode_option, encode_query
 from dialogrank import nn
 from dialogrank.encoders import ModelDims
 from dialogrank.model import (DialogScorer, full_model_gradcheck, random_example,

@@ -250,10 +250,21 @@ def test_candidate_set_round_10_rejected(corpus):
         qd.build_candidate_set(dataset, keys, row_of(keys, image_id, 10), popular, 0)
 
 
-def test_candidate_set_needs_enough_questions():
+def test_candidate_set_needs_enough_questions(monkeypatch):
     payload = qbuilder_corpus(n_images=3, n_questions=40, seed=3)
     dataset = load_payload(payload)
     glove = GloveTable({w: np.asarray(v) for w, v in toy_glove(payload).items()})
+    built = []
+    init = qd.CorpusKeys.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(qd.CorpusKeys, "__init__", spy)
+    with pytest.raises(ValueError, match="fewer than 100 distinct questions"):
+        qd.build_qdataset_payload(dataset, glove, seed=0)
+    assert not built  # the pool is checked before any QA key is computed
     keys = qd.CorpusKeys(dataset, glove)
     popular = qd.compute_popular(dataset)
     with pytest.raises(ValueError, match="distinct questions"):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bank_encode import encode_caption, encode_option, encode_query
+from path_encode import encode_caption, encode_option, encode_query
 from dialogrank import nn
 from dialogrank.encoders import ModelDims
 from dialogrank.model import DialogScorer, random_example, reduced_check_dims, synthetic_vocab
@@ -45,7 +45,7 @@ def test_assemble_order_and_masking():
         ctx = np.concatenate(blocks)[None]
         opts = np.stack([encode_option(model, ids)[0] for ids in ex.option_ids])
         width = ctx.shape[1] + opts.shape[1]
-        assert width == dims.fused_dim(variant) == model.mlp.hidden[0].weight.shape[1]
+        assert width == dims.fused_dim(variant) == model.mlp.layers[0].weight.shape[1]
         want = oracle_fused_mlp(model.mlp, ctx, opts, [0, 3], np.arange(3), train=False)[0]
         assert close(model.score_example(ex).scores, want)
 
@@ -67,7 +67,7 @@ def test_late_fusion_matches_fused_row_oracle(variant, depth):
                          init_seed=3)
     mlp = model.mlp
     rng = np.random.default_rng([5, depth])
-    seeded_norms(mlp.norms, rng)
+    seeded_norms(mlp.layers[1::2], rng)
     offsets = np.array([0, 4, 7, 12])  # B=3; options repeat within and across examples
     option_of_row = np.array([0, 1, 0, 2, 2, 3, 1, 4, 0, 4, 5, 3])
     ctx = rng.normal(size=(3, mlp.input_dim - dims.option_hidden))
@@ -84,11 +84,11 @@ def test_late_fusion_matches_fused_row_oracle(variant, depth):
     model.zero_grads()
     got, cache = mlp.forward(ctx, opts, offsets, option_of_row, train=True)
     assert close(got, want)
-    for bn, (mean, var) in zip(mlp.norms, running, strict=True):
+    for bn, (mean, var) in zip(mlp.layers[1::2], running, strict=True):
         assert close(bn.running_mean, mean) and close(bn.running_var, var)
     got_dctx, got_dopts = mlp.backward(cache, dscores)
     assert close(got_dctx, dctx) and close(got_dopts, dopts)
-    params = mlp.parameters()
+    params = {p.name: p for layer in mlp.layers for p in layer.parameters()}
     assert set(params) == set(grads)
     # a linear bias in front of a train-mode norm has a true gradient of 0 and
     # a computed one of pure roundoff: judge each against its layer's largest
@@ -119,7 +119,7 @@ def test_blocked_h0_context_gradient_matches_fused_row_oracle():
     grads = oracle_fused_mlp(mlp, *args, train=True, dscores=dscores)[2]
     _, cache = mlp.forward(*args, train=True)
     mlp.backward(cache, dscores)
-    assert close(mlp.hidden[0].weight.grad, grads["mlp.h0.weight"])
+    assert close(mlp.layers[0].weight.grad, grads["mlp.h0.weight"])
 
 
 def test_blocked_h0_context_gradient_builds_no_full_temporary():
@@ -131,7 +131,7 @@ def test_blocked_h0_context_gradient_builds_no_full_temporary():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    h0 = mlp.hidden[0].weight
+    h0 = mlp.layers[0].weight
     assert peak < h0.shape[0] * args[0].shape[1] * 8
 
 
@@ -230,7 +230,7 @@ def test_score_example_matches_one_row_oracle(variant, k):
     vocab = synthetic_vocab(40)
     model = DialogScorer(dims, vocab, task="visdial-q", variant=variant, init_seed=4)
     rng = np.random.default_rng([k, len(variant)])
-    seeded_norms(model.mlp.norms + [model.pair_bn] * (variant == "qih"), rng)
+    seeded_norms(model.mlp.layers[1::2] + [model.pair_bn] * (variant == "qih"), rng)
     for n_history in (0, 1, dims.history_slots):
         ex = random_example(vocab, dims, rng, k_options=k, task="visdial-q",
                             n_history=n_history)
@@ -300,4 +300,4 @@ def test_batch_forward_train_mode_norms_over_option_rows():
     dctx, dopts = model.mlp.backward(mlp_cache, np.ones(6))
     assert dctx.shape == (1, model.mlp.input_dim - model.dims.option_hidden)
     assert dopts.shape == (len(set(map(tuple, ex.option_ids))), model.dims.option_hidden)
-    assert any(p.grad.any() for p in model.mlp.parameters().values())
+    assert any(p.grad.any() for layer in model.mlp.layers for p in layer.parameters())

@@ -122,15 +122,19 @@ def test_load_dataset_roundtrip(tmp_path):
     assert blob1 == blob2
 
 
-@pytest.mark.parametrize("name, mangle", [
-    ("truncated", lambda blob: blob[: len(blob) // 2]),
-    ("not-utf8", lambda blob: blob.replace(b"sunny", b"sunn\xff", 1)),
-], ids=["truncated", "not-utf8"])
-def test_read_dataset_undecodable_file_is_a_load_error_naming_it(tmp_path, name, mangle):
+@pytest.mark.parametrize("name, mangle, message", [
+    ("truncated", lambda blob: blob[: len(blob) // 2], "not UTF-8 JSON"),
+    ("not-utf8", lambda blob: blob.replace(b"sunny", b"sunn\xff", 1), "not UTF-8 JSON"),
+    # json.load raises RecursionError, not ValueError, past the recursion limit
+    ("deep-nesting", lambda blob: b"[" * 100_000 + b"]" * 100_000,
+     "JSON nested too deeply to read"),
+], ids=["truncated", "not-utf8", "deep-nesting"])
+def test_read_dataset_undecodable_file_is_a_load_error_naming_it(tmp_path, name, mangle,
+                                                                 message):
     path = tmp_path / f"{name}.json"
     text.write_dataset(path, minimal_payload())
     path.write_bytes(mangle(path.read_bytes()))
-    with pytest.raises(text.LoadError, match=re.escape(f"dataset file {path}: not UTF-8 JSON")):
+    with pytest.raises(text.LoadError, match=re.escape(f"dataset file {path}: {message}")):
         text.read_dataset(path)
 
 

@@ -147,30 +147,50 @@ def test_embedding_table_counts_in_checkpoint(tmp_path, toy_data):
         assert len(names) == expected
 
 
-REGISTRY_AFTER_TABLES = [  # every qih model's parameters after its embedding tables
-    "lstm.query.weight", "lstm.query.bias", "lstm.option.weight", "lstm.option.bias",
-    "lstm.caption.weight", "lstm.caption.bias", "lstm.history_q.weight",
-    "lstm.history_q.bias", "lstm.history_a.weight", "lstm.history_a.bias",
-    "history.combine.weight", "history.combine.bias", "history.bn.gamma", "history.bn.beta",
-    "mlp.h0.weight", "mlp.h0.bias", "mlp.h0.bn.gamma", "mlp.h0.bn.beta",
-    "mlp.h1.weight", "mlp.h1.bias", "mlp.h1.bn.gamma", "mlp.h1.bn.beta",
-    "mlp.out.weight", "mlp.out.bias",
-]
-REGISTRY_BUFFERS = [
-    "history.bn.running_mean", "history.bn.running_var", "mlp.h0.bn.running_mean",
-    "mlp.h0.bn.running_var", "mlp.h1.bn.running_mean", "mlp.h1.bn.running_var",
-]
+# The manifest order of every model: its embedding tables, the rest of its text
+# and history layers, then the MLP's, then the buffers. Variant qi adds the image,
+# which holds no parameters, so it stores what q stores.
+REGISTRY_TABLES = {  # (variant, shared embeddings) -> tables
+    ("q", True): ["embed.shared.weight"],
+    ("q", False): ["embed.query.weight", "embed.option.weight"],
+    ("qih", True): ["embed.shared.weight"],
+    ("qih", False): ["embed.query.weight", "embed.option.weight", "embed.caption.weight",
+                     "embed.history_q.weight", "embed.history_a.weight"],
+}
+REGISTRY_PATHS = {  # variant -> parameters between the tables and the MLP
+    "q": ["lstm.query.weight", "lstm.query.bias", "lstm.option.weight", "lstm.option.bias"],
+    "qih": ["lstm.query.weight", "lstm.query.bias", "lstm.option.weight", "lstm.option.bias",
+            "lstm.caption.weight", "lstm.caption.bias", "lstm.history_q.weight",
+            "lstm.history_q.bias", "lstm.history_a.weight", "lstm.history_a.bias",
+            "history.combine.weight", "history.combine.bias", "history.bn.gamma",
+            "history.bn.beta"],
+}
+REGISTRY_MLP = {  # depth -> MLP parameters
+    1: ["mlp.h0.weight", "mlp.h0.bias", "mlp.h0.bn.gamma", "mlp.h0.bn.beta",
+        "mlp.out.weight", "mlp.out.bias"],
+    2: ["mlp.h0.weight", "mlp.h0.bias", "mlp.h0.bn.gamma", "mlp.h0.bn.beta",
+        "mlp.h1.weight", "mlp.h1.bias", "mlp.h1.bn.gamma", "mlp.h1.bn.beta",
+        "mlp.out.weight", "mlp.out.bias"],
+}
+REGISTRY_BUFFERS = {  # (variant, depth) -> buffers
+    ("q", 1): ["mlp.h0.bn.running_mean", "mlp.h0.bn.running_var"],
+    ("q", 2): ["mlp.h0.bn.running_mean", "mlp.h0.bn.running_var", "mlp.h1.bn.running_mean",
+               "mlp.h1.bn.running_var"],
+    ("qih", 1): ["history.bn.running_mean", "history.bn.running_var",
+                 "mlp.h0.bn.running_mean", "mlp.h0.bn.running_var"],
+    ("qih", 2): ["history.bn.running_mean", "history.bn.running_var",
+                 "mlp.h0.bn.running_mean", "mlp.h0.bn.running_var", "mlp.h1.bn.running_mean",
+                 "mlp.h1.bn.running_var"],
+}
 
 
-@pytest.mark.parametrize("shared, tables", [
-    (True, ["embed.shared.weight"]),
-    (False, ["embed.query.weight", "embed.option.weight", "embed.caption.weight",
-             "embed.history_q.weight", "embed.history_a.weight"]),
-], ids=["shared", "separate"])
-def test_checkpoint_registry_order_is_pinned(tmp_path, shared, tables):
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "separate"])
+@pytest.mark.parametrize("depth", [1, 2], ids=["depth1", "depth2"])
+@pytest.mark.parametrize("variant", ["q", "qi", "qih"])
+def test_checkpoint_registry_order_is_pinned(tmp_path, variant, depth, shared):
     # every round-trip test is self-consistent; only a literal catches a
     # reordered registry, which would change the bytes of every checkpoint
-    model = DialogScorer(toy_dims(), synthetic_vocab(20), variant="qih", mlp_depth=2,
+    model = DialogScorer(toy_dims(), synthetic_vocab(20), variant=variant, mlp_depth=depth,
                          shared_embeddings=shared, init_seed=0)
     path = tmp_path / "fresh.ckpt"
     save_checkpoint(model, path)
@@ -178,9 +198,10 @@ def test_checkpoint_registry_order_is_pinned(tmp_path, shared, tables):
     n = len(CHECKPOINT_MAGIC)
     (mlen,) = struct.unpack("<Q", raw[n : n + 8])
     manifest = json.loads(raw[n + 8 : n + 8 + mlen])
-    want = [(name, role) for name in tables + REGISTRY_AFTER_TABLES
-            for role in ("value", "adam_m", "adam_v")]
-    want += [(name, "buffer") for name in REGISTRY_BUFFERS]
+    stores = "q" if variant == "qi" else variant
+    params = REGISTRY_TABLES[stores, shared] + REGISTRY_PATHS[stores] + REGISTRY_MLP[depth]
+    want = [(name, role) for name in params for role in ("value", "adam_m", "adam_v")]
+    want += [(name, "buffer") for name in REGISTRY_BUFFERS[stores, depth]]
     assert [(e["name"], e["role"]) for e in manifest["entries"]] == want
 
 
@@ -263,16 +284,18 @@ def test_checkpoint_magic_rejected(tmp_path, toy_data):
 
 def rewrite_checkpoint(path, edit_manifest, edit_payload=None) -> None:
     """Apply ``edit_manifest(manifest)`` (and ``edit_payload(manifest, payload)``)
-    to a saved checkpoint in place."""
+    to a saved checkpoint in place. An ``edit_manifest`` that returns bytes
+    replaces the manifest with them."""
     raw = path.read_bytes()
     n = len(CHECKPOINT_MAGIC)
     (mlen,) = struct.unpack("<Q", raw[n : n + 8])
     manifest = json.loads(raw[n + 8 : n + 8 + mlen])
     payload = bytearray(raw[n + 8 + mlen :])
-    edit_manifest(manifest)
+    mbytes = edit_manifest(manifest)
     if edit_payload is not None:
         edit_payload(manifest, payload)
-    mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    if not isinstance(mbytes, bytes):
+        mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(mbytes)) + mbytes
                      + bytes(payload))
 
@@ -360,6 +383,9 @@ def cut_inside_last_moment(manifest, payload):
     del payload[last["offset"] + 4 :]
 
 
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000  # json.loads raises RecursionError on it
+
+
 def first_param(manifest):
     return manifest["entries"][0]["name"]
 
@@ -404,13 +430,14 @@ def float_shape(manifest):
     (lambda m: None, cut_last_8_bytes, r"mlp.h1.bn.running_var \(buffer\): payload truncated"),
     (lambda m: None, write_nan_in_adam_v, r"lstm.query.weight \(adam_v\): non-finite"),
     (lambda m: None, cut_inside_last_moment, r"mlp.out.bias \(adam_v\): payload truncated"),
+    (lambda m: DEEP_JSON, None, "manifest is JSON nested too deeply to read"),
 ], ids=["no-model", "no-step-counts", "no-entries", "no-vocab", "unknown-dims-key",
         "entries-not-a-list", "bad-variant", "nan-value", "qih-one-round", "dims-bool", "overlap", "gap",
         "trailing-bytes", "duplicate-entry", "shared-embeddings-list", "shared-embeddings-int",
         "init-seed-bool", "init-seed-str", "init-seed-negative", "task-not-str",
         "variant-null", "mlp-depth-bool", "mlp-depth-float", "step-count-negative",
         "step-count-float", "shape-float", "offset-float", "truncated-payload",
-        "nan-adam-v", "truncated-adam-v"])
+        "nan-adam-v", "truncated-adam-v", "deep-nesting"])
 def test_malformed_checkpoint_raises_load_error(tmp_path, edit, edit_payload, named):
     model = DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0)
     path = tmp_path / "m.ckpt"
