@@ -23,8 +23,11 @@ stat), so a pipe loads like a file.
 The default load is for inference (``evaluate`` and ``unroll`` never train):
 it reads each Adam moment entry, two thirds of the payload, chunk by chunk
 through one scratch buffer of ``nn.BLOCK`` values, with every check a kept
-entry gets (short reads, byte order, finiteness), and keeps none of it.
-``adam_state=True`` keeps the moments, for training on or saving back.
+entry gets (short reads, byte order, finiteness), and keeps none of it. It
+returns the model frozen (``DialogScorer.freeze``): every value and running
+statistic is read-only, and each text path remembers its eval encodings.
+``adam_state=True`` keeps the moments, for training on or saving back, and
+returns a writable model with no memo.
 """
 
 from __future__ import annotations
@@ -212,9 +215,10 @@ def load_checkpoint(path, *, adam_state: bool = False) -> tuple[DialogScorer, di
 
     By default the model is for inference: each Adam moment entry is read and
     checked through one scratch buffer, then dropped, so every parameter's ``m``
-    and ``v`` are ``None`` (its ``step_count`` is kept). ``adam_state=True`` keeps
-    the moments, so the model trains on, or saves back byte for byte. Every
-    malformed manifest or payload raises ``LoadError`` either way."""
+    and ``v`` are ``None`` (its ``step_count`` is kept), and the model is frozen
+    (``DialogScorer.freeze``). ``adam_state=True`` keeps the moments and the model
+    writable, so it trains on, or saves back byte for byte. Every malformed
+    manifest or payload raises ``LoadError`` either way."""
     with open(path, "rb") as f:
         manifest = _read_manifest(f)
         with nn.keep_adam_state(adam_state):
@@ -235,4 +239,6 @@ def load_checkpoint(path, *, adam_state: bool = False) -> tuple[DialogScorer, di
     if tail:  # name and role are those of the last entry read
         raise LoadError(f"checkpoint payload runs {tail} bytes past its "
                         f"last entry {name} ({role})")
+    if not adam_state:
+        model.freeze()
     return model, manifest.get("extra", {})

@@ -1,16 +1,24 @@
 """Model sizing (``ModelDims``), the task and variant names, and the text
 path (``TextPath``) that turns token sequences into fixed-size embeddings.
 
-Each text path makes one packed LSTM call per forward, in train and eval alike
-(distinct options only). In eval the LSTM's products run on fixed row blocks
-(``nn.project``) of the path's height: one row for the query and caption paths,
-whose sequences are one per example, and ``nn.ROWS`` rows for the option and
-history paths, whose sequences come many per example. So an encoding is bitwise
-free of the sequences packed with it (model.py has the measurement).
+Each text path makes at most one packed LSTM call per forward, in train and eval
+alike (distinct options only). In eval the LSTM's products run on fixed row
+blocks (``nn.project``) of the path's height: one row for the query and caption
+paths, whose sequences are one per example, and ``nn.ROWS`` rows for the option
+and history paths, whose sequences come many per example. So an encoding is
+bitwise free of the sequences packed with it (model.py has the measurement).
+
+That is what lets a frozen model (``DialogScorer.freeze``, which every default
+``checkpoint.load_checkpoint`` applies) remember its eval encodings: its text
+paths share one ``EncodingMemo``, and a path encodes only the distinct sequences
+it has not seen, so a remembered row is bitwise the one a fresh encode gives.
+The memo keeps at most ``nn.MEMO_BYTES`` of encodings, dropping the oldest
+first. Train mode never reads or fills it.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -70,23 +78,63 @@ class ModelDims:
         return cls(**overrides)
 
 
+class EncodingMemo:
+    """Eval encodings of a frozen model's text paths: (path, token tuple) -> a
+    read-only row. Rows go oldest first once they hold more than ``nn.MEMO_BYTES``
+    in all. Filling it is not locked, so one thread at a time scores the model."""
+
+    def __init__(self):
+        self.rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self.nbytes = 0
+
+    def add(self, key: tuple, row: np.ndarray) -> np.ndarray:
+        """Keep a read-only copy of ``row`` under ``key`` and return it."""
+        row = row.copy()
+        row.flags.writeable = False
+        self.rows[key] = row
+        self.nbytes += row.nbytes
+        while self.nbytes > nn.MEMO_BYTES:
+            self.nbytes -= self.rows.popitem(last=False)[1].nbytes
+        return row
+
+
 class TextPath:
     """Embedding lookup -> LSTM; a sequence's final hidden state is its embedding.
-    ``rows`` is the eval block height of the path's products (``nn.project``)."""
+    ``rows`` is the eval block height of the path's products (``nn.project``).
+    ``memo`` is the model's ``EncodingMemo`` while it is frozen, else ``None``."""
 
     def __init__(self, embed: nn.Embedding, lstm: nn.LstmEncoder, rows: int):
         self.embed = embed
         self.lstm = lstm
         self.rows = rows
+        self.memo: EncodingMemo | None = None
 
     def encode(self, seqs, train: bool = True):
-        """Embeddings [N, hidden] of N id sequences, in input order, from one
-        packed LSTM call (layout in nn.py). Returns (vecs, cache); eval's cache is None."""
+        """Embeddings [N, hidden] of N id sequences, in input order. Returns (vecs,
+        cache); eval's cache is None. With a memo, eval encodes only the distinct
+        sequences the memo lacks, in one packed call, and stacks the rows."""
+        if train or self.memo is None:
+            return self._encode(seqs, train)
+        keys = [tuple(s) for s in seqs]
+        rows = {key: self.memo.rows.get((self, key)) for key in keys}
+        missing = [key for key, row in rows.items() if row is None]
+        if missing:
+            vecs, _ = self._encode(missing, train=False)
+            for key, vec in zip(missing, vecs):
+                rows[key] = self.memo.add((self, key), vec)
+        return np.stack([rows[key] for key in keys]), None
+
+    def _encode(self, seqs, train: bool):
+        """One packed LSTM call over ``seqs`` (layout in nn.py)."""
         lengths = [len(s) for s in seqs]
         if min(lengths) < 1:
             raise ValueError(f"{self.lstm.weight.name}: cannot encode an empty sequence")
         order = sorted(range(len(seqs)), key=lengths.__getitem__, reverse=True)  # stable
-        batch_sizes = [sum(n > t for n in lengths) for t in range(lengths[order[0]])]
+        batch_sizes, running = [], len(seqs)  # the first `running` of order are longer than t
+        for t in range(lengths[order[0]]):
+            while lengths[order[running - 1]] <= t:
+                running -= 1
+            batch_sizes.append(running)
         emb, ids = self.embed.lookup(
             [seqs[i][t] for t, n in enumerate(batch_sizes) for i in order[:n]])
         h, lcache = self.lstm.encode(emb, batch_sizes, None if train else self.rows)

@@ -9,9 +9,9 @@ caption | history) and scores it against its options with the late-fusion MLP
 (scorer.py), so the fused rows are never built.
 
 Train mode encodes each distinct option once (duplicates sum their gradients)
-and batch-norms across the step. Both modes make one packed LSTM call per text
-path. Eval mode uses the running statistics and runs every matrix product on
-fixed row blocks, zero-padding the last (``nn.project``), so a candidate's
+and batch-norms across the step. Both modes make at most one packed LSTM call
+per text path. Eval mode uses the running statistics and runs every matrix
+product on fixed row blocks, zero-padding the last (``nn.project``), so a candidate's
 score does not depend on which candidates or examples are scored with it; the
 elementwise stages (bias, norm, ReLU, gates) are exactly rounded per element.
 The block height follows what the rows are, never how many there are:
@@ -37,6 +37,14 @@ one BLAS thread) against 0.229 s with every product on 16-row blocks. A height
 swept over 64, 100, 112 and 128 gave 8.7, 9.5, 8.6 and 8.4 rounds/s on the
 ``eval-paper`` benchmark. A BLAS that broke the property would need a
 reproducible summation order (Demmel & Nguyen, ARITH 2013), not a looser test.
+
+A frozen model (``freeze``, as every default ``checkpoint.load_checkpoint``
+returns) has read-only values and running statistics, and its text paths
+remember each eval encoding (``encoders.EncodingMemo``), so an eval forward runs
+the LSTMs only over texts the model has not encoded yet: in ``unroll`` the
+answer pool, the caption and the earlier history come back every round, and
+eval rounds share their popular answers. By the block rule above, a remembered
+row is bitwise a fresh one.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import nn
-from .encoders import TASKS, VARIANTS, ModelDims, TextPath
+from .encoders import TASKS, VARIANTS, EncodingMemo, ModelDims, TextPath
 from .scorer import MLP_DEPTHS, FusionMlp, ScoredOptions
 from .text import DialogDataset, ImageFeatureStore, Vocabulary
 
@@ -169,7 +177,7 @@ class DialogScorer:
             self.layers += [self.pair_combine, self.pair_bn]
         self.mlp = FusionMlp(dims.fused_dim(variant), mlp_depth, rng)
         self.layers += self.mlp.layers
-        self._option_ids: dict[str, list[int]] = {}  # unroll._option_ids: string -> ids
+        self._token_ids: dict[tuple[str, int], list[int]] = {}  # unroll._token_ids
 
     # -- registry ------------------------------------------------------------
 
@@ -194,6 +202,24 @@ class DialogScorer:
     def zero_grads(self) -> None:
         for p in self.parameters().values():
             p.zero_grad()
+
+    def _set_writeable(self, flag: bool) -> None:
+        for arr in [p.value for p in self.parameters().values()] + list(self.buffers().values()):
+            arr.flags.writeable = flag
+
+    def freeze(self) -> None:
+        """Make every parameter value and running statistic read-only, so nothing an
+        encoding depends on can change, and give the text paths one ``EncodingMemo``."""
+        self._set_writeable(False)
+        memo = EncodingMemo()
+        for path in self.paths.values():
+            path.memo = memo
+
+    def thaw(self) -> None:
+        """Undo ``freeze``: drop the memo and make the values writable again."""
+        for path in self.paths.values():
+            path.memo = None
+        self._set_writeable(True)
 
     # -- text and history ----------------------------------------------------
 
@@ -305,7 +331,7 @@ class DialogScorer:
                                   for ex in batch for ids in ex.option_ids])
         queries = [self.query_ids(ex.question_ids, ex.query_answer_ids) for ex in batch]
         q_vecs, q_cache = self.paths["query"].encode(queries, train)
-        o_vecs, o_cache = self.paths["option"].encode([list(k) for k in distinct], train)
+        o_vecs, o_cache = self.paths["option"].encode(list(distinct), train)
         blocks = [q_vecs]  # the context: query | image | caption | history
         if self.variant != "q":
             blocks.append(np.stack([ex.image_vec for ex in batch]))

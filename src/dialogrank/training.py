@@ -127,7 +127,11 @@ def train(train_set, val_set, features, cfg: TrainConfig,
             if cfg.max_steps is not None and steps_done >= cfg.max_steps:
                 out_of_steps = True
                 break
-        val_report = evaluate_examples(model, val_examples)
+        model.freeze()  # the validation pass encodes each distinct text once
+        try:
+            val_report = evaluate_examples(model, val_examples)
+        finally:
+            model.thaw()
         entry = EpochLog(epoch=epoch, mean_train_loss=float(np.mean(losses)),
                          steps=steps_done, val=val_report)
         logs.append(entry)

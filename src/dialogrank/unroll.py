@@ -18,8 +18,9 @@ use. ``nearest_images`` shares the product-form prefilter of the
 follow-up-question builder (``qdataset.short_list``: one matrix-vector
 product and a derived margin) and re-ranks its short list with the
 per-vector norm and the id tie-break, so transcripts are the same bytes as
-with a per-vector scan of every image. Pool strings recur round after round,
-so each is tokenized once per model (``_option_ids``).
+with a per-vector scan of every image. Pool, history and caption strings recur
+round after round, so each is tokenized once per model and length cap
+(``_token_ids``).
 """
 
 from __future__ import annotations
@@ -180,25 +181,25 @@ def build_pool(kind: str, state: DialogState, dataset: DialogDataset,
     return items
 
 
+def _token_ids(model: DialogScorer, s: str, cap: int) -> list[int]:
+    """Token ids of ``s`` under the model's vocabulary, truncated to ``cap`` words,
+    memoised per (string, cap) on the model; the id lists are shared, never mutated."""
+    ids = model._token_ids.get((s, cap))
+    if ids is None:
+        ids = model._token_ids[s, cap] = encode_truncate(tokenize(s), model.vocab, cap)
+    return ids
+
+
 def _encode_pair(model: DialogScorer, question: str, answer: str):
-    q = encode_truncate(tokenize(question), model.vocab, model.dims.max_question_words)
-    a = encode_truncate(tokenize(answer), model.vocab, model.dims.max_answer_words)
-    return q, a
+    return (_token_ids(model, question, model.dims.max_question_words),
+            _token_ids(model, answer, model.dims.max_answer_words))
 
 
 def _option_ids(model: DialogScorer, pool: list[str]) -> list[list[int]]:
-    """Option token ids of the pool strings under the model's vocabulary and option
-    length, memoised per string on the model; the id lists are shared, never mutated."""
-    memo = model._option_ids
+    """Option token ids of the pool strings under the model's option length."""
     option_len = (model.dims.max_question_words if model.task == "visdial-q"
                   else model.dims.max_answer_words)
-    out = []
-    for s in pool:
-        ids = memo.get(s)
-        if ids is None:
-            ids = memo[s] = encode_truncate(tokenize(s), model.vocab, option_len)
-        out.append(ids)
-    return out
+    return [_token_ids(model, s, option_len) for s in pool]
 
 
 def _model_example(model: DialogScorer, state: DialogState, features: ImageFeatureStore,
@@ -216,8 +217,7 @@ def _model_example(model: DialogScorer, state: DialogState, features: ImageFeatu
         query_answer_ids=query[1],
         option_ids=_option_ids(model, pool),
         gt_index=0,  # unused: generation has no ground truth
-        caption_ids=encode_truncate(tokenize(state.caption), model.vocab,
-                                    model.dims.max_caption_words),
+        caption_ids=_token_ids(model, state.caption, model.dims.max_caption_words),
         history=history,
         image_vec=features.get(state.image_id) if model.variant != "q" else None,
     )
@@ -250,8 +250,7 @@ def step(state: DialogState, q_model: DialogScorer, a_model: DialogScorer,
     a_pool = build_pool("answer", state, dataset, features, spec)
     if not a_pool:
         raise RuntimeError("no candidate answers available for this round")
-    a_query = (encode_truncate(tokenize(question), a_model.vocab,
-                               a_model.dims.max_question_words), None)
+    a_query = (_token_ids(a_model, question, a_model.dims.max_question_words), None)
     a_ex = _model_example(a_model, state, features, a_query, a_pool, state.history)
     a_scored = a_model.score_example(a_ex)
     answer_index = int(np.argmax(a_scored.scores))

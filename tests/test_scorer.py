@@ -6,7 +6,8 @@ import pytest
 
 from path_encode import encode_caption, encode_option, encode_query
 from dialogrank import nn
-from dialogrank.encoders import ModelDims
+from dialogrank.checkpoint import load_checkpoint, save_checkpoint
+from dialogrank.encoders import EncodingMemo, ModelDims
 from dialogrank.model import DialogScorer, random_example, reduced_check_dims, synthetic_vocab
 from dialogrank.scorer import FusionMlp
 from oracles import oracle_fused_mlp, oracle_score_example
@@ -301,3 +302,99 @@ def test_batch_forward_train_mode_norms_over_option_rows():
     assert dctx.shape == (1, model.mlp.input_dim - model.dims.option_hidden)
     assert dopts.shape == (len(set(map(tuple, ex.option_ids))), model.dims.option_hidden)
     assert any(p.grad.any() for layer in model.mlp.layers for p in layer.parameters())
+
+
+# ---------------------------------------------------------------------------
+# the frozen model's encoding memo
+# ---------------------------------------------------------------------------
+
+
+def frozen_and_memo_free(tmp_path, task="visdial"):
+    """A default (frozen, memoising) load and an ``adam_state=True`` (memo-free)
+    load of one checkpoint whose norms all hold non-trivial statistics."""
+    dims = reduced_check_dims()
+    model = DialogScorer(dims, synthetic_vocab(40), task=task, init_seed=6)
+    seeded_norms(model.mlp.layers[1::2] + [model.pair_bn], np.random.default_rng(12))
+    path = tmp_path / "memo.ckpt"
+    save_checkpoint(model, path)
+    frozen, _ = load_checkpoint(path)
+    reference, _ = load_checkpoint(path, adam_state=True)
+    assert frozen.paths["option"].memo is not None and reference.paths["option"].memo is None
+    return frozen, reference
+
+
+def sharing_rounds(model, n_rounds, seed):
+    """Rounds that draw their options, history pairs, captions and questions from
+    common pools, each with a few texts of its own, at every history depth."""
+    vocab, dims = model.vocab, model.dims
+    rng = np.random.default_rng(seed)
+    pool = random_example(vocab, dims, rng, k_options=30, n_history=dims.history_slots)
+    rounds = []
+    for r in range(n_rounds):
+        own = random_example(vocab, dims, rng, k_options=6, n_history=dims.history_slots)
+        options = [pool.option_ids[i] for i in rng.choice(30, size=20, replace=False)]
+        options += own.option_ids + options[:2]  # repeats within the round too
+        depth = r % (dims.history_slots + 1)
+        history = [pool.history[i] if rng.random() < 0.6 else own.history[i]
+                   for i in range(depth)]
+        rounds.append(dataclasses.replace(
+            own, option_ids=options, history=history, round_no=depth + 1,
+            gt_index=int(rng.integers(len(options))),
+            caption_ids=pool.caption_ids if r % 2 else own.caption_ids,
+            question_ids=pool.question_ids if r % 3 == 0 else own.question_ids))
+    return rounds
+
+
+@pytest.mark.parametrize("cap_rows", [None, 3], ids=["cap", "evicting"])
+def test_warm_memo_scores_bitwise_as_memo_free_load(tmp_path, monkeypatch, cap_rows):
+    # a memo warmed by other rounds, scored in shuffled orders, gives every
+    # shared and new text the bits a memo-free load computes afresh, also when
+    # the cap keeps only a few rows and evicts the rest
+    frozen, reference = frozen_and_memo_free(tmp_path)
+    if cap_rows is not None:
+        monkeypatch.setattr(nn, "MEMO_BYTES", cap_rows * frozen.dims.option_hidden * 8)
+    rounds = sharing_rounds(frozen, 12, seed=3)
+    want = [reference.score_example(ex).scores for ex in rounds]
+    memo = frozen.paths["option"].memo
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        for i in rng.permutation(len(rounds)):
+            assert np.array_equal(frozen.score_example(rounds[i]).scores, want[i])  # bitwise
+        order = rng.permutation(len(rounds))
+        scores, _ = frozen.batch_forward([rounds[i] for i in order], train=False)
+        for i, got in zip(order, scores, strict=True):
+            assert np.array_equal(got, want[i])
+        assert memo.nbytes == sum(row.nbytes for row in memo.rows.values()) <= nn.MEMO_BYTES
+    if cap_rows is None:  # every distinct text of every path, each once
+        texts = {("option", tuple(ids)) for ex in rounds for ids in ex.option_ids}
+        texts |= {("query", tuple(ex.question_ids)) for ex in rounds}
+        texts |= {("caption", tuple(ex.caption_ids)) for ex in rounds}
+        texts |= {(side, tuple(ids)) for ex in rounds for pair in ex.history + [
+            frozen.empty_pair()] for side, ids in zip(("history_q", "history_a"), pair)}
+        names = {id(path): name for name, path in frozen.paths.items()}
+        assert sorted((names[id(path)], key) for path, key in memo.rows) == sorted(texts)
+    else:  # the smallest rows, caption and history, are half an option row
+        assert 0 < len(memo.rows) <= 2 * cap_rows
+
+
+def test_memo_rows_are_read_only_copies(tmp_path):
+    frozen, _ = frozen_and_memo_free(tmp_path)
+    ex = sharing_rounds(frozen, 1, seed=5)[0]
+    frozen.score_example(ex)
+    memo = frozen.paths["query"].memo
+    assert {id(path.memo) for path in frozen.paths.values()} == {id(memo)}
+    for row in memo.rows.values():
+        assert row.base is None and not row.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
+
+
+def test_memo_drops_oldest_first(monkeypatch):
+    monkeypatch.setattr(nn, "MEMO_BYTES", 3 * 4 * 8)  # three rows of four values
+    memo = EncodingMemo()
+    for i in range(5):
+        memo.add(("path", (i,)), np.full(4, float(i)))
+        assert list(memo.rows) == [("path", (j,)) for j in range(max(0, i - 2), i + 1)]
+    assert memo.nbytes == 3 * 4 * 8
+    memo.add(("path", (5,)), np.zeros(8))  # two rows' worth: the two oldest go
+    assert list(memo.rows) == [("path", (4,)), ("path", (5,))]

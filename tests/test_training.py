@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dialogrank import nn
+from dialogrank import nn, training
 from dialogrank.checkpoint import (CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint)
 from dialogrank.encoders import ModelDims
 from dialogrank.metrics import evaluate_examples
@@ -242,6 +242,85 @@ def test_default_load_keeps_no_adam_state_and_refuses_to_save(tmp_path, toy_data
                                          r".*adam_state=True"):
         save_checkpoint(loaded, again)
     assert not again.exists()
+
+
+def every_value_and_buffer(model):
+    return ([(name, p.value) for name, p in model.parameters().items()]
+            + list(model.buffers().items()))
+
+
+def test_default_load_is_frozen(tmp_path, toy_data):
+    # a default load is read-only, value and buffer alike, and its text paths share
+    # one memo; a fresh model and an adam_state=True load stay writable, memo-free
+    ds, _ = toy_data
+    model = DialogScorer(toy_dims(), ds.vocab, variant="qih", mlp_depth=2, init_seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    frozen, _ = load_checkpoint(path)
+    for name, arr in every_value_and_buffer(frozen):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 0.0
+    assert len({id(path.memo) for path in frozen.paths.values()}) == 1
+    assert frozen.paths["query"].memo is not None
+    for writable in (model, load_checkpoint(path, adam_state=True)[0]):
+        for name, arr in every_value_and_buffer(writable):
+            arr.flat[0] = arr.flat[0]
+        assert all(path.memo is None for path in writable.paths.values())
+
+
+def test_train_mode_leaves_every_memo_untouched(tmp_path, toy_data):
+    # train mode neither reads nor fills a memo: a frozen model's text paths all
+    # run train-mode encodes, then its first batch norm refuses the read-only
+    # running statistics; writable models have no memo to touch
+    ds, features = toy_data
+    model = DialogScorer(toy_dims(), ds.vocab, variant="qih", mlp_depth=1, init_seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    frozen, _ = load_checkpoint(path)
+    examples = examples_from_dataset(ds, features, "visdial", "qih", frozen.dims)
+    evaluate_examples(frozen, examples[:3])
+    memo = frozen.paths["option"].memo
+    before = [(key, id(row)) for key, row in memo.rows.items()]
+    nbytes = memo.nbytes
+    assert before
+    with pytest.raises(ValueError, match="read-only"):
+        frozen.batch_loss(examples[2:6])
+    assert [(key, id(row)) for key, row in memo.rows.items()] == before
+    assert memo.nbytes == nbytes
+    for writable in (model, load_checkpoint(path, adam_state=True)[0]):
+        writable.batch_loss(examples[2:6])
+        assert all(path.memo is None for path in writable.paths.values())
+
+
+def test_validation_pass_runs_frozen_and_changes_no_byte(tmp_path, toy_data, monkeypatch):
+    # each epoch's validation pass sees a frozen model with a fresh memo; Adam and
+    # the best-state snapshot see it writable again, and the run writes the same
+    # checkpoint and logs as one whose validation pass encodes without a memo
+    ds, features = toy_data
+    seen = []
+
+    def spy(model, examples):
+        memo = model.paths["option"].memo
+        seen.append((memo is not None and not memo.rows,
+                     not model.mlp.layers[0].weight.value.flags.writeable))
+        return evaluate_examples(model, examples)
+
+    monkeypatch.setattr(training, "evaluate_examples", spy)
+    cfg = quick_cfg(max_epochs=3)
+    model, logs = train(ds, ds, features, cfg)
+    assert seen == [(True, True)] * 3
+    assert all(path.memo is None for path in model.paths.values())
+    assert all(arr.flags.writeable for _, arr in every_value_and_buffer(model))
+    save_checkpoint(model, tmp_path / "memo.ckpt")
+
+    monkeypatch.setattr(DialogScorer, "freeze", lambda self: None)
+    monkeypatch.setattr(DialogScorer, "thaw", lambda self: None)
+    memo_free, memo_free_logs = train(ds, ds, features, cfg)
+    save_checkpoint(memo_free, tmp_path / "plain.ckpt")
+    assert [e.format_line() for e in logs] == [e.format_line() for e in memo_free_logs]
+    assert (tmp_path / "memo.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
 
 
 def test_checkpoint_preserves_evaluation(tmp_path, toy_data):

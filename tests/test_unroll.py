@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from dialogrank.checkpoint import load_checkpoint, save_checkpoint
 from dialogrank.encoders import ModelDims
 from dialogrank.model import DialogScorer
 from dialogrank import unroll as unroll_module
@@ -246,6 +249,30 @@ def test_unroll_ten_rounds_with_small_history_windows(setup):
     assert verify_transcript(transcript) == []
 
 
+def test_unroll_from_warm_memo_matches_fresh_loads(setup, tmp_path):
+    # models whose memos were warmed by other dialogs write the same transcript
+    # bytes as fresh default loads and as memo-free adam_state=True loads
+    dataset, features, q_model, a_model = setup
+    paths = [tmp_path / "q.ckpt", tmp_path / "a.ckpt"]
+    for model, path in zip((q_model, a_model), paths):
+        save_checkpoint(model, path)
+
+    def loads(**kwargs):
+        return [load_checkpoint(path, **kwargs)[0] for path in paths]
+
+    spec = PoolSpec(n_neighbor_images=4, pool_size=25, top_m=5, seed=9)
+    warm = loads()
+    for record in dataset.records[1:6]:
+        unroll(DialogState(record.image_id, record.caption, []), 4, *warm, dataset,
+               features, spec)
+    assert warm[0].paths["option"].memo.rows and warm[1].paths["option"].memo.rows
+    record = dataset.records[0]
+    state = DialogState(record.image_id, record.caption, [])
+    want = unroll(state, 6, *loads(adam_state=True), dataset, features, spec).to_bytes()
+    for models in (warm, loads()):
+        assert unroll(state, 6, *models, dataset, features, spec).to_bytes() == want
+
+
 def test_verify_transcript_catches_tampering(setup):
     dataset, features, q_model, a_model = setup
     record = dataset.records[0]
@@ -257,24 +284,35 @@ def test_verify_transcript_catches_tampering(setup):
 
 
 def test_pool_strings_encoded_once_per_model(setup, monkeypatch):
-    # each pool string is tokenized once per model and reused in later rounds;
-    # the transcript is the same bytes as with every pool encoded afresh
+    # each pool, history and caption string is tokenized once per model and
+    # length cap and reused in later rounds; the transcript is the same bytes
+    # as with every string encoded afresh
     dataset, features, _, _ = setup
     q_model, a_model = toy_models(dataset.vocab, rounds_q=3, rounds_a=5)
     record = dataset.records[3]
     state = DialogState(record.image_id, record.caption, [])
     spec = PoolSpec(n_neighbor_images=4, pool_size=25, top_m=5, seed=21)
+    calls = Counter()
+    tokenize = unroll_module.tokenize
+
+    def counted(s):
+        calls[s] += 1
+        return tokenize(s)
+
+    monkeypatch.setattr(unroll_module, "tokenize", counted)
     memoised = unroll(state, 6, q_model, a_model, dataset, features, spec)
+    assert calls == Counter(s for model in (q_model, a_model) for s, _ in model._token_ids)
+    assert calls[record.caption] == 2  # once per model, not once per round
     for model, kind in ((q_model, "question_pool"), (a_model, "answer_pool")):
         pooled = {s for rnd in memoised.rounds for s in getattr(rnd, kind)}
-        assert set(model._option_ids) == pooled
+        assert pooled <= {s for s, _ in model._token_ids}
 
-    option_ids = unroll_module._option_ids
+    token_ids = unroll_module._token_ids
 
-    def afresh(model, pool):
-        model._option_ids.clear()
-        return option_ids(model, pool)
+    def afresh(model, s, cap):
+        model._token_ids.clear()
+        return token_ids(model, s, cap)
 
-    monkeypatch.setattr(unroll_module, "_option_ids", afresh)
+    monkeypatch.setattr(unroll_module, "_token_ids", afresh)
     fresh = unroll(state, 6, q_model, a_model, dataset, features, spec)
     assert fresh.to_bytes() == memoised.to_bytes()
