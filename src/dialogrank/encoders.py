@@ -12,12 +12,14 @@ That is what lets a frozen model (``DialogScorer.freeze``, which every default
 ``checkpoint.load_checkpoint`` applies) remember its eval encodings: its text
 paths share one ``EncodingMemo``, and a path encodes only the distinct sequences
 it has not seen, so a remembered row is bitwise the one a fresh encode gives.
-The memo keeps at most ``nn.MEMO_BYTES`` of encodings, dropping the oldest
-first. Train mode never reads or fills it.
+The memo holds at most ``nn.MEMO_BYTES``, counting each row with its array
+header, each key with its token tuple, and the table, and drops the oldest
+entries first. Train mode never reads or fills it.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, asdict
 
@@ -80,21 +82,28 @@ class ModelDims:
 
 class EncodingMemo:
     """Eval encodings of a frozen model's text paths: (path, token tuple) -> a
-    read-only row. Rows go oldest first once they hold more than ``nn.MEMO_BYTES``
-    in all. Filling it is not locked, so one thread at a time scores the model."""
+    read-only row. ``nbytes`` sums each entry's ``charge``; with the table's own
+    ``sys.getsizeof`` it may not pass ``nn.MEMO_BYTES``, so entries go oldest
+    first. Filling it is not locked, so one thread at a time scores the model."""
 
     def __init__(self):
         self.rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self.nbytes = 0
+
+    @staticmethod
+    def charge(key: tuple, row: np.ndarray) -> int:
+        """Bytes an entry counts against the cap: the ``sys.getsizeof`` of its
+        row (header and data), of its (path, tokens) key and of the tokens."""
+        return sys.getsizeof(row) + sys.getsizeof(key) + sys.getsizeof(key[1])
 
     def add(self, key: tuple, row: np.ndarray) -> np.ndarray:
         """Keep a read-only copy of ``row`` under ``key`` and return it."""
         row = row.copy()
         row.flags.writeable = False
         self.rows[key] = row
-        self.nbytes += row.nbytes
-        while self.nbytes > nn.MEMO_BYTES:
-            self.nbytes -= self.rows.popitem(last=False)[1].nbytes
+        self.nbytes += self.charge(key, row)
+        while self.rows and self.nbytes + sys.getsizeof(self.rows) > nn.MEMO_BYTES:
+            self.nbytes -= self.charge(*self.rows.popitem(last=False))
         return row
 
 

@@ -108,7 +108,7 @@ class AdamConfig:
 
 BLOCK = 1 << 15  # elements per block of the blocked kernels: 256 KB of float64
 ROWS = 100  # rows per eval block of candidate or history rows (``project``): one per round
-MEMO_BYTES = 64 << 20  # bytes of eval encodings a frozen model keeps (encoders.EncodingMemo)
+MEMO_BYTES = 64 << 20  # bytes a frozen model's encoders.EncodingMemo may charge its entries
 
 
 def require_adam_state(params) -> None:

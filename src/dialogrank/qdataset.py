@@ -30,6 +30,13 @@ and the parallel arrays ``image_ids``, ``round_nos`` (1-based) and
 dialog's last round) say which round a row is. A candidate set is a function
 of one row: the row is the neighbour-search query, and its image, round and
 follow-up are the ones the set is built for.
+
+The neighbour search runs a block of queries at a time: ``short_list`` takes
+the squared distances of Q queries to all N rows in one product, ``K @ Q.T``,
+with Q = max(1, SEARCH_BYTES // (8 N)) so that the [N, Q] float64 block stays
+within ``SEARCH_BYTES``, and each query's short list is then re-ranked exactly.
+``build_qdataset_payload`` searches the rows that have a follow-up one block at
+a time, so the key matrix is read once per block, not once per set.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ N_PLAUSIBLE = 50
 N_POPULAR = 30
 POOL_SIZE = 100
 FIRST_WORDS = 3
+SEARCH_BYTES = 8 << 20  # bytes of one search block's [N, Q] squared distances
 
 PUNCT_TOKENS = frozenset({"?", ",", ".", "!", "'"})
 
@@ -150,16 +158,23 @@ _UNDERFLOW = 2.0 ** -1000
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def short_list(matrix: np.ndarray, sq_norms: np.ndarray, max_norm: float,
-               query: np.ndarray, k: int, skip: np.ndarray) -> np.ndarray:
-    """Rows of ``matrix`` outside the boolean mask ``skip`` that can be among
-    the k nearest to ``query`` under any exact re-rank of ``|m - q|``; all of
-    them when k does not cut. ``sq_norms`` holds each row's ``|m|**2`` and
-    ``max_norm`` the largest ``|m|``.
+def search_height(n_rows: int) -> int:
+    """Queries per search block against ``n_rows`` rows: as many as keep the
+    [n_rows, Q] float64 distance block within ``SEARCH_BYTES``, at least one."""
+    return max(1, SEARCH_BYTES // (8 * n_rows))
 
-    The prefilter takes squared distances ``|m|**2 - 2 M @ q + |q|**2`` for
-    every row, one matrix-vector product with no copy of M, and keeps the
-    rows within 2 err of the k-th smallest one, where
+
+def short_list(matrix: np.ndarray, sq_norms: np.ndarray, max_norm: float,
+               queries: np.ndarray, k: int, skip: np.ndarray) -> list[np.ndarray]:
+    """For each query row ``queries[j]``, the rows of ``matrix`` outside column
+    ``skip[:, j]`` of the boolean mask ``skip`` [N, Q] that can be among the k
+    nearest to it under any exact re-rank of ``|m - q|``; all of them when k
+    does not cut, none when k = 0 (then nothing is read). ``sq_norms`` holds
+    each row's ``|m|**2`` and ``max_norm`` the largest ``|m|``.
+
+    The prefilter takes squared distances ``|m|**2 - 2 m . q + |q|**2`` for
+    every row and query, one product ``M @ Q.T`` with no copy of M, and keeps
+    each column's rows within 2 err of its own k-th smallest value, where
     err = 8 D eps (max|m| + |q|)**2 + D * 2**-1000 for row dimension D.
 
     Each of |m|**2, m . q and |q|**2 is a sum of D products, so in any
@@ -171,38 +186,60 @@ def short_list(matrix: np.ndarray, sq_norms: np.ndarray, max_norm: float,
     squared distance is then at most the k-th prefilter value plus delta, so
     every answer row has a prefilter value within 2 delta of the k-th one;
     err leaves room for the rounding of the square root, and the second term
-    for products that underflow. Re-ranking the short list therefore gives
-    the same list as re-ranking every row outside ``skip``."""
-    n_left = len(skip) - int(np.count_nonzero(skip))
-    if not 0 < k < n_left:
-        return np.flatnonzero(~skip)
-    approx = sq_norms - 2.0 * (matrix @ query)
-    approx += float(query @ query)
+    for products that underflow. Re-ranking a column's short list therefore
+    gives the same list as re-ranking every row outside its mask, whatever
+    queries share the block."""
+    if k == 0:
+        return [np.empty(0, dtype=np.intp) for _ in queries]
+    cuts = len(skip) - np.count_nonzero(skip, axis=0) > k
+    if not cuts.any():
+        return [np.flatnonzero(~column) for column in skip.T]
+    approx = matrix @ queries.T
+    approx *= -2.0
+    approx += sq_norms[:, None]
+    q_sq = np.einsum("ij,ij->i", queries, queries)
+    approx += q_sq
     approx[skip] = np.inf
-    kth = np.partition(approx, k - 1)[k - 1]
     dim = matrix.shape[1]
-    q_norm = float(np.linalg.norm(query))
-    err = 8.0 * dim * _EPS * (max_norm + q_norm) ** 2 + dim * _UNDERFLOW
-    return np.flatnonzero(approx <= kth + 2.0 * err)
+    err = 8.0 * dim * _EPS * (max_norm + np.sqrt(q_sq)) ** 2 + dim * _UNDERFLOW
+    out = []
+    for j, cut in enumerate(cuts):
+        column = approx[:, j]
+        if cut:
+            kth = np.partition(column, k - 1)[k - 1]
+            out.append(np.flatnonzero(column <= kth + 2.0 * err[j]))
+        else:
+            out.append(np.flatnonzero(~skip[:, j]))
+    return out
 
 
-def find_plausible(query_key: np.ndarray, query_image_id: int, corpus: CorpusKeys,
-                   k: int = N_PLAUSIBLE) -> list[int]:
-    """Corpus rows of the k nearest usable QA pairs, nearest first: not from
-    the query's image, not a dialog's last round. Distance ties break by
+def find_plausible(queries: np.ndarray, query_image_ids, corpus: CorpusKeys,
+                   k: int = N_PLAUSIBLE) -> list[list[int]]:
+    """For each query key ``queries[j]`` of an image ``query_image_ids[j]``, the
+    corpus rows of the k nearest usable QA pairs, nearest first: not from the
+    query's image, not a dialog's last round. Distance ties break by
     (image_id, round).
 
     The distance is ``np.linalg.norm(K[rows] - q, axis=1)`` over the key
-    matrix K. ``short_list`` prefilters the usable rows; the short list is
-    re-ranked with the distance formula and the (dist, image_id, round)
-    tie-break, which gives the same list as a copy-then-norm scan of every
-    usable row."""
-    skip = (corpus.followups < 0) | (corpus.image_ids == query_image_id)
-    short = short_list(corpus.matrix, corpus.sq_norms, corpus.max_norm,
-                       query_key, k, skip)
-    dists = np.linalg.norm(corpus.matrix[short] - query_key, axis=1)
-    order = np.lexsort((corpus.round_nos[short], corpus.image_ids[short], dists))
-    return short[order[:k]].tolist()
+    matrix K. ``short_list`` prefilters the usable rows for ``search_height``
+    queries at a time; each query's short list is re-ranked with the distance
+    formula and the (dist, image_id, round) tie-break, which gives the same
+    list as a copy-then-norm scan of every usable row."""
+    image_ids = np.asarray(query_image_ids)
+    last_rounds = (corpus.followups < 0)[:, None]
+    height = search_height(len(corpus))
+    out = []
+    for start in range(0, len(queries), height):
+        block = queries[start:start + height]
+        skip = corpus.image_ids[:, None] == image_ids[start:start + height]
+        skip |= last_rounds
+        shorts = short_list(corpus.matrix, corpus.sq_norms, corpus.max_norm, block, k, skip)
+        del skip
+        for query, short in zip(block, shorts):
+            dists = np.linalg.norm(corpus.matrix[short] - query, axis=1)
+            order = np.lexsort((corpus.round_nos[short], corpus.image_ids[short], dists))
+            out.append(short[order[:k]].tolist())
+    return out
 
 
 def compute_popular(dataset: DialogDataset, m: int = N_POPULAR) -> list[int]:
@@ -242,10 +279,11 @@ def _check_pool_size(dataset: DialogDataset, pool_size: int) -> None:
 
 
 def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
-                        popular: list[int], seed: int, n_plausible: int = N_PLAUSIBLE,
+                        plausible: list[int], popular: list[int], seed: int,
                         pool_size: int = POOL_SIZE) -> CandidateSet:
-    """Candidate follow-up questions for the QA pair in corpus row ``row``,
-    which is also the neighbour-search query."""
+    """Candidate follow-up questions for the QA pair in corpus row ``row``;
+    ``plausible`` holds that row's neighbour rows, nearest first, as
+    ``find_plausible`` gives them for the row's own key and image."""
     image_id = int(corpus.image_ids[row])
     round_no = int(corpus.round_nos[row])
     followup = int(corpus.followups[row])
@@ -263,7 +301,7 @@ def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
             chosen.append((pool_idx, label))
 
     push(followup, "correct")
-    for neighbor in find_plausible(corpus.matrix[row], image_id, corpus, k=n_plausible):
+    for neighbor in plausible:
         push(int(corpus.followups[neighbor]), "plausible")
     for pool_idx in popular:
         push(pool_idx, "popular")
@@ -282,6 +320,16 @@ def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
     )
 
 
+def _plausible_by_row(corpus: CorpusKeys, k: int):
+    """``find_plausible`` of every row with a follow-up, in row order, one
+    search block at a time, so only a block of query keys is copied."""
+    rows = np.flatnonzero(corpus.followups >= 0)
+    height = search_height(len(corpus))
+    for start in range(0, len(rows), height):
+        block = rows[start:start + height]
+        yield from find_plausible(corpus.matrix[block], corpus.image_ids[block], corpus, k)
+
+
 def build_qdataset_payload(dataset: DialogDataset, glove: GloveTable, seed: int,
                            n_plausible: int = N_PLAUSIBLE, n_popular: int = N_POPULAR,
                            pool_size: int = POOL_SIZE) -> dict:
@@ -294,6 +342,7 @@ def build_qdataset_payload(dataset: DialogDataset, glove: GloveTable, seed: int,
     _check_pool_size(dataset, pool_size)
     corpus = CorpusKeys(dataset, glove)
     popular = compute_popular(dataset, m=n_popular)
+    plausible = _plausible_by_row(corpus, n_plausible)
     dialogs = []
     row = 0  # CorpusKeys holds the rounds in this order
     for record in dataset.records:
@@ -306,9 +355,8 @@ def build_qdataset_payload(dataset: DialogDataset, glove: GloveTable, seed: int,
                 "gt_index": rnd.gt_index,
             }
             if corpus.followups[row] >= 0:
-                cand = build_candidate_set(
-                    dataset, corpus, row, popular, seed,
-                    n_plausible=n_plausible, pool_size=pool_size)
+                cand = build_candidate_set(dataset, corpus, row, next(plausible),
+                                           popular, seed, pool_size=pool_size)
                 out["question_options"] = cand.question_indices
                 out["question_gt_index"] = cand.gt_index
                 out["question_provenance"] = cand.provenance

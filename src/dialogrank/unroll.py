@@ -15,12 +15,12 @@ The corpus is indexed once. The feature store is one [N, d] matrix, and the
 neighbour list of an image is memoised on it, since it depends only on the
 image. The dataset builds ``by_image`` and its sorted distinct pools on first
 use. ``nearest_images`` shares the product-form prefilter of the
-follow-up-question builder (``qdataset.short_list``: one matrix-vector
-product and a derived margin) and re-ranks its short list with the
-per-vector norm and the id tie-break, so transcripts are the same bytes as
-with a per-vector scan of every image. Pool, history and caption strings recur
-round after round, so each is tokenized once per model and length cap
-(``_token_ids``).
+follow-up-question builder (``qdataset.short_list`` for a block of one
+query: one matrix-vector product and a derived margin) and re-ranks its
+short list with the per-vector norm and the id tie-break, so transcripts are
+the same bytes as with a per-vector scan of every image. Pool, history and
+caption strings recur round after round, so each is tokenized once per model
+and length cap (``_token_ids``).
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def nearest_images(features: ImageFeatureStore, image_id: int, n: int) -> list[i
     """The n closest other images by l2 distance; ties break by id.
 
     The distance is the per-vector ``np.linalg.norm(v - q)``. The shared
-    ``qdataset.short_list`` prefilter, skipping only the query's own row,
-    keeps the rows that can be among the n nearest; re-ranking them with the
-    per-vector formula and the id tie-break gives the same list as a
-    per-vector scan of every image.
+    ``qdataset.short_list`` prefilter, run for this one query and skipping
+    only its own row, keeps the rows that can be among the n nearest;
+    re-ranking them with the per-vector formula and the id tie-break gives
+    the same list as a per-vector scan of every image.
 
     Results are memoised per (image_id, n) on the immutable store; each call
     returns a fresh list."""
@@ -115,9 +115,9 @@ def nearest_images(features: ImageFeatureStore, image_id: int, n: int) -> list[i
         row = features.row_of(image_id)
         matrix = features.matrix
         query = matrix[row]
-        skip = np.zeros(len(matrix), dtype=bool)
+        skip = np.zeros((len(matrix), 1), dtype=bool)
         skip[row] = True
-        short = short_list(matrix, features.sq_norms, features.max_norm, query, n, skip)
+        short, = short_list(matrix, features.sq_norms, features.max_norm, query[None], n, skip)
         dists = np.array([np.linalg.norm(matrix[i] - query) for i in short])
         ids = features.id_array[short]
         memo[key] = tuple(int(ids[i]) for i in np.lexsort((ids, dists))[:n])

@@ -18,7 +18,7 @@ from dialogrank.metrics import compute_metrics, evaluate_examples, rank_of_gt
 from dialogrank.model import (DialogScorer, examples_from_dataset,
                               full_model_gradcheck, reduced_check_dims)
 from dialogrank.qdataset import (CorpusKeys, build_candidate_set,
-                                 build_qdataset_payload, compute_popular)
+                                 build_qdataset_payload, compute_popular, find_plausible)
 from dialogrank.scorer import FusionMlp
 from dialogrank.text import GloveTable, dataset_from_payload, dataset_json_bytes
 from dialogrank.training import TrainConfig, train
@@ -172,10 +172,12 @@ def test_criterion_5_builder_oracle():
     seed = 17
 
     rounds_checked = 0
-    for row in np.flatnonzero(keys.followups >= 0):
+    rows = np.flatnonzero(keys.followups >= 0)
+    plausible = find_plausible(keys.matrix[rows], keys.image_ids[rows], keys)
+    for row, neighbours in zip(rows, plausible, strict=True):
         record = dataset.by_image[int(keys.image_ids[row])]
         t = int(keys.round_nos[row])
-        got = build_candidate_set(dataset, keys, row, popular, seed)
+        got = build_candidate_set(dataset, keys, row, neighbours, popular, seed)
         want, want_gt = oracle_candidate_set(payload, record.image_id, t,
                                              glove_dict, seed)
         strings = got.strings(dataset)
@@ -187,11 +189,11 @@ def test_criterion_5_builder_oracle():
 
     # plausible exclusions, checked against the neighbor rows themselves
     probe = dataset.records[2]
-    from dialogrank.qdataset import find_plausible, qa_pair_key
+    from dialogrank.qdataset import qa_pair_key
     q_round = probe.rounds[0]
     key = qa_pair_key(dataset.questions[q_round.question],
                       dataset.answers[q_round.answer], glove)
-    hits = find_plausible(key, probe.image_id, keys)
+    hits, = find_plausible(key[None], [probe.image_id], keys)
     exclusions_ok = all(keys.image_ids[h] != probe.image_id and keys.round_nos[h] < 10
                         for h in hits)
 

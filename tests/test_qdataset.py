@@ -103,6 +103,11 @@ def row_of(keys, image_id, round_no):
     return int(np.flatnonzero((keys.image_ids == image_id) & (keys.round_nos == round_no))[0])
 
 
+def plausible_of(keys, row, k=qd.N_PLAUSIBLE):
+    """The neighbour rows of one corpus row, searched as a block of one."""
+    return qd.find_plausible(keys.matrix[[row]], keys.image_ids[[row]], keys, k)[0]
+
+
 def test_corpus_rows_hold_each_round_key_and_followup(corpus):
     _, dataset, glove = corpus
     keys = qd.CorpusKeys(dataset, glove)
@@ -136,7 +141,7 @@ def test_plausible_identical_key_ranks_first(corpus):
     _, dataset, glove = corpus
     keys = qd.CorpusKeys(dataset, glove)
     probe = next(r for r in range(len(keys)) if keys.round_nos[r] < 10)
-    hits = qd.find_plausible(keys.matrix[probe], query_image_id=-1, corpus=keys, k=5)
+    hits, = qd.find_plausible(keys.matrix[[probe]], query_image_ids=[-1], corpus=keys, k=5)
     assert (keys.image_ids[hits[0]] == keys.image_ids[probe]
             and keys.round_nos[hits[0]] == keys.round_nos[probe])
 
@@ -145,7 +150,7 @@ def test_plausible_excludes_own_image_and_last_round(corpus):
     _, dataset, glove = corpus
     keys = qd.CorpusKeys(dataset, glove)
     probe_image = keys.image_ids[0]
-    hits = qd.find_plausible(keys.matrix[0], probe_image, keys, k=len(keys))
+    hits, = qd.find_plausible(keys.matrix[:1], [probe_image], keys, k=len(keys))
     assert all(keys.image_ids[h] != probe_image for h in hits)
     assert all(keys.round_nos[h] < 10 for h in hits)
     assert all(keys.followups[h] >= 0 for h in hits)
@@ -156,16 +161,16 @@ def test_plausible_everything_excluded():
     dataset = load_payload(payload)
     glove = GloveTable({w: np.asarray(v) for w, v in toy_glove(payload).items()})
     keys = qd.CorpusKeys(dataset, glove)
-    assert qd.find_plausible(keys.matrix[0], keys.image_ids[0], keys) == []
+    assert qd.find_plausible(keys.matrix[:1], keys.image_ids[:1], keys) == [[]]
 
 
 def test_plausible_matches_exhaustive_scan(corpus):
     _, dataset, glove = corpus
     keys = qd.CorpusKeys(dataset, glove)
     assert len(keys) >= 200
-    for probe in range(12):
+    for probe, got in enumerate(qd.find_plausible(keys.matrix[:12], keys.image_ids[:12],
+                                                  keys, k=50)):
         query = keys.matrix[probe]
-        got = qd.find_plausible(query, keys.image_ids[probe], keys, k=50)
         scan = []
         for r in range(len(keys)):
             if keys.image_ids[r] == keys.image_ids[probe] or keys.round_nos[r] == 10:
@@ -216,7 +221,8 @@ def test_candidate_sets_match_oracle_everywhere(corpus, seed):
     for record in dataset.records:
         for t in range(1, 10):
             row = row_of(keys, record.image_id, t)
-            got = qd.build_candidate_set(dataset, keys, row, popular, seed)
+            got = qd.build_candidate_set(dataset, keys, row, plausible_of(keys, row),
+                                         popular, seed)
             want, want_gt = oracle_candidate_set(
                 payload, record.image_id, t, glove_dict, seed)
             got_pairs = list(zip(got.strings(dataset), got.provenance))
@@ -229,8 +235,8 @@ def test_candidate_set_invariants(corpus):
     keys = qd.CorpusKeys(dataset, glove)
     popular = qd.compute_popular(dataset)
     record = dataset.records[4]
-    cand = qd.build_candidate_set(dataset, keys, row_of(keys, record.image_id, 3),
-                                  popular, seed=5)
+    row = row_of(keys, record.image_id, 3)
+    cand = qd.build_candidate_set(dataset, keys, row, plausible_of(keys, row), popular, seed=5)
     strings = cand.strings(dataset)
     assert len(strings) == 100
     assert len(set(strings)) == 100
@@ -247,7 +253,7 @@ def test_candidate_set_round_10_rejected(corpus):
     popular = qd.compute_popular(dataset)
     image_id = dataset.records[0].image_id
     with pytest.raises(ValueError, match=f"image {image_id} round 10 has no follow-up"):
-        qd.build_candidate_set(dataset, keys, row_of(keys, image_id, 10), popular, 0)
+        qd.build_candidate_set(dataset, keys, row_of(keys, image_id, 10), [], popular, 0)
 
 
 def test_candidate_set_needs_enough_questions(monkeypatch):
@@ -268,7 +274,7 @@ def test_candidate_set_needs_enough_questions(monkeypatch):
     keys = qd.CorpusKeys(dataset, glove)
     popular = qd.compute_popular(dataset)
     with pytest.raises(ValueError, match="distinct questions"):
-        qd.build_candidate_set(dataset, keys, 0, popular, 0)
+        qd.build_candidate_set(dataset, keys, 0, [], popular, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +316,38 @@ def test_qdataset_output_loads_as_followup_dataset(corpus):
     rnd = loaded.records[0].rounds[0]
     assert len(rnd.question_options) == 100
     assert rnd.question_provenance.count("correct") == 1
+
+
+@pytest.mark.parametrize("height", [1, 7])
+def test_qdataset_bytes_same_at_every_block_height(corpus, monkeypatch, height):
+    # 270 sets against 300 keys: one block by default, else 270 or 39 blocks
+    _, dataset, glove = corpus
+    assert qd.search_height(10 * len(dataset)) >= 9 * len(dataset)
+    want = dataset_json_bytes(qd.build_qdataset_payload(dataset, glove, seed=9))
+    monkeypatch.setattr(qd, "SEARCH_BYTES", 8 * 10 * len(dataset) * height)
+    assert dataset_json_bytes(qd.build_qdataset_payload(dataset, glove, seed=9)) == want
+
+
+def test_short_list_reads_nothing_for_k_zero():
+    skip = np.zeros((5, 3), dtype=bool)
+    got = qd.short_list(None, None, 0.0, np.ones((3, 4)), 0, skip)  # no matrix to read
+    assert [list(short) for short in got] == [[], [], []]
+
+
+def test_qdataset_without_plausible_candidates(corpus):
+    # --plausible 0: every set is the oracle's with no neighbours, so it has
+    # the bytes of a build that searched and kept none
+    payload, dataset, glove = corpus
+    glove_dict = toy_glove(payload, dim=5)
+    built = qd.build_qdataset_payload(dataset, glove, seed=3, n_plausible=0)
+    sets = 0
+    for record, dialog in zip(dataset.records, built["dialogs"], strict=True):
+        for t, rnd in enumerate(dialog["rounds"][:9], start=1):
+            assert "plausible" not in rnd["question_provenance"]
+            want, want_gt = oracle_candidate_set(payload, record.image_id, t, glove_dict, 3,
+                                                 n_plausible=0)
+            got = [(dataset.questions[i], label) for i, label in
+                   zip(rnd["question_options"], rnd["question_provenance"])]
+            assert (got, rnd["question_gt_index"]) == (want, want_gt)
+            sets += 1
+    assert sets == 9 * len(dataset)

@@ -1,5 +1,7 @@
 import dataclasses
+import sys
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -351,8 +353,9 @@ def test_warm_memo_scores_bitwise_as_memo_free_load(tmp_path, monkeypatch, cap_r
     # shared and new text the bits a memo-free load computes afresh, also when
     # the cap keeps only a few rows and evicts the rest
     frozen, reference = frozen_and_memo_free(tmp_path)
-    if cap_rows is not None:
-        monkeypatch.setattr(nn, "MEMO_BYTES", cap_rows * frozen.dims.option_hidden * 8)
+    if cap_rows is not None:  # room for the largest entries (16-wide, <= 7 tokens) and a table
+        monkeypatch.setattr(nn, "MEMO_BYTES", cap_rows * entry_charge(16, 7) + sys.getsizeof(
+            OrderedDict.fromkeys(range(2 * cap_rows))))
     rounds = sharing_rounds(frozen, 12, seed=3)
     want = [reference.score_example(ex).scores for ex in rounds]
     memo = frozen.paths["option"].memo
@@ -364,7 +367,8 @@ def test_warm_memo_scores_bitwise_as_memo_free_load(tmp_path, monkeypatch, cap_r
         scores, _ = frozen.batch_forward([rounds[i] for i in order], train=False)
         for i, got in zip(order, scores, strict=True):
             assert np.array_equal(got, want[i])
-        assert memo.nbytes == sum(row.nbytes for row in memo.rows.values()) <= nn.MEMO_BYTES
+        assert memo.nbytes == sum(EncodingMemo.charge(*entry) for entry in memo.rows.items())
+        assert memo.nbytes + sys.getsizeof(memo.rows) <= nn.MEMO_BYTES
     if cap_rows is None:  # every distinct text of every path, each once
         texts = {("option", tuple(ids)) for ex in rounds for ids in ex.option_ids}
         texts |= {("query", tuple(ex.question_ids)) for ex in rounds}
@@ -373,8 +377,8 @@ def test_warm_memo_scores_bitwise_as_memo_free_load(tmp_path, monkeypatch, cap_r
             frozen.empty_pair()] for side, ids in zip(("history_q", "history_a"), pair)}
         names = {id(path): name for name, path in frozen.paths.items()}
         assert sorted((names[id(path)], key) for path, key in memo.rows) == sorted(texts)
-    else:  # the smallest rows, caption and history, are half an option row
-        assert 0 < len(memo.rows) <= 2 * cap_rows
+    else:  # the smallest entries are 8-wide caption or history rows of one token
+        assert 0 < len(memo.rows) <= nn.MEMO_BYTES // entry_charge(8, 1)
 
 
 def test_memo_rows_are_read_only_copies(tmp_path):
@@ -390,11 +394,42 @@ def test_memo_rows_are_read_only_copies(tmp_path):
 
 
 def test_memo_drops_oldest_first(monkeypatch):
-    monkeypatch.setattr(nn, "MEMO_BYTES", 3 * 4 * 8)  # three rows of four values
+    entry = EncodingMemo.charge(("path", (0,)), np.zeros(1000))  # far more than the table
+    monkeypatch.setattr(nn, "MEMO_BYTES", 3 * entry + 1024)  # three rows and the table
     memo = EncodingMemo()
     for i in range(5):
-        memo.add(("path", (i,)), np.full(4, float(i)))
+        memo.add(("path", (i,)), np.full(1000, float(i)))
         assert list(memo.rows) == [("path", (j,)) for j in range(max(0, i - 2), i + 1)]
-    assert memo.nbytes == 3 * 4 * 8
-    memo.add(("path", (5,)), np.zeros(8))  # two rows' worth: the two oldest go
+    assert memo.nbytes == 3 * entry
+    memo.add(("path", (5,)), np.zeros(2000))  # two rows' worth: the two oldest go
     assert list(memo.rows) == [("path", (4,)), ("path", (5,))]
+
+
+def entry_charge(width, tokens):
+    """A memo entry's charge: a ``width``-wide row under a key of ``tokens`` tokens."""
+    return EncodingMemo.charge((None, (0,) * tokens), np.zeros(width))
+
+
+def test_memo_memory_stays_within_its_cap(monkeypatch):
+    # desk-dims entries past a 256 KiB cap: 16- and 8-wide rows under keys of 2
+    # to 7 tokens. What the memo holds, with every row's header, every key and
+    # the table, stays within 1.5 times the cap (counting the rows alone let
+    # it hold several times the cap at these widths)
+    cap = 256 << 10
+    monkeypatch.setattr(nn, "MEMO_BYTES", cap)
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(4000, 16))
+    texts = [[i, *rng.integers(3, 40, size=int(rng.integers(1, 7))).tolist()]
+             for i in range(4000)]
+    paths = (object(), object())  # stand-ins for an option and a caption path
+    memo = EncodingMemo()
+    tracemalloc.start()
+    try:
+        for i, (ids, row) in enumerate(zip(texts, rows)):
+            memo.add((paths[i % 2], tuple(ids)), row[: 16 - 8 * (i % 2)])
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(memo.rows) < 4000  # the cap was passed
+    assert memo.nbytes + sys.getsizeof(memo.rows) <= cap
+    assert held < 1.5 * cap, held

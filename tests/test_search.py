@@ -1,13 +1,16 @@
 """Exactness of the two corpus searches against their brute-force oracles.
 
 Both searches share one prefilter, ``qdataset.short_list``: product-form
-squared distances from one matrix-vector product, kept within a derived
-margin of the cut. ``nearest_images`` re-ranks the short list with the
-per-vector norm and ``find_plausible`` with a row-wise norm. Each case here
-compares the result with a straight-line scan by list equality: ties at the
-cut (duplicated vectors and keys), every interesting n or k, large corpora,
-keys whose common offset makes the product cancel, and near-ties that a
-prefilter orders differently from the exact formula across the cut.
+squared distances of a block of queries from one matrix product, each query
+keeping the rows within a derived margin of its own cut. ``nearest_images``
+runs it for one query and re-ranks the short list with the per-vector norm;
+``find_plausible`` runs ``search_height`` queries per block and re-ranks each
+with a row-wise norm. Each case here compares the result with a straight-line
+scan by list equality: ties at the cut (duplicated vectors and keys), every
+interesting n or k, large corpora, keys whose common offset makes the product
+cancel, and near-ties that a prefilter orders differently from the exact
+formula across the cut. ``find_plausible`` is checked with all queries in one
+block and in blocks of 1 and of 7.
 """
 
 import tracemalloc
@@ -15,7 +18,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dialogrank.qdataset import CorpusKeys, find_plausible
+from dialogrank import qdataset as qd
+from dialogrank.qdataset import CorpusKeys
 from dialogrank.text import ImageFeatureStore
 from dialogrank.unroll import nearest_images
 from oracles import oracle_find_plausible, oracle_nearest_images
@@ -44,13 +48,22 @@ def corpus_of(keys, rounds=10):
 
 
 def check_plausible(corpus, queries, cut=()):
-    for query_key, query_image in queries:
+    keys = np.stack([query_key for query_key, _ in queries])
+    images = [query_image for _, query_image in queries]
+    ks = set(cut)
+    for query_image in images:
         usable = int(np.count_nonzero((corpus.image_ids != query_image)
                                       & (corpus.round_nos < 10)))
-        for k in counts(usable, cut):
-            want = oracle_find_plausible(query_key, query_image, corpus, k)
-            got = find_plausible(query_key, query_image, corpus, k)
-            assert got == want, (query_image, k)
+        ks.update(counts(usable, ()))
+    assert qd.search_height(len(corpus)) >= len(queries)  # one block by default
+    for k in sorted(ks):
+        want = [oracle_find_plausible(key, image, corpus, k) for key, image in queries]
+        assert qd.find_plausible(keys, images, corpus, k) == want, k
+        for height in (1, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qd, "SEARCH_BYTES", 8 * len(corpus) * height)
+                assert qd.search_height(len(corpus)) == height
+                assert qd.find_plausible(keys, images, corpus, k) == want, (k, height)
 
 
 # ---------------------------------------------------------------------------
@@ -128,20 +141,43 @@ def test_nearest_uncached_peak_stays_below_one_store_copy():
 # ---------------------------------------------------------------------------
 
 
+def test_plausible_block_peak_stays_within_search_bytes(monkeypatch):
+    # 200 queries against 4000 keys do not fit one 1.6 MB block: they run as
+    # four blocks of 50, and only one block's distances and mask are live
+    rng = np.random.default_rng(10)
+    corpus = corpus_of(rng.normal(size=(4000, 64)))
+    monkeypatch.setattr(qd, "SEARCH_BYTES", 8 * 4000 * 50)
+    queries = rng.normal(size=(200, 64))
+    images = rng.integers(0, 400, size=200)
+    corpus.matrix[0] @ queries[0]  # no one-off BLAS set-up inside the trace
+    tracemalloc.start()
+    try:
+        got = qd.find_plausible(queries, images, corpus, 10)
+        lists, peak = tracemalloc.get_traced_memory()  # the lists are the result
+    finally:
+        tracemalloc.stop()
+    assert got[::40] == [oracle_find_plausible(queries[i], images[i], corpus, 10)
+                         for i in range(0, 200, 40)]
+    mask = 4000 * 50
+    columns = 4000 * 8 * 4  # a few one-query temporaries
+    assert peak - lists < qd.SEARCH_BYTES + mask + columns, (peak, lists)
+
+
 def test_plausible_duplicated_keys_break_ties_by_image_and_round():
     rng = np.random.default_rng(4)
     bases = rng.normal(size=(4, 15))
     keys = bases[rng.integers(0, 4, size=300)]
     corpus = corpus_of(keys)
     check_plausible(corpus, [(bases[0], 0), (bases[2], 17), (keys[45], 4),
-                             (bases[1] + 0.5, -1)])
+                             (bases[1] + 0.5, -1)]
+                    + [(keys[i], i // 10) for i in range(5, 300, 37)])
 
 
 def test_plausible_seeded_random_keys():
     rng = np.random.default_rng(8)
     keys = rng.normal(size=(3000, 20))
     corpus = corpus_of(keys)
-    check_plausible(corpus, [(keys[i], i // 10) for i in (0, 1234, 2999)]
+    check_plausible(corpus, [(keys[i], i // 10) for i in (0, 1234, 2999, *range(7, 3000, 300))]
                     + [(rng.normal(size=20), -1)])
 
 
@@ -153,7 +189,7 @@ def test_plausible_keys_with_large_common_offset(spread):
     offset *= 1e3 / np.linalg.norm(offset)
     keys = offset + spread * rng.normal(size=(1000, 15))
     corpus = corpus_of(keys)
-    check_plausible(corpus, [(keys[i], i // 10) for i in (3, 555)]
+    check_plausible(corpus, [(keys[i], i // 10) for i in (3, 555, *range(41, 1000, 120))]
                     + [(offset + spread * rng.normal(size=15), -1)], cut=(50,))
 
 
@@ -186,4 +222,6 @@ def test_plausible_near_tie_across_the_cut():
     corpus, q, exact_first = near_tie_corpus(15, range(2000))
     # the pair straddles the cut at k = 6: the product alone would keep the other key
     assert corpus.image_ids[oracle_find_plausible(q, -1, corpus, 6)[-1]] == exact_first
-    check_plausible(corpus, [(q, -1), (q, 0)], cut=(6,))
+    # the near-tie queries share their blocks with other queries
+    check_plausible(corpus, [(corpus.matrix[i], i // 10) for i in range(1, 30, 4)]
+                    + [(q, -1), (q, 0)], cut=(6,))

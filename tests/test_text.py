@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dialogrank import text
+from dialogrank import qdataset, text
 from dialogrank.encoders import ModelDims
 from dialogrank.model import examples_from_dataset
-from synth import feature_store, memorize_family
+from synth import feature_store, load_payload, memorize_family, toy_glove
 
 
 def test_tokenize_punctuation():
@@ -543,7 +544,23 @@ def corrupt(data: bytes, edits) -> bytes:
     return data
 
 
+@functools.cache
+def small_qdataset():
+    """A built follow-up-question dataset, so options and provenance get
+    fuzzed too: two dialogs with six-candidate sets, and its vocabulary."""
+    payload, _ = memorize_family(n_dialogs=2, k_options=4)
+    dataset = load_payload(payload)
+    glove = text.GloveTable({w: np.asarray(v) for w, v in toy_glove(payload).items()})
+    built = qdataset.build_qdataset_payload(dataset, glove, seed=0, n_plausible=2,
+                                            n_popular=2, pool_size=6)
+    return text.dataset_json_bytes(built), dataset.vocab
+
+
 def write_valid(fmt, path):
+    if fmt == "dataset":
+        blob, vocab = small_qdataset()
+        path.write_bytes(blob)
+        return lambda p: text.dataset_from_payload(text.read_dataset(p), vocab)
     if fmt == "features":
         text.write_features(path, {5: np.array([2.0, 0.5, 0.0]), 9: np.array([1.0, 1.0, 1.0])})
         return text.load_features
@@ -551,7 +568,7 @@ def write_valid(fmt, path):
     return text.load_glove
 
 
-@pytest.mark.parametrize("fmt", ["features", "glove"])
+@pytest.mark.parametrize("fmt", ["features", "glove", "dataset"])
 @settings(max_examples=200, deadline=None)
 @given(edits=st.lists(st.tuples(st.sampled_from(["truncate", "flip", "append"]),
                                 st.integers(0, 2**16), st.binary(min_size=1, max_size=12)),
