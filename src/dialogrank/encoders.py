@@ -4,9 +4,9 @@ path (``TextPath``) that turns token sequences into fixed-size embeddings.
 Each text path makes at most one packed LSTM call per forward, in train and eval
 alike (distinct options only). In eval the LSTM's products run on fixed row
 blocks (``nn.project``) of the path's height: one row for the query and caption
-paths, whose sequences are one per example, and ``nn.ROWS`` rows for the option
-and history paths, whose sequences come many per example. So an encoding is
-bitwise free of the sequences packed with it (model.py has the measurement).
+paths, whose sequences are one per example, and ``nn.SEQ_ROWS`` rows for the
+option and history paths, whose sequences come many per example. So an encoding
+is bitwise free of the sequences packed with it (model.py has the measurement).
 
 That is what lets a frozen model (``DialogScorer.freeze``, which every default
 ``checkpoint.load_checkpoint`` applies) remember its eval encodings: its text

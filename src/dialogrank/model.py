@@ -18,10 +18,14 @@ The block height follows what the rows are, never how many there are:
 - one row per product for rows that are one per example: the query and
   caption LSTMs and the ``mlp.h0`` context term (for ``score_example``, one
   unpadded product each);
-- ``nn.ROWS`` = 100 rows for rows that come many per example: the option and
-  history LSTMs, ``history.combine``, the ``mlp.h0`` option term, ``mlp.h1``
-  and ``mlp.out``, so a round's 100 candidates fill one block and each weight
-  is packed once per round (OpenBLAS packs the whole weight on every GEMM call).
+- ``nn.SEQ_ROWS`` = 32 rows for the LSTM products (input and hidden terms) of
+  sequences that come many per example: the option and history LSTMs. A
+  round's first-seen options and history pairs are a few dozen short texts,
+  so a 100-row block would be mostly padding at every step;
+- ``nn.ROWS`` = 100 rows for the other rows that come many per example:
+  ``history.combine``, the ``mlp.h0`` option term, ``mlp.h1`` and
+  ``mlp.out``, so a round's 100 candidates fill one block and each weight is
+  packed once per round (OpenBLAS packs the whole weight on every GEMM call).
 The row count matters: on OpenBLAS 0.3.31 (Haswell kernels, numpy 2.4.6,
 2 CPUs) the rows of ``X @ W.T`` change in their last bits with the row count M
 of ``X`` even for M >= 2 (``[M, 1600] @ [1600, 1]``, the MLP output layer, at
@@ -35,8 +39,14 @@ eval scores stay within 1.5e-15, relative to the largest, of one row per
 product and one sequence per LSTM call, and a round takes 0.113 s (2-CPU Xeon,
 one BLAS thread) against 0.229 s with every product on 16-row blocks. A height
 swept over 64, 100, 112 and 128 gave 8.7, 9.5, 8.6 and 8.4 rounds/s on the
-``eval-paper`` benchmark. A BLAS that broke the property would need a
-reproducible summation order (Demmel & Nguyen, ARITH 2013), not a looser test.
+``eval-paper`` benchmark. With ``nn.ROWS`` at 100, ``nn.SEQ_ROWS`` swept over
+16, 24, 32, 48, 64 and 100 gave median rounds of 74, 75, 70, 70, 83 and 97 ms
+(in-process, seed-1 ``eval-paper`` rounds with a fresh memo, three alternated
+passes): one ``[h, 512] @ [512, 2048]`` hidden-term block costs about 0.75 ms
+of weight packing plus 0.025 ms per row (1.45 ms at 32 rows, 3.28 ms at 100),
+and the bench round's first-seen options hold about 4 tokens each. A BLAS that
+broke the property would need a reproducible summation order (Demmel & Nguyen,
+ARITH 2013), not a looser test.
 
 A frozen model (``freeze``, as every default ``checkpoint.load_checkpoint``
 returns) has read-only values and running statistics, and its text paths
@@ -166,7 +176,7 @@ class DialogScorer:
             tables = [nn.Embedding(E, V, rng, name=f"embed.{n}") for n in names]
         lstms = [nn.LstmEncoder(E, getattr(dims, f"{n}_hidden"), rng, name=f"lstm.{n}")
                  for n in names]
-        self.paths = {n: TextPath(table, lstm, 1 if n in ("query", "caption") else nn.ROWS)
+        self.paths = {n: TextPath(table, lstm, 1 if n in ("query", "caption") else nn.SEQ_ROWS)
                       for n, table, lstm in zip(names, tables, lstms)}
         self.layers = tables + lstms
         self.pair_combine = self.pair_bn = None
@@ -257,7 +267,8 @@ class DialogScorer:
 
         Each slot row runs through pair-combine FC -> batch norm -> ReLU.
         Train mode batch-norms the B * (T-1) slot rows jointly. Eval mode runs
-        the product on fixed blocks of ``nn.ROWS`` rows (``nn.project``), so a
+        the history LSTMs' products on blocks of ``nn.SEQ_ROWS`` rows and the
+        pair-combine product on blocks of ``nn.ROWS`` rows (``nn.project``), so a
         row's output depends on that row alone, and keeps no cache.
         """
         slots = self.dims.history_slots

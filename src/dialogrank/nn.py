@@ -9,10 +9,12 @@ input gradient, so one layer object can appear many times in one step.
 The LSTM runs a packed, time-major batch (PyTorch's ``PackedSequence``):
 N sequences sorted longest first, ``batch_sizes[t]`` of them running at step
 t, rows ``xs`` [S, E] holding step 0 of each, then step 1, and so on. The
-input projection is one GEMM, each step one GEMM over its running rows (both
-on fixed row blocks of the caller's height in eval, ``project``), and backward
-ends with one weight-gradient GEMM. Gate order is input, forget, output,
-candidate; the forget-gate bias starts at 1.0, every other at 0.
+input projection is one GEMM, each step after the first one GEMM over its
+running rows (both on fixed row blocks of the caller's height in eval,
+``project``), and backward ends with one weight-gradient GEMM. The initial
+state is zero, so step 0 has no hidden product in forward and no ``dh`` product
+in backward. Eval keeps no backward cache. Gate order is input, forget,
+output, candidate; the forget-gate bias starts at 1.0, every other at 0.
 
 Adam sweeps each parameter once, in cache-sized blocks of ``BLOCK`` elements
 with the grad zeroing folded in; per element it is bitwise the whole-array update.
@@ -107,7 +109,8 @@ class AdamConfig:
 
 
 BLOCK = 1 << 15  # elements per block of the blocked kernels: 256 KB of float64
-ROWS = 100  # rows per eval block of candidate or history rows (``project``): one per round
+ROWS = 100  # rows per eval block of candidate rows and history.combine (``project``): one round
+SEQ_ROWS = 32  # rows per eval block of the option and history LSTMs' products (``project``)
 MEMO_BYTES = 64 << 20  # bytes a frozen model's encoders.EncodingMemo may charge its entries
 
 
@@ -154,7 +157,8 @@ def project(x: np.ndarray, weight: np.ndarray, rows: int | None = None) -> np.nd
     gives a row of a fixed-shape product bitwise the same whatever its block-mates and
     position (model.py), so each eval row depends on that row alone. The height is
     chosen by what the rows are, never by how many: 1 for the rows that are one per
-    example, ``ROWS`` for the rest."""
+    example, ``SEQ_ROWS`` for the LSTM rows of sequences that come many per example,
+    ``ROWS`` for candidate rows and ``history.combine``."""
     if rows is None:
         return x @ weight.T
     n = len(x)
@@ -253,7 +257,9 @@ class LstmEncoder:
     def encode(self, xs: np.ndarray, batch_sizes, rows: int | None = None):
         """Packed rows xs [S, input_dim] -> (h [N, hidden_dim] in packed order, cache).
         Its products run through ``project`` at block height ``rows`` (None in train), so in
-        eval each h depends on its own rows alone."""
+        eval each h depends on its own rows alone. Eval's cache is None: it keeps no
+        [S, input_dim + hidden_dim] rows and no c_{t-1}, and tanh(c_t) only for the
+        running rows of one step."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim:
             raise ValueError(f"{self.weight.name}: expected [T, {self.input_dim}], got {xs.shape}")
@@ -265,25 +271,31 @@ class LstmEncoder:
                              f"non-increasing and sum to the {len(xs)} packed rows")
         E, L = self.input_dim, self.hidden_dim
         W = self.weight.value
-        xh = np.empty((len(xs), E + L))  # [x_t | h_{t-1}] of every packed row
-        xh[:, :E] = xs
+        train = rows is None
         gates = project(xs, W[:, :E], rows) + self.bias.value
-        c_prev, tc = np.empty((2, len(xs), L))  # c_{t-1} and tanh(c_t) of every row
         h, c = np.zeros((2, sizes[0], L))  # a finished sequence keeps its last h
+        if train:
+            xh = np.empty((len(xs), E + L))  # [x_t | h_{t-1}] of every packed row
+            xh[:, :E] = xs
+            c_prev, tc = np.empty((2, len(xs), L))  # c_{t-1} and tanh(c_t) of every row
+        else:
+            scratch = np.empty((sizes[0], L))  # tanh(c_t) of the running rows
         for n, end in zip(sizes, accumulate(sizes)):
             r = slice(end - n, end)
             hn, cn, z = h[:n], c[:n], gates[r]  # views of the running rows
-            xh[r, E:] = hn
-            z += project(hn, W[:, E:], rows)
+            if train:
+                xh[r, E:] = hn
+                c_prev[r] = cn
+            if end > n:  # h_{-1} = 0, so step 0's hidden product is +0
+                z += project(hn, W[:, E:], rows)
             z[:, : 3 * L] = _sigmoid(z[:, : 3 * L])
             np.tanh(z[:, 3 * L :], out=z[:, 3 * L :])
-            c_prev[r] = cn
             cn *= z[:, L : 2 * L]
             cn += z[:, :L] * z[:, 3 * L :]
-            np.tanh(cn, out=tc[r])
-            np.multiply(z[:, 2 * L : 3 * L], tc[r], out=hn)
+            tcn = np.tanh(cn, out=tc[r] if train else scratch[:n])
+            np.multiply(z[:, 2 * L : 3 * L], tcn, out=hn)
         ensure_finite(self.weight.name, h)
-        return h, (xh, gates, c_prev, tc, sizes)
+        return h, ((xh, gates, c_prev, tc, sizes) if train else None)
 
     def backward(self, cache, dh_last: np.ndarray) -> np.ndarray:
         """Backward through time from dh_last [N, hidden_dim] (encode's h);
@@ -303,8 +315,9 @@ class LstmEncoder:
             dz[r, L : 2 * L] = dcn * c_prev[r] * gf * (1.0 - gf)
             dz[r, 2 * L : 3 * L] = dh[:n] * tc[r] * go * (1.0 - go)
             dz[r, 3 * L :] = dcn * gi * (1.0 - gg * gg)
-            dh[:n] = dz[r] @ Wh
-            dcn *= gf
+            if end > n:  # step 0's dh and dc would be those of the zero initial state
+                dh[:n] = dz[r] @ Wh
+                dcn *= gf
         self.weight.grad += dz.T @ xh
         self.bias.grad += dz.sum(axis=0)
         return dz @ W[:, :E]

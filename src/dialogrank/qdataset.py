@@ -36,7 +36,9 @@ the squared distances of Q queries to all N rows in one product, ``K @ Q.T``,
 with Q = max(1, SEARCH_BYTES // (8 N)) so that the [N, Q] float64 block stays
 within ``SEARCH_BYTES``, and each query's short list is then re-ranked exactly.
 ``build_qdataset_payload`` searches the rows that have a follow-up one block at
-a time, so the key matrix is read once per block, not once per set.
+a time, so the key matrix is read once per block, not once per set; its blocks
+are also capped at SEARCH_BYTES // (8 D) rows, so each copied [Q, D] block of
+query keys stays within ``SEARCH_BYTES`` too.
 """
 
 from __future__ import annotations
@@ -322,9 +324,10 @@ def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
 
 def _plausible_by_row(corpus: CorpusKeys, k: int):
     """``find_plausible`` of every row with a follow-up, in row order, one
-    search block at a time, so only a block of query keys is copied."""
+    search block at a time, so only a block of query keys is copied: both the
+    block's [N, Q] distances and its [Q, D] copied keys stay within ``SEARCH_BYTES``."""
     rows = np.flatnonzero(corpus.followups >= 0)
-    height = search_height(len(corpus))
+    height = search_height(max(corpus.matrix.shape))
     for start in range(0, len(rows), height):
         block = rows[start:start + height]
         yield from find_plausible(corpus.matrix[block], corpus.image_ids[block], corpus, k)

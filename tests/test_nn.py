@@ -245,6 +245,7 @@ PACKED_LENGTHS = {
     "mixed": [3, 1, 21, 7, 1, 12, 4, 21, 2, 5],
     "single": [9],
     "equal": [6, 6, 6, 6],
+    "wide": [1 + i % 6 for i in range(nn.SEQ_ROWS + 5)],  # steps past one eval block
 }
 
 
@@ -261,12 +262,13 @@ def test_packed_lstm_matches_per_sequence_oracle(case, train):
     dh = rng.normal(size=(len(seqs), 16))
     xs, batch_sizes, order = pack(seqs)
 
-    h, cache = enc.encode(xs, batch_sizes, None if train else nn.ROWS)
+    h, cache = enc.encode(xs, batch_sizes, None if train else nn.SEQ_ROWS)
     assert h.shape == (len(seqs), 16)
     if not train:  # fixed row blocks: close to the oracle, bitwise free of the co-batch
+        assert cache is None
         for j, i in enumerate(order):
             assert close(h[j], oracle_lstm_encode(enc, seqs[i])[0])
-            alone, _ = enc.encode(seqs[i], [1] * len(seqs[i]), nn.ROWS)
+            alone, _ = enc.encode(seqs[i], [1] * len(seqs[i]), nn.SEQ_ROWS)
             assert np.array_equal(h[j], alone[0])
         return
     dxs = unpack(enc.backward(cache, dh[order]), batch_sizes, order)
@@ -279,6 +281,49 @@ def test_packed_lstm_matches_per_sequence_oracle(case, train):
         assert close(dxs[i], oracle_lstm_backward(enc, ocache, dh[i]))
     assert close(dW, enc.weight.grad)
     assert close(db, enc.bias.grad)
+
+
+def test_eval_lstm_keeps_no_backward_cache():
+    # eval returns no cache and builds no [S, E + L] rows: at E = 64, L = 4 those
+    # rows would outweigh everything else an eval encode holds at once
+    import tracemalloc
+
+    rng = np.random.default_rng(12)
+    E, L = 64, 4
+    enc = nn.LstmEncoder(E, L, rng=rng)
+    xs, batch_sizes, _ = pack([rng.normal(size=(n, E)) for n in [4] * nn.SEQ_ROWS])
+    xh_bytes = len(xs) * (E + L) * 8
+    peaks = {}
+    for rows in (nn.SEQ_ROWS, None):
+        enc.encode(xs, batch_sizes, rows)  # no one-off BLAS set-up inside the trace
+        tracemalloc.start()
+        try:
+            h, cache = enc.encode(xs, batch_sizes, rows)
+            _, peaks[rows] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (cache is None) == (rows is not None)
+    assert peaks[nn.SEQ_ROWS] < xh_bytes <= peaks[None], peaks
+
+
+def test_lstm_first_step_runs_no_hidden_product(monkeypatch):
+    # h_{-1} = 0, so step 0 adds no hidden product, in train or in eval
+    rng = np.random.default_rng(13)
+    enc = nn.LstmEncoder(3, 4, rng=rng)
+    xs, batch_sizes, _ = pack([rng.normal(size=(n, 3)) for n in (3, 1, 2)])
+    hidden_rows = []
+    project = nn.project
+
+    def recording(x, weight, rows=None):
+        if weight.shape[1] == enc.hidden_dim:
+            hidden_rows.append(len(x))
+        return project(x, weight, rows)
+
+    monkeypatch.setattr(nn, "project", recording)
+    for rows in (None, nn.SEQ_ROWS):
+        hidden_rows.clear()
+        enc.encode(xs, batch_sizes, rows)
+        assert hidden_rows == batch_sizes[1:]
 
 
 def test_packed_lstm_rejects_bad_batch_sizes():
@@ -365,12 +410,17 @@ def eval_product_views(dims):
 
 
 def test_eval_heights_follow_what_rows_are():
-    # rows that are one per example run one row per product; rows that come
-    # many per example (candidates, history pairs) share blocks of nn.ROWS rows
+    # rows that are one per example run one row per product; the LSTM rows of
+    # sequences that come many per example (options, history pairs) share blocks
+    # of nn.SEQ_ROWS rows; candidate rows and history.combine blocks of nn.ROWS
     per_example = {"mlp.h0.context", "lstm.query.input", "lstm.query.hidden",
                    "lstm.caption.input", "lstm.caption.hidden"}
-    for name, heights in eval_product_heights().items():
-        assert heights == ({1} if name in per_example else {nn.ROWS}), name
+    recorded = eval_product_heights()
+    assert set(recorded) == set(eval_products(reduced_check_dims()))
+    for name, heights in recorded.items():
+        want = (1 if name in per_example else
+                nn.SEQ_ROWS if name.startswith("lstm.") else nn.ROWS)
+        assert heights == {want}, name
 
 
 BLOCK_DIMS = {"reduced": reduced_check_dims(), "paper": ModelDims()}

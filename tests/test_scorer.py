@@ -381,6 +381,31 @@ def test_warm_memo_scores_bitwise_as_memo_free_load(tmp_path, monkeypatch, cap_r
         assert 0 < len(memo.rows) <= nn.MEMO_BYTES // entry_charge(8, 1)
 
 
+@pytest.mark.parametrize("seen", [0, 5, nn.SEQ_ROWS])
+def test_seq_block_edge_scores_bitwise_as_memo_free_load(tmp_path, seen):
+    # SEQ_ROWS + 5 distinct options run the option LSTM's steps on two blocks;
+    # a frozen model that has already seen the first ``seen`` of them encodes the
+    # rest at other block positions, and each score must still be the bits of a
+    # memo-free load. So must a batch whose history pairs pass one block too
+    frozen, reference = frozen_and_memo_free(tmp_path)
+    vocab, dims = frozen.vocab, frozen.dims
+    rng = np.random.default_rng(21)
+    options = {}
+    while len(options) < nn.SEQ_ROWS + 5:
+        ids = rng.integers(3, len(vocab), size=int(rng.integers(1, 5))).tolist()
+        options.setdefault(tuple(ids), ids + [vocab.stop_id])
+    ex = with_options(random_example(vocab, dims, rng, k_options=1), options.values())
+    if seen:
+        frozen.score_example(with_options(ex, ex.option_ids[:seen]))
+    assert np.array_equal(frozen.score_example(ex).scores,
+                          reference.score_example(ex).scores)  # bitwise
+    batch = [random_example(vocab, dims, rng, k_options=3, n_history=dims.history_slots)
+             for _ in range(nn.SEQ_ROWS // dims.history_slots + 1)]
+    scores, _ = frozen.batch_forward(batch, train=False)
+    for ex, got in zip(batch, scores, strict=True):
+        assert np.array_equal(got, reference.score_example(ex).scores)
+
+
 def test_memo_rows_are_read_only_copies(tmp_path):
     frozen, _ = frozen_and_memo_free(tmp_path)
     ex = sharing_rounds(frozen, 1, seed=5)[0]

@@ -163,6 +163,27 @@ def test_plausible_block_peak_stays_within_search_bytes(monkeypatch):
     assert peak - lists < qd.SEARCH_BYTES + mask + columns, (peak, lists)
 
 
+def test_plausible_by_row_copies_wide_keys_within_search_bytes(monkeypatch):
+    # 180 rows with a follow-up and 4000-wide keys (D > N): the [200, Q] distances
+    # would allow one block of all 180 query keys, 5.8 MB; capped at
+    # SEARCH_BYTES // (8 D) = 20 rows, each copied block holds 640 KB
+    rng = np.random.default_rng(12)
+    corpus = corpus_of(rng.normal(size=(200, 4000)))
+    monkeypatch.setattr(qd, "SEARCH_BYTES", 8 * 4000 * 20)
+    corpus.matrix[:2] @ corpus.matrix[0]  # no one-off BLAS set-up inside the trace
+    tracemalloc.start()
+    try:
+        got = list(qd._plausible_by_row(corpus, 3))
+        lists, peak = tracemalloc.get_traced_memory()  # the lists are the result
+    finally:
+        tracemalloc.stop()
+    rows = np.flatnonzero(corpus.followups >= 0)
+    assert got[::30] == [oracle_find_plausible(corpus.matrix[i], corpus.image_ids[i], corpus, 3)
+                         for i in rows[::30]]
+    rerank = 2 * 8 * 4000 * 8  # a short list's copied keys and their differences
+    assert peak - lists < qd.SEARCH_BYTES + rerank, (peak, lists)
+
+
 def test_plausible_duplicated_keys_break_ties_by_image_and_round():
     rng = np.random.default_rng(4)
     bases = rng.normal(size=(4, 15))
