@@ -1,12 +1,14 @@
 """Model sizing (``ModelDims``), the task and variant names, and the text
 path (``TextPath``) that turns token sequences into fixed-size embeddings.
 
-Each text path makes at most one packed LSTM call per forward, in train and eval
-alike (distinct options only). In eval the LSTM's products run on fixed row
-blocks (``nn.project``) of the path's height: one row for the query and caption
-paths, whose sequences are one per example, and ``nn.SEQ_ROWS`` rows for the
-option and history paths, whose sequences come many per example. So an encoding
-is bitwise free of the sequences packed with it (model.py has the measurement).
+Each text path encodes each distinct sequence once per forward, in at most one
+packed LSTM call, in train and eval alike: ``TextPath.encode`` applies this one
+rule to every text, and in train a repeat's gradient sums into its encoding. In
+eval the LSTM's products run on fixed row blocks (``nn.project``) of the path's
+height: one row for the query and caption paths, whose sequences are one per
+example, and ``nn.SEQ_ROWS`` rows for the option and history paths, whose
+sequences come many per example. So an encoding is bitwise free of the
+sequences packed with it (model.py has the measurement).
 
 That is what lets a frozen model (``DialogScorer.freeze``, which every default
 ``checkpoint.load_checkpoint`` applies) remember its eval encodings: its text
@@ -120,18 +122,22 @@ class TextPath:
 
     def encode(self, seqs, train: bool = True):
         """Embeddings [N, hidden] of N id sequences, in input order. Returns (vecs,
-        cache); eval's cache is None. With a memo, eval encodes only the distinct
-        sequences the memo lacks, in one packed call, and stacks the rows."""
-        if train or self.memo is None:
-            return self._encode(seqs, train)
-        keys = [tuple(s) for s in seqs]
-        rows = {key: self.memo.rows.get((self, key)) for key in keys}
-        missing = [key for key, row in rows.items() if row is None]
-        if missing:
-            vecs, _ = self._encode(missing, train=False)
+        cache); eval's cache is None. Each distinct sequence is encoded once, in one
+        packed call over them in first-seen order; with a memo, eval encodes only
+        the distinct sequences the memo lacks."""
+        index = {}  # each distinct sequence -> its row among them, in first-seen order
+        inverse = [index.setdefault(tuple(s), len(index)) for s in seqs]
+        memo = None if train else self.memo
+        rows = [None if memo is None else memo.rows.get((self, key)) for key in index]
+        missing = [key for key, row in zip(index, rows) if row is None]
+        if missing:  # in train all of them, so the cache's rows follow `index`
+            vecs, cache = self._encode(missing, train)
             for key, vec in zip(missing, vecs):
-                rows[key] = self.memo.add((self, key), vec)
-        return np.stack([rows[key] for key in keys]), None
+                rows[index[key]] = vec if memo is None else memo.add((self, key), vec)
+        vecs = np.stack([rows[i] for i in inverse])
+        if not train:
+            return vecs, None
+        return vecs, (cache, None if len(index) == len(seqs) else inverse)
 
     def _encode(self, seqs, train: bool):
         """One packed LSTM call over ``seqs`` (layout in nn.py)."""
@@ -149,8 +155,14 @@ class TextPath:
         h, lcache = self.lstm.encode(emb, batch_sizes, None if train else self.rows)
         vecs = np.empty_like(h)
         vecs[order] = h
-        return vecs, (((ids, order), lcache) if train else None)
+        return vecs, ((ids, order, lcache) if train else None)
 
     def backward(self, cache, dvecs) -> None:
-        (ids, order), lcache = cache
+        """Gradient of the N rows ``encode`` returned; a repeated sequence's rows
+        sum into its one encoding."""
+        (ids, order, lcache), inverse = cache
+        if inverse is not None:
+            summed = np.zeros((len(order), dvecs.shape[1]))
+            np.add.at(summed, inverse, dvecs)
+            dvecs = summed
         self.embed.backward(ids, self.lstm.backward(lcache, dvecs[order]))

@@ -8,13 +8,15 @@ and distinct option sequences, stacks each example's context (query | image |
 caption | history) and scores it against its options with the late-fusion MLP
 (scorer.py), so the fused rows are never built.
 
-Train mode encodes each distinct option once (duplicates sum their gradients)
-and batch-norms across the step. Both modes make at most one packed LSTM call
-per text path. Eval mode uses the running statistics and runs every matrix
-product on fixed row blocks, zero-padding the last (``nn.project``), so a candidate's
-score does not depend on which candidates or examples are scored with it; the
-elementwise stages (bias, norm, ReLU, gates) are exactly rounded per element.
-The block height follows what the rows are, never how many there are:
+Each text path encodes each distinct sequence once (``TextPath.encode``; in
+train a repeat's gradient sums into its encoding), in at most one packed LSTM
+call, and the MLP's option term runs once per distinct option. Train mode
+batch-norms across the step. Eval mode uses the running statistics and runs
+every matrix product on fixed row blocks, zero-padding the last
+(``nn.project``), so a candidate's score does not depend on which candidates or
+examples are scored with it; the elementwise stages (bias, norm, ReLU, gates)
+are exactly rounded per element. The block height follows what the rows are,
+never how many there are:
 - one row per product for rows that are one per example: the query and
   caption LSTMs and the ``mlp.h0`` context term (for ``score_example``, one
   unpadded product each);
@@ -262,8 +264,8 @@ class DialogScorer:
         answer_ids) pairs already exchanged before example e's query. History
         is always laid out as T-1 chronological slots, so the block has one
         fixed length per model however deep into the dialog the query sits;
-        slots of rounds that do not exist yet share one encoding of the
-        ([empty, stop], [empty, stop]) pair, computed once per call.
+        slots of rounds that do not exist yet hold the ([empty, stop],
+        [empty, stop]) pair. Like any repeated text, it is encoded once.
 
         Each slot row runs through pair-combine FC -> batch norm -> ReLU.
         Train mode batch-norms the B * (T-1) slot rows jointly. Eval mode runs
@@ -272,40 +274,29 @@ class DialogScorer:
         row's output depends on that row alone, and keeps no cache.
         """
         slots = self.dims.history_slots
-        pairs, rows = [], []  # real rounds and their slot rows; then the empty pair
-        padded = np.zeros(len(histories) * slots, dtype=bool)
-        for e, rounds in enumerate(histories):
+        pairs = []
+        for rounds in histories:
             if len(rounds) > slots:
                 raise ValueError(f"history holds {len(rounds)} rounds, model fits {slots}")
-            pairs += rounds
-            rows += range(e * slots, e * slots + len(rounds))
-            padded[e * slots + len(rounds) : (e + 1) * slots] = True
-        if padded.any():
-            pairs.append(self.empty_pair())
+            pairs += list(rounds) + [self.empty_pair()] * (slots - len(rounds))
         qv, qcache = self.paths["history_q"].encode([q for q, _ in pairs], train)
         av, acache = self.paths["history_a"].encode([a for _, a in pairs], train)
-        pre = np.concatenate([qv, av], axis=1)
-        pre_rows = np.empty((len(padded), pre.shape[1]))
-        pre_rows[rows] = pre[: len(rows)]
-        pre_rows[padded] = pre[len(rows) :]
-        lin, lin_cache = self.pair_combine.forward(pre_rows, None if train else nn.ROWS)
+        lin, lin_cache = self.pair_combine.forward(np.concatenate([qv, av], axis=1),
+                                                   None if train else nn.ROWS)
         normed, bn_cache = self.pair_bn.forward(lin, train=train)
         combined, relu_cache = nn.relu(normed)
         blocks = combined.reshape(len(histories), self.dims.history_len)
         if not train:
             return blocks, None
-        return blocks, (rows, padded, qcache, acache, lin_cache, bn_cache, relu_cache)
+        return blocks, (qcache, acache, lin_cache, bn_cache, relu_cache)
 
     def _backward_histories(self, cache, dblocks: np.ndarray) -> None:
-        rows, padded, qcache, acache, lin_cache, bn_cache, relu_cache = cache
+        qcache, acache, lin_cache, bn_cache, relu_cache = cache
         dnormed = nn.relu_backward(relu_cache, dblocks.reshape(-1, self.dims.history_pair_dim))
         dpre = self.pair_combine.backward(lin_cache, self.pair_bn.backward(bn_cache, dnormed))
-        dpairs = dpre[rows]
-        if padded.any():  # all padded slots share one encoding; their grads sum
-            dpairs = np.vstack([dpairs, dpre[padded].sum(axis=0)])
         split = self.dims.history_q_hidden
-        self.paths["history_q"].backward(qcache, dpairs[:, :split])
-        self.paths["history_a"].backward(acache, dpairs[:, split:])
+        self.paths["history_q"].backward(qcache, dpre[:, :split])
+        self.paths["history_a"].backward(acache, dpre[:, split:])
 
     # -- forward and backward ------------------------------------------------
 

@@ -21,6 +21,19 @@ def ids(vocab, *words):
     return [vocab.encode_word(w) for w in words] + [vocab.stop_id]
 
 
+def record_lstm_calls(monkeypatch):
+    """(LSTM weight name, packed rows, batch_sizes) of every later ``LstmEncoder.encode``."""
+    calls = []
+    encode = nn.LstmEncoder.encode
+
+    def recording(lstm, xs, batch_sizes, rows=None):
+        calls.append((lstm.weight.name, xs, list(batch_sizes)))
+        return encode(lstm, xs, batch_sizes, rows)
+
+    monkeypatch.setattr(nn.LstmEncoder, "encode", recording)
+    return calls
+
+
 def history_vec(model, rounds):
     """Eval-mode history block of one example."""
     blocks, _ = model.encode_histories([rounds], train=False)
@@ -84,7 +97,7 @@ def test_encode_query_stop_only_is_allowed(small_setup):
     assert np.all(np.isfinite(vec))
 
 
-def test_encode_query_followup_consumes_both_parts():
+def test_encode_query_followup_consumes_both_parts(monkeypatch):
     dims = reduced_check_dims()
     vocab = synthetic_vocab(30)
     model = DialogScorer(dims, vocab, task="visdial-q", variant="qih",
@@ -92,8 +105,9 @@ def test_encode_query_followup_consumes_both_parts():
     q = ids(vocab, "w1")
     a = ids(vocab, "w2")
     assert len(q) + len(a) == 4
-    vec, (ecache, lcache) = encode_query(model, q, a)
-    assert lcache[0].shape[0] == 4  # the LSTM saw exactly four tokens
+    packed = record_lstm_calls(monkeypatch)
+    encode_query(model, q, a)
+    assert [len(xs) for _, xs, _ in packed] == [4]  # the LSTM saw exactly four tokens
     with pytest.raises(ValueError):
         encode_query(model, q, None)
 
@@ -278,9 +292,10 @@ def test_text_path_packed_call_matches_one_call_per_sequence(small_setup):
         p.zero_grad()
 
 
-def test_gradcheck_across_examples_with_repeated_options():
-    # B=3 with history depths 0, 1 and 2: the packed cross-example paths, the
-    # shared empty-pair encoding and the option de-duplication all in one sweep
+def repeated_text_batch():
+    """B=3 with history depths 0, 1 and 2, and a text repeated on every path: an
+    option within and across examples, a history pair and the padded slots'
+    empty pair, the caption and the question."""
     dims = reduced_check_dims(rounds=3)
     vocab = synthetic_vocab(16)
     model = DialogScorer(dims, vocab, init_seed=6)
@@ -288,6 +303,16 @@ def test_gradcheck_across_examples_with_repeated_options():
     batch = [random_example(vocab, dims, rng, k_options=3, n_history=n) for n in (0, 1, 2)]
     batch[0].option_ids[2] = batch[0].option_ids[0]  # within an example
     batch[2].option_ids[1] = batch[0].option_ids[0]  # across examples
+    batch[2].history[0] = batch[1].history[0]
+    batch[1].caption_ids = batch[0].caption_ids
+    batch[2].question_ids = batch[0].question_ids
+    return model, batch
+
+
+def test_gradcheck_across_examples_with_repeated_options():
+    # the packed cross-example paths and the de-duplication of each path's
+    # repeated texts, padded history slots included, all in one sweep
+    model, batch = repeated_text_batch()
 
     def closure(want_grads: bool) -> float:
         if want_grads:
@@ -296,3 +321,23 @@ def test_gradcheck_across_examples_with_repeated_options():
 
     report = nn.grad_check(closure, model.parameters().values(), tolerance=1e-4)
     assert report.passed, report.summary()
+
+
+def test_train_step_packs_each_distinct_text_once(monkeypatch):
+    model, batch = repeated_text_batch()
+    packed = record_lstm_calls(monkeypatch)
+    model.batch_loss(batch)
+    slots = model.dims.history_slots
+    pairs = [pair for ex in batch
+             for pair in ex.history + [model.empty_pair()] * (slots - len(ex.history))]
+    texts = {"query": [ex.question_ids for ex in batch],
+             "option": [option for ex in batch for option in ex.option_ids],
+             "caption": [ex.caption_ids for ex in batch],
+             "history_q": [q for q, _ in pairs],
+             "history_a": [a for _, a in pairs]}
+    for name, seqs in texts.items():
+        distinct = {tuple(seq) for seq in seqs}
+        assert len(distinct) < len(seqs), name  # the batch repeats a text on this path
+        # one train-mode call, its first step running every distinct sequence
+        runs = [sizes[0] for lstm, _, sizes in packed if lstm == f"lstm.{name}.weight"]
+        assert runs == [len(distinct)], name
