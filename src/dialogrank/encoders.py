@@ -64,9 +64,7 @@ class ModelDims:
         return self.history_slots * self.history_pair_dim
 
     def fused_dim(self, variant: str) -> int:
-        """Input width of the fusion MLP for a context variant."""
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+        """Input width of the fusion MLP for a context variant, one of ``VARIANTS``."""
         total = self.query_hidden + self.option_hidden
         if variant in ("qi", "qih"):
             total += self.image_dim

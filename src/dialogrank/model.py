@@ -138,6 +138,10 @@ def check_model_config(dims: ModelDims, task: str, variant: str, mlp_depth: int)
     if variant == "qih" and dims.history_slots < 1:
         raise ValueError(f"variant qih needs rounds >= 2 for its history block, "
                          f"got rounds={dims.rounds}")
+    width = dims.fused_dim(variant)
+    if width >> mlp_depth < 1:  # the last hidden layer has width // 2**depth units
+        raise ValueError(f"mlp depth {mlp_depth} needs a fused width >= {1 << mlp_depth}, "
+                         f"got {width} for variant {variant}")
 
 
 class DialogScorer:
@@ -239,19 +243,16 @@ class DialogScorer:
         """Query token sequence: the question, or question+answer for follow-ups.
 
         The answer part is required exactly when the model was built for the
-        follow-up-question task; both sub-sequences keep their stop tokens.
+        follow-up-question task; both sub-sequences keep their stop tokens. The
+        query path refuses an empty query, as every text path does (``TextPath``).
         """
         if self.task == "visdial":
             if answer_ids is not None:
                 raise ValueError("answer part not allowed in the query for answer ranking")
-            seq = list(question_ids)
-        else:
-            if answer_ids is None:
-                raise ValueError("follow-up-question ranking queries need the answer part")
-            seq = list(question_ids) + list(answer_ids)
-        if not seq:
-            raise ValueError("empty query")
-        return seq
+            return list(question_ids)
+        if answer_ids is None:
+            raise ValueError("follow-up-question ranking queries need the answer part")
+        return list(question_ids) + list(answer_ids)
 
     def empty_pair(self) -> tuple[list[int], list[int]]:
         pad = [self.vocab.empty_id, self.vocab.stop_id]
@@ -303,8 +304,6 @@ class DialogScorer:
     def _check_example(self, ex: RoundExample) -> None:
         if not ex.option_ids:
             raise ValueError("example has no options")
-        if self.task == "visdial-q" and ex.query_answer_ids is None:
-            raise ValueError("follow-up task example is missing the query answer part")
         if self.variant in ("qi", "qih"):
             if ex.image_vec is None:
                 raise ValueError(f"variant {self.variant} example is missing image features")

@@ -13,8 +13,9 @@ input projection is one GEMM, each step after the first one GEMM over its
 running rows (both on fixed row blocks of the caller's height in eval,
 ``project``), and backward ends with one weight-gradient GEMM. The initial
 state is zero, so step 0 has no hidden product in forward and no ``dh`` product
-in backward. Eval keeps no backward cache. Gate order is input, forget,
-output, candidate; the forget-gate bias starts at 1.0, every other at 0.
+in backward. In eval neither the LSTM nor batch norm keeps a backward cache.
+Gate order is input, forget, output, candidate; the forget-gate bias starts at
+1.0, every other at 0.
 
 Adam sweeps each parameter once, in cache-sized blocks of ``BLOCK`` elements
 with the grad zeroing folded in; per element it is bitwise the whole-array update.
@@ -364,15 +365,14 @@ class BatchNorm1d:
             xhat = (x - self.running_mean) * inv
         y = self.gamma.value * xhat + self.beta.value
         ensure_finite(self.gamma.name, y)
-        return y, (xhat, inv, train)
+        return y, ((xhat, inv) if train else None)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        xhat, inv, train = cache
+        """Backward of a train-mode forward: eval keeps no cache."""
+        xhat, inv = cache
         self.gamma.grad += (dy * xhat).sum(axis=0)
         self.beta.grad += dy.sum(axis=0)
         dxhat = dy * self.gamma.value
-        if not train:
-            return dxhat * inv
         n = xhat.shape[0]
         return (inv / n) * (
             n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)

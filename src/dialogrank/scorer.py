@@ -39,8 +39,6 @@ class ScoredOptions:
     @classmethod
     def from_scores(cls, scores) -> "ScoredOptions":
         s = np.asarray(scores, dtype=np.float64).ravel()
-        if s.size < 1:
-            raise ValueError("cannot score an empty option set")
         nn.ensure_finite("option scores", s)
         return cls(scores=s)
 

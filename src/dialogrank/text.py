@@ -378,8 +378,6 @@ def load_glove(path) -> GloveTable:
             if not np.isfinite(vec).all():
                 raise LoadError(f"word-vector file line {lineno}: non-finite component")
             vectors[word] = vec
-    if not vectors:
-        raise LoadError("word-vector file holds no vectors")
     try:
         return GloveTable(vectors)
     except ValueError as exc:

@@ -11,11 +11,13 @@ import pytest
 
 import dialogrank
 from dialogrank import cli, text
-from dialogrank.checkpoint import CHECKPOINT_MAGIC
+from dialogrank.checkpoint import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 from dialogrank.cli import main
+from dialogrank.encoders import ModelDims
 from dialogrank.metrics import compute_metrics
+from dialogrank.model import DialogScorer
 from dialogrank.text import write_dataset, write_features, write_glove
-from synth import memorize_family, qbuilder_corpus, toy_glove
+from synth import memorize_family, payload_vocab, qbuilder_corpus, toy_glove
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +245,71 @@ def test_gradcheck_command(workdir, capsys):
     assert "OK" in stdout
 
 
+def test_gradcheck_vocab_without_a_plain_word_is_an_error(capsys):
+    # three words are the reserved ones only
+    code, _, stderr = run_cli(capsys, "gradcheck", "--seeds", "1", "--vocab-size", "3")
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=ValueError") and "vocabulary too small" in stderr, stderr
+
+
+@pytest.fixture(scope="module")
+def untrained_checkpoints(workdir):
+    """Freshly initialised follow-up-question and answer checkpoints over the
+    corpus vocabulary, for unroll runs that need no trained model."""
+    vocab = payload_vocab(json.loads((workdir / "corpus.json").read_text()))
+    paths = []
+    for task, seed in (("visdial-q", 1), ("visdial", 2)):
+        dims = ModelDims.for_task(task, rounds=4, embed_dim=8, query_hidden=16,
+                                  option_hidden=16, caption_hidden=8, history_q_hidden=8,
+                                  history_a_hidden=8, history_pair_dim=8, image_dim=6)
+        path = workdir / f"untrained-{task}.ckpt"
+        save_checkpoint(DialogScorer(dims, vocab, task=task, mlp_depth=1, init_seed=seed), path)
+        paths.append(str(path))
+    return paths
+
+
+def unroll_one_round(workdir, checkpoints, out, *flags):
+    q_ckpt, a_ckpt = checkpoints
+    return ["unroll", "--q-checkpoint", q_ckpt, "--a-checkpoint", a_ckpt,
+            "--dataset", str(workdir / "corpus.json"),
+            "--features", str(workdir / "corpus_feat.bin"), "--rounds", "1",
+            "--pool-size", "20", "--top-m", "5", "--out", str(out), *flags]
+
+
+def test_unroll_image_id_picks_the_dialog(workdir, untrained_checkpoints, capsys):
+    corpus = json.loads((workdir / "corpus.json").read_text())
+    image_ids = [dialog["image_id"] for dialog in corpus["dialogs"]]
+    out = workdir / "t-image.json"
+    code, stdout, stderr = run_cli(capsys, *unroll_one_round(
+        workdir, untrained_checkpoints, out, "--image-id", str(image_ids[3])))
+    assert code == 0, stderr
+    assert f"transcript image_id={image_ids[3]} rounds=1" in stdout
+    assert json.loads(out.read_text())["image_id"] == image_ids[3] != image_ids[0]
+
+    missing, out = max(image_ids) + 1, workdir / "t-no-image.json"
+    code, _, stderr = run_cli(capsys, *unroll_one_round(
+        workdir, untrained_checkpoints, out, "--image-id", str(missing)))
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=LoadError"), stderr
+    assert f"image {missing}: not in the dataset" in stderr, stderr
+    assert not out.exists()
+
+
+def test_unroll_refuses_a_transcript_that_fails_its_audit(workdir, untrained_checkpoints,
+                                                         capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_transcript",
+                        lambda transcript: ["round 1: one fault", "round 1: another"])
+    out = workdir / "t-audit.json"
+    code, _, stderr = run_cli(capsys, *unroll_one_round(workdir, untrained_checkpoints, out))
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=RuntimeError"), stderr
+    assert "round 1: one fault; round 1: another" in stderr, stderr
+    assert not out.exists()
+
+
 def test_each_command_echoes_its_arguments(workdir, trained, capsys):
     # every command but train echoes its parser's destinations in declaration
     # order, defaults included, before it reads anything; unroll then fails on
@@ -418,8 +485,16 @@ def assert_train_wrote_nothing(out) -> None:
     ("mlp_depth=3", "mlp depth must be 1 or 2, got 3"),
     ("rounds=1", "variant qih needs rounds >= 2"),
     (None, "variant qih needs image features"),
+    ("bogus=1", "unknown configuration key 'bogus'"),
+    ("rounds", "--set expects key=value, got 'rounds'"),
+    ("batch_size=0", "batch_size and max_epochs must be positive"),
+    ("max_epochs=0", "batch_size and max_epochs must be positive"),
+    ("patience=0", "patience must be >= 1"),
+    ("image_dim=12", "feature store dimension 16 != configured image_dim 12"),
+    ("task=visdial-q", "follow-up-question training needs a dataset with question options"),
 ], ids=["shared-embeddings-none", "seed-none", "patience-none", "mlp-depth-3", "rounds-1",
-        "no-features"])
+        "no-features", "unknown-key", "set-without-equals", "batch-size-0", "max-epochs-0",
+        "patience-0", "feature-dim-mismatch", "followup-without-question-options"])
 def test_train_bad_setting_writes_nothing(workdir, capsys, setting, message):
     out = workdir / f"bad-setting-{setting or 'no-features'}.ckpt"
     argv = ["train", "--train", str(workdir / "train.json"), "--val", str(workdir / "train.json"),
@@ -430,6 +505,35 @@ def test_train_bad_setting_writes_nothing(workdir, capsys, setting, message):
     assert stderr.count("\n") == 1
     assert stderr.startswith("error type=ValueError") and message in stderr, stderr
     assert_train_wrote_nothing(out)
+
+
+def test_train_config_line_without_equals_names_the_line(workdir, capsys):
+    config, out = workdir / "no-equals.cfg", workdir / "no-equals.ckpt"
+    config.write_text("rounds=4\nembed_dim 8\n")
+    code, _, stderr = run_cli(
+        capsys, "train", "--train", str(workdir / "train.json"),
+        "--val", str(workdir / "train.json"), "--features", str(workdir / "feat.bin"),
+        "--config", str(config), "--out", str(out))
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=ValueError"), stderr
+    assert f"{config}:2: expected key=value, got 'embed_dim 8'" in stderr, stderr
+    assert_train_wrote_nothing(out)
+
+
+def test_train_shared_embeddings_off_gives_each_path_its_table(workdir, capsys):
+    out = workdir / "separate.ckpt"
+    code, stdout, stderr = run_cli(
+        capsys, "train", "--train", str(workdir / "train.json"),
+        "--val", str(workdir / "train.json"), "--features", str(workdir / "feat.bin"),
+        "--config", str(workdir / "tiny.cfg"), "--shared-embeddings", "off",
+        "--set", "max_steps=1", "--out", str(out))
+    assert code == 0, stderr
+    assert "config shared_embeddings=off" in stdout
+    model, _ = load_checkpoint(out)
+    assert model.shared_embeddings is False
+    assert {"embed.query.weight", "embed.option.weight"} <= set(model.parameters())
+    assert "embed.shared.weight" not in model.parameters()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

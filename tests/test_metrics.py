@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dialogrank.metrics import compute_metrics, rank_of_gt
+from dialogrank.metrics import compute_metrics, evaluate_examples, rank_of_gt
+from dialogrank.model import DialogScorer, reduced_check_dims, synthetic_vocab
 from oracles import oracle_rank
 
 
@@ -62,6 +63,12 @@ def test_metrics_reject_empty_and_out_of_range():
         compute_metrics([0], k=10)
     with pytest.raises(ValueError):
         compute_metrics([11], k=10)
+
+
+def test_evaluate_examples_rejects_no_rounds():
+    model = DialogScorer(reduced_check_dims(), synthetic_vocab(), init_seed=0)
+    with pytest.raises(ValueError, match="no rounds to evaluate"):
+        evaluate_examples(model, [])
 
 
 def test_metrics_bounds_relations():

@@ -84,6 +84,34 @@ def test_linear_shape_mismatch():
         lin.forward(np.zeros((1, 4)))
 
 
+def test_layer_shape_guards_name_the_layer():
+    lin = nn.Linear(3, 2, name="fc")
+    _, cache = lin.forward(np.ones((4, 3)))
+    with pytest.raises(ValueError, match=r"fc.weight: upstream grad shape \(4, 3\) mismatch"):
+        lin.backward(cache, np.ones((4, 3)))
+    with pytest.raises(ValueError, match=r"lstm.weight: expected \[T, 3\], got \(2, 4\)"):
+        nn.LstmEncoder(3, 2, name="lstm").encode(np.ones((2, 4)), [1, 1])
+    for train in (True, False):
+        with pytest.raises(ValueError, match=r"bn.gamma: expected \[B, 3\], got \(2, 4\)"):
+            nn.BatchNorm1d(3, name="bn").forward(np.ones((2, 4)), train=train)
+
+
+def test_he_normal_init_needs_a_positive_fan_in():
+    # check_model_config refuses every model with an empty layer, so only a
+    # direct call reaches this
+    with pytest.raises(ValueError, match="fan_in must be >= 1, got 0"):
+        nn.he_normal_init(nn.Parameter(np.zeros(3)), 0, np.random.default_rng(0))
+
+
+def test_lstm_with_an_inf_weight_raises_floating_point_error():
+    enc = nn.LstmEncoder(2, 3, name="lstm.q")
+    # one inf weight saturates its gate; inf - inf makes the input gate NaN
+    enc.weight.value[0, :2] = [np.inf, -np.inf]
+    with np.errstate(invalid="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite values in lstm.q.weight"):
+        enc.encode(np.ones((2, 2)), [1, 1])
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_linear_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
@@ -472,6 +500,12 @@ def test_batchnorm_eval_identity():
     x = np.random.default_rng(1).normal(size=(4, 3))
     y, _ = bn.forward(x, train=False)
     assert np.allclose(y, x, atol=1e-4)
+
+
+def test_batchnorm_eval_keeps_no_cache():
+    bn = nn.BatchNorm1d(3)
+    _, cache = bn.forward(np.ones((2, 3)), train=False)
+    assert cache is None
 
 
 def test_batchnorm_train_needs_two_rows():

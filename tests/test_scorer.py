@@ -262,6 +262,37 @@ def test_width_mismatch_rejected():
         model.batch_loss([ex])
 
 
+@pytest.mark.parametrize("task, variant, change, message", [
+    ("visdial", "qih", dict(option_ids=[]), "example has no options"),
+    ("visdial", "qi", dict(image_vec=None), "variant qi example is missing image features"),
+    ("visdial", "qih", dict(image_vec=None), "variant qih example is missing image features"),
+    ("visdial", "qih", dict(caption_ids=None), "variant qih example is missing the caption"),
+    ("visdial-q", "qih", dict(query_answer_ids=None), "queries need the answer part"),
+    ("visdial", "qih", dict(question_ids=[]), r"lstm\.query\.weight: cannot encode an empty"),
+    ("visdial", "qih", dict(option_ids=[[1], []]),
+     r"lstm\.option\.weight: cannot encode an empty"),
+], ids=["no-options", "qi-no-image", "qih-no-image", "qih-no-caption", "followup-no-answer",
+        "empty-question", "empty-option"])
+def test_malformed_example_rejected(task, variant, change, message):
+    dims = reduced_check_dims()
+    vocab = synthetic_vocab(40)
+    model = DialogScorer(dims, vocab, task=task, variant=variant, init_seed=0)
+    ex = random_example(vocab, dims, np.random.default_rng(9), k_options=3, task=task)
+    ex = dataclasses.replace(ex, **change, gt_index=0)
+    for forward in (model.score_example, lambda ex: model.batch_loss([ex])):
+        with pytest.raises(ValueError, match=message):
+            forward(ex)
+
+
+def test_batch_forward_refuses_an_empty_batch_and_backward_of_eval():
+    model, ex = eval_model_and_example()
+    with pytest.raises(ValueError, match="empty batch"):
+        model.batch_forward([])
+    scores, bundle = model.batch_forward([ex], train=False)
+    with pytest.raises(RuntimeError, match="requires a train-mode batch_forward"):
+        model.batch_backward(bundle, scores)
+
+
 def test_overfitting_one_example_drives_gt_probability_up():
     dims = reduced_check_dims()
     vocab = synthetic_vocab(40)

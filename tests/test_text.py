@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import re
+import struct
 import threading
 
 import numpy as np
@@ -20,6 +21,7 @@ def test_tokenize_punctuation():
     assert text.tokenize("") == []
     assert text.tokenize("Wait, really?! yes.") == [
         "wait", ",", "really", "?", "!", "yes", "."]
+    assert text.detokenize(text.tokenize("Is it sunny?")) == "is it sunny ?"
 
 
 @given(st.lists(st.sampled_from(["cat", "dog", "?", "'", "sunny", "a1"]), max_size=12))
@@ -408,6 +410,27 @@ def test_glove_rejects_ragged_dims(tmp_path):
         text.load_glove(path)
 
 
+@pytest.mark.parametrize("content, message", [
+    ("", "word-vector table is empty"),
+    ("\n  \n\n", "word-vector table is empty"),
+    ("cat 1.0 2.0\n\ncat 3.0 4.0\n", "line 3: duplicate word 'cat'"),
+    ("cat 1.0 two\n", "line 1: could not convert string to float: 'two'"),
+    ("cat\n", "line 1: no components"),
+], ids=["empty", "blank-lines", "duplicate-word", "not-a-number", "no-components"])
+def test_glove_file_without_one_vector_per_word_raises_load_error(tmp_path, content, message):
+    path = tmp_path / "glove.txt"
+    path.write_text(content)
+    with pytest.raises(text.LoadError, match=message):
+        text.load_glove(path)
+
+
+def test_write_features_refuses_mixed_dimensions(tmp_path):
+    path = tmp_path / "feat.bin"
+    with pytest.raises(ValueError, match="feature vectors disagree on dimension"):
+        text.write_features(path, {1: np.ones(3), 2: np.ones(4)})
+    assert not path.exists()
+
+
 def test_features_roundtrip_and_normalization(tmp_path):
     path = tmp_path / "feat.bin"
     text.write_features(path, {5: np.array([2.0, 0.0, 0.0]), 9: np.array([1.0, 1.0, 1.0])})
@@ -428,6 +451,13 @@ def test_features_reject_bad_magic(tmp_path):
     path = tmp_path / "feat.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(text.LoadError, match="magic"):
+        text.load_features(path)
+
+
+def test_features_cut_inside_header_raises_load_error(tmp_path):
+    path = tmp_path / "feat.bin"
+    path.write_bytes(text.FEATURE_MAGIC + struct.pack("<I", 1))
+    with pytest.raises(text.LoadError, match="feature file header truncated"):
         text.load_features(path)
 
 

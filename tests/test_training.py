@@ -71,6 +71,8 @@ def test_empty_training_set_rejected(toy_data):
                          vocab=ds.vocab)
     with pytest.raises(ValueError):
         train(empty, ds, features, quick_cfg())
+    with pytest.raises(ValueError, match="validation set produced no examples"):
+        train(ds, empty, features, quick_cfg())
 
 
 def test_returned_model_is_best_validation_state(toy_data):
@@ -121,6 +123,9 @@ def test_config_rejects_unbuildable_models():
         TrainConfig(mlp_depth=3)
     with pytest.raises(ValueError, match="variant qih needs rounds >= 2"):
         TrainConfig(dims=reduced_check_dims(1))
+    # depth 2's second hidden layer has fused_dim // 4 units: none at width 2
+    with pytest.raises(ValueError, match="mlp depth 2 needs a fused width >= 4, got 2"):
+        TrainConfig(variant="q", dims=ModelDims(query_hidden=1, option_hidden=1))
 
 
 def test_parameter_counts_increase_with_context():
@@ -510,13 +515,22 @@ def float_shape(manifest):
     (lambda m: None, write_nan_in_adam_v, r"lstm.query.weight \(adam_v\): non-finite"),
     (lambda m: None, cut_inside_last_moment, r"mlp.out.bias \(adam_v\): payload truncated"),
     (lambda m: DEEP_JSON, None, "manifest is JSON nested too deeply to read"),
+    (lambda m: m["model"].update(task="vqa"), None, "unknown task 'vqa'"),
+    (lambda m: m.update(format_version=2), None, "unsupported checkpoint version 2"),
+    (lambda m: m.update(extra=[1]), None, "manifest key 'extra' is not a dict"),
+    (lambda m: m["vocab"].append(7), None, "vocab holds a word that is not a str"),
+    (lambda m: b'{"format_version": 1', None, "manifest is not valid JSON"),
+    (lambda m: (m["model"].update(variant="q"),
+                m["model"]["dims"].update(query_hidden=1, option_hidden=1)), None,
+     "mlp depth 2 needs a fused width >= 4, got 2"),
 ], ids=["no-model", "no-step-counts", "no-entries", "no-vocab", "unknown-dims-key",
         "entries-not-a-list", "bad-variant", "nan-value", "qih-one-round", "dims-bool", "overlap", "gap",
         "trailing-bytes", "duplicate-entry", "shared-embeddings-list", "shared-embeddings-int",
         "init-seed-bool", "init-seed-str", "init-seed-negative", "task-not-str",
         "variant-null", "mlp-depth-bool", "mlp-depth-float", "step-count-negative",
         "step-count-float", "shape-float", "offset-float", "truncated-payload",
-        "nan-adam-v", "truncated-adam-v", "deep-nesting"])
+        "nan-adam-v", "truncated-adam-v", "deep-nesting", "unknown-task", "version-2",
+        "extra-not-a-dict", "vocab-int", "invalid-json", "empty-mlp-layer"])
 def test_malformed_checkpoint_raises_load_error(tmp_path, edit, edit_payload, named):
     model = DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0)
     path = tmp_path / "m.ckpt"
@@ -524,6 +538,18 @@ def test_malformed_checkpoint_raises_load_error(tmp_path, edit, edit_payload, na
     rewrite_checkpoint(path, edit, edit_payload)
     for adam_state in (False, True):  # moments dropped after their check, or kept
         with pytest.raises(LoadError, match=named):
+            load_checkpoint(path, adam_state=adam_state)
+
+
+@pytest.mark.parametrize("data, message", [
+    (CHECKPOINT_MAGIC + struct.pack("<Q", 100)[:5], "checkpoint manifest length truncated"),
+    (CHECKPOINT_MAGIC + struct.pack("<Q", 100) + b"{}", "checkpoint manifest truncated"),
+], ids=["inside-length", "inside-manifest"])
+def test_checkpoint_cut_inside_its_manifest_raises_load_error(tmp_path, data, message):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(data)
+    for adam_state in (False, True):
+        with pytest.raises(LoadError, match=message):
             load_checkpoint(path, adam_state=adam_state)
 
 

@@ -1,3 +1,4 @@
+import copy
 from collections import Counter
 
 import numpy as np
@@ -164,6 +165,22 @@ def test_pool_matches_oracle_after_searches_for_other_images(setup):
                 oracle_pool(kind, state, dataset, features, spec)
 
 
+def test_pool_skips_neighbour_images_without_a_dialog(setup):
+    # the feature store may hold images the dataset has no dialog for
+    dataset, features, _, _ = setup
+    record = dataset.records[0]
+    vectors = {int(i): features.get(int(i)) for i in features.id_array}
+    stranger = max(vectors) + 1
+    vectors[stranger] = 2.0 * vectors[record.image_id]  # the query's nearest image
+    store = feature_store(vectors)
+    state = DialogState(record.image_id, "c", [])
+    spec = PoolSpec(n_neighbor_images=3, pool_size=25, top_m=5, seed=4)
+    assert stranger in nearest_images(store, record.image_id, 3)
+    for kind in ("question", "answer"):
+        assert (build_pool(kind, state, dataset, store, spec)
+                == oracle_pool(kind, state, dataset, store, spec))
+
+
 def test_pool_uses_everything_when_corpus_small(setup):
     dataset, features, _, _ = setup
     state = DialogState(dataset.records[0].image_id, "c", [])
@@ -197,6 +214,34 @@ def test_step_requires_matching_tasks(setup):
         step(state, a_model, a_model, dataset, features, spec)
     with pytest.raises(ValueError):
         step(state, q_model, q_model, dataset, features, spec)
+
+
+def test_step_refuses_an_empty_pool(setup):
+    dataset, features, q_model, a_model = setup
+    image_id = dataset.records[0].image_id
+    spec = PoolSpec(n_neighbor_images=3, pool_size=10, top_m=2, seed=0)
+    # every question of the corpus is one string, and it has been asked
+    asked = {"questions": ["is it red ?"], "answers": ["yes"], "dialogs": [
+        {"image_id": image_id, "caption": "c",
+         "rounds": [{"question": 0, "answer": 0, "answer_options": [0], "gt_index": 0}] * 10}]}
+    state = DialogState(image_id, "c", [("is it red ?", "yes")])
+    with pytest.raises(RuntimeError, match="no candidate questions available"):
+        step(state, q_model, a_model, load_payload(asked, vocab=dataset.vocab), features, spec)
+    unanswered = {"questions": ["is it red ?"], "answers": [], "dialogs": []}
+    state = DialogState(image_id, "c", [])
+    with pytest.raises(RuntimeError, match="no candidate answers available"):
+        step(state, q_model, a_model, load_payload(unanswered, vocab=dataset.vocab), features,
+             spec)
+
+
+def test_unknown_pool_kind_and_negative_rounds_rejected(setup):
+    dataset, features, q_model, a_model = setup
+    state = DialogState(dataset.records[0].image_id, "c", [])
+    spec = PoolSpec(n_neighbor_images=3, pool_size=10, top_m=2, seed=0)
+    with pytest.raises(ValueError, match="unknown pool kind 'caption'"):
+        build_pool("caption", state, dataset, features, spec)
+    with pytest.raises(ValueError, match="rounds must be >= 0"):
+        unroll(state, -1, q_model, a_model, dataset, features, spec)
 
 
 def test_unroll_zero_rounds_is_identity(setup):
@@ -279,8 +324,28 @@ def test_verify_transcript_catches_tampering(setup):
     state = DialogState(record.image_id, record.caption, [])
     spec = PoolSpec(n_neighbor_images=4, pool_size=25, top_m=5, seed=8)
     transcript = unroll(state, 3, q_model, a_model, dataset, features, spec)
+    clean = copy.deepcopy(transcript)
     transcript.rounds[1].answer_index = (transcript.rounds[1].answer_index + 1) % 25
     assert any("maximum" in p or "mismatch" in p for p in verify_transcript(transcript))
+
+    def problems_after(tamper):
+        tampered = copy.deepcopy(clean)
+        tamper(tampered, tampered.rounds[1])
+        return verify_transcript(tampered)
+
+    assert verify_transcript(clean) == []
+    assert problems_after(lambda t, rnd: t.initial_history.append((rnd.question, "no"))) == [
+        "round 2: question repeats an earlier one"]
+    others = [i for i in range(len(clean.rounds[1].top_indices)) if i != clean.rounds[1].draw]
+
+    def swap_two_undrawn(t, rnd):
+        i, j = others[:2]
+        rnd.top_indices[i], rnd.top_indices[j] = rnd.top_indices[j], rnd.top_indices[i]
+
+    assert problems_after(swap_two_undrawn) == [
+        "round 2: recorded top candidates disagree with the scores"]
+    assert problems_after(lambda t, rnd: setattr(rnd, "draw", others[0])) == [
+        "round 2: chosen question is not the recorded draw"]
 
 
 def test_pool_strings_encoded_once_per_model(setup, monkeypatch):
