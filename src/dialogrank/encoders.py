@@ -14,9 +14,11 @@ That is what lets a frozen model (``DialogScorer.freeze``, which every default
 ``checkpoint.load_checkpoint`` applies) remember its eval encodings: its text
 paths share one ``EncodingMemo``, and a path encodes only the distinct sequences
 it has not seen, so a remembered row is bitwise the one a fresh encode gives.
-The memo holds at most ``nn.MEMO_BYTES``, counting each row with its array
-header, each key with its token tuple, and the table, and drops the oldest
-entries first. Train mode never reads or fills it.
+The same memo holds the first MLP layer's context terms, one per input block
+(scorer.py), keyed by the block and the bytes of its input. It holds at most
+``nn.MEMO_BYTES``, counting each row with its array header, each key with its
+token tuple or input bytes, and the table, and drops the oldest entries first.
+Train mode never reads or fills it.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ class ModelDims:
 
 
 class EncodingMemo:
-    """Eval encodings of a frozen model's text paths: (path, token tuple) -> a
+    """Eval rows of a frozen model: (path, token tuple) -> a text path's encoding,
+    and (column span, input bytes) -> an ``mlp.h0`` context block's term; each a
     read-only row. ``nbytes`` sums each entry's ``charge``; with the table's own
     ``sys.getsizeof`` it may not pass ``nn.MEMO_BYTES``, so entries go oldest
     first. Filling it is not locked, so one thread at a time scores the model."""
@@ -93,7 +96,8 @@ class EncodingMemo:
     @staticmethod
     def charge(key: tuple, row: np.ndarray) -> int:
         """Bytes an entry counts against the cap: the ``sys.getsizeof`` of its
-        row (header and data), of its (path, tokens) key and of the tokens."""
+        row (header and data), of its two-item key and of the key's tokens or
+        input bytes."""
         return sys.getsizeof(row) + sys.getsizeof(key) + sys.getsizeof(key[1])
 
     def add(self, key: tuple, row: np.ndarray) -> np.ndarray:

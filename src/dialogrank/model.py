@@ -18,8 +18,8 @@ examples are scored with it; the elementwise stages (bias, norm, ReLU, gates)
 are exactly rounded per element. The block height follows what the rows are,
 never how many there are:
 - one row per product for rows that are one per example: the query and
-  caption LSTMs and the ``mlp.h0`` context term (for ``score_example``, one
-  unpadded product each);
+  caption LSTMs and each input block's ``mlp.h0`` context term (for
+  ``score_example``, one unpadded product each);
 - ``nn.SEQ_ROWS`` = 32 rows for the LSTM products (input and hidden terms) of
   sequences that come many per example: the option and history LSTMs. A
   round's first-seen options and history pairs are a few dozen short texts,
@@ -37,9 +37,11 @@ the block and whatever its block-mates, for M = 1, 8, 16, 32, 64, 100, 112 and
 128, 20 permutations and 20 sets of random block-mates, on every eval product
 shape and with 1 and 2 BLAS threads; ``tests/test_nn.py::test_block_property``
 checks this at every height the model runs each product at. Paper-dims K=100
-eval scores stay within 1.5e-15, relative to the largest, of one row per
-product and one sequence per LSTM call, and a round takes 0.113 s (2-CPU Xeon,
-one BLAS thread) against 0.229 s with every product on 16-row blocks. A height
+eval scores stay within 1.5e-14, relative to the largest, of one row per
+product over whole fused rows and one sequence per LSTM call (1.46e-14 over
+30 rounds with the context term summed over its input blocks, 1.02e-14 with
+it as one product), and a round took 0.113 s (2-CPU Xeon, one BLAS thread)
+against 0.229 s with every product on 16-row blocks. A height
 swept over 64, 100, 112 and 128 gave 8.7, 9.5, 8.6 and 8.4 rounds/s on the
 ``eval-paper`` benchmark. With ``nn.ROWS`` at 100, ``nn.SEQ_ROWS`` swept over
 16, 24, 32, 48, 64 and 100 gave median rounds of 74, 75, 70, 70, 83 and 97 ms
@@ -51,17 +53,20 @@ broke the property would need a reproducible summation order (Demmel & Nguyen,
 ARITH 2013), not a looser test.
 
 A frozen model (``freeze``, as every default ``checkpoint.load_checkpoint``
-returns) has read-only values and running statistics, and its text paths
-remember each eval encoding (``encoders.EncodingMemo``), so an eval forward runs
-the LSTMs only over texts the model has not encoded yet: in ``unroll`` the
-answer pool, the caption and the earlier history come back every round, and
-eval rounds share their popular answers. By the block rule above, a remembered
-row is bitwise a fresh one.
+returns) has read-only values and running statistics, and one
+``encoders.EncodingMemo`` holds its eval encodings and its first-layer context
+terms, one per input block (``context_spans``), so an eval forward runs the
+LSTMs only over texts the model has not encoded yet and the context products
+only over blocks it has not seen: in ``unroll`` the answer pool, the image, the
+caption and the earlier history come back every round, and eval rounds share
+their popular answers and, within a dialog, their image, caption and history.
+By the block rule above, a remembered row is bitwise a fresh one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -144,6 +149,19 @@ def check_model_config(dims: ModelDims, task: str, variant: str, mlp_depth: int)
                          f"got {width} for variant {variant}")
 
 
+def context_spans(dims: ModelDims, variant: str) -> list[tuple[int, int]]:
+    """Column spans of the context's input blocks, in the order eval sums their
+    ``mlp.h0`` terms (scorer.py): the query, the image (with the caption for
+    qih), then each history slot. A block's term depends on its input alone."""
+    widths = [dims.query_hidden]
+    if variant != "q":
+        widths.append(dims.image_dim + (dims.caption_hidden if variant == "qih" else 0))
+    if variant == "qih":
+        widths += [dims.history_pair_dim] * dims.history_slots
+    edges = [0, *accumulate(widths)]
+    return list(zip(edges, edges[1:]))
+
+
 class DialogScorer:
     """Text paths, history pair-combine and fusion MLP, with a stable
     parameter registry: ``layers`` lists every layer in checkpoint manifest
@@ -191,7 +209,8 @@ class DialogScorer:
                                           dims.history_pair_dim, rng, name="history.combine")
             self.pair_bn = nn.BatchNorm1d(dims.history_pair_dim, name="history.bn")
             self.layers += [self.pair_combine, self.pair_bn]
-        self.mlp = FusionMlp(dims.fused_dim(variant), mlp_depth, rng)
+        self.mlp = FusionMlp(dims.fused_dim(variant), mlp_depth, rng,
+                             context_spans(dims, variant))
         self.layers += self.mlp.layers
         self._token_ids: dict[tuple[str, int], list[int]] = {}  # unroll._token_ids
 
@@ -225,16 +244,17 @@ class DialogScorer:
 
     def freeze(self) -> None:
         """Make every parameter value and running statistic read-only, so nothing an
-        encoding depends on can change, and give the text paths one ``EncodingMemo``."""
+        encoding or a first-layer term depends on can change, and give the text paths
+        and the MLP one ``EncodingMemo``."""
         self._set_writeable(False)
         memo = EncodingMemo()
-        for path in self.paths.values():
-            path.memo = memo
+        for holder in [*self.paths.values(), self.mlp]:
+            holder.memo = memo
 
     def thaw(self) -> None:
         """Undo ``freeze``: drop the memo and make the values writable again."""
-        for path in self.paths.values():
-            path.memo = None
+        for holder in [*self.paths.values(), self.mlp]:
+            holder.memo = None
         self._set_writeable(True)
 
     # -- text and history ----------------------------------------------------

@@ -348,24 +348,33 @@ class BatchNorm1d:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"{self.gamma.name}: expected [B, {self.dim}], got {x.shape}")
-        if train:
-            if x.shape[0] < 2:
-                raise ValueError(f"{self.gamma.name}: train mode needs a batch of >= 2 rows")
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)  # biased
-            inv = 1.0 / np.sqrt(var + BN_EPSILON)
-            xhat = (x - mean) * inv
-            m = BN_MOMENTUM
-            self.running_mean *= 1.0 - m
-            self.running_mean += m * mean
-            self.running_var *= 1.0 - m
-            self.running_var += m * var
-        else:
-            inv = 1.0 / np.sqrt(self.running_var + BN_EPSILON)
-            xhat = (x - self.running_mean) * inv
+        if not train:
+            return self.eval_in_place(x.copy()), None
+        if x.shape[0] < 2:
+            raise ValueError(f"{self.gamma.name}: train mode needs a batch of >= 2 rows")
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)  # biased
+        inv = 1.0 / np.sqrt(var + BN_EPSILON)
+        xhat = (x - mean) * inv
+        m = BN_MOMENTUM
+        self.running_mean *= 1.0 - m
+        self.running_mean += m * mean
+        self.running_var *= 1.0 - m
+        self.running_var += m * var
         y = self.gamma.value * xhat + self.beta.value
         ensure_finite(self.gamma.name, y)
-        return y, ((xhat, inv) if train else None)
+        return y, (xhat, inv)
+
+    def eval_in_place(self, x: np.ndarray) -> np.ndarray:
+        """Eval mode over the rows x [n, dim], written into x, which it returns. Each
+        ufunc rounds per element, so a row block gives bitwise that block of the
+        whole array's result."""
+        x -= self.running_mean
+        x *= 1.0 / np.sqrt(self.running_var + BN_EPSILON)
+        x *= self.gamma.value
+        x += self.beta.value
+        ensure_finite(self.gamma.name, x)
+        return x
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         """Backward of a train-mode forward: eval keeps no cache."""

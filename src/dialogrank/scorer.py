@@ -19,6 +19,17 @@ the later layers and the output, whose rows are candidates, on blocks of
 ``nn.ROWS`` rows, which hold a round's 100 candidates. So an eval score is
 bitwise independent of which candidates and examples are scored with it
 (model.py has the BLAS measurements behind this rule).
+
+In eval the context term is a sum of one term per input block (``spans``: the
+query, the image with the caption, each history slot), added in block order.
+A block's term depends on that block's input alone, so a frozen model
+remembers it in its ``EncodingMemo`` under the block and the input's bytes: a
+round that shares its image, caption and earlier history with one already
+scored runs the products of its new blocks only. Train keeps one product over
+the whole context. The candidate rows' elementwise stages (bias, batch norm,
+ReLU) run in place on blocks of about ``nn.BLOCK`` elements, each block through
+every stage of a layer before the next, so a [100, 3200] activation streams
+through memory once per layer, not once per stage.
 """
 
 from __future__ import annotations
@@ -46,9 +57,12 @@ class ScoredOptions:
 class FusionMlp:
     """Scoring MLP with one or two hidden layers of floor(input/2),
     floor(input/4) units. ``layers`` holds them in registry order:
-    ``mlp.h0``, ``mlp.h0.bn``, ..., ``mlp.out``."""
+    ``mlp.h0``, ``mlp.h0.bn``, ..., ``mlp.out``. ``spans`` are the column spans
+    of the context blocks, in the order eval sums their terms (by default the
+    whole context is one block); ``memo`` is the model's ``EncodingMemo`` while
+    it is frozen, else ``None``."""
 
-    def __init__(self, input_dim: int, depth: int, rng=None):
+    def __init__(self, input_dim: int, depth: int, rng=None, spans=None):
         if depth not in MLP_DEPTHS:
             raise ValueError(f"mlp depth must be 1 or 2, got {depth}")
         self.input_dim = input_dim
@@ -61,26 +75,76 @@ class FusionMlp:
             self.layers += [nn.Linear(widths[i], widths[i + 1], rng, name=f"mlp.h{i}"),
                             nn.BatchNorm1d(widths[i + 1], name=f"mlp.h{i}.bn")]
         self.layers.append(nn.Linear(widths[-1], 1, rng, name="mlp.out"))
+        self.spans = spans
+        self.memo = None
 
     def forward(self, ctx: np.ndarray, opts: np.ndarray, offsets, option_of_row,
                 train: bool):
         """Scores [N] of the rows ``ctx[e] | opts[option_of_row[r]]``, r in
         ``offsets[e] : offsets[e + 1]``, and the cache for backward (None in eval)."""
+        if not train:
+            return self.candidate_scores(self.context_terms(ctx), opts, offsets,
+                                         option_of_row), None
         h0, split = self.layers[0], ctx.shape[1]
         W = h0.weight.value
-        rows = None if train else nn.ROWS
-        z = nn.project(opts, W[:, split:], rows)[option_of_row]
-        ctx_z = nn.project(ctx, W[:, :split], None if train else 1)  # a row per example
-        z += np.repeat(ctx_z, np.diff(offsets), axis=0)
+        z = nn.project(opts, W[:, split:])[option_of_row]
+        z += np.repeat(nn.project(ctx, W[:, :split]), np.diff(offsets), axis=0)
         z += h0.bias.value
         caches = []
         for bn, lin in zip(self.layers[1::2], self.layers[2::2]):
-            h, bn_cache = bn.forward(z, train=train)
+            h, bn_cache = bn.forward(z, train=True)
             x, relu_cache = nn.relu(h)
-            z, lin_cache = lin.forward(x, rows)
+            z, lin_cache = lin.forward(x)
             caches.append((bn_cache, relu_cache, lin_cache))
-        cache = (ctx, opts, offsets, option_of_row, caches) if train else None
-        return z[:, 0], cache
+        return z[:, 0], (ctx, opts, offsets, option_of_row, caches)
+
+    def context_terms(self, ctx: np.ndarray) -> np.ndarray:
+        """Eval context terms [B, out] of ``mlp.h0``: per example, the one-row products
+        of its context blocks, summed in ``spans`` order. A frozen model remembers each
+        block's term under the block and the bytes of the block's input."""
+        W = self.layers[0].weight.value
+        terms = np.empty((len(ctx), W.shape[0]))
+        for row, out in zip(ctx, terms):
+            for i, span in enumerate(self.spans or [(0, len(row))]):
+                x = row[span[0] : span[1]]
+                key = (span, x.tobytes())
+                term = None if self.memo is None else self.memo.rows.get(key)
+                if term is None:
+                    term = nn.project(x[None], W[:, span[0] : span[1]], 1)[0]
+                    if self.memo is not None:
+                        term = self.memo.add(key, term)
+                if i:
+                    out += term
+                else:
+                    out[:] = term
+        return terms
+
+    def candidate_scores(self, ctx_z: np.ndarray, opts: np.ndarray, offsets,
+                         option_of_row) -> np.ndarray:
+        """Eval scores [N] from the context terms ``ctx_z`` [B, out] (``context_terms``).
+        Each hidden layer's elementwise stages (for ``mlp.h0`` the option term plus
+        the context term, then the bias, batch norm, ReLU) run in place on blocks of
+        ``max(1, nn.BLOCK // width)`` rows, each block through every stage before the
+        next; each stage rounds per element, so every value is bitwise that of the
+        stages over whole arrays."""
+        h0 = self.layers[0]
+        W = h0.weight.value
+        opt_z = nn.project(opts, W[:, W.shape[1] - opts.shape[1] :], nn.ROWS)
+        example_of_row = np.repeat(np.arange(len(ctx_z)), np.diff(offsets))
+        x = np.empty((len(option_of_row), h0.out_dim))
+        for lin, bn in zip(self.layers[:-1:2], self.layers[1::2]):
+            if lin is not h0:
+                x = nn.project(x, lin.weight.value, nn.ROWS)
+            rows = max(1, nn.BLOCK // lin.out_dim)
+            for i in range(0, len(x), rows):
+                block = x[i : i + rows]
+                if lin is h0:
+                    np.add(opt_z[option_of_row[i : i + rows]],
+                           ctx_z[example_of_row[i : i + rows]], out=block)
+                block += lin.bias.value
+                block[:] = nn.relu(bn.eval_in_place(block))[0]
+        out = self.layers[-1]
+        return (nn.project(x, out.weight.value, nn.ROWS) + out.bias.value)[:, 0]
 
     def backward(self, cache, dscores: np.ndarray):
         """Backward of a train-mode forward; returns (dctx [B, Dc], dopts [U, Do])."""

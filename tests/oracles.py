@@ -300,6 +300,24 @@ def oracle_fused_mlp(mlp, ctx, opts, offsets, option_of_row, train, dscores=None
     return scores, running, grads, dctx, dopts
 
 
+def oracle_candidate_scores(mlp, ctx_z, opts, offsets, option_of_row):
+    """The eval forward of a FusionMlp after its context term, every stage over
+    whole arrays: the option term plus each row's example's context term
+    ``ctx_z`` [B, out] plus the bias, then batch norm with the running statistics
+    and ReLU over all [N, width] rows, then the next layer. The products run on
+    ``nn.ROWS``-row blocks, as in eval. Reads ``mlp`` and changes nothing."""
+    h0 = mlp.layers[0]
+    W = h0.weight.value
+    z = nn.project(opts, W[:, W.shape[1] - opts.shape[1] :], nn.ROWS)[option_of_row]
+    z += np.repeat(ctx_z, np.diff(offsets), axis=0)
+    z += h0.bias.value
+    for bn, lin in zip(mlp.layers[1::2], mlp.layers[2::2]):
+        xhat = (z - bn.running_mean) * (1.0 / np.sqrt(bn.running_var + nn.BN_EPSILON))
+        x = np.maximum(bn.gamma.value * xhat + bn.beta.value, 0.0)
+        z = nn.project(x, lin.weight.value, nn.ROWS) + lin.bias.value
+    return z[:, 0]
+
+
 def oracle_project(x, weight):
     """x @ weight.T with every row its own one-row product: the eval rule
     before fixed row blocks."""

@@ -372,15 +372,22 @@ LSTM_PATHS = ("query", "option", "caption", "history_q", "history_a")
 
 def eval_products(dims):
     """product -> (view name, parameter, weight shape, column slice) of every eval
-    product of a qih model with MLP depth 2. The mlp.h0 context and option terms and
-    the LSTM input and hidden terms multiply strided column views of one weight, as
-    the model does; LSTM products of one shape share the view ``lstm{hidden}.*``."""
+    product of a qih model with MLP depth 2. The mlp.h0 context terms (one per input
+    block: query, image with caption, each history slot), its option term and the
+    LSTM input and hidden terms multiply strided column views of one weight, as the
+    model does; the history slots share the view ``mlp.h0.context.slot`` and LSTM
+    products of one shape the view ``lstm{hidden}.*``."""
     fused = dims.fused_dim("qih")
     split, E = fused - dims.option_hidden, dims.embed_dim
     h0, h1 = (fused // 2, fused), (fused // 4, fused // 2)
     pair = (dims.history_pair_dim, dims.history_q_hidden + dims.history_a_hidden)
+    q, slots = dims.query_hidden, split - dims.history_len
     products = {
-        "mlp.h0.context": ("mlp.h0.context", "mlp.h0", h0, slice(0, split)),
+        "mlp.h0.context.query": ("mlp.h0.context.query", "mlp.h0", h0, slice(0, q)),
+        "mlp.h0.context.image": ("mlp.h0.context.image", "mlp.h0", h0, slice(q, slots)),
+        **{f"mlp.h0.context.slot{i}": ("mlp.h0.context.slot", "mlp.h0", h0,
+                                       slice(slots + i * pair[0], slots + (i + 1) * pair[0]))
+           for i in range(dims.history_slots)},
         "mlp.h0.option": ("mlp.h0.option", "mlp.h0", h0, slice(split, None)),
         "mlp.h1": ("mlp.h1", "mlp.h1", h1, slice(None)),
         "mlp.out": ("mlp.out", "mlp.out", (1, fused // 4), slice(None)),
@@ -429,24 +436,26 @@ def eval_product_heights():
 
 def eval_product_views(dims):
     """view name -> (weight shape, column slice, block heights) of the eval products:
-    each view is checked at the height of every product that has its shape."""
+    each view is checked at the height of every product that has its shape. History
+    slots past the recording's last one have the heights of the slots recorded."""
     recorded = eval_product_heights()
     views = {}
     for name, (view, _, shape, cols) in eval_products(dims).items():
-        views.setdefault(view, (shape, cols, set()))[2].update(recorded[name])
+        views.setdefault(view, (shape, cols, set()))[2].update(recorded.get(name, ()))
     return views
 
 
 def test_eval_heights_follow_what_rows_are():
-    # rows that are one per example run one row per product; the LSTM rows of
+    # rows that are one per example (the query and caption LSTMs' and each input
+    # block's mlp.h0 context term) run one row per product; the LSTM rows of
     # sequences that come many per example (options, history pairs) share blocks
     # of nn.SEQ_ROWS rows; candidate rows and history.combine blocks of nn.ROWS
-    per_example = {"mlp.h0.context", "lstm.query.input", "lstm.query.hidden",
-                   "lstm.caption.input", "lstm.caption.hidden"}
+    per_example = {"lstm.query.input", "lstm.query.hidden", "lstm.caption.input",
+                   "lstm.caption.hidden"}
     recorded = eval_product_heights()
     assert set(recorded) == set(eval_products(reduced_check_dims()))
     for name, heights in recorded.items():
-        want = (1 if name in per_example else
+        want = (1 if name in per_example or name.startswith("mlp.h0.context.") else
                 nn.SEQ_ROWS if name.startswith("lstm.") else nn.ROWS)
         assert heights == {want}, name
 
@@ -464,7 +473,7 @@ def test_block_property(dims_name, view):
     # and any zero padding, at each height R the model runs this product at.
     # A BLAS that breaks it must fail here, by name.
     shape, cols, heights = eval_product_views(BLOCK_DIMS[dims_name])[view]
-    assert None not in heights, "an eval product ran as one plain product"
+    assert heights and None not in heights, "an eval product ran as one plain product"
     rng = np.random.default_rng(0)
     W = rng.normal(size=shape)[:, cols]
     for R in sorted(heights):

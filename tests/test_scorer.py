@@ -12,7 +12,8 @@ from dialogrank.checkpoint import load_checkpoint, save_checkpoint
 from dialogrank.encoders import EncodingMemo, ModelDims
 from dialogrank.model import DialogScorer, random_example, reduced_check_dims, synthetic_vocab
 from dialogrank.scorer import FusionMlp
-from oracles import oracle_fused_mlp, oracle_score_example
+from oracles import (oracle_candidate_scores, oracle_fused_mlp, oracle_project,
+                     oracle_score_example)
 
 
 def test_mlp_hidden_sizes_at_defaults():
@@ -115,6 +116,66 @@ def blocked_h0_case():
     option_of_row = np.array([0, 1, 2, 2, 3, 0, 4, 1, 3])
     ctx, opts = rng.normal(size=(3, split)), rng.normal(size=(5, 200))
     return mlp, (ctx, opts, offsets, option_of_row), rng.normal(size=9)
+
+
+def stage_case(input_dim, option_dim, rng):
+    """An MLP of depth 2 whose option columns, biases, norms and later layers hold
+    seeded values. Its context columns stay zero, untouched: the candidate stages
+    never read them, so a paper-width MLP maps only what they read."""
+    mlp = FusionMlp(input_dim, depth=2)
+    h0, _, h1, _, out = mlp.layers
+    h0.weight.value[:, input_dim - option_dim :] = rng.normal(
+        scale=input_dim**-0.5, size=(h0.out_dim, option_dim))
+    for lin in (h1, out):
+        lin.weight.value[:] = rng.normal(scale=lin.in_dim**-0.5, size=lin.weight.shape)
+    for lin in (h0, h1, out):
+        lin.bias.value[:] = rng.normal(size=lin.out_dim)
+    seeded_norms(mlp.layers[1::2], rng)
+    return mlp
+
+
+@pytest.mark.parametrize("input_dim, option_dim", [
+    (reduced_check_dims().fused_dim("qih"), reduced_check_dims().option_hidden),
+    (ModelDims().fused_dim("qih"), ModelDims().option_hidden)], ids=["desk", "paper"])
+def test_blocked_candidate_stages_bitwise_as_whole_array_oracle(input_dim, option_dim):
+    # the candidate rows' elementwise stages run on blocks of BLOCK // width rows;
+    # one row short of a block, one block, one row past it and two blocks and a
+    # row of each hidden layer give every score the bits of the whole-array stages
+    rng = np.random.default_rng(input_dim)
+    mlp = stage_case(input_dim, option_dim, rng)
+    counts = sorted({n for width in mlp.hidden_sizes for r in [max(1, nn.BLOCK // width)]
+                     for n in (r - 1, r, r + 1, 2 * r + 1)})
+    for n in counts:
+        offsets = np.array([0, n // 3, n // 2, n])  # three examples, one maybe empty
+        opts = rng.normal(size=(max(1, n // 2), option_dim))
+        option_of_row = rng.integers(len(opts), size=n)
+        ctx_z = rng.normal(size=(3, mlp.hidden_sizes[0]))
+        want = oracle_candidate_scores(mlp, ctx_z, opts, offsets, option_of_row)
+        got = mlp.candidate_scores(ctx_z, opts, offsets, option_of_row)
+        assert np.array_equal(got, want), n  # bitwise
+
+
+@pytest.mark.parametrize("variant", ["q", "qi", "qih"])
+def test_split_context_term_matches_single_product_oracle(variant):
+    # the eval context term sums one product per input block (query, image with
+    # the caption, each history slot); it agrees with one product over the whole
+    # context, and eval scores are those stages over that term
+    dims = reduced_check_dims()
+    model = DialogScorer(dims, synthetic_vocab(40), variant=variant, init_seed=7)
+    mlp = model.mlp
+    rng = np.random.default_rng(len(variant))
+    seeded_norms(mlp.layers[1::2], rng)
+    split = mlp.input_dim - dims.option_hidden
+    edges = [0, *(b for _, b in mlp.spans)]  # contiguous blocks that cover the context
+    assert mlp.spans == list(zip(edges, edges[1:])) and edges[-1] == split
+    ctx = rng.normal(size=(4, split))
+    got = mlp.context_terms(ctx)
+    assert close(got, oracle_project(ctx, mlp.layers[0].weight.value[:, :split]))
+    offsets, option_of_row = np.array([0, 2, 5, 5, 9]), rng.integers(3, size=9)
+    opts = rng.normal(size=(3, dims.option_hidden))
+    scores, _ = mlp.forward(ctx, opts, offsets, option_of_row, train=False)
+    assert np.array_equal(scores, oracle_candidate_scores(mlp, got, opts, offsets,
+                                                          option_of_row))
 
 
 def test_blocked_h0_context_gradient_matches_fused_row_oracle():
@@ -378,14 +439,36 @@ def sharing_rounds(model, n_rounds, seed):
     return rounds
 
 
+def qih_spans(dims):
+    """The context blocks of a qih model: query, image with caption, each slot."""
+    q = dims.query_hidden
+    ic = q + dims.image_dim + dims.caption_hidden
+    p = dims.history_pair_dim
+    return [(0, q), (q, ic)] + [(ic + i * p, ic + (i + 1) * p) for i in range(dims.history_slots)]
+
+
+def context_term_keys(model, ex):
+    """The memo keys of one round's ``mlp.h0`` context terms, from memo-free eval
+    encodes: each block's column span and the bytes of that block's input."""
+    q_vec = model.paths["query"].encode([ex.question_ids], train=False)[0][0]
+    c_vec = model.paths["caption"].encode([ex.caption_ids], train=False)[0][0]
+    hist = model.encode_histories([ex.history], train=False)[0][0]
+    ctx = np.concatenate([q_vec, ex.image_vec, c_vec, hist])
+    return {(span, ctx[span[0] : span[1]].tobytes()) for span in qih_spans(model.dims)}
+
+
 @pytest.mark.parametrize("cap_rows", [None, 3], ids=["cap", "evicting"])
 def test_warm_memo_scores_bitwise_as_memo_free_load(tmp_path, monkeypatch, cap_rows):
     # a memo warmed by other rounds, scored in shuffled orders, gives every
-    # shared and new text the bits a memo-free load computes afresh, also when
-    # the cap keeps only a few rows and evicts the rest
+    # shared and new text and context block the bits a memo-free load computes
+    # afresh, also when the cap keeps only a few entries and evicts the rest
     frozen, reference = frozen_and_memo_free(tmp_path)
-    if cap_rows is not None:  # room for the largest entries (16-wide, <= 7 tokens) and a table
-        monkeypatch.setattr(nn, "MEMO_BYTES", cap_rows * entry_charge(16, 7) + sys.getsizeof(
+    if cap_rows is not None:  # room for the largest entry and a table: at these dims a
+        # context term (38 wide) of the image and caption block (12 + 8 floats of key)
+        dims = frozen.dims
+        largest = term_charge(frozen.mlp.hidden_sizes[0], dims.image_dim + dims.caption_hidden)
+        assert largest > entry_charge(16, 7)  # the largest encoding entry
+        monkeypatch.setattr(nn, "MEMO_BYTES", cap_rows * largest + sys.getsizeof(
             OrderedDict.fromkeys(range(2 * cap_rows))))
     rounds = sharing_rounds(frozen, 12, seed=3)
     want = [reference.score_example(ex).scores for ex in rounds]
@@ -400,14 +483,16 @@ def test_warm_memo_scores_bitwise_as_memo_free_load(tmp_path, monkeypatch, cap_r
             assert np.array_equal(got, want[i])
         assert memo.nbytes == sum(EncodingMemo.charge(*entry) for entry in memo.rows.items())
         assert memo.nbytes + sys.getsizeof(memo.rows) <= nn.MEMO_BYTES
-    if cap_rows is None:  # every distinct text of every path, each once
+    if cap_rows is None:  # every distinct text of every path and context block, each once
         texts = {("option", tuple(ids)) for ex in rounds for ids in ex.option_ids}
         texts |= {("query", tuple(ex.question_ids)) for ex in rounds}
         texts |= {("caption", tuple(ex.caption_ids)) for ex in rounds}
         texts |= {(side, tuple(ids)) for ex in rounds for pair in ex.history + [
             frozen.empty_pair()] for side, ids in zip(("history_q", "history_a"), pair)}
+        texts |= {("mlp.h0", key) for ex in rounds for key in context_term_keys(reference, ex)}
         names = {id(path): name for name, path in frozen.paths.items()}
-        assert sorted((names[id(path)], key) for path, key in memo.rows) == sorted(texts)
+        assert sorted((names[id(owner)], key) if id(owner) in names else ("mlp.h0", (owner, key))
+                      for owner, key in memo.rows) == sorted(texts)
     else:  # the smallest entries are 8-wide caption or history rows of one token
         assert 0 < len(memo.rows) <= nn.MEMO_BYTES // entry_charge(8, 1)
 
@@ -437,6 +522,43 @@ def test_seq_block_edge_scores_bitwise_as_memo_free_load(tmp_path, seen):
         assert np.array_equal(got, reference.score_example(ex).scores)
 
 
+def test_frozen_model_runs_context_term_products_of_new_blocks_only(tmp_path, monkeypatch):
+    # a frozen model scoring a dialog's rounds in order runs the context product of
+    # its image and caption once, of each history slot once per (slot, pair), and
+    # of the query once per question; every score stays that of a memo-free load
+    frozen, reference = frozen_and_memo_free(tmp_path)
+    dims = frozen.dims
+    W = frozen.mlp.layers[0].weight.value
+    assert frozen.mlp.spans == qih_spans(dims)
+    span_of = {(W[:, a:b].ctypes.data, W[:, a:b].shape): (a, b) for a, b in frozen.mlp.spans}
+    ran = []
+    project = nn.project
+
+    def recording(x, weight, rows=None):
+        span = span_of.get((weight.ctypes.data, weight.shape))
+        if span is not None:
+            ran.append(span)
+        return project(x, weight, rows)
+
+    monkeypatch.setattr(nn, "project", recording)
+    rng = np.random.default_rng(31)
+    dialog = random_example(frozen.vocab, dims, rng, k_options=9, n_history=dims.history_slots)
+    questions = [random_example(frozen.vocab, dims, rng).question_ids for _ in range(dims.rounds)]
+    questions[2] = questions[0]  # round 3 asks round 1's question again
+    query, image, *slots = frozen.mlp.spans
+    for t in range(dims.rounds):
+        ex = dataclasses.replace(dialog, round_no=t + 1, history=dialog.history[:t],
+                                 question_ids=questions[t])
+        ran.clear()
+        assert np.array_equal(frozen.score_example(ex).scores,
+                              reference.score_example(ex).scores)  # bitwise
+        if t == 0:  # every block is new, empty slots included: one term per slot
+            want = [query, image, *slots]
+        else:  # the newest pair's slot, and the query when the question is new
+            want = [query] * (questions[t] not in questions[:t]) + [slots[t - 1]]
+        assert ran == want, t
+
+
 def test_memo_rows_are_read_only_copies(tmp_path):
     frozen, _ = frozen_and_memo_free(tmp_path)
     ex = sharing_rounds(frozen, 1, seed=5)[0]
@@ -464,6 +586,12 @@ def test_memo_drops_oldest_first(monkeypatch):
 def entry_charge(width, tokens):
     """A memo entry's charge: a ``width``-wide row under a key of ``tokens`` tokens."""
     return EncodingMemo.charge((None, (0,) * tokens), np.zeros(width))
+
+
+def term_charge(width, key_floats):
+    """A context term's charge: a ``width``-wide term under a key of the block and
+    ``key_floats`` float64 values of input."""
+    return EncodingMemo.charge(((0, key_floats), bytes(8 * key_floats)), np.zeros(width))
 
 
 def test_memo_memory_stays_within_its_cap(monkeypatch):

@@ -255,8 +255,9 @@ def every_value_and_buffer(model):
 
 
 def test_default_load_is_frozen(tmp_path, toy_data):
-    # a default load is read-only, value and buffer alike, and its text paths share
-    # one memo; a fresh model and an adam_state=True load stay writable, memo-free
+    # a default load is read-only, value and buffer alike, and its text paths and
+    # its MLP share one memo; a fresh model and an adam_state=True load stay
+    # writable, memo-free
     ds, _ = toy_data
     model = DialogScorer(toy_dims(), ds.vocab, variant="qih", mlp_depth=2, init_seed=0)
     path = tmp_path / "m.ckpt"
@@ -269,10 +270,12 @@ def test_default_load_is_frozen(tmp_path, toy_data):
             arr += 0.0
     assert len({id(path.memo) for path in frozen.paths.values()}) == 1
     assert frozen.paths["query"].memo is not None
+    assert frozen.mlp.memo is frozen.paths["query"].memo
     for writable in (model, load_checkpoint(path, adam_state=True)[0]):
         for name, arr in every_value_and_buffer(writable):
             arr.flat[0] = arr.flat[0]
         assert all(path.memo is None for path in writable.paths.values())
+        assert writable.mlp.memo is None
 
 
 def test_train_mode_leaves_every_memo_untouched(tmp_path, toy_data):
@@ -317,6 +320,7 @@ def test_validation_pass_runs_frozen_and_changes_no_byte(tmp_path, toy_data, mon
     model, logs = train(ds, ds, features, cfg)
     assert seen == [(True, True)] * 3
     assert all(path.memo is None for path in model.paths.values())
+    assert model.mlp.memo is None
     assert all(arr.flags.writeable for _, arr in every_value_and_buffer(model))
     save_checkpoint(model, tmp_path / "memo.ckpt")
 
