@@ -209,8 +209,9 @@ class DialogScorer:
                                           dims.history_pair_dim, rng, name="history.combine")
             self.pair_bn = nn.BatchNorm1d(dims.history_pair_dim, name="history.bn")
             self.layers += [self.pair_combine, self.pair_bn]
-        self.mlp = FusionMlp(dims.fused_dim(variant), mlp_depth, rng,
-                             context_spans(dims, variant))
+        self.mlp = FusionMlp(dims.fused_dim(variant), mlp_depth, rng)
+        # after the MLP's layers: a size they refuse builds no per-slot span
+        self.mlp.spans = context_spans(dims, variant)
         self.layers += self.mlp.layers
         self._token_ids: dict[tuple[str, int], list[int]] = {}  # unroll._token_ids
 

@@ -9,7 +9,11 @@ follow-up questions is assembled from four sources, in order:
              dialog's last round, since that one has no follow-up);
   popular    the 30 most frequent questions of the corpus;
   random     seeded uniform draws from the question pool until the set
-             reaches 100 unique strings.
+             reaches 100 unique strings. They are drawn in chunks, one
+             ``integers`` call for as many values as the set has empty
+             slots: a draw fills at most one slot, so a chunk never draws
+             past the last value that one draw at a time would, and numpy
+             gives a size-k call the values and end state of k scalar calls.
 
 Candidates are deduplicated by exact string at every stage, keeping the
 earliest provenance label. The per-round PRNG is seeded from
@@ -31,10 +35,15 @@ dialog's last round) say which round a row is. A candidate set is a function
 of one row: the row is the neighbour-search query, and its image, round and
 follow-up are the ones the set is built for.
 
-The neighbour search runs a block of queries at a time: ``short_list`` takes
+The neighbour search runs a block of queries at a time: ``nearest_rows`` takes
 the squared distances of Q queries to all N rows in one product, ``K @ Q.T``,
 with Q = max(1, SEARCH_BYTES // (8 N)) so that the [N, Q] float64 block stays
-within ``SEARCH_BYTES``, and each query's short list is then re-ranked exactly.
+within ``SEARCH_BYTES``. Each query keeps a short list within a derived margin
+of its k-th value, ordered by those product-form values. Consecutive rows
+within the margin of each other form a near-tie chain, and only chained rows
+get the exact distance: rows of different chains are far enough apart that
+the exact formula orders them the same way (``nearest_rows`` gives the
+bound).
 ``build_qdataset_payload`` searches the rows that have a follow-up one block at
 a time, so the key matrix is read once per block, not once per set; its blocks
 are also capped at SEARCH_BYTES // (8 D) rows, so each copied [Q, D] block of
@@ -115,7 +124,7 @@ def qa_pair_key(question: str, answer: str, glove: GloveTable) -> np.ndarray:
 
 class CorpusKeys:
     """The QA key of every round, one row each, laid out as the module
-    docstring says; ``sq_norms`` and ``max_norm`` serve ``short_list``."""
+    docstring says; ``sq_norms`` and ``max_norm`` serve ``nearest_rows``."""
 
     def __init__(self, dataset: DialogDataset, glove: GloveTable):
         n = sum(len(record.rounds) for record in dataset.records)
@@ -166,52 +175,71 @@ def search_height(n_rows: int) -> int:
     return max(1, SEARCH_BYTES // (8 * n_rows))
 
 
-def short_list(matrix: np.ndarray, sq_norms: np.ndarray, max_norm: float,
-               queries: np.ndarray, k: int, skip: np.ndarray) -> list[np.ndarray]:
-    """For each query row ``queries[j]``, the rows of ``matrix`` outside column
-    ``skip[:, j]`` of the boolean mask ``skip`` [N, Q] that can be among the k
-    nearest to it under any exact re-rank of ``|m - q|``; all of them when k
-    does not cut, none when k = 0 (then nothing is read). ``sq_norms`` holds
-    each row's ``|m|**2`` and ``max_norm`` the largest ``|m|``.
+def nearest_rows(matrix: np.ndarray, sq_norms: np.ndarray, max_norm: float,
+                 queries: np.ndarray, k: int, skip: np.ndarray, exact, ties) -> list[np.ndarray]:
+    """For each query row ``queries[j]``, the k rows of ``matrix`` nearest to it
+    outside column ``skip[:, j]`` of the boolean mask ``skip`` [N, Q], nearest
+    first, in the order of the exact distances ``exact(query, rows)`` with ties
+    broken by the per-row keys ``ties`` (``np.lexsort`` order, least significant
+    first). ``sq_norms`` holds each row's ``|m|**2`` and ``max_norm`` the largest
+    ``|m|``. At k = 0 nothing is read; where k does not cut, every row is ranked
+    by its exact distance.
 
     The prefilter takes squared distances ``|m|**2 - 2 m . q + |q|**2`` for
     every row and query, one product ``M @ Q.T`` with no copy of M, and keeps
-    each column's rows within 2 err of its own k-th smallest value, where
-    err = 8 D eps (max|m| + |q|)**2 + D * 2**-1000 for row dimension D.
+    each column's short list: its rows within 2 err of its own k-th smallest
+    value, where err = 8 D eps (max|m| + |q|)**2 + D * 2**-1000 for row
+    dimension D.
 
     Each of |m|**2, m . q and |q|**2 is a sum of D products, so in any
     summation order (BLAS blocking, threads, FMA) its error is at most
-    gamma_D = D eps / 2 times (max|m| + |q|)**2 (Higham 2002). A re-ranked
-    squared distance, a sum of D rounded squared differences in any order,
-    has an error of the same size. So the prefilter and the re-rank agree to
-    within delta = (D + 3) eps (max|m| + |q|)**2 <= err. The k-th re-ranked
+    gamma_D = D eps / 2 times (max|m| + |q|)**2 (Higham 2002). An exact squared
+    distance, a sum of D rounded squared differences in any order, has an
+    error of the same size. So the two forms agree to within
+    delta = (D + 3) eps (max|m| + |q|)**2, and err >= 2 delta. The k-th exact
     squared distance is then at most the k-th prefilter value plus delta, so
-    every answer row has a prefilter value within 2 delta of the k-th one;
-    err leaves room for the rounding of the square root, and the second term
-    for products that underflow. Re-ranking a column's short list therefore
-    gives the same list as re-ranking every row outside its mask, whatever
-    queries share the block."""
+    every answer row has a prefilter value within 2 delta of the k-th one, and
+    the short list holds them all, whatever queries share the block; the
+    second term of err covers products that underflow.
+
+    The short list is then ordered by its prefilter values, and consecutive
+    rows whose values differ by at most 2 err form a near-tie chain. Rows of
+    different chains are more than 2 err apart, so their exact squared
+    distances differ by more than 2 err - 2 delta >= err >= 8 eps
+    (max|m| + |q|)**2, several ulps, and their rounded square roots keep that
+    order. Only a row that shares its chain gets its exact distance; the list
+    is ranked by (chain, exact distance, ties) and cut at k."""
     if k == 0:
         return [np.empty(0, dtype=np.intp) for _ in queries]
     cuts = len(skip) - np.count_nonzero(skip, axis=0) > k
-    if not cuts.any():
-        return [np.flatnonzero(~column) for column in skip.T]
-    approx = matrix @ queries.T
-    approx *= -2.0
-    approx += sq_norms[:, None]
-    q_sq = np.einsum("ij,ij->i", queries, queries)
-    approx += q_sq
-    approx[skip] = np.inf
-    dim = matrix.shape[1]
-    err = 8.0 * dim * _EPS * (max_norm + np.sqrt(q_sq)) ** 2 + dim * _UNDERFLOW
+    if cuts.any():
+        approx = matrix @ queries.T
+        approx *= -2.0
+        approx += sq_norms[:, None]
+        q_sq = np.einsum("ij,ij->i", queries, queries)
+        approx += q_sq
+        approx[skip] = np.inf
+        dim = matrix.shape[1]
+        margin = 2.0 * (8.0 * dim * _EPS * (max_norm + np.sqrt(q_sq)) ** 2 + dim * _UNDERFLOW)
     out = []
-    for j, cut in enumerate(cuts):
-        column = approx[:, j]
-        if cut:
+    for j, query in enumerate(queries):
+        if cuts[j]:
+            column = approx[:, j]
             kth = np.partition(column, k - 1)[k - 1]
-            out.append(np.flatnonzero(column <= kth + 2.0 * err[j]))
+            rows = np.flatnonzero(column <= kth + margin[j])
+            rows = rows[np.argsort(column[rows])]
+            near = np.diff(column[rows]) <= margin[j]
+            chain = np.concatenate(([0], np.cumsum(~near)))
+            tied = np.concatenate((near, [False]))
+            tied[1:] |= near
         else:
-            out.append(np.flatnonzero(~skip[:, j]))
+            rows = np.flatnonzero(~skip[:, j])
+            chain = np.zeros(len(rows), dtype=np.intp)
+            tied = np.ones(len(rows), dtype=bool)
+        dists = np.zeros(len(rows))
+        if tied.any():
+            dists[tied] = exact(query, rows[tied])
+        out.append(rows[np.lexsort((*(key[rows] for key in ties), dists, chain))[:k]])
     return out
 
 
@@ -223,24 +251,24 @@ def find_plausible(queries: np.ndarray, query_image_ids, corpus: CorpusKeys,
     (image_id, round).
 
     The distance is ``np.linalg.norm(K[rows] - q, axis=1)`` over the key
-    matrix K. ``short_list`` prefilters the usable rows for ``search_height``
-    queries at a time; each query's short list is re-ranked with the distance
-    formula and the (dist, image_id, round) tie-break, which gives the same
-    list as a copy-then-norm scan of every usable row."""
+    matrix K. ``nearest_rows`` searches the usable rows for ``search_height``
+    queries at a time and takes that norm only for the rows of a near-tie
+    chain of a query's short list; this gives the same list as a
+    copy-then-norm scan of every usable row."""
     image_ids = np.asarray(query_image_ids)
     last_rounds = (corpus.followups < 0)[:, None]
     height = search_height(len(corpus))
+
+    def exact(query, rows):
+        return np.linalg.norm(corpus.matrix[rows] - query, axis=1)
+
     out = []
     for start in range(0, len(queries), height):
-        block = queries[start:start + height]
         skip = corpus.image_ids[:, None] == image_ids[start:start + height]
         skip |= last_rounds
-        shorts = short_list(corpus.matrix, corpus.sq_norms, corpus.max_norm, block, k, skip)
-        del skip
-        for query, short in zip(block, shorts):
-            dists = np.linalg.norm(corpus.matrix[short] - query, axis=1)
-            order = np.lexsort((corpus.round_nos[short], corpus.image_ids[short], dists))
-            out.append(short[order[:k]].tolist())
+        out += [rows.tolist() for rows in nearest_rows(
+            corpus.matrix, corpus.sq_norms, corpus.max_norm, queries[start:start + height], k,
+            skip, exact, (corpus.round_nos, corpus.image_ids))]
     return out
 
 
@@ -310,8 +338,10 @@ def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
 
     rng = round_rng(seed, image_id, round_no)
     del chosen[pool_size:]
-    while len(chosen) < pool_size:
-        push(int(rng.integers(0, len(dataset.questions))), "random")
+    while len(chosen) < pool_size:  # each draw fills at most one empty slot
+        for pool_idx in rng.integers(0, len(dataset.questions),
+                                     size=pool_size - len(chosen)).tolist():
+            push(pool_idx, "random")
     perm = rng.permutation(pool_size)
     shuffled = [chosen[i] for i in perm]
     gt_index = next(i for i, (_, label) in enumerate(shuffled) if label == "correct")

@@ -58,11 +58,12 @@ class FusionMlp:
     """Scoring MLP with one or two hidden layers of floor(input/2),
     floor(input/4) units. ``layers`` holds them in registry order:
     ``mlp.h0``, ``mlp.h0.bn``, ..., ``mlp.out``. ``spans`` are the column spans
-    of the context blocks, in the order eval sums their terms (by default the
-    whole context is one block); ``memo`` is the model's ``EncodingMemo`` while
-    it is frozen, else ``None``."""
+    of the context blocks, in the order eval sums their terms, which
+    ``DialogScorer`` sets once the layers exist (``None``: the whole context is
+    one block); ``memo`` is the model's ``EncodingMemo`` while it is frozen,
+    else ``None``."""
 
-    def __init__(self, input_dim: int, depth: int, rng=None, spans=None):
+    def __init__(self, input_dim: int, depth: int, rng=None):
         if depth not in MLP_DEPTHS:
             raise ValueError(f"mlp depth must be 1 or 2, got {depth}")
         self.input_dim = input_dim
@@ -75,7 +76,7 @@ class FusionMlp:
             self.layers += [nn.Linear(widths[i], widths[i + 1], rng, name=f"mlp.h{i}"),
                             nn.BatchNorm1d(widths[i + 1], name=f"mlp.h{i}.bn")]
         self.layers.append(nn.Linear(widths[-1], 1, rng, name="mlp.out"))
-        self.spans = spans
+        self.spans = None
         self.memo = None
 
     def forward(self, ctx: np.ndarray, opts: np.ndarray, offsets, option_of_row,

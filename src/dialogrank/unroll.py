@@ -14,11 +14,11 @@ pools and scores are recorded for audit and replay.
 The corpus is indexed once. The feature store is one [N, d] matrix, and the
 neighbour list of an image is memoised on it, since it depends only on the
 image. The dataset builds ``by_image`` and its sorted distinct pools on first
-use. ``nearest_images`` shares the product-form prefilter of the
-follow-up-question builder (``qdataset.short_list`` for a block of one
-query: one matrix-vector product and a derived margin) and re-ranks its
-short list with the per-vector norm and the id tie-break, so transcripts are
-the same bytes as with a per-vector scan of every image. Pool, history and
+use. ``nearest_images`` shares the search of the follow-up-question builder
+(``qdataset.nearest_rows`` for a block of one query: one matrix-vector
+product, a derived margin, and the per-vector norm only for the near-tie
+chains of its short list, with the id tie-break), so transcripts are the
+same bytes as with a per-vector scan of every image. Pool, history and
 caption strings recur round after round, so each is tokenized once per model
 and length cap (``_token_ids``).
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .model import DialogScorer, RoundExample
-from .qdataset import short_list
+from .qdataset import nearest_rows
 from .text import (DialogDataset, ImageFeatureStore, dataset_json_bytes,
                    encode_truncate, tokenize)
 
@@ -102,10 +102,12 @@ def nearest_images(features: ImageFeatureStore, image_id: int, n: int) -> list[i
     """The n closest other images by l2 distance; ties break by id.
 
     The distance is the per-vector ``np.linalg.norm(v - q)``. The shared
-    ``qdataset.short_list`` prefilter, run for this one query and skipping
-    only its own row, keeps the rows that can be among the n nearest;
-    re-ranking them with the per-vector formula and the id tie-break gives
-    the same list as a per-vector scan of every image.
+    ``qdataset.nearest_rows`` search, run for this one query and skipping
+    only its own row, keeps the rows that can be among the n nearest, orders
+    them by the prefilter's squared distances, and takes the per-vector norm
+    only for the rows of a near-tie chain (prefilter values within its margin
+    of a neighbour's); ranking by (chain, norm, id) gives the same list as a
+    per-vector scan of every image.
 
     Results are memoised per (image_id, n) on the immutable store; each call
     returns a fresh list."""
@@ -114,13 +116,15 @@ def nearest_images(features: ImageFeatureStore, image_id: int, n: int) -> list[i
     if key not in memo:
         row = features.row_of(image_id)
         matrix = features.matrix
-        query = matrix[row]
         skip = np.zeros((len(matrix), 1), dtype=bool)
         skip[row] = True
-        short, = short_list(matrix, features.sq_norms, features.max_norm, query[None], n, skip)
-        dists = np.array([np.linalg.norm(matrix[i] - query) for i in short])
-        ids = features.id_array[short]
-        memo[key] = tuple(int(ids[i]) for i in np.lexsort((ids, dists))[:n])
+
+        def exact(query, rows):
+            return np.array([np.linalg.norm(matrix[i] - query) for i in rows])
+
+        rows, = nearest_rows(matrix, features.sq_norms, features.max_norm,
+                             matrix[row:row + 1], n, skip, exact, (features.id_array,))
+        memo[key] = tuple(features.id_array[rows].tolist())
     return list(memo[key])
 
 
@@ -140,7 +144,8 @@ def build_pool(kind: str, state: DialogState, dataset: DialogDataset,
     The dataset's ``by_image`` and sorted distinct pools are built once per
     dataset. Padding counts what is left as the distinct pool size minus the
     seen strings in it, and filters the sorted pool only when everything left
-    is taken."""
+    is taken. Otherwise it draws in chunks of as many values as the pool has
+    empty slots, which are the values one draw at a time would take."""
     if kind not in _KIND_CODE:
         raise ValueError(f"unknown pool kind {kind!r}")
     if kind == "question":
@@ -173,11 +178,13 @@ def build_pool(kind: str, state: DialogState, dataset: DialogDataset,
         else:
             rng = np.random.default_rng(
                 [spec.seed, state.image_id, state.round_counter, _KIND_CODE[kind]])
-            while len(items) < spec.pool_size:
-                s = pool_source[int(rng.integers(0, len(pool_source)))]
-                if s not in seen:
-                    seen.add(s)
-                    items.append(s)
+            while len(items) < spec.pool_size:  # each draw fills at most one empty slot
+                for i in rng.integers(0, len(pool_source),
+                                      size=spec.pool_size - len(items)).tolist():
+                    s = pool_source[i]
+                    if s not in seen:
+                        seen.add(s)
+                        items.append(s)
     return items
 
 

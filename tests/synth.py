@@ -195,3 +195,44 @@ def toy_glove(payload, dim=5, seed=0, drop_every=7):
             continue
         vectors[w] = rng.normal(size=dim)
     return vectors
+
+
+class CountingRng:
+    """A generator that counts its ``integers`` calls and the values they draw,
+    and passes every call on to the wrapped ``np.random.Generator``."""
+
+    def __init__(self, rng):
+        self.rng, self.calls, self.values = rng, 0, 0
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.calls += 1
+        self.values += np.size(out)
+        return out
+
+    def permutation(self, n):
+        return self.rng.permutation(n)
+
+
+def counting_rngs(monkeypatch, owner, name):
+    """Replace the generator factory ``owner.name`` by one whose generators
+    count their draws; returns the list they are collected in."""
+    made = []
+    factory = getattr(owner, name)
+
+    def counting(*args):
+        made.append(CountingRng(factory(*args)))
+        return made[-1]
+
+    monkeypatch.setattr(owner, name, counting)
+    return made
+
+
+def colliding_payload(payload, copies=100):
+    """``payload`` with ``copies`` more entries of each of its first three
+    pool questions and answers: most random draws then hit a string the set
+    already holds, so each fill needs several chunks of draws."""
+    payload = dict(payload)
+    payload["questions"] = payload["questions"] + payload["questions"][:3] * copies
+    payload["answers"] = payload["answers"] + payload["answers"][:3] * copies
+    return payload

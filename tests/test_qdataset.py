@@ -9,7 +9,8 @@ import pytest
 from dialogrank import qdataset as qd
 from dialogrank.text import GloveTable, dataset_json_bytes
 from oracles import oracle_candidate_set
-from synth import load_payload, qbuilder_corpus, toy_glove
+from synth import (colliding_payload, counting_rngs, load_payload, qbuilder_corpus,
+                   toy_glove)
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +231,46 @@ def test_candidate_sets_match_oracle_everywhere(corpus, seed):
             assert got.gt_index == want_gt
 
 
+@pytest.mark.parametrize("n", [1, 2, 600, 20000, 2**31 + 7, 2**40])
+def test_chunked_draws_continue_the_scalar_stream(n):
+    # a random fill draws its empty slots in one call: numpy must give that call
+    # the values, and leave the state, of as many scalar calls, or the shuffle
+    # after the fill would move
+    for seed in ([0, 4000, 1], [11, 4017, 9], [2**40, 7, 5]):
+        for k in (1, 2, 57):
+            scalar, chunked = qd.round_rng(*seed), qd.round_rng(*seed)
+            want = [int(scalar.integers(0, n)) for _ in range(k)]
+            assert chunked.integers(0, n, size=k).tolist() == want, (seed, k)
+            assert np.array_equal(chunked.permutation(100), scalar.permutation(100)), (seed, k)
+
+
+def test_builder_draws_each_fill_in_chunks(corpus, monkeypatch):
+    _, dataset, glove = corpus
+    want = dataset_json_bytes(qd.build_qdataset_payload(dataset, glove, seed=9))
+    rngs = counting_rngs(monkeypatch, qd, "round_rng")
+    assert dataset_json_bytes(qd.build_qdataset_payload(dataset, glove, seed=9)) == want
+    assert len(rngs) == 9 * len(dataset)
+    calls, values = sum(r.calls for r in rngs), sum(r.values for r in rngs)
+    assert 0 < calls < values, (calls, values)
+
+
+def test_colliding_fills_match_oracle(monkeypatch):
+    # three strings hold 303 of the pool's 420 entries, so most draws collide
+    payload = colliding_payload(qbuilder_corpus(n_images=12, seed=3))
+    dataset = load_payload(payload)
+    glove_dict = toy_glove(payload, dim=5)
+    glove = GloveTable({w: np.asarray(v) for w, v in glove_dict.items()})
+    rngs = counting_rngs(monkeypatch, qd, "round_rng")
+    built = qd.build_qdataset_payload(dataset, glove, seed=5)
+    for record, dialog in zip(dataset.records, built["dialogs"], strict=True):
+        for t, rnd in enumerate(dialog["rounds"][:9], start=1):
+            want, want_gt = oracle_candidate_set(payload, record.image_id, t, glove_dict, 5)
+            got = [(dataset.questions[i], label) for i, label in
+                   zip(rnd["question_options"], rnd["question_provenance"])]
+            assert (got, rnd["question_gt_index"]) == (want, want_gt), (record.image_id, t)
+    assert max(r.calls for r in rngs) >= 3
+
+
 def test_candidate_set_invariants(corpus):
     payload, dataset, glove = corpus
     keys = qd.CorpusKeys(dataset, glove)
@@ -330,7 +371,8 @@ def test_qdataset_bytes_same_at_every_block_height(corpus, monkeypatch, height):
 
 def test_short_list_reads_nothing_for_k_zero():
     skip = np.zeros((5, 3), dtype=bool)
-    got = qd.short_list(None, None, 0.0, np.ones((3, 4)), 0, skip)  # no matrix to read
+    # no matrix to read and no exact distance to take
+    got = qd.nearest_rows(None, None, 0.0, np.ones((3, 4)), 0, skip, None, ())
     assert [list(short) for short in got] == [[], [], []]
 
 

@@ -1,16 +1,18 @@
 """Exactness of the two corpus searches against their brute-force oracles.
 
-Both searches share one prefilter, ``qdataset.short_list``: product-form
+Both searches share one search, ``qdataset.nearest_rows``: product-form
 squared distances of a block of queries from one matrix product, each query
-keeping the rows within a derived margin of its own cut. ``nearest_images``
-runs it for one query and re-ranks the short list with the per-vector norm;
-``find_plausible`` runs ``search_height`` queries per block and re-ranks each
-with a row-wise norm. Each case here compares the result with a straight-line
-scan by list equality: ties at the cut (duplicated vectors and keys), every
-interesting n or k, large corpora, keys whose common offset makes the product
-cancel, and near-ties that a prefilter orders differently from the exact
-formula across the cut. ``find_plausible`` is checked with all queries in one
-block and in blocks of 1 and of 7.
+keeping the rows within a derived margin of its own cut, and the exact
+distance only for the rows of a near-tie chain (consecutive prefilter values
+within that margin). ``nearest_images`` runs it for one query with the
+per-vector norm; ``find_plausible`` runs ``search_height`` queries per block
+with a row-wise norm. Each case here compares the result with a
+straight-line scan by list equality: ties at the cut (duplicated vectors and
+keys), every interesting n or k, large corpora, keys whose common offset
+makes the product cancel, and near-ties that a prefilter orders differently
+from the exact formula across the cut. ``find_plausible`` is checked with
+all queries in one block and in blocks of 1 and of 7, and for the rows it
+takes exact norms of.
 """
 
 import tracemalloc
@@ -246,3 +248,73 @@ def test_plausible_near_tie_across_the_cut():
     # the near-tie queries share their blocks with other queries
     check_plausible(corpus, [(corpus.matrix[i], i // 10) for i in range(1, 30, 4)]
                     + [(q, -1), (q, 0)], cut=(6,))
+
+
+def row_norms(monkeypatch):
+    """Wrap ``np.linalg.norm``; the returned list collects the row count of each
+    row-wise call."""
+    counts = []
+    norm = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        if kwargs.get("axis") == 1:
+            counts.append(len(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return counts
+
+
+def chained_rows(corpus, query, image, k):
+    """The size of the query's short list and how many of its rows share an
+    exactly equal distance with another of its rows, when its distinct
+    distances are far apart: then the short list is the rows up to the k-th
+    distance and its ties, and the near-tie chains are exactly the groups of
+    equal distances."""
+    rows = np.array(oracle_find_plausible(query, image, corpus, len(corpus)))
+    dists = np.linalg.norm(corpus.matrix[rows] - query, axis=1)
+    short = dists[dists <= dists[k - 1]]
+    distinct = np.unique(dists[:len(short) + 1])
+    assert np.diff(distinct ** 2).min() > 1e-6  # far beyond any near-tie margin
+    _, counts = np.unique(short, return_counts=True)
+    return len(short), int(counts[counts > 1].sum())
+
+
+def test_plausible_takes_no_exact_norm_on_distinct_keys(monkeypatch):
+    # the corpus of test_plausible_seeded_random_keys: no two keys near-tie
+    rng = np.random.default_rng(8)
+    keys = rng.normal(size=(3000, 20))
+    corpus = corpus_of(keys)
+    queries = [(keys[i], i // 10) for i in (0, 1234, 2999, *range(7, 3000, 300))]
+    queries.append((rng.normal(size=20), -1))
+    block, images = np.stack([q for q, _ in queries]), [image for _, image in queries]
+    for k in (1, 10, 50):
+        assert all(chained_rows(corpus, q, image, k)[1] == 0 for q, image in queries)
+        want = [oracle_find_plausible(q, image, corpus, k) for q, image in queries]
+        with monkeypatch.context() as mp:
+            counts = row_norms(mp)
+            got = qd.find_plausible(block, images, corpus, k)
+        assert got == want, k
+        assert counts == [], k
+
+
+def test_plausible_takes_exact_norms_of_chained_duplicates_only(monkeypatch):
+    # 700 random keys, where rows 600-659 copy rows 0-59 (other images) and
+    # rows 660-669 copy row 0: only the copies in a short list share a chain
+    rng = np.random.default_rng(13)
+    keys = rng.normal(size=(700, 20))
+    keys[600:660] = keys[:60]
+    keys[660:670] = keys[0]
+    corpus = corpus_of(keys)
+    queries = [(keys[i] + 0.3 * rng.normal(size=20), -1) for i in range(0, 60, 6)]
+    queries += [(keys[i], i // 10) for i in (0, 3, 615, 640)]
+    block, images = np.stack([q for q, _ in queries]), [image for _, image in queries]
+    for k in (1, 5, 12):
+        short, chained = zip(*(chained_rows(corpus, q, image, k) for q, image in queries))
+        assert 0 < sum(chained) < sum(short), (k, short, chained)
+        want = [oracle_find_plausible(q, image, corpus, k) for q, image in queries]
+        with monkeypatch.context() as mp:
+            counts = row_norms(mp)
+            got = qd.find_plausible(block, images, corpus, k)
+        assert got == want, k
+        assert counts == [c for c in chained if c], (k, chained)

@@ -527,6 +527,10 @@ def float_shape(manifest):
     (lambda m: (m["model"].update(variant="q"),
                 m["model"]["dims"].update(query_hidden=1, option_hidden=1)), None,
      "mlp depth 2 needs a fused width >= 4, got 2"),
+    # the MLP's layers refuse the size before any per-slot work starts
+    (lambda m: m["model"]["dims"].update(rounds=2**64), None, "model config is invalid"),
+    (lambda m: m["model"]["dims"].update(rounds=10**30), None, "model config is invalid"),
+    (lambda m: m["model"]["dims"].update(rounds=10**9), None, "model config is invalid"),
 ], ids=["no-model", "no-step-counts", "no-entries", "no-vocab", "unknown-dims-key",
         "entries-not-a-list", "bad-variant", "nan-value", "qih-one-round", "dims-bool", "overlap", "gap",
         "trailing-bytes", "duplicate-entry", "shared-embeddings-list", "shared-embeddings-int",
@@ -534,7 +538,8 @@ def float_shape(manifest):
         "variant-null", "mlp-depth-bool", "mlp-depth-float", "step-count-negative",
         "step-count-float", "shape-float", "offset-float", "truncated-payload",
         "nan-adam-v", "truncated-adam-v", "deep-nesting", "unknown-task", "version-2",
-        "extra-not-a-dict", "vocab-int", "invalid-json", "empty-mlp-layer"])
+        "extra-not-a-dict", "vocab-int", "invalid-json", "empty-mlp-layer",
+        "rounds-2**64", "rounds-10**30", "rounds-10**9"])
 def test_malformed_checkpoint_raises_load_error(tmp_path, edit, edit_payload, named):
     model = DialogScorer(toy_dims(), synthetic_vocab(30), init_seed=0)
     path = tmp_path / "m.ckpt"

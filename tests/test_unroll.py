@@ -11,7 +11,8 @@ from dialogrank import unroll as unroll_module
 from dialogrank.unroll import (DialogState, PoolSpec, build_pool, nearest_images,
                                step, unroll, verify_transcript)
 from oracles import oracle_nearest_images
-from synth import feature_store, load_payload, qbuilder_corpus
+from synth import (colliding_payload, counting_rngs, feature_store, load_payload,
+                   qbuilder_corpus)
 
 
 def toy_models(vocab, rounds_q=4, rounds_a=4, image_dim=6):
@@ -179,6 +180,25 @@ def test_pool_skips_neighbour_images_without_a_dialog(setup):
     for kind in ("question", "answer"):
         assert (build_pool(kind, state, dataset, store, spec)
                 == oracle_pool(kind, state, dataset, store, spec))
+
+
+def test_colliding_fills_match_oracle_pool(setup, monkeypatch):
+    # the setup's images, but three strings hold 303 of the 420 question and of
+    # the 360 answer entries, so most padding draws collide
+    _, features, _, _ = setup
+    dataset = load_payload(colliding_payload(qbuilder_corpus(n_images=12, seed=6)))
+    record = dataset.records[5]
+    state = DialogState(record.image_id, record.caption,
+                        [(dataset.questions[record.rounds[0].question], "yes")])
+    for kind, pool_size in (("question", 100), ("answer", 50)):
+        spec = PoolSpec(n_neighbor_images=2, pool_size=pool_size, top_m=5, seed=7)
+        want = oracle_pool(kind, state, dataset, features, spec)
+        assert len(want) == pool_size
+        with monkeypatch.context() as mp:
+            rngs = counting_rngs(mp, np.random, "default_rng")  # the padding generator
+            got = build_pool(kind, state, dataset, features, spec)
+        assert got == want, kind
+        assert len(rngs) == 1 and rngs[0].calls >= 3, (kind, rngs[0].calls)
 
 
 def test_pool_uses_everything_when_corpus_small(setup):
