@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from dataclasses import asdict, fields
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint
 from .encoders import ModelDims, TASKS, VARIANTS
 from .metrics import evaluate_model
 from .model import full_model_gradcheck
@@ -119,6 +120,14 @@ def _write_lines(path, lines: list[str]) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _check_out(path) -> None:
+    """Refuse an ``--out`` that no file can be written to, before any input is read."""
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path}: is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"--out {path}: its directory does not exist")
+
+
 def _dataset_for(payload, vocab: Vocabulary, dims: ModelDims):
     """The dataset of ``payload``, its text cut to the word limits of ``dims``."""
     return dataset_from_payload(payload, vocab, max_question_words=dims.max_question_words,
@@ -164,6 +173,7 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_build_qdataset(args) -> int:
     _echo_args(args)
+    _check_out(args.out)
     payload = read_dataset(args.dataset)
     dataset = dataset_from_payload(payload, _vocab_of(args.dataset, payload))
     glove = load_glove(args.glove)
@@ -179,6 +189,7 @@ def cmd_build_qdataset(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_out(args.out)
     cfg, min_count = resolve_train_config(_merged_raw_config(args))
     flat = _flat_config(cfg, min_count)
     config_lines = _echo_config(flat)
@@ -196,8 +207,8 @@ def cmd_train(args) -> int:
         log_lines.append(line)
         print(line)
 
-    model, logs = train(train_set, val_set, features, cfg, log_fn=log_fn)
-    save_checkpoint(model, args.out, extra_config={"train": flat})
+    _, logs = train(train_set, val_set, features, cfg, args.out,
+                    extra_config={"train": flat}, log_fn=log_fn)
     _write_lines(args.out + ".config", config_lines)
     _write_lines(args.out + ".log", log_lines)
     best = max(logs, key=lambda entry: entry.val.mrr)
@@ -223,6 +234,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_unroll(args) -> int:
     _echo_args(args)
+    _check_out(args.out)
     if args.start_rounds < 0:
         raise ValueError(f"--start-rounds must be >= 0, got {args.start_rounds}")
     if args.rounds < 0:

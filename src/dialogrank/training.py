@@ -1,13 +1,21 @@
-"""Minibatch training with Adam, validation-based stopping and checkpointing."""
+"""Minibatch training with Adam, validation-based stopping and checkpointing.
+
+The checkpoint file is the only copy of the best state: each epoch whose
+validation MRR beats every earlier one is saved to ``<out>.tmp`` and moved onto
+``out`` with ``os.replace``, so ``out`` always holds a whole checkpoint of the
+best epoch so far. When the loop ends, the live model is dropped and the best
+state is read back from ``out``.
+"""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .checkpoint import arrays
+from .checkpoint import load_checkpoint, save_checkpoint
 from .encoders import ModelDims
 from .metrics import MetricsReport, evaluate_examples
 from .model import DialogScorer, check_model_config, examples_from_dataset
@@ -59,18 +67,16 @@ class EpochLog:
         )
 
 
-def _snapshot(model: DialogScorer) -> tuple[list[np.ndarray], list[int]]:
-    """Copies of every array a checkpoint stores, and the Adam step counts."""
-    return ([arr.copy() for *_, arr in arrays(model)],
-            [p.step_count for p in model.parameters().values()])
-
-
-def _restore(model: DialogScorer, state) -> None:
-    saved, steps = state
-    for (*_, arr), value in zip(arrays(model), saved, strict=True):
-        arr[...] = value
-    for p, count in zip(model.parameters().values(), steps, strict=True):
-        p.step_count = count
+def _save_best(model: DialogScorer, out, extra_config) -> None:
+    """Save ``model`` to ``<out>.tmp``, then move it onto ``out``: a save that
+    fails part-way leaves ``out`` as it was, and no temporary file."""
+    tmp = f"{out}.tmp"
+    try:
+        save_checkpoint(model, tmp, extra_config=extra_config)
+        os.replace(tmp, out)
+    finally:
+        if os.path.exists(tmp):  # the save or the move failed
+            os.remove(tmp)
 
 
 def _clip_grads(params, max_norm: float) -> None:
@@ -84,9 +90,16 @@ def _clip_grads(params, max_norm: float) -> None:
             p.grad *= scale
 
 
-def train(train_set, val_set, features, cfg: TrainConfig,
+def train(train_set, val_set, features, cfg: TrainConfig, out, extra_config=None,
           log_fn=None) -> tuple[DialogScorer, list[EpochLog]]:
-    """Train a scorer, returning the best-validation-MRR checkpoint state.
+    """Train a scorer; write its best-validation-MRR state to the checkpoint
+    ``out`` (with ``extra_config`` in its manifest) and return that state.
+
+    ``out`` is rewritten at each improving epoch, so a run that fails after its
+    first validation leaves there a whole checkpoint of its best epoch so far;
+    one that fails before it writes nothing. The returned model is a fresh
+    ``load_checkpoint(out, adam_state=True)``: writable, with its Adam moments,
+    and a vocabulary equal to ``train_set.vocab`` but not the same object.
 
     Every run is a pure function of (datasets, features, config): the model
     init, the per-epoch example shuffles and everything downstream are driven
@@ -109,7 +122,6 @@ def train(train_set, val_set, features, cfg: TrainConfig,
 
     logs: list[EpochLog] = []
     best_mrr = -np.inf
-    best_state = None
     stale_epochs = 0
     steps_done = 0
     out_of_steps = False
@@ -139,12 +151,12 @@ def train(train_set, val_set, features, cfg: TrainConfig,
             log_fn(entry.format_line())
         if val_report.mrr > best_mrr:
             best_mrr = val_report.mrr
-            best_state = _snapshot(model)
+            _save_best(model, out, extra_config)
             stale_epochs = 0
         else:
             stale_epochs += 1
         if out_of_steps or stale_epochs >= cfg.patience:
             break
 
-    _restore(model, best_state)
-    return model, logs
+    del model, params  # only one model is alive at a time
+    return load_checkpoint(out, adam_state=True)[0], logs

@@ -76,7 +76,7 @@ def overfit_setup():
     return dataset, features, dims
 
 
-def test_criterion_2_overfit_sanity():
+def test_criterion_2_overfit_sanity(tmp_path):
     t0 = time.perf_counter()
     dataset, features, dims = overfit_setup()
 
@@ -86,11 +86,11 @@ def test_criterion_2_overfit_sanity():
                            max_epochs=1000, patience=1000, seed=7,
                            max_steps=max_steps, dims=dims)
 
-    _, first_logs = train(dataset, dataset, features, cfg(max_steps=1))
+    _, first_logs = train(dataset, dataset, features, cfg(max_steps=1), tmp_path / "first.ckpt")
     first_step_loss = first_logs[0].mean_train_loss
     assert abs(first_step_loss - np.log(8)) < 0.5
 
-    model, _ = train(dataset, dataset, features, cfg(max_steps=200))
+    model, _ = train(dataset, dataset, features, cfg(max_steps=200), tmp_path / "m.ckpt")
     examples = examples_from_dataset(dataset, features, "visdial", "qih", dims)
     train_report = evaluate_examples(model, examples)
     elapsed = time.perf_counter() - t0
@@ -228,7 +228,7 @@ def test_criterion_6_shape_fixtures():
 # ---------------------------------------------------------------------------
 
 
-def _train_family(train_payload, val_payload, features_map, variant, seed=1):
+def _train_family(train_payload, val_payload, features_map, variant, out, seed=1):
     vocab = payload_vocab(train_payload)
     train_set = load_payload(train_payload, vocab)
     val_set = load_payload(val_payload, vocab)
@@ -240,7 +240,7 @@ def _train_family(train_payload, val_payload, features_map, variant, seed=1):
     cfg = TrainConfig(task="visdial", variant=variant, mlp_depth=1,
                       shared_embeddings=True, learning_rate=3e-3, batch_size=16,
                       max_epochs=25, patience=25, seed=seed, dims=dims)
-    _, logs = train(train_set, val_set, features, cfg)
+    _, logs = train(train_set, val_set, features, cfg, out)
     return max(entry.val.mrr for entry in logs)
 
 
@@ -253,26 +253,26 @@ def _disjoint_val(family, n_val, offset, seed):
     return payload, feats
 
 
-def test_criterion_7_history_cue_ordering():
+def test_criterion_7_history_cue_ordering(tmp_path):
     t0 = time.perf_counter()
     train_payload, train_feats = color_family(n_dialogs=48, seed=0)
     val_payload, val_feats = _disjoint_val(color_family, 16, 500, seed=100)
     features = {**train_feats, **val_feats}
-    mrr_qih = _train_family(train_payload, val_payload, features, "qih")
-    mrr_qi = _train_family(train_payload, val_payload, features, "qi")
+    mrr_qih = _train_family(train_payload, val_payload, features, "qih", tmp_path / "qih.ckpt")
+    mrr_qi = _train_family(train_payload, val_payload, features, "qi", tmp_path / "qi.ckpt")
     elapsed = time.perf_counter() - t0
     report(7, "history-determined family: trained QIH beats trained QI by >= 0.1 MRR",
            mrr_qih - mrr_qi >= 0.1 and elapsed < 600,
            f"QIH={mrr_qih:.3f} QI={mrr_qi:.3f}, {elapsed:.0f}s")
 
 
-def test_criterion_7_image_cue_ordering():
+def test_criterion_7_image_cue_ordering(tmp_path):
     t0 = time.perf_counter()
     train_payload, train_feats = object_family(n_dialogs=48, seed=0)
     val_payload, val_feats = _disjoint_val(object_family, 16, 500, seed=100)
     features = {**train_feats, **val_feats}
-    mrr_qi = _train_family(train_payload, val_payload, features, "qi")
-    mrr_q = _train_family(train_payload, val_payload, features, "q")
+    mrr_qi = _train_family(train_payload, val_payload, features, "qi", tmp_path / "qi.ckpt")
+    mrr_q = _train_family(train_payload, val_payload, features, "q", tmp_path / "q.ckpt")
     elapsed = time.perf_counter() - t0
     report(7, "image-determined family: trained QI beats trained Q by >= 0.1 MRR",
            mrr_qi - mrr_q >= 0.1 and elapsed < 600,
@@ -336,7 +336,7 @@ def test_criterion_9_persistence(tmp_path):
     cfg = TrainConfig(task="visdial", variant="qih", mlp_depth=1,
                       shared_embeddings=True, learning_rate=1e-3, batch_size=16,
                       max_epochs=5, patience=10, seed=5, max_steps=8, dims=dims)
-    model, _ = train(dataset, dataset, features, cfg)
+    model, _ = train(dataset, dataset, features, cfg, tmp_path / "trained.ckpt")
 
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(model, p1, extra_config={"run": "acceptance"})

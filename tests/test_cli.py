@@ -574,6 +574,47 @@ def test_train_bad_vocab_or_config_file_writes_nothing(workdir, capsys, flag, co
     assert_train_wrote_nothing(out)
 
 
+def refuse_to_read(*args, **kwargs):
+    raise AssertionError("an input was read before --out was checked")
+
+
+@pytest.mark.parametrize("bad", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("command", ["train", "build-qdataset", "unroll"])
+def test_bad_out_is_refused_before_any_input_is_read(workdir, trained, tmp_path, capsys,
+                                                     monkeypatch, command, bad):
+    # an --out in a directory that does not exist, or that is a directory, once
+    # failed only when the command wrote it, after all its work
+    if bad == "a-directory":
+        out = tmp_path / "out.d"
+        out.mkdir()
+    else:
+        out = tmp_path / "no-such-dir" / "out"
+    argv = {
+        "train": ["train", "--train", str(workdir / "train.json"),
+                  "--val", str(workdir / "train.json"), "--features", str(workdir / "feat.bin"),
+                  "--config", str(workdir / "tiny.cfg")],
+        "build-qdataset": ["build-qdataset", "--dataset", str(workdir / "corpus.json"),
+                           "--glove", str(workdir / "glove.txt")],
+        "unroll": ["unroll", "--q-checkpoint", str(trained[2]),
+                   "--a-checkpoint", str(trained[2]), "--dataset", str(workdir / "corpus.json"),
+                   "--features", str(workdir / "corpus_feat.bin")],
+    }[command]
+    for reader in ("read_dataset", "parse_config_file", "load_checkpoint", "load_glove",
+                   "load_features"):
+        monkeypatch.setattr(cli, reader, refuse_to_read)
+    code, stdout, stderr = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=ValueError") and f"--out {out}: " in stderr, stderr
+    assert "epoch" not in stdout
+    if bad == "a-directory":  # no file in it, and no <out>.config, .log or .tmp beside it
+        assert not any(out.iterdir())
+        assert [p.name for p in tmp_path.iterdir()] == ["out.d"]
+    else:
+        assert not any(tmp_path.iterdir())
+        assert_train_wrote_nothing(out)
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--neighbors", "0", "need n_neighbor_images >= 1, got 0"),
     ("--top-m", "0", "need pool_size >= top_m >= 1"),

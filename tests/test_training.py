@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dialogrank import nn, training
-from dialogrank.checkpoint import (CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint)
+from dialogrank.checkpoint import (CHECKPOINT_MAGIC, arrays, load_checkpoint, save_checkpoint)
 from dialogrank.encoders import ModelDims
 from dialogrank.metrics import evaluate_examples
 from dialogrank.model import (DialogScorer, examples_from_dataset, reduced_check_dims,
@@ -45,49 +45,138 @@ def test_same_seed_gives_identical_checkpoints(tmp_path, toy_data):
     ds, features = toy_data
     paths = []
     for run in range(2):
-        model, _ = train(ds, ds, features, quick_cfg(max_steps=6, max_epochs=50))
+        model, _ = train(ds, ds, features, quick_cfg(max_steps=6, max_epochs=50),
+                         tmp_path / f"train{run}.ckpt")
         path = tmp_path / f"run{run}.ckpt"
         save_checkpoint(model, path)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
 
 
-def test_first_step_loss_near_uniform(toy_data):
+def test_first_step_loss_near_uniform(tmp_path, toy_data):
     ds, features = toy_data
-    _, logs = train(ds, ds, features, quick_cfg(max_steps=1, max_epochs=1))
+    _, logs = train(ds, ds, features, quick_cfg(max_steps=1, max_epochs=1), tmp_path / "m.ckpt")
     assert abs(logs[0].mean_train_loss - np.log(5)) < 0.5
 
 
-def test_epoch_loss_decreases_on_overfit_task(toy_data):
+def test_epoch_loss_decreases_on_overfit_task(tmp_path, toy_data):
     ds, features = toy_data
-    _, logs = train(ds, ds, features, quick_cfg(max_epochs=2))
+    _, logs = train(ds, ds, features, quick_cfg(max_epochs=2), tmp_path / "m.ckpt")
     assert logs[1].mean_train_loss < logs[0].mean_train_loss
 
 
-def test_empty_training_set_rejected(toy_data):
+def test_empty_training_set_rejected(tmp_path, toy_data):
     ds, features = toy_data
     empty = load_payload({"format": "x", "task": "visdial", "questions": ["a ?"],
                           "answers": ["b"], "dialogs": []},
                          vocab=ds.vocab)
     with pytest.raises(ValueError):
-        train(empty, ds, features, quick_cfg())
+        train(empty, ds, features, quick_cfg(), tmp_path / "m.ckpt")
     with pytest.raises(ValueError, match="validation set produced no examples"):
-        train(ds, empty, features, quick_cfg())
+        train(ds, empty, features, quick_cfg(), tmp_path / "m.ckpt")
 
 
-def test_returned_model_is_best_validation_state(toy_data):
+def test_returned_model_is_best_validation_state(tmp_path, toy_data):
     ds, features = toy_data
     cfg = quick_cfg(max_epochs=6, patience=10)
-    model, logs = train(ds, ds, features, cfg)
+    model, logs = train(ds, ds, features, cfg, tmp_path / "m.ckpt")
     examples = examples_from_dataset(ds, features, cfg.task, cfg.variant, cfg.dims)
     report = evaluate_examples(model, examples)
     assert abs(report.mrr - max(e.val.mrr for e in logs)) < 1e-12
 
 
-def test_early_stopping_on_stale_validation(toy_data):
+def test_returned_model_saves_back_to_out(tmp_path, toy_data):
+    # at this rate the best of four epochs is the third: the returned model is that
+    # epoch's state, as out holds it, not the last epoch's
+    ds, features = toy_data
+    out, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
+    cfg = quick_cfg(learning_rate=1.0, max_epochs=4)
+    model, logs = train(ds, ds, features, cfg, out, extra_config={"note": "x"})
+    mrrs = [e.val.mrr for e in logs]
+    assert mrrs.index(max(mrrs)) < len(mrrs) - 1
+    save_checkpoint(model, again, extra_config={"note": "x"})
+    assert again.read_bytes() == out.read_bytes()
+    examples = examples_from_dataset(ds, features, cfg.task, cfg.variant, cfg.dims)
+    assert abs(evaluate_examples(model, examples).mrr - max(mrrs)) < 1e-12
+    assert model.vocab == ds.vocab
+
+
+def validation_failing_at(epoch):
+    """An ``evaluate_examples`` that raises on its ``epoch``-th call, and the MRR
+    of each call before it."""
+    mrrs = []
+
+    def evaluate(model, examples):
+        if len(mrrs) + 1 == epoch:
+            raise RuntimeError(f"validation failed at epoch {epoch}")
+        report = evaluate_examples(model, examples)
+        mrrs.append(report.mrr)
+        return report
+
+    return evaluate, mrrs
+
+
+def test_run_failing_after_improving_epochs_leaves_its_best_checkpoint(tmp_path, toy_data,
+                                                                      monkeypatch):
+    # epochs 1 and 2 improve, then epoch 3's validation raises: out holds epoch 2,
+    # byte for byte the checkpoint of the same run capped at two epochs
+    ds, features = toy_data
+    capped = tmp_path / "capped.ckpt"
+    train(ds, ds, features, quick_cfg(max_epochs=2), capped)
+    evaluate, mrrs = validation_failing_at(3)
+    monkeypatch.setattr(training, "evaluate_examples", evaluate)
+    run_dir = tmp_path / "failed"
+    run_dir.mkdir()
+    out = run_dir / "m.ckpt"
+    with pytest.raises(RuntimeError, match="validation failed at epoch 3"):
+        train(ds, ds, features, quick_cfg(max_epochs=3), out)
+    assert mrrs[0] < mrrs[1]
+    load_checkpoint(out, adam_state=True)
+    assert out.read_bytes() == capped.read_bytes()
+    assert [p.name for p in run_dir.iterdir()] == ["m.ckpt"]
+
+
+def test_save_failing_part_way_keeps_the_previous_best(tmp_path, toy_data, monkeypatch):
+    # the second improving epoch's save writes a few bytes, then fails: out keeps
+    # the first epoch's bytes and the temporary file is gone
+    ds, features = toy_data
+    out = tmp_path / "m.ckpt"
+    before = {}
+
+    def save_then_fail(model, path, extra_config=None):
+        if not out.exists():  # the first improving epoch saves as usual
+            return save_checkpoint(model, path, extra_config=extra_config)
+        before["out"] = out.read_bytes()
+        with open(path, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(training, "save_checkpoint", save_then_fail)
+    with pytest.raises(OSError, match="no space left on device"):
+        train(ds, ds, features, quick_cfg(max_epochs=2), out)
+    assert out.read_bytes() == before["out"]
+    load_checkpoint(out, adam_state=True)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_improving_epoch_holds_no_second_copy_of_the_model(tmp_path, toy_data):
+    # the best state lives in out: a second, improving epoch raises the peak by far
+    # less than the copy of every checkpoint array that an in-memory best state is
+    ds, features = toy_data
+    (model, _), one = traced_peak(
+        lambda: train(ds, ds, features, quick_cfg(max_epochs=1), tmp_path / "1.ckpt"))
+    (_, logs), two = traced_peak(
+        lambda: train(ds, ds, features, quick_cfg(max_epochs=2), tmp_path / "2.ckpt"))
+    assert logs[0].val.mrr < logs[1].val.mrr
+    copy = sum(arr.nbytes for *_, arr in arrays(model))
+    assert two - one < copy / 2, (one, two, copy)
+
+
+def test_early_stopping_on_stale_validation(tmp_path, toy_data):
     ds, features = toy_data
     model, logs = train(ds, ds, features,
-                        quick_cfg(max_epochs=60, patience=2, learning_rate=1e-6))
+                        quick_cfg(max_epochs=60, patience=2, learning_rate=1e-6),
+                        tmp_path / "m.ckpt")
     # learning this slowly, validation MRR goes stale long before 60 epochs
     assert len(logs) < 60
 
@@ -110,10 +199,10 @@ def test_grad_clip_scales_to_global_norm(toy_data):
     assert np.array_equal(a.grad, [0.1, 0.0, 0.0])
 
 
-def test_grad_clip_training_runs_and_is_deterministic(toy_data):
+def test_grad_clip_training_runs_and_is_deterministic(tmp_path, toy_data):
     ds, features = toy_data
-    m1, _ = train(ds, ds, features, quick_cfg(max_steps=3, grad_clip=0.5))
-    m2, _ = train(ds, ds, features, quick_cfg(max_steps=3, grad_clip=0.5))
+    m1, _ = train(ds, ds, features, quick_cfg(max_steps=3, grad_clip=0.5), tmp_path / "1.ckpt")
+    m2, _ = train(ds, ds, features, quick_cfg(max_steps=3, grad_clip=0.5), tmp_path / "2.ckpt")
     for name, p in m1.parameters().items():
         assert np.array_equal(p.value, m2.parameters()[name].value)
 
@@ -215,15 +304,15 @@ def test_checkpoint_registry_order_is_pinned(tmp_path, variant, depth, shared):
 # ---------------------------------------------------------------------------
 
 
-def trained_model(toy_data, **cfg_overrides):
+def trained_model(tmp_path, toy_data, **cfg_overrides):
     ds, features = toy_data
-    model, _ = train(ds, ds, features, quick_cfg(max_steps=4, max_epochs=10,
-                                                 **cfg_overrides))
+    model, _ = train(ds, ds, features, quick_cfg(max_steps=4, max_epochs=10, **cfg_overrides),
+                     tmp_path / "trained.ckpt")
     return model, ds, features
 
 
 def test_checkpoint_roundtrip_bytes(tmp_path, toy_data):
-    model, _, _ = trained_model(toy_data)
+    model, _, _ = trained_model(tmp_path, toy_data)
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
     save_checkpoint(model, p1, extra_config={"note": "x"})
@@ -233,7 +322,7 @@ def test_checkpoint_roundtrip_bytes(tmp_path, toy_data):
 
 
 def test_default_load_keeps_no_adam_state_and_refuses_to_save(tmp_path, toy_data):
-    model, ds, features = trained_model(toy_data)
+    model, ds, features = trained_model(tmp_path, toy_data)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     loaded, _ = load_checkpoint(path)
@@ -304,8 +393,8 @@ def test_train_mode_leaves_every_memo_untouched(tmp_path, toy_data):
 
 def test_validation_pass_runs_frozen_and_changes_no_byte(tmp_path, toy_data, monkeypatch):
     # each epoch's validation pass sees a frozen model with a fresh memo; Adam and
-    # the best-state snapshot see it writable again, and the run writes the same
-    # checkpoint and logs as one whose validation pass encodes without a memo
+    # the save of each improving epoch see it writable again, and the run writes the
+    # same checkpoint and logs as one whose validation pass encodes without a memo
     ds, features = toy_data
     seen = []
 
@@ -317,7 +406,7 @@ def test_validation_pass_runs_frozen_and_changes_no_byte(tmp_path, toy_data, mon
 
     monkeypatch.setattr(training, "evaluate_examples", spy)
     cfg = quick_cfg(max_epochs=3)
-    model, logs = train(ds, ds, features, cfg)
+    model, logs = train(ds, ds, features, cfg, tmp_path / "memo-train.ckpt")
     assert seen == [(True, True)] * 3
     assert all(path.memo is None for path in model.paths.values())
     assert model.mlp.memo is None
@@ -326,14 +415,14 @@ def test_validation_pass_runs_frozen_and_changes_no_byte(tmp_path, toy_data, mon
 
     monkeypatch.setattr(DialogScorer, "freeze", lambda self: None)
     monkeypatch.setattr(DialogScorer, "thaw", lambda self: None)
-    memo_free, memo_free_logs = train(ds, ds, features, cfg)
+    memo_free, memo_free_logs = train(ds, ds, features, cfg, tmp_path / "plain-train.ckpt")
     save_checkpoint(memo_free, tmp_path / "plain.ckpt")
     assert [e.format_line() for e in logs] == [e.format_line() for e in memo_free_logs]
     assert (tmp_path / "memo.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
 
 
 def test_checkpoint_preserves_evaluation(tmp_path, toy_data):
-    model, ds, features = trained_model(toy_data)
+    model, ds, features = trained_model(tmp_path, toy_data)
     examples = examples_from_dataset(ds, features, "visdial", "qih", model.dims)
     before = evaluate_examples(model, examples)
     path = tmp_path / "m.ckpt"
@@ -344,7 +433,7 @@ def test_checkpoint_preserves_evaluation(tmp_path, toy_data):
 
 
 def test_checkpoint_preserves_adam_state_and_buffers(tmp_path, toy_data):
-    model, _, _ = trained_model(toy_data)
+    model, _, _ = trained_model(tmp_path, toy_data)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     loaded, _ = load_checkpoint(path, adam_state=True)
@@ -360,7 +449,7 @@ def test_checkpoint_preserves_adam_state_and_buffers(tmp_path, toy_data):
 
 
 def test_checkpoint_magic_rejected(tmp_path, toy_data):
-    model, _, _ = trained_model(toy_data)
+    model, _, _ = trained_model(tmp_path, toy_data)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     raw = bytearray(path.read_bytes())
@@ -389,7 +478,7 @@ def rewrite_checkpoint(path, edit_manifest, edit_payload=None) -> None:
 
 
 def test_checkpoint_shape_mismatch_names_parameter(tmp_path, toy_data):
-    model, _, _ = trained_model(toy_data)
+    model, _, _ = trained_model(tmp_path, toy_data)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     broken = []
@@ -404,7 +493,7 @@ def test_checkpoint_shape_mismatch_names_parameter(tmp_path, toy_data):
 
 
 def test_checkpoint_missing_entry_rejected(tmp_path, toy_data):
-    model, _, _ = trained_model(toy_data)
+    model, _, _ = trained_model(tmp_path, toy_data)
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path)
     rewrite_checkpoint(path, lambda manifest: manifest["entries"].pop(0))
