@@ -120,12 +120,17 @@ def _write_lines(path, lines: list[str]) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _check_out(path) -> None:
-    """Refuse an ``--out`` that no file can be written to, before any input is read."""
-    if os.path.isdir(path):
-        raise ValueError(f"--out {path}: is a directory")
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise ValueError(f"--out {path}: its directory does not exist")
+def _check_outputs(args) -> None:
+    """Refuse an output flag (``--out``, ``--rank-log``) that no file can be
+    written to, before the command reads any input."""
+    for flag, path in (("--out", getattr(args, "out", None)),
+                       ("--rank-log", getattr(args, "rank_log", None))):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{flag} {path}: its directory does not exist")
 
 
 def _dataset_for(payload, vocab: Vocabulary, dims: ModelDims):
@@ -173,7 +178,6 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_build_qdataset(args) -> int:
     _echo_args(args)
-    _check_out(args.out)
     payload = read_dataset(args.dataset)
     dataset = dataset_from_payload(payload, _vocab_of(args.dataset, payload))
     glove = load_glove(args.glove)
@@ -189,7 +193,6 @@ def cmd_build_qdataset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_out(args.out)
     cfg, min_count = resolve_train_config(_merged_raw_config(args))
     flat = _flat_config(cfg, min_count)
     config_lines = _echo_config(flat)
@@ -207,8 +210,8 @@ def cmd_train(args) -> int:
         log_lines.append(line)
         print(line)
 
-    _, logs = train(train_set, val_set, features, cfg, args.out,
-                    extra_config={"train": flat}, log_fn=log_fn)
+    logs = train(train_set, val_set, features, cfg, args.out,
+                 extra_config={"train": flat}, log_fn=log_fn)
     _write_lines(args.out + ".config", config_lines)
     _write_lines(args.out + ".log", log_lines)
     best = max(logs, key=lambda entry: entry.val.mrr)
@@ -234,7 +237,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_unroll(args) -> int:
     _echo_args(args)
-    _check_out(args.out)
     if args.start_rounds < 0:
         raise ValueError(f"--start-rounds must be >= 0, got {args.start_rounds}")
     if args.rounds < 0:
@@ -401,6 +403,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except Exception as exc:  # single-line, machine-parseable failure
         message = str(exc).replace("\n", " ")

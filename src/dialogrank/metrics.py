@@ -35,8 +35,6 @@ def rank_of_gt(scores, gt_index: int) -> int:
 
 def compute_metrics(ranks, k: int) -> MetricsReport:
     r = np.asarray(list(ranks), dtype=np.float64)
-    if r.size == 0:
-        raise ValueError("cannot compute metrics over zero rounds")
     if r.min() < 1 or r.max() > k:
         raise ValueError(f"ranks must lie in [1, {k}]")
     return MetricsReport(

@@ -195,9 +195,6 @@ class Linear:
         return y, x
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        if cache is None:
-            raise RuntimeError(
-                f"{self.weight.name}: backward called before forward (no cache)")
         x = cache
         if dy.shape != (x.shape[0], self.out_dim):
             raise ValueError(f"{self.weight.name}: upstream grad shape {dy.shape} mismatch")
@@ -264,8 +261,6 @@ class LstmEncoder:
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.input_dim:
             raise ValueError(f"{self.weight.name}: expected [T, {self.input_dim}], got {xs.shape}")
-        if xs.shape[0] < 1:
-            raise ValueError(f"{self.weight.name}: cannot encode an empty sequence")
         sizes = [int(n) for n in batch_sizes]
         if sum(sizes) != len(xs) or sizes[-1] < 1 or any(a < b for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"{self.weight.name}: batch_sizes must be positive, "

@@ -9,11 +9,7 @@ follow-up questions is assembled from four sources, in order:
              dialog's last round, since that one has no follow-up);
   popular    the 30 most frequent questions of the corpus;
   random     seeded uniform draws from the question pool until the set
-             reaches 100 unique strings. They are drawn in chunks, one
-             ``integers`` call for as many values as the set has empty
-             slots: a draw fills at most one slot, so a chunk never draws
-             past the last value that one draw at a time would, and numpy
-             gives a size-k call the values and end state of k scalar calls.
+             reaches 100 unique strings (``chunked_draws``).
 
 Candidates are deduplicated by exact string at every stage, keeping the
 earliest provenance label. The per-round PRNG is seeded from
@@ -124,7 +120,7 @@ def qa_pair_key(question: str, answer: str, glove: GloveTable) -> np.ndarray:
 
 class CorpusKeys:
     """The QA key of every round, one row each, laid out as the module
-    docstring says; ``sq_norms`` and ``max_norm`` serve ``nearest_rows``."""
+    docstring says; ``sq_norms`` serves ``nearest_rows``."""
 
     def __init__(self, dataset: DialogDataset, glove: GloveTable):
         n = sum(len(record.rounds) for record in dataset.records)
@@ -157,7 +153,6 @@ class CorpusKeys:
         self.round_nos = round_nos
         self.followups = followups
         self.sq_norms = np.einsum("ij,ij->i", matrix, matrix)
-        self.max_norm = float(np.sqrt(self.sq_norms.max()))
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -175,15 +170,15 @@ def search_height(n_rows: int) -> int:
     return max(1, SEARCH_BYTES // (8 * n_rows))
 
 
-def nearest_rows(matrix: np.ndarray, sq_norms: np.ndarray, max_norm: float,
-                 queries: np.ndarray, k: int, skip: np.ndarray, exact, ties) -> list[np.ndarray]:
+def nearest_rows(matrix: np.ndarray, sq_norms: np.ndarray, queries: np.ndarray, k: int,
+                 skip: np.ndarray, exact, ties) -> list[np.ndarray]:
     """For each query row ``queries[j]``, the k rows of ``matrix`` nearest to it
     outside column ``skip[:, j]`` of the boolean mask ``skip`` [N, Q], nearest
     first, in the order of the exact distances ``exact(query, rows)`` with ties
     broken by the per-row keys ``ties`` (``np.lexsort`` order, least significant
-    first). ``sq_norms`` holds each row's ``|m|**2`` and ``max_norm`` the largest
-    ``|m|``. At k = 0 nothing is read; where k does not cut, every row is ranked
-    by its exact distance.
+    first). ``sq_norms`` holds each row's ``|m|**2``; the bound max|m| below is
+    the square root of its largest. At k = 0 nothing is read; where k does not
+    cut, every row is ranked by its exact distance.
 
     The prefilter takes squared distances ``|m|**2 - 2 m . q + |q|**2`` for
     every row and query, one product ``M @ Q.T`` with no copy of M, and keeps
@@ -220,6 +215,7 @@ def nearest_rows(matrix: np.ndarray, sq_norms: np.ndarray, max_norm: float,
         approx += q_sq
         approx[skip] = np.inf
         dim = matrix.shape[1]
+        max_norm = np.sqrt(sq_norms.max())
         margin = 2.0 * (8.0 * dim * _EPS * (max_norm + np.sqrt(q_sq)) ** 2 + dim * _UNDERFLOW)
     out = []
     for j, query in enumerate(queries):
@@ -267,8 +263,8 @@ def find_plausible(queries: np.ndarray, query_image_ids, corpus: CorpusKeys,
         skip = corpus.image_ids[:, None] == image_ids[start:start + height]
         skip |= last_rounds
         out += [rows.tolist() for rows in nearest_rows(
-            corpus.matrix, corpus.sq_norms, corpus.max_norm, queries[start:start + height], k,
-            skip, exact, (corpus.round_nos, corpus.image_ids))]
+            corpus.matrix, corpus.sq_norms, queries[start:start + height], k, skip, exact,
+            (corpus.round_nos, corpus.image_ids))]
     return out
 
 
@@ -300,6 +296,20 @@ class CandidateSet:
 
 def round_rng(seed: int, image_id: int, round_no: int) -> np.random.Generator:
     return np.random.default_rng([seed, image_id, round_no])
+
+
+def chunked_draws(rng: np.random.Generator, high: int, items: list, size: int):
+    """Uniform draws from [0, high) until ``items`` holds ``size`` entries, one
+    list per ``integers`` call: each has as many values as ``items`` has empty
+    slots, and the caller takes each value into ``items`` or rejects it as a
+    repeat before the next list is drawn.
+
+    A value fills at most one slot, so a list never reaches past the last value
+    that one draw at a time would take, and numpy gives a size-k call the values
+    and end state of k scalar calls: the values taken, and the generator's state
+    after the fill, are those of one draw at a time."""
+    while len(items) < size:
+        yield rng.integers(0, high, size=size - len(items)).tolist()
 
 
 def _check_pool_size(dataset: DialogDataset, pool_size: int) -> None:
@@ -338,9 +348,8 @@ def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
 
     rng = round_rng(seed, image_id, round_no)
     del chosen[pool_size:]
-    while len(chosen) < pool_size:  # each draw fills at most one empty slot
-        for pool_idx in rng.integers(0, len(dataset.questions),
-                                     size=pool_size - len(chosen)).tolist():
+    for draws in chunked_draws(rng, len(dataset.questions), chosen, pool_size):
+        for pool_idx in draws:
             push(pool_idx, "random")
     perm = rng.permutation(pool_size)
     shuffled = [chosen[i] for i in perm]

@@ -64,8 +64,6 @@ class FusionMlp:
     else ``None``."""
 
     def __init__(self, input_dim: int, depth: int, rng=None):
-        if depth not in MLP_DEPTHS:
-            raise ValueError(f"mlp depth must be 1 or 2, got {depth}")
         self.input_dim = input_dim
         widths = [input_dim, input_dim // 2]
         if depth == 2:

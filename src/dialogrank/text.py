@@ -435,11 +435,6 @@ class ImageFeatureStore:
         """Each row's squared l2 norm, built on first search."""
         return np.einsum("ij,ij->i", self._matrix, self._matrix)
 
-    @cached_property
-    def max_norm(self) -> float:
-        """The largest row norm, built on first search."""
-        return float(np.sqrt(self.sq_norms.max()))
-
     @property
     def id_array(self) -> np.ndarray:
         """The ids as a read-only int64 array, ascending, in matrix row order."""

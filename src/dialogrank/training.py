@@ -3,8 +3,8 @@
 The checkpoint file is the only copy of the best state: each epoch whose
 validation MRR beats every earlier one is saved to ``<out>.tmp`` and moved onto
 ``out`` with ``os.replace``, so ``out`` always holds a whole checkpoint of the
-best epoch so far. When the loop ends, the live model is dropped and the best
-state is read back from ``out``.
+best epoch so far. That file is the run's result: ``train`` returns only its
+epoch logs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import save_checkpoint
 from .encoders import ModelDims
 from .metrics import MetricsReport, evaluate_examples
 from .model import DialogScorer, check_model_config, examples_from_dataset
@@ -91,15 +91,15 @@ def _clip_grads(params, max_norm: float) -> None:
 
 
 def train(train_set, val_set, features, cfg: TrainConfig, out, extra_config=None,
-          log_fn=None) -> tuple[DialogScorer, list[EpochLog]]:
-    """Train a scorer; write its best-validation-MRR state to the checkpoint
-    ``out`` (with ``extra_config`` in its manifest) and return that state.
+          log_fn=None) -> list[EpochLog]:
+    """Train a scorer, write its best-validation-MRR state to the checkpoint
+    ``out`` (with ``extra_config`` in its manifest) and return the epoch logs.
 
     ``out`` is rewritten at each improving epoch, so a run that fails after its
     first validation leaves there a whole checkpoint of its best epoch so far;
-    one that fails before it writes nothing. The returned model is a fresh
-    ``load_checkpoint(out, adam_state=True)``: writable, with its Adam moments,
-    and a vocabulary equal to ``train_set.vocab`` but not the same object.
+    one that fails before it writes nothing. ``load_checkpoint(out,
+    adam_state=True)`` gives the best state back, writable and with its Adam
+    moments.
 
     Every run is a pure function of (datasets, features, config): the model
     init, the per-epoch example shuffles and everything downstream are driven
@@ -158,5 +158,4 @@ def train(train_set, val_set, features, cfg: TrainConfig, out, extra_config=None
         if out_of_steps or stale_epochs >= cfg.patience:
             break
 
-    del model, params  # only one model is alive at a time
-    return load_checkpoint(out, adam_state=True)[0], logs
+    return logs

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .model import DialogScorer, RoundExample
-from .qdataset import nearest_rows
+from .qdataset import chunked_draws, nearest_rows
 from .text import (DialogDataset, ImageFeatureStore, dataset_json_bytes,
                    encode_truncate, tokenize)
 
@@ -122,8 +122,8 @@ def nearest_images(features: ImageFeatureStore, image_id: int, n: int) -> list[i
         def exact(query, rows):
             return np.array([np.linalg.norm(matrix[i] - query) for i in rows])
 
-        rows, = nearest_rows(matrix, features.sq_norms, features.max_norm,
-                             matrix[row:row + 1], n, skip, exact, (features.id_array,))
+        rows, = nearest_rows(matrix, features.sq_norms, matrix[row:row + 1], n, skip, exact,
+                             (features.id_array,))
         memo[key] = tuple(features.id_array[rows].tolist())
     return list(memo[key])
 
@@ -144,8 +144,7 @@ def build_pool(kind: str, state: DialogState, dataset: DialogDataset,
     The dataset's ``by_image`` and sorted distinct pools are built once per
     dataset. Padding counts what is left as the distinct pool size minus the
     seen strings in it, and filters the sorted pool only when everything left
-    is taken. Otherwise it draws in chunks of as many values as the pool has
-    empty slots, which are the values one draw at a time would take."""
+    is taken. Otherwise it draws with ``qdataset.chunked_draws``."""
     if kind not in _KIND_CODE:
         raise ValueError(f"unknown pool kind {kind!r}")
     if kind == "question":
@@ -159,16 +158,18 @@ def build_pool(kind: str, state: DialogState, dataset: DialogDataset,
 
     items: list[str] = []
     seen: set[str] = set(excluded)
+
+    def take(s: str) -> None:
+        if s not in seen:
+            seen.add(s)
+            items.append(s)
+
     for img in nearest_images(features, state.image_id, spec.n_neighbor_images):
         record = dataset.by_image.get(img)
         if record is None:
             continue
         for rnd in record.rounds:
-            s = (pool_source[rnd.question] if kind == "question"
-                 else pool_source[rnd.answer])
-            if s not in seen:
-                seen.add(s)
-                items.append(s)
+            take(pool_source[rnd.question] if kind == "question" else pool_source[rnd.answer])
     del items[spec.pool_size :]
     if len(items) < spec.pool_size:
         n_available = len(distinct) - sum(1 for s in seen if s in members)
@@ -178,13 +179,9 @@ def build_pool(kind: str, state: DialogState, dataset: DialogDataset,
         else:
             rng = np.random.default_rng(
                 [spec.seed, state.image_id, state.round_counter, _KIND_CODE[kind]])
-            while len(items) < spec.pool_size:  # each draw fills at most one empty slot
-                for i in rng.integers(0, len(pool_source),
-                                      size=spec.pool_size - len(items)).tolist():
-                    s = pool_source[i]
-                    if s not in seen:
-                        seen.add(s)
-                        items.append(s)
+            for draws in chunked_draws(rng, len(pool_source), items, spec.pool_size):
+                for i in draws:
+                    take(pool_source[i])
     return items
 
 

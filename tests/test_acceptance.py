@@ -86,11 +86,12 @@ def test_criterion_2_overfit_sanity(tmp_path):
                            max_epochs=1000, patience=1000, seed=7,
                            max_steps=max_steps, dims=dims)
 
-    _, first_logs = train(dataset, dataset, features, cfg(max_steps=1), tmp_path / "first.ckpt")
+    first_logs = train(dataset, dataset, features, cfg(max_steps=1), tmp_path / "first.ckpt")
     first_step_loss = first_logs[0].mean_train_loss
     assert abs(first_step_loss - np.log(8)) < 0.5
 
-    model, _ = train(dataset, dataset, features, cfg(max_steps=200), tmp_path / "m.ckpt")
+    train(dataset, dataset, features, cfg(max_steps=200), tmp_path / "m.ckpt")
+    model, _ = load_checkpoint(tmp_path / "m.ckpt", adam_state=True)
     examples = examples_from_dataset(dataset, features, "visdial", "qih", dims)
     train_report = evaluate_examples(model, examples)
     elapsed = time.perf_counter() - t0
@@ -240,7 +241,7 @@ def _train_family(train_payload, val_payload, features_map, variant, out, seed=1
     cfg = TrainConfig(task="visdial", variant=variant, mlp_depth=1,
                       shared_embeddings=True, learning_rate=3e-3, batch_size=16,
                       max_epochs=25, patience=25, seed=seed, dims=dims)
-    _, logs = train(train_set, val_set, features, cfg, out)
+    logs = train(train_set, val_set, features, cfg, out)
     return max(entry.val.mrr for entry in logs)
 
 
@@ -336,7 +337,8 @@ def test_criterion_9_persistence(tmp_path):
     cfg = TrainConfig(task="visdial", variant="qih", mlp_depth=1,
                       shared_embeddings=True, learning_rate=1e-3, batch_size=16,
                       max_epochs=5, patience=10, seed=5, max_steps=8, dims=dims)
-    model, _ = train(dataset, dataset, features, cfg, tmp_path / "trained.ckpt")
+    train(dataset, dataset, features, cfg, tmp_path / "trained.ckpt")
+    model, _ = load_checkpoint(tmp_path / "trained.ckpt", adam_state=True)
 
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(model, p1, extra_config={"run": "acceptance"})

@@ -579,34 +579,41 @@ def refuse_to_read(*args, **kwargs):
 
 
 @pytest.mark.parametrize("bad", ["missing-directory", "a-directory"])
-@pytest.mark.parametrize("command", ["train", "build-qdataset", "unroll"])
-def test_bad_out_is_refused_before_any_input_is_read(workdir, trained, tmp_path, capsys,
-                                                     monkeypatch, command, bad):
-    # an --out in a directory that does not exist, or that is a directory, once
-    # failed only when the command wrote it, after all its work
+@pytest.mark.parametrize("command", ["train", "build-qdataset", "unroll", "build-vocab",
+                                     "evaluate"])
+def test_bad_out_is_refused_before_any_input_is_read(workdir, tmp_path, capsys, monkeypatch,
+                                                     command, bad):
+    # an output path in a directory that does not exist, or that is a directory,
+    # once failed only when the command wrote it, after all its work; no reader
+    # runs, so the checkpoints named here need not exist
     if bad == "a-directory":
         out = tmp_path / "out.d"
         out.mkdir()
     else:
         out = tmp_path / "no-such-dir" / "out"
+    flag = "--rank-log" if command == "evaluate" else "--out"
+    ckpt = str(workdir / "never-read.ckpt")
     argv = {
         "train": ["train", "--train", str(workdir / "train.json"),
                   "--val", str(workdir / "train.json"), "--features", str(workdir / "feat.bin"),
                   "--config", str(workdir / "tiny.cfg")],
         "build-qdataset": ["build-qdataset", "--dataset", str(workdir / "corpus.json"),
                            "--glove", str(workdir / "glove.txt")],
-        "unroll": ["unroll", "--q-checkpoint", str(trained[2]),
-                   "--a-checkpoint", str(trained[2]), "--dataset", str(workdir / "corpus.json"),
+        "unroll": ["unroll", "--q-checkpoint", ckpt, "--a-checkpoint", ckpt,
+                   "--dataset", str(workdir / "corpus.json"),
                    "--features", str(workdir / "corpus_feat.bin")],
+        "build-vocab": ["build-vocab", "--dataset", str(workdir / "train.json")],
+        "evaluate": ["evaluate", "--checkpoint", ckpt, "--dataset", str(workdir / "train.json"),
+                     "--features", str(workdir / "feat.bin"), "--task", "visdial"],
     }[command]
     for reader in ("read_dataset", "parse_config_file", "load_checkpoint", "load_glove",
                    "load_features"):
         monkeypatch.setattr(cli, reader, refuse_to_read)
-    code, stdout, stderr = run_cli(capsys, *argv, "--out", str(out))
+    code, stdout, stderr = run_cli(capsys, *argv, flag, str(out))
     assert code == 1
     assert stderr.count("\n") == 1
-    assert stderr.startswith("error type=ValueError") and f"--out {out}: " in stderr, stderr
-    assert "epoch" not in stdout
+    assert stderr.startswith("error type=ValueError") and f"{flag} {out}: " in stderr, stderr
+    assert stdout == ""
     if bad == "a-directory":  # no file in it, and no <out>.config, .log or .tmp beside it
         assert not any(out.iterdir())
         assert [p.name for p in tmp_path.iterdir()] == ["out.d"]

@@ -56,9 +56,7 @@ def test_metrics_worked_example():
     assert abs(report.mean_rank - 13.0 / 3.0) < 1e-12
 
 
-def test_metrics_reject_empty_and_out_of_range():
-    with pytest.raises(ValueError):
-        compute_metrics([], k=10)
+def test_metrics_reject_out_of_range():
     with pytest.raises(ValueError):
         compute_metrics([0], k=10)
     with pytest.raises(ValueError):

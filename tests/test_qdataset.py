@@ -9,8 +9,8 @@ import pytest
 from dialogrank import qdataset as qd
 from dialogrank.text import GloveTable, dataset_json_bytes
 from oracles import oracle_candidate_set
-from synth import (colliding_payload, counting_rngs, load_payload, qbuilder_corpus,
-                   toy_glove)
+from synth import (CountingRng, colliding_payload, counting_rngs, load_payload,
+                   qbuilder_corpus, toy_glove)
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +244,29 @@ def test_chunked_draws_continue_the_scalar_stream(n):
             assert np.array_equal(chunked.permutation(100), scalar.permutation(100)), (seed, k)
 
 
+@pytest.mark.parametrize("start", [[], [0, 3]])
+@pytest.mark.parametrize("high, size", [(1, 1), (4, 4), (12, 9), (400, 100)])
+def test_chunked_draws_take_what_one_draw_at_a_time_takes(high, size, start):
+    # a take that rejects repeats: the values it takes, the values drawn and the
+    # generator's state after the fill are those of one scalar draw at a time
+    start = [v for v in start if v < high][:size]
+    for seed in range(6):
+        scalar, want, drawn = np.random.default_rng(seed), list(start), 0
+        while len(want) < size:
+            value = int(scalar.integers(0, high))
+            drawn += 1
+            if value not in want:
+                want.append(value)
+        rng, items = CountingRng(np.random.default_rng(seed)), list(start)
+        for draws in qd.chunked_draws(rng, high, items, size):
+            for value in draws:
+                if value not in items:
+                    items.append(value)
+        assert items == want, (seed, items)
+        assert rng.values == drawn and rng.calls <= drawn, (seed, rng.calls, drawn)
+        assert rng.rng.integers(0, 2**40) == scalar.integers(0, 2**40), seed
+
+
 def test_builder_draws_each_fill_in_chunks(corpus, monkeypatch):
     _, dataset, glove = corpus
     want = dataset_json_bytes(qd.build_qdataset_payload(dataset, glove, seed=9))
@@ -372,7 +395,7 @@ def test_qdataset_bytes_same_at_every_block_height(corpus, monkeypatch, height):
 def test_short_list_reads_nothing_for_k_zero():
     skip = np.zeros((5, 3), dtype=bool)
     # no matrix to read and no exact distance to take
-    got = qd.nearest_rows(None, None, 0.0, np.ones((3, 4)), 0, skip, None, ())
+    got = qd.nearest_rows(None, None, np.ones((3, 4)), 0, skip, None, ())
     assert [list(short) for short in got] == [[], [], []]
 
 

@@ -41,27 +41,32 @@ def quick_cfg(**overrides):
     return TrainConfig(**base)
 
 
+def best_model(out) -> DialogScorer:
+    """The result of a ``train`` run: the writable best state its checkpoint holds."""
+    return load_checkpoint(out, adam_state=True)[0]
+
+
 def test_same_seed_gives_identical_checkpoints(tmp_path, toy_data):
     ds, features = toy_data
     paths = []
     for run in range(2):
-        model, _ = train(ds, ds, features, quick_cfg(max_steps=6, max_epochs=50),
-                         tmp_path / f"train{run}.ckpt")
+        out = tmp_path / f"train{run}.ckpt"
+        train(ds, ds, features, quick_cfg(max_steps=6, max_epochs=50), out)
         path = tmp_path / f"run{run}.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(best_model(out), path)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
 
 
 def test_first_step_loss_near_uniform(tmp_path, toy_data):
     ds, features = toy_data
-    _, logs = train(ds, ds, features, quick_cfg(max_steps=1, max_epochs=1), tmp_path / "m.ckpt")
+    logs = train(ds, ds, features, quick_cfg(max_steps=1, max_epochs=1), tmp_path / "m.ckpt")
     assert abs(logs[0].mean_train_loss - np.log(5)) < 0.5
 
 
 def test_epoch_loss_decreases_on_overfit_task(tmp_path, toy_data):
     ds, features = toy_data
-    _, logs = train(ds, ds, features, quick_cfg(max_epochs=2), tmp_path / "m.ckpt")
+    logs = train(ds, ds, features, quick_cfg(max_epochs=2), tmp_path / "m.ckpt")
     assert logs[1].mean_train_loss < logs[0].mean_train_loss
 
 
@@ -79,22 +84,24 @@ def test_empty_training_set_rejected(tmp_path, toy_data):
 def test_returned_model_is_best_validation_state(tmp_path, toy_data):
     ds, features = toy_data
     cfg = quick_cfg(max_epochs=6, patience=10)
-    model, logs = train(ds, ds, features, cfg, tmp_path / "m.ckpt")
+    logs = train(ds, ds, features, cfg, tmp_path / "m.ckpt")
     examples = examples_from_dataset(ds, features, cfg.task, cfg.variant, cfg.dims)
-    report = evaluate_examples(model, examples)
+    report = evaluate_examples(best_model(tmp_path / "m.ckpt"), examples)
     assert abs(report.mrr - max(e.val.mrr for e in logs)) < 1e-12
 
 
 def test_returned_model_saves_back_to_out(tmp_path, toy_data):
-    # at this rate the best of four epochs is the third: the returned model is that
-    # epoch's state, as out holds it, not the last epoch's
+    # at this rate the best of four epochs is the third: the run's result, the file
+    # at out, loads to that epoch's state, not the last epoch's, and saves back
     ds, features = toy_data
     out, again = tmp_path / "m.ckpt", tmp_path / "again.ckpt"
     cfg = quick_cfg(learning_rate=1.0, max_epochs=4)
-    model, logs = train(ds, ds, features, cfg, out, extra_config={"note": "x"})
+    logs = train(ds, ds, features, cfg, out, extra_config={"note": "x"})
     mrrs = [e.val.mrr for e in logs]
     assert mrrs.index(max(mrrs)) < len(mrrs) - 1
-    save_checkpoint(model, again, extra_config={"note": "x"})
+    model, extra = load_checkpoint(out, adam_state=True)
+    assert extra == {"note": "x"}
+    save_checkpoint(model, again, extra_config=extra)
     assert again.read_bytes() == out.read_bytes()
     examples = examples_from_dataset(ds, features, cfg.task, cfg.variant, cfg.dims)
     assert abs(evaluate_examples(model, examples).mrr - max(mrrs)) < 1e-12
@@ -163,20 +170,19 @@ def test_improving_epoch_holds_no_second_copy_of_the_model(tmp_path, toy_data):
     # the best state lives in out: a second, improving epoch raises the peak by far
     # less than the copy of every checkpoint array that an in-memory best state is
     ds, features = toy_data
-    (model, _), one = traced_peak(
+    _, one = traced_peak(
         lambda: train(ds, ds, features, quick_cfg(max_epochs=1), tmp_path / "1.ckpt"))
-    (_, logs), two = traced_peak(
+    logs, two = traced_peak(
         lambda: train(ds, ds, features, quick_cfg(max_epochs=2), tmp_path / "2.ckpt"))
     assert logs[0].val.mrr < logs[1].val.mrr
-    copy = sum(arr.nbytes for *_, arr in arrays(model))
+    copy = sum(arr.nbytes for *_, arr in arrays(best_model(tmp_path / "1.ckpt")))
     assert two - one < copy / 2, (one, two, copy)
 
 
 def test_early_stopping_on_stale_validation(tmp_path, toy_data):
     ds, features = toy_data
-    model, logs = train(ds, ds, features,
-                        quick_cfg(max_epochs=60, patience=2, learning_rate=1e-6),
-                        tmp_path / "m.ckpt")
+    logs = train(ds, ds, features, quick_cfg(max_epochs=60, patience=2, learning_rate=1e-6),
+                 tmp_path / "m.ckpt")
     # learning this slowly, validation MRR goes stale long before 60 epochs
     assert len(logs) < 60
 
@@ -201,8 +207,9 @@ def test_grad_clip_scales_to_global_norm(toy_data):
 
 def test_grad_clip_training_runs_and_is_deterministic(tmp_path, toy_data):
     ds, features = toy_data
-    m1, _ = train(ds, ds, features, quick_cfg(max_steps=3, grad_clip=0.5), tmp_path / "1.ckpt")
-    m2, _ = train(ds, ds, features, quick_cfg(max_steps=3, grad_clip=0.5), tmp_path / "2.ckpt")
+    for name in ("1.ckpt", "2.ckpt"):
+        train(ds, ds, features, quick_cfg(max_steps=3, grad_clip=0.5), tmp_path / name)
+    m1, m2 = best_model(tmp_path / "1.ckpt"), best_model(tmp_path / "2.ckpt")
     for name, p in m1.parameters().items():
         assert np.array_equal(p.value, m2.parameters()[name].value)
 
@@ -306,9 +313,9 @@ def test_checkpoint_registry_order_is_pinned(tmp_path, variant, depth, shared):
 
 def trained_model(tmp_path, toy_data, **cfg_overrides):
     ds, features = toy_data
-    model, _ = train(ds, ds, features, quick_cfg(max_steps=4, max_epochs=10, **cfg_overrides),
-                     tmp_path / "trained.ckpt")
-    return model, ds, features
+    train(ds, ds, features, quick_cfg(max_steps=4, max_epochs=10, **cfg_overrides),
+          tmp_path / "trained.ckpt")
+    return best_model(tmp_path / "trained.ckpt"), ds, features
 
 
 def test_checkpoint_roundtrip_bytes(tmp_path, toy_data):
@@ -406,7 +413,8 @@ def test_validation_pass_runs_frozen_and_changes_no_byte(tmp_path, toy_data, mon
 
     monkeypatch.setattr(training, "evaluate_examples", spy)
     cfg = quick_cfg(max_epochs=3)
-    model, logs = train(ds, ds, features, cfg, tmp_path / "memo-train.ckpt")
+    logs = train(ds, ds, features, cfg, tmp_path / "memo-train.ckpt")
+    model = best_model(tmp_path / "memo-train.ckpt")
     assert seen == [(True, True)] * 3
     assert all(path.memo is None for path in model.paths.values())
     assert model.mlp.memo is None
@@ -415,8 +423,8 @@ def test_validation_pass_runs_frozen_and_changes_no_byte(tmp_path, toy_data, mon
 
     monkeypatch.setattr(DialogScorer, "freeze", lambda self: None)
     monkeypatch.setattr(DialogScorer, "thaw", lambda self: None)
-    memo_free, memo_free_logs = train(ds, ds, features, cfg, tmp_path / "plain-train.ckpt")
-    save_checkpoint(memo_free, tmp_path / "plain.ckpt")
+    memo_free_logs = train(ds, ds, features, cfg, tmp_path / "plain-train.ckpt")
+    save_checkpoint(best_model(tmp_path / "plain-train.ckpt"), tmp_path / "plain.ckpt")
     assert [e.format_line() for e in logs] == [e.format_line() for e in memo_free_logs]
     assert (tmp_path / "memo.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
 
