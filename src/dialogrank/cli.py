@@ -275,6 +275,12 @@ def cmd_unroll(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     _echo_args(args)
+    # the train-mode batch norm over the option rows needs two of them
+    for flag, value, least in (("--seeds", args.seeds, 1), ("--k-options", args.k_options, 2)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
+    if not 0 < args.tolerance < float("inf"):
+        raise ValueError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     worst = 0.0
     ok = True
     for seed in range(args.seed, args.seed + args.seeds):

@@ -33,10 +33,8 @@ def rank_of_gt(scores, gt_index: int) -> int:
     return int(np.count_nonzero(s >= s[gt_index]))
 
 
-def compute_metrics(ranks, k: int) -> MetricsReport:
+def compute_metrics(ranks) -> MetricsReport:
     r = np.asarray(list(ranks), dtype=np.float64)
-    if r.min() < 1 or r.max() > k:
-        raise ValueError(f"ranks must lie in [1, {k}]")
     return MetricsReport(
         mrr=float((1.0 / r).mean()),
         r_at_1=float((r <= 1).mean() * 100.0),
@@ -53,15 +51,13 @@ def evaluate_examples(model: DialogScorer, examples: list[RoundExample],
     if not examples:
         raise ValueError("no rounds to evaluate")
     ranks = []
-    max_k = 0
     for ex in examples:
         scored = model.score_example(ex)
         rank = rank_of_gt(scored.scores, ex.gt_index)
         ranks.append(rank)
-        max_k = max(max_k, scored.scores.size)
         if rank_log is not None:
             rank_log.write(f"{ex.image_id} {ex.round_no} {rank} {ex.gt_index}\n")
-    return compute_metrics(ranks, max_k)
+    return compute_metrics(ranks)
 
 
 def evaluate_model(model: DialogScorer, dataset, features, task: str,

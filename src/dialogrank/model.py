@@ -463,9 +463,5 @@ def full_model_gradcheck(seed: int, dims: ModelDims | None = None, vocab_size: i
     batch = [random_example(vocab, dims, rng, k_options=k_options, task=task,
                             n_history=min(2, dims.history_slots))]
 
-    def closure(want_grads: bool) -> float:
-        if want_grads:
-            model.zero_grads()
-        return model.batch_loss(batch, want_grads=want_grads)
-
-    return nn.grad_check(closure, model.parameters().values(), tolerance=tolerance)
+    return nn.grad_check(lambda want_grads: model.batch_loss(batch, want_grads=want_grads),
+                         model.parameters().values(), tolerance=tolerance)

@@ -74,9 +74,7 @@ def embed_question_glove(tokens, glove: GloveTable) -> np.ndarray:
 
     Words without a vector contribute zeros; questions shorter than three
     words zero-pad the missing head slots; no remaining words gives a zero
-    mean block."""
-    if not tokens:
-        raise ValueError("cannot embed an empty question")
+    mean block; an empty list gives zeros."""
     d = glove.dim
     out = np.zeros((FIRST_WORDS + 1) * d)
     for i, word in enumerate(tokens[:FIRST_WORDS]):
@@ -95,9 +93,8 @@ def embed_question_glove(tokens, glove: GloveTable) -> np.ndarray:
 
 
 def embed_answer_glove(tokens, glove: GloveTable) -> np.ndarray:
-    """Mean vector over the answer's in-table words; all-unknown gives zeros."""
-    if not tokens:
-        raise ValueError("cannot embed an empty answer")
+    """Mean vector over the answer's in-table words; all-unknown words, or an
+    empty list, give zeros."""
     acc = np.zeros(glove.dim)
     known = 0
     for word in tokens:
@@ -110,12 +107,8 @@ def embed_answer_glove(tokens, glove: GloveTable) -> np.ndarray:
 
 def qa_pair_key(question: str, answer: str, glove: GloveTable) -> np.ndarray:
     """Concatenated question and answer keys, dimension 5 * d."""
-    q_words = content_words(question)
-    a_words = content_words(answer)
-    q_key = embed_question_glove(q_words, glove) if q_words else np.zeros(
-        (FIRST_WORDS + 1) * glove.dim)
-    a_key = embed_answer_glove(a_words, glove) if a_words else np.zeros(glove.dim)
-    return np.concatenate([q_key, a_key])
+    return np.concatenate([embed_question_glove(content_words(question), glove),
+                           embed_answer_glove(content_words(answer), glove)])
 
 
 class CorpusKeys:
@@ -162,6 +155,7 @@ class CorpusKeys:
 # underflow: each product under 2**-1022 is off by at most 2**-1075.
 _UNDERFLOW = 2.0 ** -1000
 _EPS = float(np.finfo(np.float64).eps)
+_FINITE_MAX = float(np.finfo(np.float64).max)
 
 
 def search_height(n_rows: int) -> int:
@@ -177,8 +171,10 @@ def nearest_rows(matrix: np.ndarray, sq_norms: np.ndarray, queries: np.ndarray, 
     first, in the order of the exact distances ``exact(query, rows)`` with ties
     broken by the per-row keys ``ties`` (``np.lexsort`` order, least significant
     first). ``sq_norms`` holds each row's ``|m|**2``; the bound max|m| below is
-    the square root of its largest. At k = 0 nothing is read; where k does not
-    cut, every row is ranked by its exact distance.
+    the square root of its largest. At k = 0 nothing is read. Where k does not
+    cut, the k-th value is a skipped row's ``inf``; it is clamped to the largest
+    finite double, so the short list is every row not skipped, and it is chained
+    and ranked the same way.
 
     The prefilter takes squared distances ``|m|**2 - 2 m . q + |q|**2`` for
     every row and query, one product ``M @ Q.T`` with no copy of M, and keeps
@@ -206,32 +202,29 @@ def nearest_rows(matrix: np.ndarray, sq_norms: np.ndarray, queries: np.ndarray, 
     is ranked by (chain, exact distance, ties) and cut at k."""
     if k == 0:
         return [np.empty(0, dtype=np.intp) for _ in queries]
-    cuts = len(skip) - np.count_nonzero(skip, axis=0) > k
-    if cuts.any():
-        approx = matrix @ queries.T
-        approx *= -2.0
-        approx += sq_norms[:, None]
-        q_sq = np.einsum("ij,ij->i", queries, queries)
-        approx += q_sq
-        approx[skip] = np.inf
-        dim = matrix.shape[1]
-        max_norm = np.sqrt(sq_norms.max())
-        margin = 2.0 * (8.0 * dim * _EPS * (max_norm + np.sqrt(q_sq)) ** 2 + dim * _UNDERFLOW)
+    approx = matrix @ queries.T
+    approx *= -2.0
+    approx += sq_norms[:, None]
+    q_sq = np.einsum("ij,ij->i", queries, queries)
+    approx += q_sq
+    approx[skip] = np.inf
+    dim = matrix.shape[1]
+    max_norm = np.sqrt(sq_norms.max())
+    margin = 2.0 * (8.0 * dim * _EPS * (max_norm + np.sqrt(q_sq)) ** 2 + dim * _UNDERFLOW)
+    part = min(k, len(matrix)) - 1
     out = []
     for j, query in enumerate(queries):
-        if cuts[j]:
-            column = approx[:, j]
-            kth = np.partition(column, k - 1)[k - 1]
-            rows = np.flatnonzero(column <= kth + margin[j])
-            rows = rows[np.argsort(column[rows])]
-            near = np.diff(column[rows]) <= margin[j]
-            chain = np.concatenate(([0], np.cumsum(~near)))
-            tied = np.concatenate((near, [False]))
-            tied[1:] |= near
-        else:
-            rows = np.flatnonzero(~skip[:, j])
-            chain = np.zeros(len(rows), dtype=np.intp)
-            tied = np.ones(len(rows), dtype=bool)
+        column = approx[:, j]
+        kth = min(np.partition(column, part)[part], _FINITE_MAX)  # not a skipped row's inf
+        rows = np.flatnonzero(column <= kth + margin[j])
+        values = column[rows]
+        order = np.argsort(values)
+        rows, values = rows[order], values[order]
+        # first[i]: row i starts a chain (first[-1] closes the last one)
+        first = np.ones(len(rows) + 1, dtype=bool)
+        np.greater(values[1:] - values[:-1], margin[j], out=first[1:-1])
+        chain = np.cumsum(first[:-1])
+        tied = ~(first[:-1] & first[1:])
         dists = np.zeros(len(rows))
         if tied.any():
             dists[tied] = exact(query, rows[tied])

@@ -90,6 +90,22 @@ def _clip_grads(params, max_norm: float) -> None:
             p.grad *= scale
 
 
+def _check_one_example_batches(cfg: TrainConfig, n_examples: int) -> None:
+    """Refuse a run that would reach a one-example batch at variant qih with
+    rounds=2: its history block batch-norms B * (rounds - 1) rows, one row at
+    B = 1, and train-mode batch norm needs two. Each epoch's last batch holds
+    what is left of the examples; the first epoch always runs to its end unless
+    ``max_steps`` stops it earlier."""
+    last = n_examples % cfg.batch_size or cfg.batch_size
+    step = 1 if cfg.batch_size == 1 else -(-n_examples // cfg.batch_size)
+    if (cfg.variant == "qih" and cfg.dims.history_slots == 1 and last == 1
+            and (cfg.max_steps or step) >= step):
+        raise ValueError(
+            f"variant qih at rounds=2 batch-norms one history row per example, and train "
+            f"mode needs a batch of >= 2 rows: batch_size={cfg.batch_size} over "
+            f"{n_examples} training examples gives a one-example batch at step {step}")
+
+
 def train(train_set, val_set, features, cfg: TrainConfig, out, extra_config=None,
           log_fn=None) -> list[EpochLog]:
     """Train a scorer, write its best-validation-MRR state to the checkpoint
@@ -111,6 +127,7 @@ def train(train_set, val_set, features, cfg: TrainConfig, out, extra_config=None
     val_examples = examples_from_dataset(val_set, features, cfg.task, cfg.variant, cfg.dims)
     if not val_examples:
         raise ValueError("validation set produced no examples")
+    _check_one_example_batches(cfg, len(train_examples))
 
     model = DialogScorer(
         cfg.dims, train_set.vocab, task=cfg.task, variant=cfg.variant,

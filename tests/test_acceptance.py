@@ -148,7 +148,7 @@ def test_criterion_4_metric_oracle():
     trials = 10_000
     ranks = [rank_of_gt(rng.normal(size=100), int(rng.integers(0, 100)))
              for _ in range(trials)]
-    mc = compute_metrics(ranks, 100)
+    mc = compute_metrics(ranks)
     h100 = sum(1.0 / r for r in range(1, 101))
     mean_ok = abs(mc.mean_rank - 50.5) < 1.0
     mrr_ok = abs(mc.mrr - h100 / 100.0) < 0.005

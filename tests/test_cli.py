@@ -135,7 +135,7 @@ def test_train_and_evaluate(workdir, trained, capsys):
     # the emitted per-round rank log reproduces the printed metrics
     lines = rank_log.read_text().strip().splitlines()
     ranks = [int(line.split()[2]) for line in lines]
-    report = compute_metrics(ranks, k=5)
+    report = compute_metrics(ranks)
     printed_mrr = float(stdout.split("MRR = ")[1].split()[0])
     assert abs(report.mrr - printed_mrr) < 5e-5
     printed_r1 = float(stdout.split("R@1 = ")[1].split()[0])
@@ -253,6 +253,31 @@ def test_gradcheck_vocab_without_a_plain_word_is_an_error(capsys):
     assert stderr.startswith("error type=ValueError") and "vocabulary too small" in stderr, stderr
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "0", "--seeds must be >= 1, got 0"),
+    ("--seeds", "-2", "--seeds must be >= 1, got -2"),
+    ("--k-options", "0", "--k-options must be >= 2, got 0"),
+    ("--k-options", "1", "--k-options must be >= 2, got 1"),
+    ("--tolerance", "inf", "--tolerance must be finite and > 0, got inf"),
+    ("--tolerance", "nan", "--tolerance must be finite and > 0, got nan"),
+    ("--tolerance", "0", "--tolerance must be finite and > 0, got 0.0"),
+    ("--tolerance", "-0.5", "--tolerance must be finite and > 0, got -0.5"),
+], ids=["seeds-zero", "seeds-negative", "k-options-zero", "k-options-one", "tolerance-inf",
+        "tolerance-nan", "tolerance-zero", "tolerance-negative"])
+def test_gradcheck_out_of_range_setting_is_refused_before_any_check(capsys, monkeypatch,
+                                                                     flag, value, message):
+    # at these values a check would test nothing (no seed, no option) or pass
+    # anything (an infinite tolerance), or fail whatever the gradient
+    checks = []
+    monkeypatch.setattr(cli, "full_model_gradcheck", lambda **kw: checks.append(kw))
+    code, stdout, stderr = run_cli(capsys, "gradcheck", "--seeds", "1", "--vocab-size", "16",
+                                   flag, value)
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=ValueError") and message in stderr, stderr
+    assert checks == [] and "gradcheck max_rel_error" not in stdout
+
+
 @pytest.fixture(scope="module")
 def untrained_checkpoints(workdir):
     """Freshly initialised follow-up-question and answer checkpoints over the
@@ -332,7 +357,7 @@ def test_each_command_echoes_its_arguments(workdir, trained, capsys):
          {"q_checkpoint": ckpt, "a_checkpoint": ckpt, "dataset": data, "features": feat,
           "out": out, "image_id": None, "rounds": 2, "start_rounds": 0, "seed": 0,
           "neighbors": 10, "pool_size": 100, "top_m": 3}),
-        (["gradcheck", "--seeds", "0", "--vocab-size", "16", "--k-options", "3"],  # no check
+        (["gradcheck", "--seeds", "0", "--vocab-size", "16", "--k-options", "3"],  # refused
          {"seed": 0, "seeds": 0, "k_options": 3, "vocab_size": 16, "tolerance": 0.0001}),
     ]
     for argv, echoed in cases:

@@ -40,7 +40,7 @@ def test_rank_invariant_under_monotone_transform():
 
 
 def test_metrics_perfect():
-    report = compute_metrics([1, 1, 1], k=100)
+    report = compute_metrics([1, 1, 1])
     assert report.mrr == 1.0
     assert report.r_at_1 == report.r_at_5 == report.r_at_10 == 100.0
     assert report.mean_rank == 1.0
@@ -48,19 +48,12 @@ def test_metrics_perfect():
 
 
 def test_metrics_worked_example():
-    report = compute_metrics([1, 2, 10], k=100)
+    report = compute_metrics([1, 2, 10])
     assert abs(report.mrr - (1.0 + 0.5 + 0.1) / 3.0) < 1e-12
     assert abs(report.r_at_1 - 100.0 / 3.0) < 1e-9
     assert abs(report.r_at_5 - 200.0 / 3.0) < 1e-9
     assert report.r_at_10 == 100.0
     assert abs(report.mean_rank - 13.0 / 3.0) < 1e-12
-
-
-def test_metrics_reject_out_of_range():
-    with pytest.raises(ValueError):
-        compute_metrics([0], k=10)
-    with pytest.raises(ValueError):
-        compute_metrics([11], k=10)
 
 
 def test_evaluate_examples_rejects_no_rounds():
@@ -72,7 +65,7 @@ def test_evaluate_examples_rejects_no_rounds():
 def test_metrics_bounds_relations():
     rng = np.random.default_rng(9)
     ranks = rng.integers(1, 101, size=400)
-    report = compute_metrics(ranks, k=100)
+    report = compute_metrics(ranks)
     assert 0 <= report.r_at_1 <= report.r_at_5 <= report.r_at_10 <= 100
     assert 1 <= report.mean_rank <= 100
     assert report.mrr >= report.r_at_1 / 100.0
@@ -83,7 +76,7 @@ def test_random_scorer_monte_carlo():
     k, trials = 100, 10_000
     ranks = [rank_of_gt(rng.normal(size=k), int(rng.integers(0, k)))
              for _ in range(trials)]
-    report = compute_metrics(ranks, k)
+    report = compute_metrics(ranks)
     h100 = sum(1.0 / r for r in range(1, 101))
     assert abs(report.mean_rank - 50.5) < 1.0
     assert abs(report.mrr - h100 / 100.0) < 0.005
@@ -120,4 +113,4 @@ def test_rank_log_reproduces_report(tmp_path):
     report = evaluate_model(model, ds, feature_store(feats), "visdial",
                             rank_log_path=log_path)
     ranks = [int(line.split()[2]) for line in log_path.read_text().splitlines()]
-    assert compute_metrics(ranks, 6) == report
+    assert compute_metrics(ranks) == report

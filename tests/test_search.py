@@ -273,7 +273,7 @@ def chained_rows(corpus, query, image, k):
     equal distances."""
     rows = np.array(oracle_find_plausible(query, image, corpus, len(corpus)))
     dists = np.linalg.norm(corpus.matrix[rows] - query, axis=1)
-    short = dists[dists <= dists[k - 1]]
+    short = dists[dists <= dists[min(k, len(dists)) - 1]]  # every row where k does not cut
     distinct = np.unique(dists[:len(short) + 1])
     assert np.diff(distinct ** 2).min() > 1e-6  # far beyond any near-tie margin
     _, counts = np.unique(short, return_counts=True)
@@ -298,18 +298,23 @@ def test_plausible_takes_no_exact_norm_on_distinct_keys(monkeypatch):
         assert counts == [], k
 
 
-def test_plausible_takes_exact_norms_of_chained_duplicates_only(monkeypatch):
-    # 700 random keys, where rows 600-659 copy rows 0-59 (other images) and
-    # rows 660-669 copy row 0: only the copies in a short list share a chain
+def duplicated_keys():
+    """700 random keys, where rows 600-659 copy rows 0-59 (other images) and
+    rows 660-669 copy row 0, and 14 queries: only the copies in a short list
+    share a chain."""
     rng = np.random.default_rng(13)
     keys = rng.normal(size=(700, 20))
     keys[600:660] = keys[:60]
     keys[660:670] = keys[0]
-    corpus = corpus_of(keys)
     queries = [(keys[i] + 0.3 * rng.normal(size=20), -1) for i in range(0, 60, 6)]
     queries += [(keys[i], i // 10) for i in (0, 3, 615, 640)]
+    return corpus_of(keys), queries
+
+
+def check_chained_norms(monkeypatch, ks):
+    corpus, queries = duplicated_keys()
     block, images = np.stack([q for q, _ in queries]), [image for _, image in queries]
-    for k in (1, 5, 12):
+    for k in ks:
         short, chained = zip(*(chained_rows(corpus, q, image, k) for q, image in queries))
         assert 0 < sum(chained) < sum(short), (k, short, chained)
         want = [oracle_find_plausible(q, image, corpus, k) for q, image in queries]
@@ -318,3 +323,37 @@ def test_plausible_takes_exact_norms_of_chained_duplicates_only(monkeypatch):
             got = qd.find_plausible(block, images, corpus, k)
         assert got == want, k
         assert counts == [c for c in chained if c], (k, chained)
+
+
+def test_plausible_takes_exact_norms_of_chained_duplicates_only(monkeypatch):
+    check_chained_norms(monkeypatch, (1, 5, 12))
+
+
+def test_plausible_without_a_cut_takes_exact_norms_of_chained_duplicates_only(monkeypatch):
+    # k is at least every query's 621 or 630 usable rows, so the short list is
+    # all of them, and still only the copies take an exact norm
+    check_chained_norms(monkeypatch, (630, 10**6))
+
+
+def test_nearest_without_a_cut_takes_exact_norms_of_duplicates_only(monkeypatch):
+    # 300 random vectors, where rows 260-289 copy rows 0-29 and rows 290-299 copy
+    # row 0; n is at least the 299 other images, so the short list is all of
+    # them, and only rows at an equal distance share a near-tie chain
+    rng = np.random.default_rng(17)
+    vectors = rng.normal(size=(300, 12))
+    vectors[260:290] = vectors[:30]
+    vectors[290:] = vectors[0]
+    ids = rng.permutation(10_000)[:300]
+    norm = np.linalg.norm
+    for image_id in ids[[0, 5, 100, 295]].tolist():
+        for n in (299, 10**6):
+            store = ImageFeatureStore(ids, vectors)  # an empty memo
+            want = oracle_nearest_images(store, image_id, n)
+            distinct, counts = np.unique([norm(store.get(i) - store.get(image_id))
+                                          for i in want], return_counts=True)
+            assert np.diff(distinct ** 2).min() > 1e-6  # far beyond any near-tie margin
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(np.linalg, "norm", lambda *a, **kw: calls.append(1) or norm(*a, **kw))
+                assert nearest_images(store, image_id, n) == want, (image_id, n)
+            assert len(calls) == counts[counts > 1].sum() > 0, (image_id, n)

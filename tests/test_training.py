@@ -179,6 +179,39 @@ def test_improving_epoch_holds_no_second_copy_of_the_model(tmp_path, toy_data):
     assert two - one < copy / 2, (one, two, copy)
 
 
+@pytest.mark.parametrize("batch_size, step", [(11, 2), (1, 1)])
+def test_one_example_batch_at_two_rounds_is_refused_before_any_step(
+        tmp_path, toy_data, monkeypatch, batch_size, step):
+    # at rounds=2 each example has one history row, and the toy set gives 12
+    # examples: batch_size 11 leaves a one-example last batch, batch_size 1 has
+    # nothing else
+    ds, features = toy_data
+    n = len(examples_from_dataset(ds, features, "visdial", "qih", toy_dims(rounds=2)))
+    assert n == 12
+    steps = []
+    monkeypatch.setattr(training.nn, "adam_step", lambda *args: steps.append(args))
+    out = tmp_path / "m.ckpt"
+    for max_steps in (None, step, step + 5):
+        cfg = quick_cfg(dims=toy_dims(rounds=2), batch_size=batch_size, max_steps=max_steps)
+        with pytest.raises(ValueError, match=(
+                f"variant qih at rounds=2 batch-norms one history row per example.*"
+                f"batch_size={batch_size} over 12 training examples gives a one-example "
+                f"batch at step {step}")):
+            train(ds, ds, features, cfg, out)
+    assert steps == [] and not out.exists()
+
+
+def test_two_round_run_that_stops_before_a_one_example_batch_trains(tmp_path, toy_data):
+    # batch_size 11 reaches its one-example batch at step 2; a cap of one step
+    # never does, and rounds=2 runs whose batches all hold two examples or more train
+    ds, features = toy_data
+    for batch_size, max_steps in ((11, 1), (2, None), (12, None)):
+        logs = train(ds, ds, features, quick_cfg(dims=toy_dims(rounds=2), batch_size=batch_size,
+                                                  max_steps=max_steps, max_epochs=1),
+                     tmp_path / "m.ckpt")
+        assert logs[0].steps == (1 if max_steps else -(-12 // batch_size))
+
+
 def test_early_stopping_on_stale_validation(tmp_path, toy_data):
     ds, features = toy_data
     logs = train(ds, ds, features, quick_cfg(max_epochs=60, patience=2, learning_rate=1e-6),

@@ -1,0 +1,156 @@
+"""Mutation gate: each listed mutant of ``src/`` must fail one of its named tests.
+
+    python3 tools/mutants.py
+
+A mutant names a file under ``src/``, a text that must occur in it exactly
+once, the text that replaces it, and the tests that must catch the change.
+For each mutant the script copies ``src/`` to a temporary directory, applies
+the edit there and runs the named tests with pytest against the copy
+(``PYTHONPATH`` points at it and the ``pythonpath`` ini setting is cleared).
+Standard library only.
+
+A mutant is killed only when pytest reports one of its named tests as FAILED.
+A collection error, an error in a fixture, or an edit whose text is not found
+exactly once does not count: a refactor that moves the text must update the
+mutant, not drop it. Exits 1 when any mutant is not killed, else 0.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/dialogrank/
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids; one of them must fail
+
+
+MUTANTS = [
+    # the k-th value of a column that k does not cut is a skipped row's inf:
+    # unclamped, the skipped rows enter the short list
+    Mutant("search: no k-th-value clamp", "qdataset.py",
+           "kth = min(np.partition(column, part)[part], _FINITE_MAX)",
+           "kth = np.partition(column, part)[part]",
+           ("tests/test_qdataset.py::test_plausible_everything_excluded",
+            "tests/test_unroll.py::test_nearest_exhausts_store",
+            "tests/test_search.py::test_nearest_seeded_5k_store")),
+    # rows whose prefilter values differ within the margin must share a chain
+    Mutant("search: chain split at margin 0", "qdataset.py",
+           "np.greater(values[1:] - values[:-1], margin[j], out=first[1:-1])",
+           "np.greater(values[1:] - values[:-1], 0.0, out=first[1:-1])",
+           ("tests/test_search.py::test_nearest_near_tie_across_the_cut",
+            "tests/test_search.py::test_plausible_near_tie_across_the_cut",
+            "tests/test_search.py::test_nearest_duplicated_vectors_break_ties_by_id")),
+    # the short list must reach the margin past the k-th value, or a row that the
+    # exact distance puts inside the cut is lost
+    Mutant("search: short list cut at the k-th value", "qdataset.py",
+           "rows = np.flatnonzero(column <= kth + margin[j])",
+           "rows = np.flatnonzero(column <= kth)",
+           ("tests/test_search.py::test_nearest_near_tie_across_the_cut",
+            "tests/test_search.py::test_plausible_near_tie_across_the_cut")),
+    Mutant("qa key: answer mean divides by known unguarded", "qdataset.py",
+           "return acc / known if known else acc",
+           "return acc / known",
+           ("tests/test_qdataset.py::test_answer_key_cases",
+            "tests/test_qdataset.py::test_qa_key_of_punctuation_only_pair_is_zeros")),
+    # one draw past the empty slots moves the generator state, so the shuffle
+    # after the fill moves; the builder and unroll's pools share the fill
+    Mutant("random fill: chunk of need + 1", "qdataset.py",
+           "size=size - len(items)).tolist()",
+           "size=size - len(items) + 1).tolist()",
+           ("tests/test_qdataset.py::test_colliding_fills_match_oracle",
+            "tests/test_qdataset.py::test_qdataset_without_plausible_candidates",
+            "tests/test_unroll.py::test_pool_matches_independent_oracle")),
+    Mutant("memo: rows stored as views", "encoders.py",
+           "        row = row.copy()\n",
+           "        row = row[:]\n",
+           ("tests/test_scorer.py::test_memo_rows_are_read_only_copies",)),
+    # round 1's empty history slots share their input bytes, not their block
+    Mutant("memo: context term keyed without its block", "scorer.py",
+           "key = (span, x.tobytes())",
+           "key = (None, x.tobytes())",
+           ("tests/test_scorer.py::test_frozen_model_runs_context_term_products_of_new_blocks_only",
+            "tests/test_scorer.py::test_warm_memo_scores_bitwise_as_memo_free_load")),
+    Mutant("eval: one product over all rows", "nn.py",
+           "    if rows is None:\n        return x @ weight.T",
+           "    if True:\n        return x @ weight.T",
+           ("tests/test_scorer.py::test_eval_scores_independent_of_cobatched_options",
+            "tests/test_scorer.py::test_eval_scores_independent_of_block_edge")),
+    Mutant("adam: ragged last block skipped", "nn.py",
+           "for i in range(0, p.size, BLOCK):",
+           "for i in range(0, p.size - p.size % BLOCK, BLOCK):",
+           ("tests/test_nn.py::test_blocked_adam_bitwise_matches_in_place_oracle",)),
+    Mutant("adam: grads not zeroed", "nn.py",
+           "            g.fill(0.0)\n",
+           "",
+           ("tests/test_nn.py::test_adam_zero_grad_identity",
+            "tests/test_nn.py::test_blocked_adam_bitwise_matches_in_place_oracle")),
+    # a run capped before its one-example batch trains; one that reaches it is refused
+    Mutant("train: one-example batch check ignores max_steps", "training.py",
+           "and (cfg.max_steps or step) >= step",
+           "and True",
+           ("tests/test_training.py::test_two_round_run_that_stops_before_a_one_example_batch_trains",)),
+    Mutant("gradcheck: infinite tolerance accepted", "cli.py",
+           'if not 0 < args.tolerance < float("inf"):',
+           "if not 0 < args.tolerance:",
+           ("tests/test_cli.py::test_gradcheck_out_of_range_setting_is_refused_before_any_check",)),
+]
+
+FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)
+
+
+def named(test_id: str, tests: tuple[str, ...]) -> bool:
+    return any(test_id == t or test_id.startswith(t + "[") for t in tests)
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """(killed, what happened) for one mutant, on its own copy of src/."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "dialogrank" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return False, f"edit text found {text.count(mutant.old)} times, not once"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
+             "-o", "pythonpath=", *mutant.tests],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = [t for t in FAILED.findall(proc.stdout) if named(t, mutant.tests)]
+    if failed:
+        return True, f"failed {failed[0]}"
+    tail = proc.stdout.strip().splitlines()[-1:] or ["no output"]
+    return False, f"survived (pytest exit {proc.returncode}: {tail[0]})"
+
+
+def main() -> int:
+    survivors = 0
+    start = time.perf_counter()
+    for mutant in MUTANTS:
+        t0 = time.perf_counter()
+        killed, note = run(mutant)
+        survivors += not killed
+        print(f"{'killed' if killed else 'NOT KILLED':10} {mutant.name}: {note} "
+              f"({time.perf_counter() - t0:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed in "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
