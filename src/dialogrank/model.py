@@ -98,7 +98,7 @@ def examples_from_dataset(dataset: DialogDataset, features: ImageFeatureStore | 
     Rounds beyond the model horizon are skipped; for the follow-up task only
     rounds carrying candidate follow-up questions become examples."""
     if task == "visdial-q" and dataset.task != "visdial-q":
-        raise ValueError("follow-up-question training needs a dataset with question options")
+        raise ValueError("task visdial-q needs a dataset with question options")
     needs_image = variant in ("qi", "qih")
     followup = task == "visdial-q"
     if needs_image:

@@ -34,10 +34,6 @@ from math import isfinite
 import numpy as np
 
 
-def as_f64(x) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=np.float64)
-
-
 def ensure_finite(name: str, arr) -> None:
     if not np.all(np.isfinite(arr)):
         raise FloatingPointError(f"non-finite values in {name}")
@@ -68,7 +64,7 @@ class Parameter:
     (``require_adam_state``)."""
 
     def __init__(self, value, name: str = "param"):
-        self.value = as_f64(value)
+        self.value = np.ascontiguousarray(value, dtype=np.float64)
         self.grad = np.zeros(self.value.shape)
         self.m = self.v = None
         if _KEEP_ADAM_STATE.get():
@@ -210,7 +206,6 @@ class Embedding:
     """Token-id to dense vector lookup; weight columns are word vectors [E, V]."""
 
     def __init__(self, dim: int, vocab_size: int, rng=None, name: str = "embed"):
-        self.dim = dim
         self.vocab_size = vocab_size
         self.weight = Parameter(np.zeros((dim, vocab_size)), name=f"{name}.weight")
         if rng is not None:

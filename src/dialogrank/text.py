@@ -4,6 +4,9 @@ Dialog datasets are single JSON documents with two string pools ("questions",
 "answers") and "dialogs" whose rounds reference pool indices; follow-up
 question datasets reuse the same layout plus per-round "question_options".
 All loaded stores are immutable after load and safe for concurrent reads.
+The image-feature store is its two read-only arrays, the attributes ``matrix``
+and ``id_array``, and checks its own ids: ``load_features`` only parses the
+file, and a store built from a repeated id raises the loader's ``LoadError``.
 """
 
 from __future__ import annotations
@@ -37,10 +40,6 @@ def tokenize(text: str) -> list[str]:
     return _PUNCT.sub(r" \1 ", text.lower()).split()
 
 
-def detokenize(tokens) -> str:
-    return " ".join(tokens)
-
-
 class Vocabulary:
     """Dense word -> id table with reserved stop/empty/unk entries."""
 
@@ -58,9 +57,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self._words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._ids
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self._words == other._words
@@ -396,13 +392,22 @@ FEATURE_MAGIC = b"IMGF"
 class ImageFeatureStore:
     """image_id -> unit-l2-norm feature vector.
 
-    The vectors are one read-only, id-ordered ``[N, d]`` float64 matrix with an
-    id array and an id -> row map; ``get`` returns a row view of that matrix,
-    so the store never holds a second copy of the features."""
+    The store is two read-only arrays: ``matrix``, the ``[N, d]`` float64
+    vectors, and ``id_array``, their int64 ids, ascending, in the same row
+    order. An id -> row map finds a row; ``get`` returns a row view of
+    ``matrix``, so the store never holds a second copy of the features."""
 
     def __init__(self, ids: np.ndarray, matrix: np.ndarray):
-        """Store over unique int64 ``ids`` [N] and raw float64 rows ``matrix`` [N, d],
-        which it takes over: rows are normalized in place."""
+        """Store over int64 ``ids`` [N] and raw float64 rows ``matrix`` [N, d],
+        which it takes over: rows are normalized in place. An id given twice
+        raises ``LoadError`` naming its later row, as does a row of zero or
+        non-finite norm."""
+        # one stable sort orders the rows and puts the rows of an id side by side
+        order = np.argsort(ids, kind="stable")
+        repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]  # later rows of an id
+        if repeats.size:
+            i = int(repeats.min())
+            raise LoadError(f"feature row {i}: duplicate image_id {int(ids[i])}")
         # one per-vector norm per row, as np.linalg.norm(vec), so every stored
         # vector is bitwise the same as normalizing that vector alone
         norms = np.array([np.linalg.norm(row) for row in matrix])
@@ -411,34 +416,23 @@ class ImageFeatureStore:
             raise LoadError(f"image {int(ids[bad[0]])}: feature vector has zero or "
                             "non-finite norm")
         matrix /= norms[:, None]
-        if np.any(ids[1:] < ids[:-1]):
-            order = np.argsort(ids, kind="stable")
+        if np.any(ids[1:] < ids[:-1]):  # a written file is sorted: no copy of its rows
             ids, matrix = ids[order], matrix[order]
         matrix.flags.writeable = False
         ids.flags.writeable = False
         self.dim = matrix.shape[1]
-        self._matrix = matrix
-        self._ids = ids
+        self.matrix = matrix
+        self.id_array = ids
         self._row = {image_id: row for row, image_id in enumerate(ids.tolist())}
         self._nearest: dict[tuple[int, int], tuple[int, ...]] = {}  # unroll.nearest_images
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """All vectors, one read-only row per id in ``id_array`` order."""
-        return self._matrix
+        return len(self.id_array)
 
     @cached_property
     def sq_norms(self) -> np.ndarray:
         """Each row's squared l2 norm, built on first search."""
-        return np.einsum("ij,ij->i", self._matrix, self._matrix)
-
-    @property
-    def id_array(self) -> np.ndarray:
-        """The ids as a read-only int64 array, ascending, in matrix row order."""
-        return self._ids
+        return np.einsum("ij,ij->i", self.matrix, self.matrix)
 
     def row_of(self, image_id: int) -> int:
         try:
@@ -447,12 +441,13 @@ class ImageFeatureStore:
             raise LoadError(f"image {image_id}: no feature vector in store") from None
 
     def get(self, image_id: int) -> np.ndarray:
-        return self._matrix[self.row_of(image_id)]
+        return self.matrix[self.row_of(image_id)]
 
 
 def load_features(path) -> ImageFeatureStore:
     """Read a feature file in one pass (so pipes work), check its length
-    against the header, and parse the rows straight into the store's matrix."""
+    against the header, and parse the rows straight into the store's matrix;
+    the store checks the ids and norms."""
     with open(path, "rb") as f:
         data = f.read()
     magic = data[:4]
@@ -469,11 +464,6 @@ def load_features(path) -> ImageFeatureStore:
     rows = np.frombuffer(data, dtype=[("id", "<i8"), ("vec", "<f4", (dim,))],
                          count=count, offset=12)
     ids = rows["id"].astype(np.int64)
-    order = np.argsort(ids, kind="stable")
-    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]  # later rows of an id
-    if repeats.size:
-        i = int(repeats.min())
-        raise LoadError(f"feature row {i}: duplicate image_id {int(ids[i])}")
     matrix = rows["vec"].astype(np.float64)
     del rows, data
     return ImageFeatureStore(ids, matrix)

@@ -11,21 +11,22 @@ Every draw is seeded from (seed, image_id, round counter), so a transcript is
 a pure function of (seed, checkpoints, dataset, features), and each round's
 pools and scores are recorded for audit and replay.
 
-The corpus is indexed once. The feature store is one [N, d] matrix, and the
-neighbour list of an image is memoised on it, since it depends only on the
-image. The dataset builds ``by_image`` and its sorted distinct pools on first
-use. ``nearest_images`` shares the search of the follow-up-question builder
-(``qdataset.nearest_rows`` for a block of one query: one matrix-vector
-product, a derived margin, and the per-vector norm only for the near-tie
-chains of its short list, with the id tie-break), so transcripts are the
-same bytes as with a per-vector scan of every image. Pool, history and
-caption strings recur round after round, so each is tokenized once per model
-and length cap (``_token_ids``).
+The corpus is indexed once. The feature store is its read-only attributes
+``matrix`` ([N, d]) and ``id_array`` (ascending ids, one per row, each id
+once, which the store checks itself), and the neighbour list of an image is
+memoised on it, since it depends only on the image. The dataset builds
+``by_image`` and its sorted distinct pools on first use. ``nearest_images``
+shares the search of the follow-up-question builder (``qdataset.nearest_rows``
+for a block of one query: one matrix-vector product, a derived margin, and
+the per-vector norm only for the near-tie chains of its short list, with the
+id tie-break), so transcripts are the same bytes as with a per-vector scan of
+every image. Pool, history and caption strings recur round after round, so
+each is tokenized once per model and length cap (``_token_ids``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -83,19 +84,13 @@ class Transcript:
     a_model_config: dict
     rounds: list[TranscriptRound] = field(default_factory=list)
 
-    def to_payload(self) -> dict:
-        return {
-            "image_id": self.image_id,
-            "caption": self.caption,
-            "initial_history": [list(p) for p in self.initial_history],
-            "spec": asdict(self.spec),
-            "q_model": self.q_model_config,
-            "a_model": self.a_model_config,
-            "rounds": [asdict(r) for r in self.rounds],
-        }
-
     def to_bytes(self) -> bytes:
-        return dataset_json_bytes(self.to_payload())
+        """The transcript file: every field, with the model configs under
+        ``q_model`` and ``a_model``."""
+        payload = asdict(self)
+        payload["q_model"] = payload.pop("q_model_config")
+        payload["a_model"] = payload.pop("a_model_config")
+        return dataset_json_bytes(payload)
 
 
 def nearest_images(features: ImageFeatureStore, image_id: int, n: int) -> list[int]:
@@ -199,30 +194,23 @@ def _encode_pair(model: DialogScorer, question: str, answer: str):
             _token_ids(model, answer, model.dims.max_answer_words))
 
 
-def _option_ids(model: DialogScorer, pool: list[str]) -> list[list[int]]:
-    """Option token ids of the pool strings under the model's option length."""
-    option_len = (model.dims.max_question_words if model.task == "visdial-q"
-                  else model.dims.max_answer_words)
-    return [_token_ids(model, s, option_len) for s in pool]
-
-
 def _model_example(model: DialogScorer, state: DialogState, features: ImageFeatureStore,
                    query: tuple[list[int], list[int] | None], pool: list[str],
                    history_pairs: list[tuple[str, str]]) -> RoundExample:
     """Assemble an eval example for one model, encoding with its own vocab and
     keeping only the most recent pairs that fit its history window."""
-    window = history_pairs[len(history_pairs) - model.dims.history_slots :] \
-        if len(history_pairs) > model.dims.history_slots else history_pairs
-    history = [_encode_pair(model, q, a) for q, a in window]
+    option_len = (model.dims.max_question_words if model.task == "visdial-q"
+                  else model.dims.max_answer_words)
+    window = history_pairs[max(len(history_pairs) - model.dims.history_slots, 0):]
     return RoundExample(
         image_id=state.image_id,
         round_no=state.round_counter + 1,
         question_ids=query[0],
         query_answer_ids=query[1],
-        option_ids=_option_ids(model, pool),
+        option_ids=[_token_ids(model, s, option_len) for s in pool],
         gt_index=0,  # unused: generation has no ground truth
         caption_ids=_token_ids(model, state.caption, model.dims.max_caption_words),
-        history=history,
+        history=[_encode_pair(model, q, a) for q, a in window],
         image_vec=features.get(state.image_id) if model.variant != "q" else None,
     )
 
@@ -260,11 +248,7 @@ def step(state: DialogState, q_model: DialogScorer, a_model: DialogScorer,
     answer_index = int(np.argmax(a_scored.scores))
     answer = a_pool[answer_index]
 
-    new_state = DialogState(
-        image_id=state.image_id,
-        caption=state.caption,
-        history=state.history + [(question, answer)],
-    )
+    new_state = replace(state, history=state.history + [(question, answer)])
     record = TranscriptRound(
         question=question,
         answer=answer,

@@ -322,6 +322,18 @@ def test_unroll_image_id_picks_the_dialog(workdir, untrained_checkpoints, capsys
     assert not out.exists()
 
 
+def test_evaluate_followup_task_without_question_options_names_the_task(
+        workdir, untrained_checkpoints, capsys):
+    code, _, stderr = run_cli(
+        capsys, "evaluate", "--checkpoint", untrained_checkpoints[0],
+        "--dataset", str(workdir / "corpus.json"),
+        "--features", str(workdir / "corpus_feat.bin"), "--task", "visdial-q")
+    assert code == 1
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("error type=ValueError"), stderr
+    assert "task visdial-q needs a dataset with question options" in stderr, stderr
+
+
 def test_unroll_refuses_a_transcript_that_fails_its_audit(workdir, untrained_checkpoints,
                                                          capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_transcript",
@@ -516,7 +528,7 @@ def assert_train_wrote_nothing(out) -> None:
     ("max_epochs=0", "batch_size and max_epochs must be positive"),
     ("patience=0", "patience must be >= 1"),
     ("image_dim=12", "feature store dimension 16 != configured image_dim 12"),
-    ("task=visdial-q", "follow-up-question training needs a dataset with question options"),
+    ("task=visdial-q", "task visdial-q needs a dataset with question options"),
 ], ids=["shared-embeddings-none", "seed-none", "patience-none", "mlp-depth-3", "rounds-1",
         "no-features", "unknown-key", "set-without-equals", "batch-size-0", "max-epochs-0",
         "patience-0", "feature-dim-mismatch", "followup-without-question-options"])

@@ -1,4 +1,5 @@
 import copy
+import json
 from collections import Counter
 
 import numpy as np
@@ -301,6 +302,30 @@ def test_unroll_deterministic_bytes(setup):
     t1 = unroll(state, 5, q_model, a_model, dataset, features, spec)
     t2 = unroll(state, 5, q_model, a_model, dataset, features, spec)
     assert t1.to_bytes() == t2.to_bytes()
+
+
+def test_transcript_file_layout(setup):
+    # the file's key names and nesting are its format
+    dataset, features, q_model, a_model = setup
+    record = dataset.records[2]
+    history = [(dataset.questions[r.question], dataset.answers[r.answer])
+               for r in record.rounds[:2]]
+    state = DialogState(record.image_id, record.caption, history)
+    spec = PoolSpec(n_neighbor_images=3, pool_size=12, top_m=3, seed=4)
+    transcript = unroll(state, 2, q_model, a_model, dataset, features, spec)
+    payload = json.loads(transcript.to_bytes())
+    assert set(payload) == {"image_id", "caption", "initial_history", "spec", "q_model",
+                            "a_model", "rounds"}
+    assert (payload["image_id"], payload["caption"]) == (record.image_id, record.caption)
+    assert payload["initial_history"] == [[q, a] for q, a in history]
+    assert payload["spec"] == {"n_neighbor_images": 3, "pool_size": 12, "top_m": 3, "seed": 4}
+    for key, model in (("q_model", q_model), ("a_model", a_model)):
+        assert payload[key] == json.loads(json.dumps(model.config()))
+    fields = ("question", "answer", "question_pool", "question_scores", "top_indices", "draw",
+              "answer_pool", "answer_scores", "answer_index")
+    assert len(payload["rounds"]) == 2
+    for got, rnd in zip(payload["rounds"], transcript.rounds):
+        assert got == {name: getattr(rnd, name) for name in fields}
 
 
 def test_unroll_ten_rounds_with_small_history_windows(setup):

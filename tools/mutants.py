@@ -107,6 +107,56 @@ MUTANTS = [
            'if not 0 < args.tolerance < float("inf"):',
            "if not 0 < args.tolerance:",
            ("tests/test_cli.py::test_gradcheck_out_of_range_setting_is_refused_before_any_check",)),
+    # a store that keeps both rows of an id lists it twice, and the image is
+    # then its own nearest neighbour
+    Mutant("features: store keeps a repeated id", "text.py",
+           "        if repeats.size:\n",
+           "        if False:\n",
+           ("tests/test_text.py::test_store_built_with_a_repeated_id_is_refused",
+            "tests/test_text.py::test_feature_file_row_errors_name_the_row")),
+    Mutant("transcript: q_model written under its field name", "unroll.py",
+           'payload["q_model"] = payload.pop("q_model_config")',
+           'payload["q_model_config"] = payload.pop("q_model_config")',
+           ("tests/test_unroll.py::test_transcript_file_layout",)),
+    # step 1 is right (b1**1), every later step is not
+    Mutant("adam: bias correction fixed at step 1", "nn.py",
+           "g *= (1.0 - b1**t) / cfg.learning_rate",
+           "g *= (1.0 - b1) / cfg.learning_rate",
+           ("tests/test_nn.py::test_adam_in_place_matches_oracle",
+            "tests/test_nn.py::test_blocked_adam_bitwise_matches_in_place_oracle")),
+    Mutant("memo: newest entry evicted first", "encoders.py",
+           "self.rows.popitem(last=False)",
+           "self.rows.popitem(last=True)",
+           ("tests/test_scorer.py::test_memo_drops_oldest_first",)),
+    # a short last block is a product of another height, which BLAS may round
+    # differently from a whole block
+    Mutant("eval: last block not padded", "nn.py",
+           "    if n % rows:\n        x = np.concatenate",
+           "    if False:\n        x = np.concatenate",
+           ("tests/test_scorer.py::test_eval_scores_independent_of_block_edge",
+            "tests/test_scorer.py::test_seq_block_edge_scores_bitwise_as_memo_free_load")),
+    Mutant("search: k = 0 falls through", "qdataset.py",
+           "    if k == 0:\n        return",
+           "    if False:\n        return",
+           ("tests/test_qdataset.py::test_short_list_reads_nothing_for_k_zero",)),
+    # the rows of an option repeated within or across examples must sum
+    Mutant("mlp: duplicate option grads written with =", "scorer.py",
+           "np.add.at(dz_opt, option_of_row, dz)",
+           "dz_opt[option_of_row] = dz",
+           ("tests/test_scorer.py::test_late_fusion_matches_fused_row_oracle",)),
+    # the rows of a repeated text must sum into its one encoding's gradient
+    Mutant("text path: repeated text gradients written with =", "encoders.py",
+           "np.add.at(summed, inverse, dvecs)",
+           "summed[inverse] = dvecs",
+           ("tests/test_encoders.py::test_text_path_packed_call_matches_one_call_per_sequence",)),
+    Mutant("text path: packed rows not un-sorted", "encoders.py",
+           "vecs[order] = h",
+           "vecs[:] = h",
+           ("tests/test_encoders.py::test_text_path_packed_call_matches_one_call_per_sequence",)),
+    Mutant("glove loader: non-finite component accepted", "text.py",
+           "            if not np.isfinite(vec).all():\n",
+           "            if False:\n",
+           ("tests/test_text.py::test_glove_non_finite_raises_load_error_naming_the_line",)),
 ]
 
 FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)
