@@ -235,10 +235,6 @@ class DialogScorer:
             "dims": asdict(self.dims),
         }
 
-    def zero_grads(self) -> None:
-        for p in self.parameters().values():
-            p.zero_grad()
-
     def _set_writeable(self, flag: bool) -> None:
         for arr in [p.value for p in self.parameters().values()] + list(self.buffers().values()):
             arr.flags.writeable = flag
@@ -444,24 +440,24 @@ def random_example(vocab: Vocabulary, dims: ModelDims, rng: np.random.Generator,
     )
 
 
-def full_model_gradcheck(seed: int, dims: ModelDims | None = None, vocab_size: int = 50,
-                         k_options: int = 5, task: str = "visdial", variant: str = "qih",
-                         mlp_depth: int = 2, shared_embeddings: bool = True,
+def full_model_gradcheck(seed: int, vocab_size: int = 50, k_options: int = 5,
+                         task: str = "visdial", shared_embeddings: bool = True,
                          tolerance: float = 1e-4) -> nn.GradCheckReport:
     """Finite-difference check of every parameter gradient of the full model.
 
-    Builds a reduced-dimension model and one random round example, then
-    compares the analytic training-step gradient of each coordinate against
-    central differences. A train-mode loss never reads the running
-    statistics, so the closure is a pure function of the parameters.
+    Builds a qih model of MLP depth 2 at ``reduced_check_dims`` and one random
+    round example with two history rounds, then compares the analytic
+    training-step gradient of each coordinate against central differences. A
+    train-mode loss never reads the running statistics, so the closure is a
+    pure function of the parameters.
     """
-    dims = dims or reduced_check_dims()
+    dims = reduced_check_dims()
     vocab = synthetic_vocab(vocab_size)
-    model = DialogScorer(dims, vocab, task=task, variant=variant, mlp_depth=mlp_depth,
-                         shared_embeddings=shared_embeddings, init_seed=seed)
+    model = DialogScorer(dims, vocab, task=task, shared_embeddings=shared_embeddings,
+                         init_seed=seed)
     rng = np.random.default_rng([seed, 0xD1A6])
     batch = [random_example(vocab, dims, rng, k_options=k_options, task=task,
-                            n_history=min(2, dims.history_slots))]
+                            n_history=2)]
 
     return nn.grad_check(lambda want_grads: model.batch_loss(batch, want_grads=want_grads),
                          model.parameters().values(), tolerance=tolerance)

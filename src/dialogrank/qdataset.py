@@ -15,7 +15,12 @@ Candidates are deduplicated by exact string at every stage, keeping the
 earliest provenance label. The per-round PRNG is seeded from
 (seed, image_id, round) and the assembled set is shuffled with it, so the
 output bytes are a pure function of (dataset, word vectors, seed) and
-independent of build order.
+independent of build order. ``build_candidate_set`` returns one round's set as
+the fields that the follow-up dataset file holds for that round:
+``question_options`` (question-pool indices, shuffled), ``question_gt_index``
+(the position of the correct follow-up among them) and
+``question_provenance`` (each option's source label), and
+``build_qdataset_payload`` merges them into the round.
 
 The QA key is: word vectors of the question's first three words concatenated
 (missing slots and unknown words are zero), then the mean vector of the
@@ -49,7 +54,6 @@ query keys stays within ``SEARCH_BYTES`` too.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,35 +121,21 @@ class CorpusKeys:
 
     def __init__(self, dataset: DialogDataset, glove: GloveTable):
         n = sum(len(record.rounds) for record in dataset.records)
-        matrix = np.empty((n, (FIRST_WORDS + 2) * glove.dim))
-        image_ids = np.empty(n, dtype=np.int64)
-        round_nos = np.empty(n, dtype=np.int64)
-        followups = np.full(n, -1, dtype=np.int64)
+        self.matrix = np.empty((n, (FIRST_WORDS + 2) * glove.dim))
+        self.image_ids = np.empty(n, dtype=np.int64)
+        self.round_nos = np.empty(n, dtype=np.int64)
+        self.followups = np.full(n, -1, dtype=np.int64)
         row = 0
         for record in dataset.records:
             for t, rnd in enumerate(record.rounds, start=1):
-                matrix[row] = qa_pair_key(dataset.questions[rnd.question],
-                                          dataset.answers[rnd.answer], glove)
-                image_ids[row] = record.image_id
-                round_nos[row] = t
+                self.matrix[row] = qa_pair_key(dataset.questions[rnd.question],
+                                               dataset.answers[rnd.answer], glove)
+                self.image_ids[row] = record.image_id
+                self.round_nos[row] = t
                 if t < ROUNDS_PER_DIALOG:
-                    followups[row] = record.rounds[t].question
+                    self.followups[row] = record.rounds[t].question
                 row += 1
-        self._adopt(matrix, image_ids, round_nos, followups)
-
-    @classmethod
-    def from_arrays(cls, matrix, image_ids, round_nos, followups) -> "CorpusKeys":
-        """Ready-made rows (at least one), without building keys."""
-        keys = cls.__new__(cls)
-        keys._adopt(matrix, image_ids, round_nos, followups)
-        return keys
-
-    def _adopt(self, matrix, image_ids, round_nos, followups) -> None:
-        self.matrix = matrix
-        self.image_ids = image_ids
-        self.round_nos = round_nos
-        self.followups = followups
-        self.sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+        self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
 
     def __len__(self) -> int:
         return len(self.matrix)
@@ -277,16 +267,6 @@ def compute_popular(dataset: DialogDataset, m: int = N_POPULAR) -> list[int]:
     return [canonical[q] for q in ranked[:m]]
 
 
-@dataclass
-class CandidateSet:
-    question_indices: list[int]  # questions-pool indices, final (shuffled) order
-    gt_index: int
-    provenance: list[str]
-
-    def strings(self, dataset: DialogDataset) -> list[str]:
-        return [dataset.questions[i] for i in self.question_indices]
-
-
 def round_rng(seed: int, image_id: int, round_no: int) -> np.random.Generator:
     return np.random.default_rng([seed, image_id, round_no])
 
@@ -313,10 +293,11 @@ def _check_pool_size(dataset: DialogDataset, pool_size: int) -> None:
 
 def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
                         plausible: list[int], popular: list[int], seed: int,
-                        pool_size: int = POOL_SIZE) -> CandidateSet:
+                        pool_size: int = POOL_SIZE) -> dict:
     """Candidate follow-up questions for the QA pair in corpus row ``row``;
     ``plausible`` holds that row's neighbour rows, nearest first, as
-    ``find_plausible`` gives them for the row's own key and image."""
+    ``find_plausible`` gives them for the row's own key and image. Returns the
+    round's three follow-up fields, keyed as the file holds them (see above)."""
     image_id = int(corpus.image_ids[row])
     round_no = int(corpus.round_nos[row])
     followup = int(corpus.followups[row])
@@ -347,11 +328,11 @@ def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
     perm = rng.permutation(pool_size)
     shuffled = [chosen[i] for i in perm]
     gt_index = next(i for i, (_, label) in enumerate(shuffled) if label == "correct")
-    return CandidateSet(
-        question_indices=[idx for idx, _ in shuffled],
-        gt_index=gt_index,
-        provenance=[label for _, label in shuffled],
-    )
+    return {
+        "question_options": [idx for idx, _ in shuffled],
+        "question_gt_index": gt_index,
+        "question_provenance": [label for _, label in shuffled],
+    }
 
 
 def _plausible_by_row(corpus: CorpusKeys, k: int):
@@ -390,11 +371,8 @@ def build_qdataset_payload(dataset: DialogDataset, glove: GloveTable, seed: int,
                 "gt_index": rnd.gt_index,
             }
             if corpus.followups[row] >= 0:
-                cand = build_candidate_set(dataset, corpus, row, next(plausible),
-                                           popular, seed, pool_size=pool_size)
-                out["question_options"] = cand.question_indices
-                out["question_gt_index"] = cand.gt_index
-                out["question_provenance"] = cand.provenance
+                out.update(build_candidate_set(dataset, corpus, row, next(plausible),
+                                               popular, seed, pool_size=pool_size))
             rounds.append(out)
             row += 1
         dialogs.append({

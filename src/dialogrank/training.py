@@ -90,20 +90,27 @@ def _clip_grads(params, max_norm: float) -> None:
             p.grad *= scale
 
 
-def _check_one_example_batches(cfg: TrainConfig, n_examples: int) -> None:
-    """Refuse a run that would reach a one-example batch at variant qih with
-    rounds=2: its history block batch-norms B * (rounds - 1) rows, one row at
-    B = 1, and train-mode batch norm needs two. Each epoch's last batch holds
-    what is left of the examples; the first epoch always runs to its end unless
-    ``max_steps`` stops it earlier."""
-    last = n_examples % cfg.batch_size or cfg.batch_size
-    step = 1 if cfg.batch_size == 1 else -(-n_examples // cfg.batch_size)
-    if (cfg.variant == "qih" and cfg.dims.history_slots == 1 and last == 1
-            and (cfg.max_steps or step) >= step):
-        raise ValueError(
-            f"variant qih at rounds=2 batch-norms one history row per example, and train "
-            f"mode needs a batch of >= 2 rows: batch_size={cfg.batch_size} over "
-            f"{n_examples} training examples gives a one-example batch at step {step}")
+def _check_one_example_batches(cfg: TrainConfig, examples) -> None:
+    """Refuse a run that would reach a one-example batch in which a train-mode
+    batch norm gets one row: each training example must give two, to
+    ``history.bn`` (one row per history slot, so two slots at qih) and to every
+    ``mlp.h*.bn`` (one row per option, so two options). The epoch shuffle
+    decides which example lands alone, so any example counts. Each epoch's last
+    batch holds what is left of the examples; the first epoch always runs to its
+    end unless ``max_steps`` stops it earlier."""
+    n = len(examples)
+    last = n % cfg.batch_size or cfg.batch_size
+    step = 1 if cfg.batch_size == 1 else -(-n // cfg.batch_size)
+    if cfg.variant == "qih" and cfg.dims.history_slots == 1:
+        one_row = "variant qih at rounds=2 batch-norms one history row per example"
+    elif min(len(ex.option_ids) for ex in examples) < 2:  # a loaded round has >= 1
+        one_row = "a training example with 1 option gives each mlp.h*.bn one row"
+    else:
+        return
+    if last == 1 and (cfg.max_steps or step) >= step:
+        raise ValueError(f"{one_row}, and train mode needs a batch of >= 2 rows: "
+                         f"batch_size={cfg.batch_size} over {n} training examples gives a "
+                         f"one-example batch at step {step}")
 
 
 def train(train_set, val_set, features, cfg: TrainConfig, out, extra_config=None,
@@ -127,7 +134,7 @@ def train(train_set, val_set, features, cfg: TrainConfig, out, extra_config=None
     val_examples = examples_from_dataset(val_set, features, cfg.task, cfg.variant, cfg.dims)
     if not val_examples:
         raise ValueError("validation set produced no examples")
-    _check_one_example_batches(cfg, len(train_examples))
+    _check_one_example_batches(cfg, train_examples)
 
     model = DialogScorer(
         cfg.dims, train_set.vocab, task=cfg.task, variant=cfg.variant,

@@ -50,8 +50,8 @@ def test_criterion_1_gradient_integrity():
             dims.history_pair_dim, dims.image_dim) == (8, 8, 8, 8, 12)
     worst = 0.0
     for seed in range(5):
-        rep = full_model_gradcheck(seed=seed, dims=dims, vocab_size=50, k_options=5,
-                                   mlp_depth=2, shared_embeddings=True, tolerance=1e-4)
+        rep = full_model_gradcheck(seed=seed, vocab_size=50, k_options=5,
+                                   shared_embeddings=True, tolerance=1e-4)
         worst = max(worst, rep.max_rel_error)
         assert rep.passed, rep.summary()
     elapsed = time.perf_counter() - t0
@@ -181,11 +181,11 @@ def test_criterion_5_builder_oracle():
         got = build_candidate_set(dataset, keys, row, neighbours, popular, seed)
         want, want_gt = oracle_candidate_set(payload, record.image_id, t,
                                              glove_dict, seed)
-        strings = got.strings(dataset)
-        assert list(zip(strings, got.provenance)) == want
-        assert got.gt_index == want_gt
+        strings = [dataset.questions[i] for i in got["question_options"]]
+        assert list(zip(strings, got["question_provenance"])) == want
+        assert got["question_gt_index"] == want_gt
         assert len(strings) == 100 and len(set(strings)) == 100
-        assert strings[got.gt_index] == dataset.questions[record.rounds[t].question]
+        assert strings[got["question_gt_index"]] == dataset.questions[record.rounds[t].question]
         rounds_checked += 1
 
     # plausible exclusions, checked against the neighbor rows themselves

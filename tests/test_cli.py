@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -743,3 +744,25 @@ def test_unknown_flag_fails_with_usage():
     proc = run_cli_process("evaluate", "--nonsense")
     assert proc.returncode != 0
     assert "usage" in proc.stderr
+
+
+def test_readme_walkthrough_runs_as_written(tmp_path, monkeypatch, capsys):
+    # README's "End-to-end toy walkthrough": its Python heredoc, then each
+    # dialogrank command of the same fenced block, run in order through main
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                  encoding="utf-8").read()
+    section = readme[readme.index("### End-to-end toy walkthrough"):]
+    block = section.split("```bash\n", 1)[1].split("\n```", 1)[0]
+    script, commands = block.split("python3 - <<'EOF'\n", 1)[1].split("\nEOF\n", 1)
+    commands = [shlex.split(line) for line in commands.replace("\\\n", " ").splitlines()
+                if line.strip()]
+    assert [argv[:2] for argv in commands] == [
+        ["dialogrank", "build-qdataset"], ["dialogrank", "train"], ["dialogrank", "train"],
+        ["dialogrank", "evaluate"], ["dialogrank", "unroll"]]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(script, "README.md", "exec"), {})
+    for argv in commands:
+        code, _, stderr = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, stderr)
+    with open("transcript.json", encoding="utf-8") as fh:
+        assert len(json.load(fh)["rounds"]) == 5

@@ -316,7 +316,8 @@ def test_gradcheck_across_examples_with_repeated_options():
 
     def closure(want_grads: bool) -> float:
         if want_grads:
-            model.zero_grads()
+            for p in model.parameters().values():
+                p.zero_grad()
         return model.batch_loss(batch, want_grads=want_grads)
 
     report = nn.grad_check(closure, model.parameters().values(), tolerance=1e-4)

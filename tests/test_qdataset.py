@@ -232,9 +232,10 @@ def test_candidate_sets_match_oracle_everywhere(corpus, seed):
                                          popular, seed)
             want, want_gt = oracle_candidate_set(
                 payload, record.image_id, t, glove_dict, seed)
-            got_pairs = list(zip(got.strings(dataset), got.provenance))
+            got_pairs = list(zip([dataset.questions[i] for i in got["question_options"]],
+                                 got["question_provenance"]))
             assert got_pairs == want, f"image {record.image_id} round {t}"
-            assert got.gt_index == want_gt
+            assert got["question_gt_index"] == want_gt
 
 
 @pytest.mark.parametrize("n", [1, 2, 600, 20000, 2**31 + 7, 2**40])
@@ -307,14 +308,14 @@ def test_candidate_set_invariants(corpus):
     record = dataset.records[4]
     row = row_of(keys, record.image_id, 3)
     cand = qd.build_candidate_set(dataset, keys, row, plausible_of(keys, row), popular, seed=5)
-    strings = cand.strings(dataset)
+    strings = [dataset.questions[i] for i in cand["question_options"]]
     assert len(strings) == 100
     assert len(set(strings)) == 100
-    assert cand.provenance.count("correct") == 1
+    assert cand["question_provenance"].count("correct") == 1
     gt_string = dataset.questions[record.rounds[3].question]
-    assert strings[cand.gt_index] == gt_string
-    assert cand.provenance[cand.gt_index] == "correct"
-    assert set(cand.provenance) <= {"correct", "plausible", "popular", "random"}
+    assert strings[cand["question_gt_index"]] == gt_string
+    assert cand["question_provenance"][cand["question_gt_index"]] == "correct"
+    assert set(cand["question_provenance"]) <= {"correct", "plausible", "popular", "random"}
 
 
 def test_candidate_set_round_10_rejected(corpus):
@@ -359,6 +360,23 @@ def test_qdataset_build_shape_and_determinism(corpus):
     assert n_rows == 9 * len(dataset)
     again = qd.build_qdataset_payload(dataset, glove, seed=9)
     assert dataset_json_bytes(built) == dataset_json_bytes(again)
+
+
+def test_qdataset_file_layout(corpus):
+    # build_candidate_set's dict goes into each round as it is, so its keys are
+    # the file's keys
+    _, dataset, glove = corpus
+    built = qd.build_qdataset_payload(dataset, glove, seed=9)
+    assert set(built) == {"format", "task", "seed", "questions", "answers", "dialogs"}
+    answer_keys = {"question", "answer", "answer_options", "gt_index"}
+    followup_keys = {"question_options", "question_gt_index", "question_provenance"}
+    assert len(built["dialogs"]) == len(dataset)
+    for dialog in built["dialogs"]:
+        assert set(dialog) == {"image_id", "caption", "rounds"}
+        assert len(dialog["rounds"]) == 10
+        for rnd in dialog["rounds"][:9]:
+            assert set(rnd) == answer_keys | followup_keys
+        assert set(dialog["rounds"][9]) == answer_keys
 
 
 def test_qdataset_seed_changes_random_fill_only(corpus):

@@ -83,7 +83,8 @@ def test_late_fusion_matches_fused_row_oracle(variant, depth):
 
     want, running, grads, dctx, dopts = oracle_fused_mlp(
         mlp, ctx, opts, offsets, option_of_row, train=True, dscores=dscores)
-    model.zero_grads()
+    for p in model.parameters().values():
+        p.zero_grad()
     got, cache = mlp.forward(ctx, opts, offsets, option_of_row, train=True)
     assert close(got, want)
     for bn, (mean, var) in zip(mlp.layers[1::2], running, strict=True):
@@ -389,7 +390,8 @@ def test_batch_forward_train_mode_norms_over_option_rows():
     assert scores[0].shape == (6,)
     # backward through the cache accumulates gradients and returns one
     # context row per example and one option row per distinct option
-    model.zero_grads()
+    for p in model.parameters().values():
+        p.zero_grad()
     dctx, dopts = model.mlp.backward(mlp_cache, np.ones(6))
     assert dctx.shape == (1, model.mlp.input_dim - model.dims.option_hidden)
     assert dopts.shape == (len(set(map(tuple, ex.option_ids))), model.dims.option_hidden)

@@ -42,11 +42,17 @@ def check_nearest(store, queries, cut=()):
 
 
 def corpus_of(keys, rounds=10):
-    """One row per key; rows fill dialogs of ``rounds`` rounds in order."""
+    """One row per key; rows fill dialogs of ``rounds`` rounds in order. Built
+    from the arrays, not from a dataset: a dataset's QA keys are 5 d wide, and
+    some of these keys are not."""
     row = np.arange(len(keys))
-    round_nos = row % rounds + 1
-    return CorpusKeys.from_arrays(keys, row // rounds, round_nos,
-                                  np.where(round_nos < rounds, row, -1))
+    corpus = CorpusKeys.__new__(CorpusKeys)
+    corpus.matrix = keys
+    corpus.image_ids = row // rounds
+    corpus.round_nos = row % rounds + 1
+    corpus.followups = np.where(corpus.round_nos < rounds, row, -1)
+    corpus.sq_norms = np.einsum("ij,ij->i", keys, keys)
+    return corpus
 
 
 def check_plausible(corpus, queries, cut=()):

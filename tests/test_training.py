@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import re
 import struct
 import threading
 import tracemalloc
@@ -14,9 +16,10 @@ from dialogrank.encoders import ModelDims
 from dialogrank.metrics import evaluate_examples
 from dialogrank.model import (DialogScorer, examples_from_dataset, reduced_check_dims,
                               synthetic_vocab)
-from dialogrank.text import LoadError
+from dialogrank.qdataset import build_qdataset_payload
+from dialogrank.text import GloveTable, LoadError
 from dialogrank.training import TrainConfig, train
-from synth import feature_store, load_payload, memorize_family, payload_vocab
+from synth import feature_store, load_payload, memorize_family, payload_vocab, toy_glove
 
 
 def toy_dims(**overrides):
@@ -210,6 +213,62 @@ def test_two_round_run_that_stops_before_a_one_example_batch_trains(tmp_path, to
                                                   max_steps=max_steps, max_epochs=1),
                      tmp_path / "m.ckpt")
         assert logs[0].steps == (1 if max_steps else -(-12 // batch_size))
+
+
+@pytest.fixture(scope="module")
+def one_option_sets():
+    """(task, dataset) pairs whose training examples include a one-option round: a
+    follow-up set built with one candidate per round, and the toy answer set with
+    round 1 of its first dialog cut to its ground-truth answer."""
+    payload, _ = memorize_family(n_dialogs=6, k_options=5, seed=0)
+    glove = {w: np.asarray(v) for w, v in toy_glove(payload).items()}
+    qpayload = build_qdataset_payload(load_payload(payload), GloveTable(glove),
+                                      seed=0, pool_size=1)
+    cut = copy.deepcopy(payload)
+    first = cut["dialogs"][0]["rounds"][0]
+    first.update(answer_options=[first["answer"]], gt_index=0)
+    return [("visdial-q", load_payload(qpayload)), ("visdial", load_payload(cut))]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["followup-pool-1", "one-answer-option"])
+@pytest.mark.parametrize("batch_size, step", [(23, 2), (1, 1)])
+def test_one_option_example_with_a_one_example_batch_is_refused_before_any_step(
+        tmp_path, toy_data, one_option_sets, monkeypatch, which, batch_size, step):
+    # rounds=4 gives 24 examples, at least one of them with one option; the
+    # shuffle may leave that one alone in a batch, where every mlp.h*.bn would
+    # get one row
+    task, ds = one_option_sets[which]
+    _, features = toy_data
+    dims = toy_dims()
+    examples = examples_from_dataset(ds, features, task, "qih", dims)
+    assert len(examples) == 24 and min(len(ex.option_ids) for ex in examples) == 1
+
+    def no_step(*args):
+        raise AssertionError("Adam step taken")
+
+    monkeypatch.setattr(training.nn, "adam_step", no_step)
+    out = tmp_path / "m.ckpt"
+    for max_steps in (None, step, step + 5):
+        cfg = quick_cfg(task=task, dims=dims, batch_size=batch_size, max_steps=max_steps)
+        with pytest.raises(ValueError, match=re.escape(
+                f"a training example with 1 option gives each mlp.h*.bn one row, and train "
+                f"mode needs a batch of >= 2 rows: batch_size={batch_size} over 24 training "
+                f"examples gives a one-example batch at step {step}")):
+            train(ds, ds, features, cfg, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["followup-pool-1", "one-answer-option"])
+def test_one_option_run_that_stops_before_a_one_example_batch_trains(
+        tmp_path, toy_data, one_option_sets, which):
+    # batch_size 23 reaches its one-example batch at step 2; a cap of one step
+    # never does, and every batch of that step holds 23 examples
+    task, ds = one_option_sets[which]
+    _, features = toy_data
+    cfg = quick_cfg(task=task, batch_size=23, max_steps=1)
+    out = tmp_path / "m.ckpt"
+    logs = train(ds, ds, features, cfg, out)
+    assert logs[0].steps == 1 and out.exists()
 
 
 def test_early_stopping_on_stale_validation(tmp_path, toy_data):

@@ -100,9 +100,16 @@ MUTANTS = [
             "tests/test_nn.py::test_blocked_adam_bitwise_matches_in_place_oracle")),
     # a run capped before its one-example batch trains; one that reaches it is refused
     Mutant("train: one-example batch check ignores max_steps", "training.py",
-           "and (cfg.max_steps or step) >= step",
-           "and True",
-           ("tests/test_training.py::test_two_round_run_that_stops_before_a_one_example_batch_trains",)),
+           "    if last == 1 and (cfg.max_steps or step) >= step:\n",
+           "    if last == 1:\n",
+           ("tests/test_training.py::test_two_round_run_that_stops_before_a_one_example_batch_trains",
+            "tests/test_training.py::test_one_option_run_that_stops_before_a_one_example_batch_trains")),
+    # a one-option example gives every mlp.h*.bn one row when it lands alone
+    Mutant("train: one-example batch check ignores option counts", "training.py",
+           "    elif min(len(ex.option_ids) for ex in examples) < 2:",
+           "    elif False:",
+           ("tests/test_training.py::"
+            "test_one_option_example_with_a_one_example_batch_is_refused_before_any_step",)),
     Mutant("gradcheck: infinite tolerance accepted", "cli.py",
            'if not 0 < args.tolerance < float("inf"):',
            "if not 0 < args.tolerance:",
@@ -153,6 +160,39 @@ MUTANTS = [
            "vecs[order] = h",
            "vecs[:] = h",
            ("tests/test_encoders.py::test_text_path_packed_call_matches_one_call_per_sequence",)),
+    # eval batch norm reads the running mean; train mode never does
+    Mutant("eval: batch norm with a wrong running mean", "nn.py",
+           "        x -= self.running_mean\n",
+           "        x -= 0.9 * self.running_mean\n",
+           ("tests/test_scorer.py::test_late_fusion_matches_fused_row_oracle",)),
+    # a hidden-term product of the rows still running is of another height at
+    # every step, so its rows would depend on their block-mates
+    Mutant("eval: LSTM hidden-step product outside nn.project", "nn.py",
+           "                z += project(hn, W[:, E:], rows)\n",
+           "                z += hn @ W[:, E:].T\n",
+           ("tests/test_scorer.py::test_seq_block_edge_scores_bitwise_as_memo_free_load",
+            "tests/test_scorer.py::test_eval_scores_independent_of_cobatched_options")),
+    # each block copies [Q, D] query keys, which SEARCH_BYTES must bound too
+    Mutant("search: one block for all of _plausible_by_row's rows", "qdataset.py",
+           "    height = search_height(max(corpus.matrix.shape))\n",
+           "    height = max(1, len(rows))\n",
+           ("tests/test_search.py::test_plausible_by_row_copies_wide_keys_within_search_bytes",)),
+    Mutant("builder: first plausible label taken as the ground truth", "qdataset.py",
+           'if label == "correct")',
+           'if label == "plausible")',
+           ("tests/test_qdataset.py::test_candidate_set_invariants",
+            "tests/test_qdataset.py::test_candidate_sets_match_oracle_everywhere")),
+    # a file shorter than its 12-byte header fails in struct, not with LoadError
+    Mutant("feature loader: header length unchecked", "text.py",
+           "    if len(data) < 12:\n",
+           "    if len(data) < 8:\n",
+           ("tests/test_text.py::test_features_cut_inside_header_raises_load_error",)),
+    # the entries must tile the payload at the writer's offsets
+    Mutant("checkpoint loader: entry offsets not compared", "checkpoint.py",
+           'have = json.dumps(got[i], sort_keys=True) if i < len(got) else "no entry"',
+           'have = (json.dumps(dict(got[i], offset=entry["offset"]), sort_keys=True)\n'
+           '                if i < len(got) else "no entry")',
+           ("tests/test_training.py::test_malformed_checkpoint_raises_load_error",)),
     Mutant("glove loader: non-finite component accepted", "text.py",
            "            if not np.isfinite(vec).all():\n",
            "            if False:\n",
