@@ -28,13 +28,15 @@ remaining question words (unknown words count as zero vectors), then the mean
 vector of the answer's known words; punctuation tokens are dropped before
 composition and words are used raw, before any vocabulary unk-mapping.
 
-``CorpusKeys`` computes each key once and holds it once: ``matrix [N, 5d]``
+``CorpusKeys`` holds each round's key once: ``matrix [N, 5d]``
 has one row per round in dataset order (dialog by dialog, round by round),
 and the parallel arrays ``image_ids``, ``round_nos`` (1-based) and
 ``followups`` (the question-pool index of the next round's question, -1 on a
 dialog's last round) say which round a row is. A candidate set is a function
 of one row: the row is the neighbour-search query, and its image, round and
-follow-up are the ones the set is built for.
+follow-up are the ones the set is built for. A key is a function of the
+pair's content words, so it is computed once per word pair: ``copy_of[row]``
+names the first row with the same pair, whose key the row copies bitwise.
 
 The neighbour search runs a block of queries at a time: ``nearest_rows`` takes
 the squared distances of Q queries to all N rows in one product, ``K @ Q.T``,
@@ -44,7 +46,9 @@ of its k-th value, ordered by those product-form values. Consecutive rows
 within the margin of each other form a near-tie chain, and only chained rows
 get the exact distance: rows of different chains are far enough apart that
 the exact formula orders them the same way (``nearest_rows`` gives the
-bound).
+bound). A chain whose rows all copy one key takes no exact distance, since
+bitwise-equal keys are exactly as far from a query, and a chain of several
+keys takes one exact distance per key.
 ``build_qdataset_payload`` searches the rows that have a follow-up one block at
 a time, so the key matrix is read once per block, not once per set; its blocks
 are also capped at SEARCH_BYTES // (8 D) rows, so each copied [Q, D] block of
@@ -117,7 +121,11 @@ def qa_pair_key(question: str, answer: str, glove: GloveTable) -> np.ndarray:
 
 class CorpusKeys:
     """The QA key of every round, one row each, laid out as the module
-    docstring says; ``sq_norms`` serves ``nearest_rows``."""
+    docstring says; ``sq_norms`` and ``copy_of`` serve ``nearest_rows``.
+
+    ``copy_of[row]`` is the first row whose question and answer give the same
+    content words as this row's. A key is a function of those words, so that
+    row's key is copied bitwise rather than computed again."""
 
     def __init__(self, dataset: DialogDataset, glove: GloveTable):
         n = sum(len(record.rounds) for record in dataset.records)
@@ -125,11 +133,16 @@ class CorpusKeys:
         self.image_ids = np.empty(n, dtype=np.int64)
         self.round_nos = np.empty(n, dtype=np.int64)
         self.followups = np.full(n, -1, dtype=np.int64)
+        self.copy_of = np.empty(n, dtype=np.int64)
+        first_of: dict = {}  # (question words, answer words) -> the first row with them
         row = 0
         for record in dataset.records:
             for t, rnd in enumerate(record.rounds, start=1):
-                self.matrix[row] = qa_pair_key(dataset.questions[rnd.question],
-                                               dataset.answers[rnd.answer], glove)
+                question, answer = dataset.questions[rnd.question], dataset.answers[rnd.answer]
+                words = (tuple(content_words(question)), tuple(content_words(answer)))
+                first = self.copy_of[row] = first_of.setdefault(words, row)
+                self.matrix[row] = (qa_pair_key(question, answer, glove) if first == row
+                                    else self.matrix[first])
                 self.image_ids[row] = record.image_id
                 self.round_nos[row] = t
                 if t < ROUNDS_PER_DIALOG:
@@ -154,17 +167,18 @@ def search_height(n_rows: int) -> int:
     return max(1, SEARCH_BYTES // (8 * n_rows))
 
 
-def nearest_rows(matrix: np.ndarray, sq_norms: np.ndarray, queries: np.ndarray, k: int,
-                 skip: np.ndarray, exact, ties) -> list[np.ndarray]:
+def nearest_rows(matrix: np.ndarray, sq_norms: np.ndarray, copy_of: np.ndarray,
+                 queries: np.ndarray, k: int, skip: np.ndarray, exact, ties) -> list[np.ndarray]:
     """For each query row ``queries[j]``, the k rows of ``matrix`` nearest to it
     outside column ``skip[:, j]`` of the boolean mask ``skip`` [N, Q], nearest
     first, in the order of the exact distances ``exact(query, rows)`` with ties
     broken by the per-row keys ``ties`` (``np.lexsort`` order, least significant
     first). ``sq_norms`` holds each row's ``|m|**2``; the bound max|m| below is
-    the square root of its largest. At k = 0 nothing is read. Where k does not
-    cut, the k-th value is a skipped row's ``inf``; it is clamped to the largest
-    finite double, so the short list is every row not skipped, and it is chained
-    and ranked the same way.
+    the square root of its largest. ``copy_of[i]`` is a row whose bytes equal
+    row i's (``np.arange`` when no row is known to copy another). At k = 0
+    nothing is read. Where k does not cut, the k-th value is a skipped row's
+    ``inf``; it is clamped to the largest finite double, so the short list is
+    every row not skipped, and it is chained and ranked the same way.
 
     The prefilter takes squared distances ``|m|**2 - 2 m . q + |q|**2`` for
     every row and query, one product ``M @ Q.T`` with no copy of M, and keeps
@@ -188,8 +202,12 @@ def nearest_rows(matrix: np.ndarray, sq_norms: np.ndarray, queries: np.ndarray, 
     different chains are more than 2 err apart, so their exact squared
     distances differ by more than 2 err - 2 delta >= err >= 8 eps
     (max|m| + |q|)**2, several ulps, and their rounded square roots keep that
-    order. Only a row that shares its chain gets its exact distance; the list
-    is ranked by (chain, exact distance, ties) and cut at k."""
+    order. Within a chain, rows that copy one row have bitwise-equal exact
+    distances, as ``exact`` computes each row's distance from its bytes alone.
+    So a chain whose rows all copy one row is ordered by ``ties`` alone and
+    takes no exact distance, and a chain of several such groups takes one exact
+    distance per group, of the row they copy. The list is ranked by (chain,
+    exact distance, ties) and cut at k."""
     if k == 0:
         return [np.empty(0, dtype=np.intp) for _ in queries]
     approx = matrix @ queries.T
@@ -210,14 +228,17 @@ def nearest_rows(matrix: np.ndarray, sq_norms: np.ndarray, queries: np.ndarray, 
         values = column[rows]
         order = np.argsort(values)
         rows, values = rows[order], values[order]
-        # first[i]: row i starts a chain (first[-1] closes the last one)
-        first = np.ones(len(rows) + 1, dtype=bool)
-        np.greater(values[1:] - values[:-1], margin[j], out=first[1:-1])
-        chain = np.cumsum(first[:-1])
-        tied = ~(first[:-1] & first[1:])
+        first = np.ones(len(rows), dtype=bool)  # first[i]: row i starts a chain
+        np.greater(values[1:] - values[:-1], margin[j], out=first[1:])
+        starts = np.flatnonzero(first)
+        chain = np.cumsum(first)
+        owner = copy_of[rows]
+        # mixed[i]: row i's chain holds two or more keys
+        mixed = (np.minimum.reduceat(owner, starts) < np.maximum.reduceat(owner, starts))[chain - 1]
         dists = np.zeros(len(rows))
-        if tied.any():
-            dists[tied] = exact(query, rows[tied])
+        if mixed.any():
+            keys, key_of_row = np.unique(owner[mixed], return_inverse=True)
+            dists[mixed] = exact(query, keys)[key_of_row]
         out.append(rows[np.lexsort((*(key[rows] for key in ties), dists, chain))[:k]])
     return out
 
@@ -231,9 +252,11 @@ def find_plausible(queries: np.ndarray, query_image_ids, corpus: CorpusKeys,
 
     The distance is ``np.linalg.norm(K[rows] - q, axis=1)`` over the key
     matrix K. ``nearest_rows`` searches the usable rows for ``search_height``
-    queries at a time and takes that norm only for the rows of a near-tie
-    chain of a query's short list; this gives the same list as a
-    copy-then-norm scan of every usable row."""
+    queries at a time and takes that norm only in a near-tie chain of a
+    query's short list that holds two or more keys, once per key
+    (``corpus.copy_of``): the norm reduces each row on its own, so the copies
+    of one key are exactly as far from the query, and ties order them. This
+    gives the same list as a copy-then-norm scan of every usable row."""
     image_ids = np.asarray(query_image_ids)
     last_rounds = (corpus.followups < 0)[:, None]
     height = search_height(len(corpus))
@@ -246,8 +269,8 @@ def find_plausible(queries: np.ndarray, query_image_ids, corpus: CorpusKeys,
         skip = corpus.image_ids[:, None] == image_ids[start:start + height]
         skip |= last_rounds
         out += [rows.tolist() for rows in nearest_rows(
-            corpus.matrix, corpus.sq_norms, queries[start:start + height], k, skip, exact,
-            (corpus.round_nos, corpus.image_ids))]
+            corpus.matrix, corpus.sq_norms, corpus.copy_of, queries[start:start + height], k,
+            skip, exact, (corpus.round_nos, corpus.image_ids))]
     return out
 
 
@@ -305,33 +328,24 @@ def build_candidate_set(dataset: DialogDataset, corpus: CorpusKeys, row: int,
         raise ValueError(f"image {image_id} round {round_no} has no follow-up question")
     _check_pool_size(dataset, pool_size)
 
-    chosen: list[tuple[int, str]] = []  # (pool index, provenance)
-    seen: set[str] = set()
-
-    def push(pool_idx: int, label: str) -> None:
-        s = dataset.questions[pool_idx]
-        if s not in seen:
-            seen.add(s)
-            chosen.append((pool_idx, label))
-
-    push(followup, "correct")
-    for neighbor in plausible:
-        push(int(corpus.followups[neighbor]), "plausible")
+    questions = dataset.questions
+    # string -> (pool index, provenance), in the order first pushed; a repeat is dropped
+    chosen: dict[str, tuple[int, str]] = {questions[followup]: (followup, "correct")}
+    for pool_idx in corpus.followups[plausible].tolist():
+        chosen.setdefault(questions[pool_idx], (pool_idx, "plausible"))
     for pool_idx in popular:
-        push(pool_idx, "popular")
+        chosen.setdefault(questions[pool_idx], (pool_idx, "popular"))
 
     rng = round_rng(seed, image_id, round_no)
-    del chosen[pool_size:]
-    for draws in chunked_draws(rng, len(dataset.questions), chosen, pool_size):
+    for draws in chunked_draws(rng, len(questions), chosen, pool_size):
         for pool_idx in draws:
-            push(pool_idx, "random")
-    perm = rng.permutation(pool_size)
-    shuffled = [chosen[i] for i in perm]
-    gt_index = next(i for i, (_, label) in enumerate(shuffled) if label == "correct")
+            chosen.setdefault(questions[pool_idx], (pool_idx, "random"))
+    picked = list(chosen.values())  # the shuffle takes the first pool_size
+    perm = rng.permutation(pool_size).tolist()
     return {
-        "question_options": [idx for idx, _ in shuffled],
-        "question_gt_index": gt_index,
-        "question_provenance": [label for _, label in shuffled],
+        "question_options": [picked[i][0] for i in perm],
+        "question_gt_index": perm.index(0),  # the correct follow-up is pushed first
+        "question_provenance": [picked[i][1] for i in perm],
     }
 
 

@@ -117,8 +117,8 @@ def nearest_images(features: ImageFeatureStore, image_id: int, n: int) -> list[i
         def exact(query, rows):
             return np.array([np.linalg.norm(matrix[i] - query) for i in rows])
 
-        rows, = nearest_rows(matrix, features.sq_norms, matrix[row:row + 1], n, skip, exact,
-                             (features.id_array,))
+        rows, = nearest_rows(matrix, features.sq_norms, np.arange(len(matrix)),
+                             matrix[row:row + 1], n, skip, exact, (features.id_array,))
         memo[key] = tuple(features.id_array[rows].tolist())
     return list(memo[key])
 

@@ -130,6 +130,29 @@ def test_corpus_rows_hold_each_round_key_and_followup(corpus):
             row += 1
 
 
+def test_corpus_keys_copy_the_first_row_of_each_word_pair():
+    # rows 0-2 and 7 differ only in case or punctuation; row 8 asks row 3's
+    # question with another answer; rows 4, 6 and 5, 9 are two different
+    # all-unknown pairs, whose keys are both zero
+    questions = ["Is it sunny?", "is it sunny", "IS IT, SUNNY!", "is the cat red?",
+                 "zzz qqq?", "www?"]
+    answers = ["Yes.", "yes", "xxx", "vvv", "it is red"]
+    pairs = [(0, 0), (1, 1), (2, 0), (3, 4), (4, 2), (5, 3), (4, 2), (0, 1), (3, 0), (5, 3)]
+    payload = {"format": "visdial-desk.v1", "task": "visdial", "questions": questions,
+               "answers": answers,
+               "dialogs": [{"image_id": 9, "caption": "a sunny day", "rounds": [
+                   {"question": q, "answer": a, "answer_options": [a], "gt_index": 0}
+                   for q, a in pairs]}]}
+    dataset, glove = load_payload(payload), small_glove()
+    keys = qd.CorpusKeys(dataset, glove)
+    assert keys.copy_of.tolist() == [0, 0, 0, 3, 4, 5, 4, 0, 8, 5]
+    for row, (q, a) in enumerate(pairs):
+        assert keys.matrix[row].tobytes() == qd.qa_pair_key(questions[q], answers[a],
+                                                            glove).tobytes(), row
+    assert not keys.matrix[4].any() and not keys.matrix[5].any()
+    assert keys.matrix[0].any() and keys.matrix[3].any()
+
+
 def test_corpus_keys_hold_each_key_once():
     payload = qbuilder_corpus(n_images=400, seed=6)
     dataset = load_payload(payload)
@@ -419,7 +442,7 @@ def test_qdataset_bytes_same_at_every_block_height(corpus, monkeypatch, height):
 def test_short_list_reads_nothing_for_k_zero():
     skip = np.zeros((5, 3), dtype=bool)
     # no matrix to read and no exact distance to take
-    got = qd.nearest_rows(None, None, np.ones((3, 4)), 0, skip, None, ())
+    got = qd.nearest_rows(None, None, None, np.ones((3, 4)), 0, skip, None, ())
     assert [list(short) for short in got] == [[], [], []]
 
 

@@ -12,7 +12,8 @@ keys), every interesting n or k, large corpora, keys whose common offset
 makes the product cancel, and near-ties that a prefilter orders differently
 from the exact formula across the cut. ``find_plausible`` is checked with
 all queries in one block and in blocks of 1 and of 7, and for the rows it
-takes exact norms of.
+takes exact norms of: none in a chain whose rows copy one key, one per key in
+a chain of several keys.
 """
 
 import tracemalloc
@@ -42,15 +43,18 @@ def check_nearest(store, queries, cut=()):
 
 
 def corpus_of(keys, rounds=10):
-    """One row per key; rows fill dialogs of ``rounds`` rounds in order. Built
-    from the arrays, not from a dataset: a dataset's QA keys are 5 d wide, and
-    some of these keys are not."""
+    """One row per key; rows fill dialogs of ``rounds`` rounds in order, and a
+    row copies the first row with the same key bytes. Built from the arrays,
+    not from a dataset: a dataset's QA keys are 5 d wide, and some of these
+    keys are not."""
     row = np.arange(len(keys))
+    first_of = {}
     corpus = CorpusKeys.__new__(CorpusKeys)
     corpus.matrix = keys
     corpus.image_ids = row // rounds
     corpus.round_nos = row % rounds + 1
     corpus.followups = np.where(corpus.round_nos < rounds, row, -1)
+    corpus.copy_of = np.array([first_of.setdefault(key.tobytes(), i) for i, key in enumerate(keys)])
     corpus.sq_norms = np.einsum("ij,ij->i", keys, keys)
     return corpus
 
@@ -272,18 +276,21 @@ def row_norms(monkeypatch):
 
 
 def chained_rows(corpus, query, image, k):
-    """The size of the query's short list and how many of its rows share an
-    exactly equal distance with another of its rows, when its distinct
-    distances are far apart: then the short list is the rows up to the k-th
-    distance and its ties, and the near-tie chains are exactly the groups of
-    equal distances."""
+    """The size of the query's short list, how many of its rows share an
+    exactly equal distance with another of its rows, and how many exact norms
+    the search takes: one per distinct key of each group of equal distances
+    that holds two or more keys. This holds when the query's distinct distances
+    are far apart: then the short list is the rows up to the k-th distance and
+    its ties, and the near-tie chains are exactly the groups of equal
+    distances."""
     rows = np.array(oracle_find_plausible(query, image, corpus, len(corpus)))
     dists = np.linalg.norm(corpus.matrix[rows] - query, axis=1)
     short = dists[dists <= dists[min(k, len(dists)) - 1]]  # every row where k does not cut
     distinct = np.unique(dists[:len(short) + 1])
     assert np.diff(distinct ** 2).min() > 1e-6  # far beyond any near-tie margin
     _, counts = np.unique(short, return_counts=True)
-    return len(short), int(counts[counts > 1].sum())
+    keys = [len(np.unique(corpus.copy_of[rows[:len(short)][short == dist]])) for dist in distinct]
+    return len(short), int(counts[counts > 1].sum()), sum(n for n in keys if n > 1)
 
 
 def test_plausible_takes_no_exact_norm_on_distinct_keys(monkeypatch):
@@ -295,7 +302,7 @@ def test_plausible_takes_no_exact_norm_on_distinct_keys(monkeypatch):
     queries.append((rng.normal(size=20), -1))
     block, images = np.stack([q for q, _ in queries]), [image for _, image in queries]
     for k in (1, 10, 50):
-        assert all(chained_rows(corpus, q, image, k)[1] == 0 for q, image in queries)
+        assert all(chained_rows(corpus, q, image, k)[1:] == (0, 0) for q, image in queries)
         want = [oracle_find_plausible(q, image, corpus, k) for q, image in queries]
         with monkeypatch.context() as mp:
             counts = row_norms(mp)
@@ -307,7 +314,7 @@ def test_plausible_takes_no_exact_norm_on_distinct_keys(monkeypatch):
 def duplicated_keys():
     """700 random keys, where rows 600-659 copy rows 0-59 (other images) and
     rows 660-669 copy row 0, and 14 queries: only the copies in a short list
-    share a chain."""
+    share a chain, and each chain holds copies of one key."""
     rng = np.random.default_rng(13)
     keys = rng.normal(size=(700, 20))
     keys[600:660] = keys[:60]
@@ -317,28 +324,64 @@ def duplicated_keys():
     return corpus_of(keys), queries
 
 
-def check_chained_norms(monkeypatch, ks):
-    corpus, queries = duplicated_keys()
+def mixed_keys():
+    """300 keys: a small-integer key a at row 0 and its coordinate permutation b
+    at row 1, with 20 copies of each in other images (rows 2-41), and random
+    keys offset by 6, one of them (row 42) copied 15 times (rows 43-57). a and b
+    are equally far from the constant queries 0 and 1, bitwise, so their copies
+    form one chain of two keys; the offset keys share chains only with their
+    copies. The queries are the two constants and a few offset keys."""
+    rng = np.random.default_rng(19)
+    keys = 6.0 + rng.normal(size=(300, 6))
+    keys[0] = [3.0, -1.0, 0.0, 2.0, -2.0, 1.0]
+    keys[1] = keys[0, [2, 0, 5, 1, 4, 3]]
+    keys[2:42] = keys[[0, 1] * 20]
+    keys[43:58] = keys[42]
+    queries = [(np.zeros(6), -1), (np.ones(6), 7), (keys[42], 4), (keys[150], 15)]
+    return corpus_of(keys), queries
+
+
+def check_chained_norms(monkeypatch, corpus, queries, ks):
+    """The search's lists equal the oracle's, and it takes the exact norms
+    ``chained_rows`` names, one row-wise call per query that takes any.
+    Returns the norm rows that it takes for each k."""
     block, images = np.stack([q for q, _ in queries]), [image for _, image in queries]
+    taken = []
     for k in ks:
-        short, chained = zip(*(chained_rows(corpus, q, image, k) for q, image in queries))
+        short, chained, norms = zip(*(chained_rows(corpus, q, image, k) for q, image in queries))
         assert 0 < sum(chained) < sum(short), (k, short, chained)
         want = [oracle_find_plausible(q, image, corpus, k) for q, image in queries]
         with monkeypatch.context() as mp:
             counts = row_norms(mp)
             got = qd.find_plausible(block, images, corpus, k)
         assert got == want, k
-        assert counts == [c for c in chained if c], (k, chained)
+        assert counts == [n for n in norms if n], (k, norms)
+        taken.append(sum(norms))
+    return taken
 
 
 def test_plausible_takes_exact_norms_of_chained_duplicates_only(monkeypatch):
-    check_chained_norms(monkeypatch, (1, 5, 12))
+    # every chain holds copies of one key, whose exact distances are equal
+    # bitwise: no norm is taken
+    corpus, queries = duplicated_keys()
+    assert check_chained_norms(monkeypatch, corpus, queries, (1, 5, 12)) == [0, 0, 0]
 
 
 def test_plausible_without_a_cut_takes_exact_norms_of_chained_duplicates_only(monkeypatch):
     # k is at least every query's 621 or 630 usable rows, so the short list is
-    # all of them, and still only the copies take an exact norm
-    check_chained_norms(monkeypatch, (630, 10**6))
+    # all of them, and its chains of copies still take no exact norm
+    corpus, queries = duplicated_keys()
+    assert check_chained_norms(monkeypatch, corpus, queries, (630, 10**6)) == [0, 0]
+
+
+def test_plausible_takes_one_exact_norm_per_key_of_a_mixed_chain(monkeypatch):
+    corpus, queries = mixed_keys()
+    a, b = corpus.matrix[0], corpus.matrix[1]
+    for q, _ in queries[:2]:
+        assert np.linalg.norm(a - q) == np.linalg.norm(b - q)
+    # k = 1 and 30 cut inside the two-key chain of the first two queries, and
+    # both take its two keys' norms; k = 300 takes every row
+    assert check_chained_norms(monkeypatch, corpus, queries, (1, 30, 300)) == [4, 4, 4]
 
 
 def test_nearest_without_a_cut_takes_exact_norms_of_duplicates_only(monkeypatch):

@@ -47,10 +47,23 @@ MUTANTS = [
            ("tests/test_qdataset.py::test_plausible_everything_excluded",
             "tests/test_unroll.py::test_nearest_exhausts_store",
             "tests/test_search.py::test_nearest_seeded_5k_store")),
+    # a chain of two keys whose exact distances differ would be ranked by ties
+    # alone; the mixed-chain test counts its norms
+    Mutant("search: a two-key chain taken as one key", "qdataset.py",
+           "        mixed = (np.minimum.reduceat(owner, starts) < np.maximum.reduceat(owner, starts))"
+           "[chain - 1]\n",
+           "        mixed = np.zeros(len(rows), dtype=bool)\n",
+           ("tests/test_search.py::test_plausible_takes_one_exact_norm_per_key_of_a_mixed_chain",)),
+    # rows that share a question but not an answer would share a key
+    Mutant("corpus keys: grouped by question words only", "qdataset.py",
+           "words = (tuple(content_words(question)), tuple(content_words(answer)))",
+           "words = (tuple(content_words(question)), ())",
+           ("tests/test_qdataset.py::test_candidate_sets_match_oracle_everywhere",
+            "tests/test_qdataset.py::test_corpus_keys_copy_the_first_row_of_each_word_pair")),
     # rows whose prefilter values differ within the margin must share a chain
     Mutant("search: chain split at margin 0", "qdataset.py",
-           "np.greater(values[1:] - values[:-1], margin[j], out=first[1:-1])",
-           "np.greater(values[1:] - values[:-1], 0.0, out=first[1:-1])",
+           "np.greater(values[1:] - values[:-1], margin[j], out=first[1:])",
+           "np.greater(values[1:] - values[:-1], 0.0, out=first[1:])",
            ("tests/test_search.py::test_nearest_near_tie_across_the_cut",
             "tests/test_search.py::test_plausible_near_tie_across_the_cut",
             "tests/test_search.py::test_nearest_duplicated_vectors_break_ties_by_id")),
@@ -177,9 +190,10 @@ MUTANTS = [
            "    height = search_height(max(corpus.matrix.shape))\n",
            "    height = max(1, len(rows))\n",
            ("tests/test_search.py::test_plausible_by_row_copies_wide_keys_within_search_bytes",)),
+    # the correct follow-up is pushed first and any plausible one next
     Mutant("builder: first plausible label taken as the ground truth", "qdataset.py",
-           'if label == "correct")',
-           'if label == "plausible")',
+           '"question_gt_index": perm.index(0),',
+           '"question_gt_index": perm.index(1),',
            ("tests/test_qdataset.py::test_candidate_set_invariants",
             "tests/test_qdataset.py::test_candidate_sets_match_oracle_everywhere")),
     # a file shorter than its 12-byte header fails in struct, not with LoadError
