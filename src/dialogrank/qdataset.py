@@ -113,10 +113,11 @@ def embed_answer_glove(tokens, glove: GloveTable) -> np.ndarray:
     return acc / known if known else acc
 
 
-def qa_pair_key(question: str, answer: str, glove: GloveTable) -> np.ndarray:
-    """Concatenated question and answer keys, dimension 5 * d."""
-    return np.concatenate([embed_question_glove(content_words(question), glove),
-                           embed_answer_glove(content_words(answer), glove)])
+def qa_pair_key(question_words, answer_words, glove: GloveTable) -> np.ndarray:
+    """Concatenated question and answer keys of a pair's content words (as
+    ``content_words`` gives them), dimension 5 * d."""
+    return np.concatenate([embed_question_glove(question_words, glove),
+                           embed_answer_glove(answer_words, glove)])
 
 
 class CorpusKeys:
@@ -138,10 +139,10 @@ class CorpusKeys:
         row = 0
         for record in dataset.records:
             for t, rnd in enumerate(record.rounds, start=1):
-                question, answer = dataset.questions[rnd.question], dataset.answers[rnd.answer]
-                words = (tuple(content_words(question)), tuple(content_words(answer)))
+                words = (tuple(content_words(dataset.questions[rnd.question])),
+                         tuple(content_words(dataset.answers[rnd.answer])))
                 first = self.copy_of[row] = first_of.setdefault(words, row)
-                self.matrix[row] = (qa_pair_key(question, answer, glove) if first == row
+                self.matrix[row] = (qa_pair_key(*words, glove) if first == row
                                     else self.matrix[first])
                 self.image_ids[row] = record.image_id
                 self.round_nos[row] = t

@@ -7,16 +7,34 @@ All loaded stores are immutable after load and safe for concurrent reads.
 The image-feature store is its two read-only arrays, the attributes ``matrix``
 and ``id_array``, and checks its own ids: ``load_features`` only parses the
 file, and a store built from a repeated id raises the loader's ``LoadError``.
+
+The loaders pay only for their checks. The checks run in a fixed order, and
+that order and each ``LoadError`` message are part of the file formats: a
+malformed file fails the first check it breaks. A check that passes costs its
+condition only; the message, and the "dialog d (image_id i) round t" that
+names the record, are formatted from (d, i, t) when a check fails
+(``_dialog_error``). ``tokenize`` is one ``str.translate`` and a ``split()``;
+an encoding is one lookup in the vocabulary's dict per word; ``build_vocab``
+counts every token in one ``Counter`` call. ``read_dataset``,
+``build_vocab``, ``dataset_from_payload`` and ``load_glove`` each pause the
+cyclic garbage collector (``@_gc_paused``): loading builds no reference
+cycles, so a collection pass over the parsed document would free nothing.
+The last load to end, in any thread, leaves the collector as the first one
+found it, also when a load raises.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import struct
+import threading
 from collections import Counter
+from contextlib import ContextDecorator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -28,7 +46,7 @@ RESERVED_WORDS = (STOP_WORD, EMPTY_WORD, UNK_WORD)
 DATASET_FORMAT = "visdial-desk.v1"
 PROVENANCE_LABELS = ("correct", "plausible", "popular", "random")
 
-_PUNCT = re.compile(r"([?,.!'])")
+_SPACED_PUNCT = str.maketrans({mark: f" {mark} " for mark in "?,.!'"})
 
 
 class LoadError(ValueError):
@@ -37,7 +55,34 @@ class LoadError(ValueError):
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split out ? , . ! ' as standalone tokens, split on whitespace."""
-    return _PUNCT.sub(r" \1 ", text.lower()).split()
+    return text.lower().translate(_SPACED_PUNCT).split()
+
+
+class _GcPause(ContextDecorator):
+    """Pauses the cyclic garbage collector for a load, as a context manager or
+    a decorator. The last load to end, in any thread, leaves the collector as
+    the first one found it, also when a load raises."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._loads = 0  # loads running, in any thread
+        self._was_enabled = False  # the collector's state when the first began
+
+    def __enter__(self):
+        with self._lock:
+            if self._loads == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._loads += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._loads -= 1
+            if self._loads == 0 and self._was_enabled:
+                gc.enable()
+
+
+_gc_paused = _GcPause()
 
 
 class Vocabulary:
@@ -83,6 +128,7 @@ class Vocabulary:
             raise LoadError(f"vocabulary file {path}: {exc}") from exc
 
 
+@_gc_paused
 def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
     """Vocabulary over an iterable of token lists.
 
@@ -90,13 +136,11 @@ def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
     first, then by descending frequency with lexicographic ties. A reserved
     token in the text keeps its reserved id.
     """
-    counts: Counter = Counter()
-    seen_any = False
-    for tokens in corpus:
-        seen_any = True
-        counts.update(tokens)
-    if not seen_any:
+    token_lists = iter(corpus)
+    first = next(token_lists, None)
+    if first is None:
         raise ValueError("cannot build a vocabulary from an empty corpus")
+    counts = Counter(chain(first, chain.from_iterable(token_lists)))
     kept = sorted(
         (w for w, c in counts.items() if c >= min_count and w not in RESERVED_WORDS),
         key=lambda w: (-counts[w], w),
@@ -108,7 +152,8 @@ def encode_truncate(words, vocab: Vocabulary, max_len: int) -> list[int]:
     """First max_len words as ids (OOV -> unk) with a trailing stop id."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    ids = [vocab.encode_word(w) for w in words[:max_len]]
+    get, unk_id = vocab._ids.get, vocab.unk_id
+    ids = [get(w, unk_id) for w in words[:max_len]]
     ids.append(vocab.stop_id)
     return ids
 
@@ -177,6 +222,15 @@ def _require(cond: bool, message: str) -> None:
         raise LoadError(message)
 
 
+def _dialog_error(d: int, image_id, t: int, what: str) -> LoadError:
+    """The ``LoadError`` of a failed dialog check: it names dialog ``d``, its
+    image id once that has passed its check (``None`` before), and round ``t``
+    (1-based; 0 for a check of the dialog itself). Only a failure formats it."""
+    where = f"dialog {d}" if image_id is None else f"dialog {d} (image_id {image_id})"
+    return LoadError(f"{where} round {t}: {what}" if t else f"{where}: {what}")
+
+
+@_gc_paused
 def read_dataset(path):
     """The parsed JSON document of a dataset file, unchecked: ``dataset_from_payload``
     and ``corpus_from_payload`` check what they read. A file that is not UTF-8 JSON,
@@ -194,8 +248,8 @@ def read_dataset(path):
 def _indices(values: list, size: int) -> bool:
     """Whether every value is a JSON integer (not a bool) in ``range(size)``, with
     the loops in C: a dataset holds millions of option indices."""
-    return (set(map(type, values)) <= {int} and min(values, default=0) >= 0
-            and max(values, default=-1) < size)
+    return not values or (set(map(type, values)) <= {int} and min(values) >= 0
+                          and max(values) < size)
 
 
 def _checked_pools(payload) -> tuple[list[str], list[str]]:
@@ -211,35 +265,36 @@ def _checked_pools(payload) -> tuple[list[str], list[str]]:
 
 def _checked_dialogs(payload, questions, answers):
     """The checks of what both ``corpus_from_payload`` and ``dataset_from_payload``
-    read, dialog by dialog. Yields (where, image_id, caption, rounds) once the
-    dialog's image id, caption and round list pass; ``rounds`` holds
-    (where, round, question index, answer index) of each round, once both
-    indices pass. A failure raises ``LoadError`` naming the dialog and round.
-    Indices and image ids must be JSON integers: ``type(x) is int``, as a bool
-    is not one."""
+    read, dialog by dialog. Yields (d, image_id, caption, rounds) once dialog d's
+    image id, caption and round list pass; ``rounds`` holds (round, question
+    index, answer index) of each round, once both indices pass. A failure
+    raises ``LoadError`` naming the dialog and round. Indices and image ids
+    must be JSON integers: ``type(x) is int``, as a bool is not one."""
+    n_questions, n_answers = len(questions), len(answers)
     for d, dialog in enumerate(payload["dialogs"]):
-        where = f"dialog {d}"
-        _require(isinstance(dialog, dict), f"{where}: must be an object")
+        if not isinstance(dialog, dict):
+            raise _dialog_error(d, None, 0, "must be an object")
         image_id = dialog.get("image_id")
-        _require(type(image_id) is int, f"{where}: image_id must be an integer")
-        where = f"dialog {d} (image_id {image_id})"
+        if type(image_id) is not int:
+            raise _dialog_error(d, None, 0, "image_id must be an integer")
         caption = dialog.get("caption", "")
-        _require(isinstance(caption, str), f"{where}: caption must be a string")
+        if not isinstance(caption, str):
+            raise _dialog_error(d, image_id, 0, "caption must be a string")
         rounds_raw = dialog.get("rounds", [])
-        _require(isinstance(rounds_raw, list) and all(isinstance(r, dict) for r in rounds_raw),
-                 f"{where}: rounds must be a list of objects")
+        if not (isinstance(rounds_raw, list) and all(isinstance(r, dict) for r in rounds_raw)):
+            raise _dialog_error(d, image_id, 0, "rounds must be a list of objects")
         rounds = []
         for t, r in enumerate(rounds_raw, start=1):
-            rwhere = f"{where} round {t}"
             qi, ai = r.get("question"), r.get("answer")
-            _require(type(qi) is int and 0 <= qi < len(questions),
-                     f"{rwhere}: question index out of range")
-            _require(type(ai) is int and 0 <= ai < len(answers),
-                     f"{rwhere}: answer index out of range")
-            rounds.append((rwhere, r, qi, ai))
-        yield where, image_id, caption, rounds
+            if not (type(qi) is int and 0 <= qi < n_questions):
+                raise _dialog_error(d, image_id, t, "question index out of range")
+            if not (type(ai) is int and 0 <= ai < n_answers):
+                raise _dialog_error(d, image_id, t, "answer index out of range")
+            rounds.append((r, qi, ai))
+        yield d, image_id, caption, rounds
 
 
+@_gc_paused
 def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 20,
                          max_answer_words: int = 20,
                          max_caption_words: int = 40) -> DialogDataset:
@@ -250,45 +305,55 @@ def dataset_from_payload(payload, vocab: Vocabulary, max_question_words: int = 2
     q_pool_ids = [encode_truncate(tokenize(q), vocab, max_question_words) for q in questions]
     a_pool_ids = [encode_truncate(tokenize(a), vocab, max_answer_words) for a in answers]
 
+    n_questions, n_answers = len(questions), len(answers)
     records = []
     seen_images = set()
-    for where, image_id, caption, checked in _checked_dialogs(payload, questions, answers):
-        _require(image_id not in seen_images, f"{where}: duplicate image_id")
+    for d, image_id, caption, checked in _checked_dialogs(payload, questions, answers):
+        if image_id in seen_images:
+            raise _dialog_error(d, image_id, 0, "duplicate image_id")
         seen_images.add(image_id)
-        _require(len(checked) == ROUNDS_PER_DIALOG,
-                 f"{where}: expected {ROUNDS_PER_DIALOG} rounds, got {len(checked)}")
+        if len(checked) != ROUNDS_PER_DIALOG:
+            raise _dialog_error(d, image_id, 0, f"expected {ROUNDS_PER_DIALOG} rounds, "
+                                f"got {len(checked)}")
         rounds = []
-        for t, (rwhere, r, qi, ai) in enumerate(checked, start=1):
+        for t, (r, qi, ai) in enumerate(checked, start=1):
             opts = r.get("answer_options", [])
-            _require(isinstance(opts, list), f"{rwhere}: answer_options must be a list")
-            _require(_indices(opts, len(answers)), f"{rwhere}: answer option index out of range")
-            _require(len(set(opts)) == len(opts), f"{rwhere}: answer options not unique")
+            if not isinstance(opts, list):
+                raise _dialog_error(d, image_id, t, "answer_options must be a list")
+            if not _indices(opts, n_answers):
+                raise _dialog_error(d, image_id, t, "answer option index out of range")
+            if len(set(opts)) != len(opts):
+                raise _dialog_error(d, image_id, t, "answer options not unique")
             gt = r.get("gt_index")
-            _require(type(gt) is int and 0 <= gt < len(opts),
-                     f"{rwhere}: gt_index out of range")
-            _require(answers[opts[gt]] == answers[ai],
-                     f"{rwhere}: gt option text differs from the round answer")
+            if not (type(gt) is int and 0 <= gt < len(opts)):
+                raise _dialog_error(d, image_id, t, "gt_index out of range")
+            if answers[opts[gt]] != answers[ai]:
+                raise _dialog_error(d, image_id, t, "gt option text differs from the round answer")
             q_opts = r.get("question_options")
             q_gt = r.get("question_gt_index")
             q_prov = r.get("question_provenance")
             if q_opts is not None:
-                _require(isinstance(q_opts, list), f"{rwhere}: question_options must be a list")
-                _require(_indices(q_opts, len(questions)),
-                         f"{rwhere}: question option index out of range")
-                _require(len(set(q_opts)) == len(q_opts),
-                         f"{rwhere}: question options not unique")
-                _require(type(q_gt) is int and 0 <= q_gt < len(q_opts),
-                         f"{rwhere}: question_gt_index out of range")
-                _require(t < ROUNDS_PER_DIALOG, f"{rwhere}: follow-up options on the last round")
-                _require(questions[q_opts[q_gt]] == questions[checked[t][2]],
-                         f"{rwhere}: gt follow-up differs from the next round's question")
+                if not isinstance(q_opts, list):
+                    raise _dialog_error(d, image_id, t, "question_options must be a list")
+                if not _indices(q_opts, n_questions):
+                    raise _dialog_error(d, image_id, t, "question option index out of range")
+                if len(set(q_opts)) != len(q_opts):
+                    raise _dialog_error(d, image_id, t, "question options not unique")
+                if not (type(q_gt) is int and 0 <= q_gt < len(q_opts)):
+                    raise _dialog_error(d, image_id, t, "question_gt_index out of range")
+                if t >= ROUNDS_PER_DIALOG:
+                    raise _dialog_error(d, image_id, t, "follow-up options on the last round")
+                if questions[q_opts[q_gt]] != questions[checked[t][1]]:
+                    raise _dialog_error(d, image_id, t,
+                                        "gt follow-up differs from the next round's question")
                 if q_prov is not None:
-                    _require(isinstance(q_prov, list) and len(q_prov) == len(q_opts),
-                             f"{rwhere}: provenance length mismatch")
-                    _require(all(p in PROVENANCE_LABELS for p in q_prov),
-                             f"{rwhere}: unknown provenance label")
-                    _require(q_prov.count("correct") == 1,
-                             f"{rwhere}: exactly one candidate must be labelled correct")
+                    if not (isinstance(q_prov, list) and len(q_prov) == len(q_opts)):
+                        raise _dialog_error(d, image_id, t, "provenance length mismatch")
+                    if not all(p in PROVENANCE_LABELS for p in q_prov):
+                        raise _dialog_error(d, image_id, t, "unknown provenance label")
+                    if q_prov.count("correct") != 1:
+                        raise _dialog_error(d, image_id, t,
+                                            "exactly one candidate must be labelled correct")
             else:  # without candidates, a gt index or provenance means nothing
                 q_gt = q_prov = None
             rounds.append(DialogRound(
@@ -320,7 +385,7 @@ def corpus_from_payload(payload):
     a_tokens = [tokenize(a) for a in answers]
     for _, _, caption, rounds in _checked_dialogs(payload, questions, answers):
         yield tokenize(caption)
-        for _, _, qi, ai in rounds:
+        for _, qi, ai in rounds:
             yield q_tokens[qi]
             yield a_tokens[ai]
 
@@ -352,13 +417,14 @@ class GloveTable:
         return self._vectors.get(word)
 
 
+@_gc_paused
 def load_glove(path) -> GloveTable:
     vectors: dict[str, np.ndarray] = {}
     # "surrogateescape" reads each byte that is not UTF-8 as one of U+DC80..U+DCFF
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
-            _require(line.isascii() or not re.search("[\udc80-\udcff]", line),
-                     f"word-vector file line {lineno}: not UTF-8")
+            if not line.isascii() and re.search("[\udc80-\udcff]", line):
+                raise LoadError(f"word-vector file line {lineno}: not UTF-8")
             parts = line.split()
             if not parts:
                 continue

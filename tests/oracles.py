@@ -1,15 +1,22 @@
 """Independent straight-line reference implementations used as test oracles.
 
-Nothing here shares code with the package beyond the tokenizer (whose rules
-are part of the documented contract) and the Adam and batch-norm constants of
-``nn``; each oracle recomputes its answer from first principles so it can
-catch implementation bugs on the main path.
+Nothing here shares code with the package beyond the Adam and batch-norm
+constants of ``nn``; each oracle recomputes its answer from first principles
+so it can catch implementation bugs on the main path.
 """
+
+import re
+from collections import Counter
 
 import numpy as np
 
 from dialogrank import nn
-from dialogrank.text import tokenize
+
+
+def oracle_tokenize(s):
+    """Lowercase, put a space on each side of ? , . ! ' with a regex, split on
+    whitespace."""
+    return re.sub(r"([?,.!'])", r" \1 ", s.lower()).split()
 
 
 def oracle_rank(scores, gt):
@@ -29,7 +36,7 @@ def oracle_candidate_set(payload, image_id, round_t, glove_dict, seed,
     d = len(next(iter(glove_dict.values())))
 
     def words_of(s):
-        return [t for t in tokenize(s) if t not in punct]
+        return [t for t in oracle_tokenize(s) if t not in punct]
 
     def qkey(s):
         ws = words_of(s)
@@ -353,3 +360,155 @@ def oracle_score_example(model, ex):
     opts = np.array([encode("option", ids) for ids in ex.option_ids])
     k = len(opts)
     return oracle_fused_mlp(model.mlp, ctx, opts, [0, k], np.arange(k), train=False)[0]
+
+
+# ---------------------------------------------------------------------------
+# dataset ingestion: every check in its documented order, with its message
+# ---------------------------------------------------------------------------
+
+RESERVED_WORDS = ("<stop>", "<empty>", "<unk>")
+PROVENANCE_LABELS = ("correct", "plausible", "popular", "random")
+
+
+class OracleLoadError(Exception):
+    """A failed check of the oracle loaders; ``LoadError`` must carry its message."""
+
+
+def _oracle_require(cond, message):
+    if not cond:
+        raise OracleLoadError(message)
+
+
+def _oracle_indices(values, size):
+    return all(type(v) is int and 0 <= v < size for v in values)
+
+
+def _oracle_pools(payload):
+    _oracle_require(isinstance(payload, dict), "dataset root must be an object")
+    for key in ("questions", "answers", "dialogs"):
+        _oracle_require(isinstance(payload.get(key), list), f"dataset needs a {key!r} list")
+    questions = payload["questions"]
+    answers = payload["answers"]
+    _oracle_require(all(isinstance(q, str) for q in questions),
+                    "questions pool must hold strings")
+    _oracle_require(all(isinstance(a, str) for a in answers), "answers pool must hold strings")
+    return questions, answers
+
+
+def _oracle_dialogs(payload, questions, answers):
+    """(where, image_id, caption, [(where, round, question, answer)]) per dialog,
+    each yielded once its dialog-level and index checks pass."""
+    for d, dialog in enumerate(payload["dialogs"]):
+        where = f"dialog {d}"
+        _oracle_require(isinstance(dialog, dict), f"{where}: must be an object")
+        image_id = dialog.get("image_id")
+        _oracle_require(type(image_id) is int, f"{where}: image_id must be an integer")
+        where = f"dialog {d} (image_id {image_id})"
+        caption = dialog.get("caption", "")
+        _oracle_require(isinstance(caption, str), f"{where}: caption must be a string")
+        rounds_raw = dialog.get("rounds", [])
+        _oracle_require(isinstance(rounds_raw, list)
+                        and all(isinstance(r, dict) for r in rounds_raw),
+                        f"{where}: rounds must be a list of objects")
+        rounds = []
+        for t, r in enumerate(rounds_raw, start=1):
+            rwhere = f"{where} round {t}"
+            qi, ai = r.get("question"), r.get("answer")
+            _oracle_require(type(qi) is int and 0 <= qi < len(questions),
+                            f"{rwhere}: question index out of range")
+            _oracle_require(type(ai) is int and 0 <= ai < len(answers),
+                            f"{rwhere}: answer index out of range")
+            rounds.append((rwhere, r, qi, ai))
+        yield where, image_id, caption, rounds
+
+
+def oracle_corpus_from_payload(payload):
+    """Token lists of every caption, question and answer occurrence."""
+    questions, answers = _oracle_pools(payload)
+    for _, _, caption, rounds in _oracle_dialogs(payload, questions, answers):
+        yield oracle_tokenize(caption)
+        for _, _, qi, ai in rounds:
+            yield oracle_tokenize(questions[qi])
+            yield oracle_tokenize(answers[ai])
+
+
+def oracle_build_vocab(corpus, min_count=1):
+    """Vocabulary words: reserved first, then by descending count, ties by word."""
+    counts = Counter()
+    seen_any = False
+    for tokens in corpus:
+        seen_any = True
+        for token in tokens:
+            counts[token] += 1
+    if not seen_any:
+        raise ValueError("cannot build a vocabulary from an empty corpus")
+    kept = sorted((w for w, c in counts.items() if c >= min_count and w not in RESERVED_WORDS),
+                  key=lambda w: (-counts[w], w))
+    return list(RESERVED_WORDS) + kept
+
+
+def oracle_dataset_from_payload(payload, words, max_question_words=20, max_answer_words=20,
+                                max_caption_words=40):
+    """The loaded dataset as plain values: task, pools, pool encodings, and per
+    dialog its image id, caption, caption encoding and rounds (each a dict of
+    ``DialogRound``'s fields), under the vocabulary ``words``."""
+    ids = {w: i for i, w in enumerate(words)}
+
+    def encode(text, cap):
+        return [ids.get(w, ids["<unk>"]) for w in oracle_tokenize(text)[:cap]] + [ids["<stop>"]]
+
+    questions, answers = _oracle_pools(payload)
+    task = payload.get("task", "visdial")
+    _oracle_require(task in ("visdial", "visdial-q"), f"unknown task {task!r}")
+    records = []
+    seen_images = set()
+    for where, image_id, caption, checked in _oracle_dialogs(payload, questions, answers):
+        _oracle_require(image_id not in seen_images, f"{where}: duplicate image_id")
+        seen_images.add(image_id)
+        _oracle_require(len(checked) == 10, f"{where}: expected 10 rounds, got {len(checked)}")
+        rounds = []
+        for t, (rwhere, r, qi, ai) in enumerate(checked, start=1):
+            opts = r.get("answer_options", [])
+            _oracle_require(isinstance(opts, list), f"{rwhere}: answer_options must be a list")
+            _oracle_require(_oracle_indices(opts, len(answers)),
+                            f"{rwhere}: answer option index out of range")
+            _oracle_require(len(set(opts)) == len(opts), f"{rwhere}: answer options not unique")
+            gt = r.get("gt_index")
+            _oracle_require(type(gt) is int and 0 <= gt < len(opts),
+                            f"{rwhere}: gt_index out of range")
+            _oracle_require(answers[opts[gt]] == answers[ai],
+                            f"{rwhere}: gt option text differs from the round answer")
+            q_opts = r.get("question_options")
+            q_gt = r.get("question_gt_index")
+            q_prov = r.get("question_provenance")
+            if q_opts is not None:
+                _oracle_require(isinstance(q_opts, list),
+                                f"{rwhere}: question_options must be a list")
+                _oracle_require(_oracle_indices(q_opts, len(questions)),
+                                f"{rwhere}: question option index out of range")
+                _oracle_require(len(set(q_opts)) == len(q_opts),
+                                f"{rwhere}: question options not unique")
+                _oracle_require(type(q_gt) is int and 0 <= q_gt < len(q_opts),
+                                f"{rwhere}: question_gt_index out of range")
+                _oracle_require(t < 10, f"{rwhere}: follow-up options on the last round")
+                _oracle_require(questions[q_opts[q_gt]] == questions[checked[t][2]],
+                                f"{rwhere}: gt follow-up differs from the next round's question")
+                if q_prov is not None:
+                    _oracle_require(isinstance(q_prov, list) and len(q_prov) == len(q_opts),
+                                    f"{rwhere}: provenance length mismatch")
+                    _oracle_require(all(p in PROVENANCE_LABELS for p in q_prov),
+                                    f"{rwhere}: unknown provenance label")
+                    _oracle_require(q_prov.count("correct") == 1,
+                                    f"{rwhere}: exactly one candidate must be labelled correct")
+            else:
+                q_gt = q_prov = None
+            rounds.append({
+                "question": qi, "answer": ai, "answer_options": list(opts), "gt_index": gt,
+                "question_options": list(q_opts) if q_opts is not None else None,
+                "question_gt_index": q_gt,
+                "question_provenance": list(q_prov) if q_prov is not None else None})
+        records.append((image_id, caption, encode(caption, max_caption_words), rounds))
+    return {"task": task, "questions": list(questions), "answers": list(answers),
+            "question_ids": [encode(q, max_question_words) for q in questions],
+            "answer_ids": [encode(a, max_answer_words) for a in answers],
+            "records": records}

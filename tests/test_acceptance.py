@@ -190,10 +190,10 @@ def test_criterion_5_builder_oracle():
 
     # plausible exclusions, checked against the neighbor rows themselves
     probe = dataset.records[2]
-    from dialogrank.qdataset import qa_pair_key
+    from dialogrank.qdataset import content_words, qa_pair_key
     q_round = probe.rounds[0]
-    key = qa_pair_key(dataset.questions[q_round.question],
-                      dataset.answers[q_round.answer], glove)
+    key = qa_pair_key(content_words(dataset.questions[q_round.question]),
+                      content_words(dataset.answers[q_round.answer]), glove)
     hits, = find_plausible(key[None], [probe.image_id], keys)
     exclusions_ok = all(keys.image_ids[h] != probe.image_id and keys.round_nos[h] < 10
                         for h in hits)

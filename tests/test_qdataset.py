@@ -77,7 +77,7 @@ def test_answer_key_cases():
 
 
 def test_qa_key_of_punctuation_only_pair_is_zeros():
-    key = qd.qa_pair_key("?", "!", small_glove())
+    key = qd.qa_pair_key(qd.content_words("?"), qd.content_words("!"), small_glove())
     assert key.shape == (25,) and not key.any()
 
 
@@ -124,7 +124,8 @@ def test_corpus_rows_hold_each_round_key_and_followup(corpus):
         for t, rnd in enumerate(record.rounds, start=1):
             assert (keys.image_ids[row], keys.round_nos[row]) == (record.image_id, t)
             assert np.array_equal(keys.matrix[row], qd.qa_pair_key(
-                dataset.questions[rnd.question], dataset.answers[rnd.answer], glove))
+                qd.content_words(dataset.questions[rnd.question]),
+                qd.content_words(dataset.answers[rnd.answer]), glove))
             want = record.rounds[t].question if t < 10 else -1
             assert keys.followups[row] == want
             row += 1
@@ -147,8 +148,8 @@ def test_corpus_keys_copy_the_first_row_of_each_word_pair():
     keys = qd.CorpusKeys(dataset, glove)
     assert keys.copy_of.tolist() == [0, 0, 0, 3, 4, 5, 4, 0, 8, 5]
     for row, (q, a) in enumerate(pairs):
-        assert keys.matrix[row].tobytes() == qd.qa_pair_key(questions[q], answers[a],
-                                                            glove).tobytes(), row
+        assert keys.matrix[row].tobytes() == qd.qa_pair_key(
+            qd.content_words(questions[q]), qd.content_words(answers[a]), glove).tobytes(), row
     assert not keys.matrix[4].any() and not keys.matrix[5].any()
     assert keys.matrix[0].any() and keys.matrix[3].any()
 

@@ -1,8 +1,11 @@
+import dataclasses
 import functools
+import gc
 import json
 import os
 import re
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -12,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from dialogrank import qdataset, text
 from dialogrank.encoders import ModelDims
 from dialogrank.model import examples_from_dataset
+from oracles import (OracleLoadError, oracle_build_vocab, oracle_corpus_from_payload,
+                     oracle_dataset_from_payload, oracle_tokenize)
 from synth import feature_store, load_payload, memorize_family, toy_glove
 
 
@@ -28,6 +33,19 @@ def test_tokenize_punctuation():
 def test_tokenize_detokenize_idempotent(tokens):
     line = " ".join(tokens)
     assert text.tokenize(line) == tokens
+
+
+# the five marks, whitespace of every kind str.split() knows, and characters
+# whose lower case is longer ("İ") or depends on what follows ("Σ")
+TOKENIZER_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from("?,.!'"), st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000"),
+    st.sampled_from("İΣΑẞǅﬁaZ"), st.characters()), max_size=40)
+
+
+@settings(max_examples=500)
+@given(TOKENIZER_TEXT)
+def test_tokenize_matches_the_regex_oracle(s):
+    assert text.tokenize(s) == oracle_tokenize(s)
 
 
 def make_vocab(words=("cat", "dog", "sunny")):
@@ -304,8 +322,8 @@ def test_mutated_payloads_load_or_raise_load_error(data):
     # a wrong JSON type anywhere, a deleted key, an out-of-range or negative
     # index, or a bool for an int: both loaders either load or raise LoadError
     payload = fuzz_payload()
-    assert text.dataset_from_payload(payload, text.build_vocab(
-        text.corpus_from_payload(payload))).task == "visdial-q"
+    vocab = text.build_vocab(text.corpus_from_payload(payload))
+    assert text.dataset_from_payload(payload, vocab).task == "visdial-q"
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         kind = data.draw(st.sampled_from(["type", "delete", "index", "bool"]), label="kind")
         items = list(json_items(payload))
@@ -332,11 +350,108 @@ def test_mutated_payloads_load_or_raise_load_error(data):
             del parent[path[-1]]
         else:
             parent[path[-1]] = new
+    # and they agree with the oracle loaders on what loads or on the message
+    assert_loads_as_oracle(payload, vocab)
+
+
+def _value_or_message(load, error):
     try:
-        vocab = text.build_vocab(text.corpus_from_payload(payload))
+        return load()
+    except error as exc:
+        return f"raises {exc}"
+
+
+def dataset_fields(ds):
+    """A loaded dataset as the oracle loader gives it."""
+    return {"task": ds.task, "questions": ds.questions, "answers": ds.answers,
+            "question_ids": ds.question_ids, "answer_ids": ds.answer_ids,
+            "records": [(r.image_id, r.caption, r.caption_ids,
+                         [dataclasses.asdict(rnd) for rnd in r.rounds]) for r in ds.records]}
+
+
+def assert_loads_as_oracle(payload, vocab):
+    """The package and the oracle loaders give ``payload`` the same vocabulary
+    words and, under ``vocab``, an equal dataset, or at each step the same
+    failure message."""
+    got = _value_or_message(
+        lambda: text.build_vocab(text.corpus_from_payload(payload)).words, text.LoadError)
+    want = _value_or_message(
+        lambda: oracle_build_vocab(oracle_corpus_from_payload(payload)), OracleLoadError)
+    assert got == want
+    got = _value_or_message(
+        lambda: dataset_fields(text.dataset_from_payload(payload, vocab)), text.LoadError)
+    want = _value_or_message(
+        lambda: oracle_dataset_from_payload(payload, vocab.words), OracleLoadError)
+    assert got == want
+
+
+def _all(*mutators):
+    def mutate(payload):
+        for m in mutators:
+            m(payload)
+    return mutate
+
+
+ROUND_1 = ("dialogs", 0, "rounds", 0)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda p: None, None),
+    (_set(("task",), "vqa"), "unknown task 'vqa'"),
+    (_set(("dialogs", 1), 5), "dialog 1: must be an object"),
+    (_set(ROUND_1 + ("question_options",), 3),
+     r"dialog 0 \(image_id 7\) round 1: question_options must be a list"),
+    (_set(ROUND_1 + ("question_options", 0), 2),
+     r"dialog 0 \(image_id 7\) round 1: question option index out of range"),
+    (_set(ROUND_1 + ("question_options",), [1, 1]),
+     r"dialog 0 \(image_id 7\) round 1: question options not unique"),
+    (_set(ROUND_1 + ("question_gt_index",), 2),
+     r"dialog 0 \(image_id 7\) round 1: question_gt_index out of range"),
+    (_set(ROUND_1 + ("question_gt_index",), 1),
+     r"dialog 0 \(image_id 7\) round 1: gt follow-up differs from the next round's question"),
+    (_set(("dialogs", 0, "rounds", 9, "question_options"), [1]),
+     r"dialog 0 \(image_id 7\) round 10: question_gt_index out of range"),
+    (_all(_set(("dialogs", 0, "rounds", 9, "question_options"), [1]),
+          _set(("dialogs", 0, "rounds", 9, "question_gt_index"), 0)),
+     r"dialog 0 \(image_id 7\) round 10: follow-up options on the last round"),
+    (_set(ROUND_1 + ("question_provenance",), ["correct"]),
+     r"dialog 0 \(image_id 7\) round 1: provenance length mismatch"),
+    (_set(ROUND_1 + ("question_provenance",), ["correct", "rare"]),
+     r"dialog 0 \(image_id 7\) round 1: unknown provenance label"),
+    (_set(ROUND_1 + ("question_provenance",), ["random", "random"]),
+     r"dialog 0 \(image_id 7\) round 1: exactly one candidate must be labelled correct"),
+    # two faults: the earlier check names its record
+    (_all(_set(("task",), "vqa"), _set(("dialogs", 0, "caption"), 5)), "unknown task 'vqa'"),
+    (_all(_set(("answers", 0), 1), _set(("dialogs",), 5)), "dataset needs a 'dialogs' list"),
+    (_all(_set(ROUND_1 + ("gt_index",), 9), _set(("dialogs", 0, "rounds", 4, "answer"), -1)),
+     r"dialog 0 \(image_id 7\) round 5: answer index out of range"),
+    (_all(_set(("dialogs", 1, "caption"), 5), _set(ROUND_1 + ("gt_index",), 9)),
+     r"dialog 0 \(image_id 7\) round 1: gt_index out of range"),
+    (_all(_set(ROUND_1 + ("answer_options",), [0, 0]), _set(ROUND_1 + ("gt_index",), 9)),
+     r"dialog 0 \(image_id 7\) round 1: answer options not unique"),
+    (_all(_set(ROUND_1 + ("question_options",), [1, 1]),
+          _set(ROUND_1 + ("question_provenance",), 5)),
+     r"dialog 0 \(image_id 7\) round 1: question options not unique"),
+    (_all(_set(("dialogs", 1, "image_id"), 7), _delete(("dialogs", 1, "rounds", 9))),
+     r"dialog 1 \(image_id 7\): duplicate image_id"),
+], ids=["valid", "task", "dialog-not-object", "question-options-int", "question-option-range",
+        "question-options-repeat", "question-gt-range", "question-gt-text",
+        "last-round-gt-range", "last-round-options", "provenance-length",
+        "provenance-label", "provenance-correct", "task-before-caption",
+        "dialogs-before-answer-pool", "indices-before-options", "dialog-0-before-dialog-1",
+        "unique-before-gt", "unique-before-provenance", "duplicate-before-round-count"])
+def test_loader_checks_run_in_the_oracle_order(mutate, message):
+    # each payload fails the check that the oracle's order reaches first, with
+    # the oracle's message, in both loaders; a valid one loads as the oracle does
+    payload = fuzz_payload()
+    vocab = text.build_vocab(text.corpus_from_payload(payload))
+    mutate(payload)
+    assert_loads_as_oracle(payload, vocab)
+    if message is None:
         text.dataset_from_payload(payload, vocab)
-    except text.LoadError:
-        pass
+    else:
+        with pytest.raises(text.LoadError, match=f"^{message}$"):
+            text.dataset_from_payload(payload, vocab)
 
 
 def test_load_dataset_order_independent():
@@ -622,3 +737,139 @@ def test_corrupt_files_load_or_raise_load_error(tmp_path_factory, fmt, edits):
         return
     if fmt == "glove":  # every table that loads holds finite vectors only
         assert all(np.isfinite(loaded.get(w)).all() for w in loaded._vectors)
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector is paused while a file loads
+# ---------------------------------------------------------------------------
+
+GC_PAUSING_LOADS = ("read_dataset", "build_vocab", "dataset_from_payload", "load_glove")
+
+
+def gc_pausing_load(name, tmp_path, fails):
+    """A call of one of the loads that pause the collector, which loads, or
+    raises ``LoadError`` when ``fails``."""
+    payload = minimal_payload()
+    vocab = text.build_vocab(text.corpus_from_payload(payload))
+    if fails:
+        payload["dialogs"][0]["caption"] = 5
+    path = tmp_path / f"{name}-{fails}"
+    if name == "read_dataset":
+        path.write_bytes(b"{" if fails else text.dataset_json_bytes(payload))
+        return lambda: text.read_dataset(path)
+    if name == "load_glove":
+        path.write_text("cat 1.0\ndog\n" if fails else "cat 1.0\ndog 2.0\n")
+        return lambda: text.load_glove(path)
+    if name == "build_vocab":
+        return lambda: text.build_vocab(text.corpus_from_payload(payload))
+    return lambda: text.dataset_from_payload(payload, vocab)
+
+
+@pytest.fixture
+def gc_restored():
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("name", GC_PAUSING_LOADS)
+def test_loads_leave_the_collector_as_they_found_it(tmp_path, gc_restored, name, enabled,
+                                                    fails):
+    load = gc_pausing_load(name, tmp_path, fails)
+    (gc.enable if enabled else gc.disable)()
+    if fails:
+        with pytest.raises(text.LoadError):
+            load()
+    else:
+        load()
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_nested_loads_leave_the_collector_as_the_outermost_found_it(tmp_path, gc_restored,
+                                                                    enabled):
+    # loads that run while build_vocab reads its corpus keep the collector
+    # paused on return and on error; build_vocab restores it
+    inner = [gc_pausing_load(name, tmp_path, fails) for name in GC_PAUSING_LOADS
+             for fails in (False, True)]
+    paused_after = []
+
+    def corpus():
+        for load in inner:
+            try:
+                load()
+            except text.LoadError:
+                pass
+            paused_after.append(not gc.isenabled())
+        yield ["cat"]
+
+    (gc.enable if enabled else gc.disable)()
+    text.build_vocab(corpus())
+    assert paused_after == [True] * len(inner)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_loads_in_two_threads_leave_the_collector_as_the_first_found_it(gc_restored, enabled):
+    # thread a finishes while thread b still loads, then b fails: the
+    # collector stays paused until b is done, and is then as it was
+    both_loading = threading.Barrier(2, timeout=10)
+    a_done = threading.Event()
+    seen = {}
+
+    def corpus(name):
+        both_loading.wait()
+        if name == "b":
+            assert a_done.wait(timeout=10)
+            seen["paused while b loads"] = not gc.isenabled()
+            raise text.LoadError("b fails")
+        yield ["cat"]
+
+    def load(name):
+        try:
+            text.build_vocab(corpus(name))
+            seen[name] = "returned"
+        except text.LoadError as exc:
+            seen[name] = str(exc)
+        a_done.set()
+
+    (gc.enable if enabled else gc.disable)()
+    threads = [threading.Thread(target=load, args=(name,)) for name in "ab"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert seen == {"a": "returned", "b": "b fails", "paused while b loads": True}
+    assert gc.isenabled() is enabled
+
+
+def test_many_threads_loading_keep_the_collector_paused_until_the_last_ends(gc_restored):
+    # eight threads, each loading 200 times with a short switch interval: a
+    # lost update of the pause's count would let a load run with the collector
+    # on, or leave it off at the end
+    unpaused = []
+
+    def corpus():
+        if gc.isenabled():
+            unpaused.append(threading.get_ident())
+        yield ["cat"]
+
+    def loads():
+        for _ in range(200):
+            text.build_vocab(corpus())
+
+    gc.enable()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=loads) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert unpaused == []
+    assert gc.isenabled()

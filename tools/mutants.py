@@ -56,8 +56,8 @@ MUTANTS = [
            ("tests/test_search.py::test_plausible_takes_one_exact_norm_per_key_of_a_mixed_chain",)),
     # rows that share a question but not an answer would share a key
     Mutant("corpus keys: grouped by question words only", "qdataset.py",
-           "words = (tuple(content_words(question)), tuple(content_words(answer)))",
-           "words = (tuple(content_words(question)), ())",
+           "first = self.copy_of[row] = first_of.setdefault(words, row)",
+           "first = self.copy_of[row] = first_of.setdefault(words[:1], row)",
            ("tests/test_qdataset.py::test_candidate_sets_match_oracle_everywhere",
             "tests/test_qdataset.py::test_corpus_keys_copy_the_first_row_of_each_word_pair")),
     # rows whose prefilter values differ within the margin must share a chain
@@ -207,6 +207,23 @@ MUTANTS = [
            'have = (json.dumps(dict(got[i], offset=entry["offset"]), sort_keys=True)\n'
            '                if i < len(got) else "no entry")',
            ("tests/test_training.py::test_malformed_checkpoint_raises_load_error",)),
+    # the tokenizer's contract is the regex form, which splits out all five marks
+    Mutant("tokenizer: ' not split out", "text.py",
+           """for mark in "?,.!'"})""",
+           """for mark in "?,.!"})""",
+           ("tests/test_text.py::test_tokenize_matches_the_regex_oracle",)),
+    # a message is built only on failure, from (dialog, image id, round)
+    Mutant("loader: round number off by one in a message", "text.py",
+           'return LoadError(f"{where} round {t}: {what}" if t else',
+           'return LoadError(f"{where} round {t + 1}: {what}" if t else',
+           ("tests/test_text.py::test_loader_checks_run_in_the_oracle_order",
+            "tests/test_text.py::test_mutated_payloads_load_or_raise_load_error")),
+    # a load that raises must still end its pause of the collector
+    Mutant("GC pause: not restored on error", "text.py",
+           "    def __exit__(self, *exc):\n",
+           "    def __exit__(self, *exc):\n        if exc[0] is not None:\n            return\n",
+           ("tests/test_text.py::test_loads_leave_the_collector_as_they_found_it",
+            "tests/test_text.py::test_nested_loads_leave_the_collector_as_the_outermost_found_it")),
     Mutant("glove loader: non-finite component accepted", "text.py",
            "            if not np.isfinite(vec).all():\n",
            "            if False:\n",
